@@ -10,11 +10,9 @@ Subpackages by physics stage:
 - yukawa: hypothetical short-range force and exclusion limits
 - cli: batch command-line interface over all of the above
 
-The hot quadrature kernels run compiled when the extension built; check
-``backend_name()``.
+Everything is pure Python on NumPy and SciPy; there is no build step.
 """
 
-from ._backend import available_backends, backend_name
 from .constants import CODATA, PhysicalConstants
 
 __version__ = "0.1.0"
@@ -22,7 +20,5 @@ __version__ = "0.1.0"
 __all__ = [
     "CODATA",
     "PhysicalConstants",
-    "available_backends",
-    "backend_name",
     "__version__",
 ]

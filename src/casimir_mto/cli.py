@@ -9,8 +9,8 @@ One binary with subcommands::
     casimir-mto limits     --config run.json   # alpha(lambda) exclusion CSV
     casimir-mto materials validate [--config registry.json]
 
-Configuration lives in a JSON document; the ``--out``, ``--seed``,
-``--tol`` and ``--threads`` flags override the matching config keys.
+Configuration lives in a JSON document; the ``--out``, ``--seed`` and
+``--tol`` flags override the matching config keys.
 Unknown config keys are rejected. Numeric output is full-precision
 scientific notation, so identical configs give byte-identical files.
 
@@ -24,12 +24,11 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, backend_name
+from . import __version__
 from .electrostatics import CalibrationSample, calibrate, estimate_v0
 from .errors import (
     ConfigurationError,
@@ -43,8 +42,8 @@ from .errors import (
 )
 from .lifshitz import (
     SpherePlaneGeometry,
-    force_gradient_sphere_plane,
     force_sphere_plane,
+    gradient_from_pressure,
     pressure_plane_plane,
 )
 from .materials import PerfectConductor, Tabulated, load_registry
@@ -89,6 +88,23 @@ class _Cfg:
             raise ConfigurationError(f"{self._where}: missing required key {key!r}")
         return default
 
+    def take_float(self, key, default=_REQUIRED) -> float:
+        return self._take_number(float, key, default)
+
+    def take_int(self, key, default=_REQUIRED) -> int:
+        return self._take_number(int, key, default)
+
+    def _take_number(self, kind, key, default):
+        val = self.take(key, default)
+        if val is None and default is None:
+            return None
+        try:
+            return kind(val)
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"{self._where}: {key!r} must be a number, got {val!r}"
+            ) from None
+
     def close(self):
         if self._doc:
             raise ConfigurationError(
@@ -109,14 +125,21 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
+def _float_array(spec, where: str) -> np.ndarray:
+    try:
+        return np.asarray(spec, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{where}: expected numbers, got {spec!r}") from None
+
+
 def _parse_grid(spec, where: str) -> np.ndarray:
     if isinstance(spec, list):
-        grid = np.asarray(spec, dtype=float)
+        grid = _float_array(spec, where)
     elif isinstance(spec, dict):
         g = _Cfg(spec, where)
-        start = float(g.take("start"))
-        stop = float(g.take("stop"))
-        points = int(g.take("points"))
+        start = g.take_float("start")
+        stop = g.take_float("stop")
+        points = g.take_int("points")
         spacing = g.take("spacing", "linear")
         g.close()
         if points < 1:
@@ -162,23 +185,16 @@ def _parse_roughness(spec, where: str) -> RoughnessDistribution | None:
     entries = r.take("entries", None)
     if entries is not None:
         r.close()
-        arr = np.asarray(entries, dtype=float)
+        arr = _float_array(entries, where)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ConfigurationError(f"{where}: entries must be [[offset_m, weight], ...]")
         return RoughnessDistribution(arr[:, 0], arr[:, 1])
     map1 = load_heightmap(r.take("heightmap1"))
     map2_path = r.take("heightmap2", None)
-    bins = int(r.take("bins", 21))
+    bins = r.take_int("bins", 21)
     r.close()
     map2 = load_heightmap(map2_path) if map2_path else None
     return weights_from_heightmaps(map1, map2, bins=bins)
-
-
-def _map_grid(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
 
 
 def _write_csv(path: str, header: list[str], rows):
@@ -189,89 +205,67 @@ def _write_csv(path: str, header: list[str], rows):
 
 
 def _common_overrides(doc: dict, args) -> dict:
-    for key in ("out", "seed", "tol", "threads"):
+    for key in ("out", "seed", "tol"):
         val = getattr(args, key, None)
         if val is not None:
             doc[key] = val
     return doc
 
 
-def _check_seed(seed) -> int:
-    seed = int(seed)
+def _check_seed(seed: int) -> int:
     if not 0 <= seed < 2**64:
         raise ConfigurationError("seed must be an unsigned 64-bit integer")
     return seed
 
 
-def cmd_force(args) -> int:
+_COLUMNS = {"force": "f_n", "gradient": "dfdz_n_per_m", "pressure": "p_n_per_m2"}
+
+
+def cmd_grid(args) -> int:
+    """``force`` (F or dF/dz) and ``pressure`` over a separation grid.
+
+    Each row holds the plain value and its error estimate, plus the
+    roughness average when a distribution is configured. The gradient
+    is the proximity-force 2 pi R |P| of the plain or averaged pressure.
+    """
     doc = _common_overrides(_load_config(args.config), args)
-    cfg = _Cfg(doc, "force config")
+    cfg = _Cfg(doc, f"{args.command} config")
     m1, m2 = _resolve_materials(cfg.take("materials"), "materials")
-    radius = float(cfg.take("radius_m"))
-    quantity = cfg.take("quantity", "force")
+    if args.command == "force":
+        radius = cfg.take_float("radius_m")
+        quantity = cfg.take("quantity", "force")
+    else:
+        radius, quantity = None, "pressure"
     grid = _parse_grid(cfg.take("z_grid_m"), "z_grid_m")
-    tol = float(cfg.take("tol", 1e-6))
+    tol = cfg.take_float("tol", 1e-6)
     dist = _parse_roughness(cfg.take("roughness", None), "roughness")
     out = cfg.take("out")
-    threads = int(cfg.take("threads", 1))
     cfg.close()
-
-    if quantity == "force":
-        plain = lambda z: force_sphere_plane(z, radius, m1, m2, tol=tol)
-        rough = lambda z: averaged_force(z, radius, dist, m1, m2, tol=tol)
-        col = "f_n"
-    elif quantity == "gradient":
-        plain = lambda z: force_gradient_sphere_plane(z, radius, m1, m2, tol=tol)
-        rough = lambda z: _gradient_averaged(z, radius, dist, m1, m2, tol)
-        col = "dfdz_n_per_m"
-    else:
+    if args.command == "force" and quantity not in ("force", "gradient"):
         raise ConfigurationError("quantity must be 'force' or 'gradient'")
 
-    def at(z: float):
-        r = plain(float(z))
-        if dist is None:
-            return (z, r.value, r.est_rel_error)
-        ra = rough(float(z))
-        return (z, r.value, r.est_rel_error, ra.value)
+    def at(z: float, averaged: bool):
+        if quantity == "force":
+            if averaged:
+                return averaged_force(z, radius, dist, m1, m2, tol=tol)
+            return force_sphere_plane(z, radius, m1, m2, tol=tol)
+        if averaged:
+            p = averaged_pressure(z, dist, m1, m2, tol=tol)
+        else:
+            p = pressure_plane_plane(z, m1, m2, tol=tol)
+        return p if quantity == "pressure" else gradient_from_pressure(p, radius)
 
-    rows = _map_grid(at, grid, threads)
+    rows = []
+    for z in grid:
+        r = at(float(z), averaged=False)
+        row = (z, r.value, r.est_rel_error)
+        if dist is not None:
+            row += (at(float(z), averaged=True).value,)
+        rows.append(row)
+    col = _COLUMNS[quantity]
     header = ["z_m", col, "est_rel_error"] + ([f"{col}_rough"] if dist is not None else [])
     _write_csv(out, header, rows)
-    print(f"wrote {len(rows)} rows to {out} [{backend_name()} kernels]")
-    return 0
-
-
-def _gradient_averaged(z, radius, dist, m1, m2, tol):
-    p = averaged_pressure(z, dist, m1, m2, tol=tol)
-    from .lifshitz import LifshitzResult
-    return LifshitzResult(2.0 * math.pi * radius * abs(p.value),
-                          p.est_rel_error, p.evaluations)
-
-
-def cmd_pressure(args) -> int:
-    doc = _common_overrides(_load_config(args.config), args)
-    cfg = _Cfg(doc, "pressure config")
-    m1, m2 = _resolve_materials(cfg.take("materials"), "materials")
-    grid = _parse_grid(cfg.take("z_grid_m"), "z_grid_m")
-    tol = float(cfg.take("tol", 1e-6))
-    dist = _parse_roughness(cfg.take("roughness", None), "roughness")
-    out = cfg.take("out")
-    threads = int(cfg.take("threads", 1))
-    cfg.close()
-
-    def at(z: float):
-        r = pressure_plane_plane(float(z), m1, m2, tol=tol)
-        if dist is None:
-            return (z, r.value, r.est_rel_error)
-        ra = averaged_pressure(float(z), dist, m1, m2, tol=tol)
-        return (z, r.value, r.est_rel_error, ra.value)
-
-    rows = _map_grid(at, grid, threads)
-    header = ["z_m", "p_n_per_m2", "est_rel_error"] + (
-        ["p_n_per_m2_rough"] if dist is not None else []
-    )
-    _write_csv(out, header, rows)
-    print(f"wrote {len(rows)} rows to {out} [{backend_name()} kernels]")
+    print(f"wrote {len(rows)} rows to {out}")
     return 0
 
 
@@ -318,10 +312,10 @@ def cmd_calibrate(args) -> int:
     else:
         g = _Cfg(guess_spec, "initial_guess")
         guess = (
-            float(g.take("k_n_per_f", 5e4)),
-            float(g.take("v0_v", estimate_v0(samples))),
-            float(g.take("radius_m", 3e-4)),
-            float(g.take("delta0_m", 3e-8)),
+            g.take_float("k_n_per_f", 5e4),
+            g.take_float("v0_v", estimate_v0(samples)),
+            g.take_float("radius_m", 3e-4),
+            g.take_float("delta0_m", 3e-8),
         )
         g.close()
 
@@ -355,14 +349,14 @@ def cmd_sweep(args) -> int:
     doc = _common_overrides(_load_config(args.config), args)
     cfg = _Cfg(doc, "sweep config")
     m1, m2 = _resolve_materials(cfg.take("materials"), "materials")
-    radius = float(cfg.take("radius_m"))
+    radius = cfg.take_float("radius_m")
     grid = _parse_grid(cfg.take("z_grid_m"), "z_grid_m")
     osc_spec = cfg.take("oscillator", None)
     noise_spec = cfg.take("noise", None)
-    integration = float(cfg.take("integration_time_s", 10.0))
+    integration = cfg.take_float("integration_time_s", 10.0)
     dist = _parse_roughness(cfg.take("roughness", None), "roughness")
-    seed = _check_seed(cfg.take("seed", 0))
-    tol = float(cfg.take("tol", 1e-6))
+    seed = _check_seed(cfg.take_int("seed", 0))
+    tol = cfg.take_float("tol", 1e-6)
     out = cfg.take("out")
     cfg.close()
 
@@ -371,11 +365,11 @@ def cmd_sweep(args) -> int:
     else:
         o = _Cfg(osc_spec, "oscillator")
         params = measured_params(
-            kappa=float(o.take("kappa_nm_per_rad", 8.6e-10)),
-            inertia=float(o.take("inertia_kg_m2", 4.6e-17)),
-            coupling=float(o.take("coupling_per_kg", 6.489e8)),
-            f0_hz=float(o.take("f0_hz", 687.23)),
-            quality_q=float(o.take("quality_q", 1e4)),
+            kappa=o.take_float("kappa_nm_per_rad", 8.6e-10),
+            inertia=o.take_float("inertia_kg_m2", 4.6e-17),
+            coupling=o.take_float("coupling_per_kg", 6.489e8),
+            f0_hz=o.take_float("f0_hz", 687.23),
+            quality_q=o.take_float("quality_q", 1e4),
         )
         o.close()
     if noise_spec is None:
@@ -383,8 +377,8 @@ def cmd_sweep(args) -> int:
     else:
         n = _Cfg(noise_spec, "noise")
         noise = SweepNoise(
-            freq_noise_rms_hz=float(n.take("freq_noise_rms_hz", 0.0)),
-            separation_noise_rms_m=float(n.take("separation_noise_rms_m", 0.0)),
+            freq_noise_rms_hz=n.take_float("freq_noise_rms_hz", 0.0),
+            separation_noise_rms_m=n.take_float("separation_noise_rms_m", 0.0),
         )
         n.close()
     if dist is None:
@@ -403,7 +397,7 @@ def cmd_sweep(args) -> int:
     )
     grad_out = str(Path(out).with_suffix("")) + "_gradients.csv"
     _write_csv(grad_out, ["z_m", "dfdz_n_per_m"], invert_sweep(points, params))
-    print(f"wrote {out} and {grad_out} [seed {seed}, {backend_name()} kernels]")
+    print(f"wrote {out} and {grad_out} [seed {seed}]")
     return 0
 
 
@@ -411,18 +405,43 @@ def _parse_body(spec, where: str, default: LayeredBody) -> LayeredBody:
     if spec is None:
         return default
     b = _Cfg(spec, where)
-    core = float(b.take("core_density_kg_m3"))
+    core = b.take_float("core_density_kg_m3")
     layer_rows = b.take("layers", [])
-    radius = b.take("radius_m", None)
+    radius = b.take_float("radius_m", None)
     b.close()
-    layers = tuple(Layer(float(t), float(rho)) for t, rho in layer_rows)
+    try:
+        rows = [(float(t), float(rho)) for t, rho in layer_rows]
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"{where}: layers must be [[thickness_m, density_kg_m3], ...]"
+        ) from None
+    layers = tuple(Layer(t, rho) for t, rho in rows)
     if default.shape == "sphere":
         if radius is None:
             raise ConfigurationError(f"{where}: sphere needs radius_m")
-        return LayeredBody.sphere(float(radius), core, layers)
+        return LayeredBody.sphere(radius, core, layers)
     if radius is not None:
         raise ConfigurationError(f"{where}: half-space takes no radius_m")
     return LayeredBody.half_space(core, layers)
+
+
+def _interp_bound_file(path, z_grid: np.ndarray) -> np.ndarray:
+    """Residual bounds on ``z_grid`` from a 'z_m,bound_n' CSV that covers it."""
+    try:
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    if table.shape[0] == 0 or table.shape[1] != 2:
+        raise ParseError(f"{path}: expected rows of 'z_m,bound_n'")
+    z = table[:, 0]
+    if np.any(np.diff(z) <= 0):
+        raise ConfigurationError(f"{path}: z_m must be strictly increasing")
+    if z_grid.min() < z[0] or z_grid.max() > z[-1]:
+        raise ConfigurationError(
+            f"{path}: bounds cover [{z[0]:.3e}, {z[-1]:.3e}] m but z_grid_m "
+            f"spans [{z_grid.min():.3e}, {z_grid.max():.3e}] m"
+        )
+    return np.interp(z_grid, z, table[:, 1])
 
 
 def cmd_limits(args) -> int:
@@ -434,11 +453,10 @@ def cmd_limits(args) -> int:
     plate = _parse_body(cfg.take("plate", None), "plate", reference_plate())
     bound_spec = cfg.take("residual_bound")
     out = cfg.take("out")
-    threads = int(cfg.take("threads", 1))
     cfg.close()
 
     b = _Cfg(bound_spec, "residual_bound")
-    const = b.take("constant_n", None)
+    const = b.take_float("constant_n", None)
     bound_file = b.take("file", None)
     b.close()
     if (const is None) == (bound_file is None):
@@ -446,15 +464,12 @@ def cmd_limits(args) -> int:
             "residual_bound needs exactly one of 'constant_n' or 'file'"
         )
     if const is not None:
-        bounds = np.full(z_grid.size, float(const))
+        bounds = np.full(z_grid.size, const)
     else:
-        table = np.loadtxt(bound_file, delimiter=",", skiprows=1, ndmin=2)
-        bounds = np.interp(z_grid, table[:, 0], table[:, 1])
+        bounds = _interp_bound_file(bound_file, z_grid)
 
-    def at(lam: float):
-        return (lam, alpha_limit(bounds, float(lam), sphere, plate, z_grid))
-
-    rows = _map_grid(at, lam_grid, threads)
+    rows = [(lam, alpha_limit(bounds, float(lam), sphere, plate, z_grid))
+            for lam in lam_grid]
     _write_csv(out, ["lambda_m", "alpha_limit"], rows)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
@@ -501,11 +516,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (overrides config)")
         p.add_argument("--seed", type=int, help="RNG seed, unsigned 64-bit")
         p.add_argument("--tol", type=float, help="quadrature tolerance")
-        p.add_argument("--threads", type=int, help="worker threads for grids")
 
     for name, fn in (
-        ("force", cmd_force),
-        ("pressure", cmd_pressure),
+        ("force", cmd_grid),
+        ("pressure", cmd_grid),
         ("calibrate", cmd_calibrate),
         ("sweep", cmd_sweep),
         ("limits", cmd_limits),

@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -321,7 +320,6 @@ class Tabulated(DielectricModel):
                 f"({self.splice_ev} eV); check Drude parameters vs. table"
             )
         self._sampler: SampledDielectric | None = None
-        self._sampler_lock = threading.Lock()
 
     def splice_mismatch(self) -> float:
         """Relative eps'' discontinuity where the Drude tail meets the table."""
@@ -333,14 +331,9 @@ class Tabulated(DielectricModel):
         return kk_to_imaginary_axis(self.table, self.drude, xi_ev, self.splice_ev)
 
     def sampled(self) -> "SampledDielectric":
-        """Cached fast interpolant of eps(i xi) (built on first use).
-
-        Thread-safe: concurrent grid workers share one build.
-        """
+        """Cached fast interpolant of eps(i xi) (built on first use)."""
         if self._sampler is None:
-            with self._sampler_lock:
-                if self._sampler is None:
-                    self._sampler = SampledDielectric.from_model(self)
+            self._sampler = SampledDielectric.from_model(self)
         return self._sampler
 
 

@@ -203,31 +203,29 @@ def _canonical_order(dist: RoughnessDistribution) -> np.ndarray:
     return np.lexsort((dist.weights, dist.offsets))
 
 
-def averaged_pressure(z: float, dist: RoughnessDistribution, m1, m2,
-                      tol: float = 1e-6) -> LifshitzResult:
-    """Roughness-averaged two-plane pressure: sum_i w_i P(z + offset_i)."""
+def _weighted_sum(z: float, dist: RoughnessDistribution, integral) -> LifshitzResult:
+    """sum_i w_i integral(z + offset_i), with the worst entry's error bound."""
     shifted = _check_shifts(z, dist)
     value = 0.0
     evals = 0
     rel = 0.0
     for i in _canonical_order(dist):
-        r = pressure_plane_plane(float(shifted[i]), m1, m2, tol=tol)
+        r = integral(float(shifted[i]))
         value += dist.weights[i] * r.value
         evals += r.evaluations
         rel = max(rel, r.est_rel_error)
     return LifshitzResult(value, rel, evals)
+
+
+def averaged_pressure(z: float, dist: RoughnessDistribution, m1, m2,
+                      tol: float = 1e-6) -> LifshitzResult:
+    """Roughness-averaged two-plane pressure: sum_i w_i P(z + offset_i)."""
+    return _weighted_sum(
+        z, dist, lambda s: pressure_plane_plane(s, m1, m2, tol=tol))
 
 
 def averaged_force(z: float, radius: float, dist: RoughnessDistribution,
                    m1, m2, tol: float = 1e-6) -> LifshitzResult:
     """Roughness-averaged sphere-plane force: sum_i w_i F(z + offset_i)."""
-    shifted = _check_shifts(z, dist)
-    value = 0.0
-    evals = 0
-    rel = 0.0
-    for i in _canonical_order(dist):
-        r = force_sphere_plane(float(shifted[i]), radius, m1, m2, tol=tol)
-        value += dist.weights[i] * r.value
-        evals += r.evaluations
-        rel = max(rel, r.est_rel_error)
-    return LifshitzResult(value, rel, evals)
+    return _weighted_sum(
+        z, dist, lambda s: force_sphere_plane(s, radius, m1, m2, tol=tol))

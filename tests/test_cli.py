@@ -86,12 +86,28 @@ class TestForceCommand:
         want = 2 * math.pi * R_SPHERE * math.pi**2 * CODATA.hbar * CODATA.c / 240e-24
         assert rows[0, 1] == pytest.approx(want, rel=1e-5)
 
-    def test_threads_preserve_order(self, tmp_path):
-        cfg1 = self._config(tmp_path)
-        run(["force", "--config", cfg1])
-        single = (tmp_path / "force.csv").read_bytes()
-        run(["force", "--config", cfg1, "--threads", 4])
-        assert (tmp_path / "force.csv").read_bytes() == single
+    def test_gradient_roughness_column_is_averaged_pressure(self, tmp_path):
+        from casimir_mto.materials import load_registry
+        from casimir_mto.roughness import RoughnessDistribution, averaged_pressure
+
+        entries = [[-3.94e-8, 0.5], [3.94e-8, 0.5]]
+        cfg = self._config(
+            tmp_path,
+            materials={"pair": ["gold_drude", "copper_drude"]},
+            quantity="gradient",
+            roughness={"entries": entries},
+            z_grid_m=[3e-7, 6e-7],
+        )
+        assert run(["force", "--config", cfg]) == 0
+        with open(tmp_path / "force.csv") as fh:
+            assert fh.readline().strip().split(",")[-1] == "dfdz_n_per_m_rough"
+            rows = [[float(x) for x in line.split(",")] for line in fh]
+        registry = load_registry()
+        dist = RoughnessDistribution(*np.array(entries).T)
+        for row in rows:
+            p = averaged_pressure(row[0], dist, registry["gold_drude"],
+                                  registry["copper_drude"], tol=1e-6)
+            assert row[3] == 2.0 * math.pi * R_SPHERE * abs(p.value)
 
     def test_tol_flag_overrides_config(self, tmp_path):
         cfg = self._config(tmp_path, z_grid_m=[1e-6])
@@ -126,15 +142,13 @@ class TestPressureCommand:
         rows = np.loadtxt(tmp_path / "p.csv", delimiter=",", skiprows=1, ndmin=2)
         assert rows[0, 1] == pytest.approx(-1.645109e-2, rel=1e-4)
 
-    def test_tabulated_pair_with_thread_pool(self, tmp_path):
-        # Exercises the shared lazy eps-sampler under concurrent workers.
+    def test_tabulated_pair_grid(self, tmp_path):
         cfg = write_json(
             tmp_path / "p.json",
             {
                 "materials": {"pair": ["gold", "copper"]},
                 "z_grid_m": {"start": 3e-7, "stop": 8e-7, "points": 6,
                              "spacing": "linear"},
-                "threads": 4,
                 "out": str(tmp_path / "p.csv"),
             },
         )
@@ -282,6 +296,22 @@ class TestLimitsCommand:
         assert np.all(rows[:, 1] > 0)
         assert rows[0, 1] > rows[1, 1]  # longer range -> stronger constraint
 
+    def test_bound_file_must_cover_grid(self, tmp_path, capsys):
+        bounds = tmp_path / "bounds.csv"
+        bounds.write_text("z_m,bound_n\n2.5e-7,1e-14\n6e-7,2e-14\n")
+        cfg = write_json(
+            tmp_path / "limits.json",
+            {
+                "lambda_grid_m": [1e-7],
+                "z_grid_m": [2e-7, 3e-7],
+                "residual_bound": {"file": str(bounds)},
+                "out": str(tmp_path / "x.csv"),
+            },
+        )
+        assert run(["limits", "--config", cfg]) == 2
+        assert "z_grid_m" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_bound_spec_exclusive(self, tmp_path):
         cfg = write_json(
             tmp_path / "limits.json",
@@ -308,3 +338,47 @@ class TestMaterialsValidate:
             {"weird": {"variant": "drude", "plasma_ev": -1, "relaxation_ev": 0.1}},
         )
         assert run(["materials", "validate", "--config", reg]) == 2
+
+
+def _force(tmp_path, **extra):
+    doc = {
+        "materials": {"pair": ["ideal", "ideal"]},
+        "radius_m": R_SPHERE,
+        "z_grid_m": [5e-7],
+        "out": str(tmp_path / "f.csv"),
+    }
+    doc.update(extra)
+    return "force", doc
+
+
+def _limits_bound_file(tmp_path, text, **extra):
+    bounds = tmp_path / "bounds.csv"
+    bounds.write_text(text)
+    doc = {
+        "lambda_grid_m": [1e-7],
+        "z_grid_m": [2e-7],
+        "residual_bound": {"file": str(bounds)},
+        "out": str(tmp_path / "x.csv"),
+    }
+    doc.update(extra)
+    return "limits", doc
+
+
+@pytest.mark.parametrize("make,code", [
+    (lambda t: _force(t, radius_m="abc"), 2),
+    (lambda t: _force(t, z_grid_m=[5e-7, "x"]), 2),
+    (lambda t: _force(t, roughness={"entries": [["x", 1.0]]}), 2),
+    (lambda t: _limits_bound_file(t, "z_m,bound_n\n1e-7,1e-14\n1e-6,abc\n"), 1),
+    (lambda t: _limits_bound_file(t, "z_m\n1e-7\n1e-6\n"), 1),
+    (lambda t: _limits_bound_file(t, "z_m,bound_n\n1e-6,1e-14\n1e-7,1e-14\n"), 2),
+    (lambda t: _limits_bound_file(
+        t, "z_m,bound_n\n1e-7,1e-14\n1e-6,1e-14\n",
+        plate={"core_density_kg_m3": 2330.0, "layers": [["thick", 8960.0]]}), 2),
+], ids=["radius_m", "grid_list", "roughness_entries", "bound_file_text",
+        "bound_file_one_column", "bound_file_decreasing", "layer_row"])
+def test_bad_input_is_one_error_line(tmp_path, capsys, make, code):
+    command, doc = make(tmp_path)
+    cfg = write_json(tmp_path / "run.json", doc)
+    assert run([command, "--config", cfg]) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")

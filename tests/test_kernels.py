@@ -1,17 +1,21 @@
-"""Inner-kernel correctness: backend parity and independent oracles."""
+"""Inner wave-vector integral of the Lifshitz formulas against independent oracles."""
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from casimir_mto import _kernels_py
-from casimir_mto._backend import available_backends
+from casimir_mto.lifshitz import _inner_integral
 
-BACKENDS = available_backends()
+
+def pressure_inner(u, e1, e2, rtol):
+    return _inner_integral("pressure", u, e1, e2, rtol)[0]
+
+
+def force_inner(u, e1, e2, rtol):
+    return _inner_integral("force", u, e1, e2, rtol)[0]
 
 
 def ideal_pressure_series(u: float, terms: int = 200) -> float:
@@ -40,13 +44,13 @@ def ideal_force_series(u: float, terms: int = 200) -> float:
 
 @pytest.mark.parametrize("u", [0.05, 0.3, 1.0, 4.0])
 def test_ideal_pressure_kernel_vs_series(u):
-    val, err, _ = _kernels_py.pressure_inner(u, -1.0, -1.0, 1e-10)
+    val = pressure_inner(u, -1.0, -1.0, 1e-10)
     assert val == pytest.approx(ideal_pressure_series(u, terms=2000), rel=1e-9)
 
 
 @pytest.mark.parametrize("u", [0.05, 0.3, 1.0, 4.0])
 def test_ideal_force_kernel_vs_series(u):
-    val, err, _ = _kernels_py.force_inner(u, -1.0, -1.0, 1e-10)
+    val = force_inner(u, -1.0, -1.0, 1e-10)
     assert val == pytest.approx(ideal_force_series(u, terms=2000), rel=1e-9)
 
 
@@ -80,15 +84,15 @@ def _raw_force_integrand(p, u, e1, e2):
 def test_metal_kernels_vs_scipy(u, e1, e2):
     ref_p, _ = quad(_raw_pressure_integrand, 1, 300 / u + 2, args=(u, e1, e2), limit=400)
     ref_f, _ = quad(_raw_force_integrand, 1, 300 / u + 2, args=(u, e1, e2), limit=400)
-    vp, _, _ = _kernels_py.pressure_inner(u, e1, e2, 1e-10)
-    vf, _, _ = _kernels_py.force_inner(u, e1, e2, 1e-10)
+    vp = pressure_inner(u, e1, e2, 1e-10)
+    vf = force_inner(u, e1, e2, 1e-10)
     assert vp == pytest.approx(ref_p, rel=1e-7)
     assert vf == pytest.approx(ref_f, rel=1e-7)
 
 
 def test_vacuum_surface_kills_reflection():
     # eps = 1 is transparent: nothing to reflect, zero integrand.
-    val, err, _ = _kernels_py.pressure_inner(1.0, 1.0, 1000.0, 1e-9)
+    val = pressure_inner(1.0, 1.0, 1000.0, 1e-9)
     assert val == 0.0
 
 
@@ -101,62 +105,14 @@ def test_vacuum_surface_kills_reflection():
 @settings(max_examples=40, deadline=None)
 def test_stronger_dielectric_reflects_more(u, e1, e2, boost):
     """Raising either permittivity strengthens both inner integrals."""
-    base, _, _ = _kernels_py.pressure_inner(u, e1, e2, 1e-9)
-    more, _, _ = _kernels_py.pressure_inner(u, e1 * boost, e2, 1e-9)
+    base = pressure_inner(u, e1, e2, 1e-9)
+    more = pressure_inner(u, e1 * boost, e2, 1e-9)
     assert more >= base * (1 - 1e-9)
-    fb, _, _ = _kernels_py.force_inner(u, e1, e2, 1e-9)
-    fm, _, _ = _kernels_py.force_inner(u, e1 * boost, e2, 1e-9)
+    fb = force_inner(u, e1, e2, 1e-9)
+    fm = force_inner(u, e1 * boost, e2, 1e-9)
     assert abs(fm) >= abs(fb) * (1 - 1e-9)
 
 
 def test_tiny_u_rejected():
     with pytest.raises(ValueError):
-        _kernels_py.pressure_inner(1e-14, -1.0, -1.0, 1e-8)
-
-
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernels not built")
-def test_backend_parity_and_effort():
-    compiled = BACKENDS["compiled"]
-    grid = [
-        (u, e1, e2)
-        for u in (1e-4, 0.01, 0.3, 2.0, 15.0)
-        for e1, e2 in ((-1.0, -1.0), (50.0, 2000.0), (1.00001, 3.0), (-1.0, 7.5))
-    ]
-    for u, e1, e2 in grid:
-        for fn in ("pressure_inner", "force_inner"):
-            vc, ec, nc = getattr(compiled, fn)(u, e1, e2, 1e-9)
-            vp, ep, np_ = getattr(_kernels_py, fn)(u, e1, e2, 1e-9)
-            assert vc == pytest.approx(vp, rel=5e-14), (fn, u, e1, e2)
-            assert nc == np_, "backends must do identical work"
-
-
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernels not built")
-def test_end_to_end_backend_equivalence(monkeypatch):
-    from casimir_mto import _backend
-    from casimir_mto.lifshitz import pressure_plane_plane
-    from casimir_mto.materials import DrudeOnly, DrudeParams
-
-    gold = DrudeOnly(DrudeParams(9.0, 0.035))
-    copper = DrudeOnly(DrudeParams(8.9, 0.030))
-    results = {}
-    for name, module in BACKENDS.items():
-        monkeypatch.setattr(_backend, "kernels", module)
-        results[name] = pressure_plane_plane(0.5e-6, gold, copper, tol=1e-6)
-    assert results["compiled"].value == pytest.approx(
-        results["python"].value, rel=1e-13
-    )
-    assert results["compiled"].evaluations == results["python"].evaluations
-
-
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernels not built")
-def test_selected_backend_matches_env(monkeypatch):
-    import importlib
-
-    import casimir_mto._backend as backend_mod
-
-    monkeypatch.setenv("CASIMIR_MTO_PURE", "1")
-    mod = importlib.reload(backend_mod)
-    assert mod.backend_name() == "python"
-    monkeypatch.delenv("CASIMIR_MTO_PURE")
-    mod = importlib.reload(backend_mod)
-    assert mod.backend_name() == "compiled"
+        pressure_inner(1e-14, -1.0, -1.0, 1e-8)

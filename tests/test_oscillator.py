@@ -159,6 +159,22 @@ class TestSweep:
             assert p.omega_r == resonant_frequency(par, grad)
             assert p.sigma_omega == 0.0
 
+    def test_contact_offset_shifts_force_separation(self, gold_drude, copper_drude):
+        # z = z_metal + 2 delta0: delta0 = 20 nm acts as a 40 nm grid shift,
+        # while the records keep the nominal metal gaps.
+        grid = np.array([0.3e-6, 0.5e-6])
+        delta0 = 20e-9
+        cfg, par, geom, dist = self._setup(grid)
+        offset = SpherePlaneGeometry(radius=geom.radius, separation=geom.separation,
+                                     delta0=delta0)
+        points = simulate_sweep(cfg, par, offset, gold_drude, copper_drude, dist, seed=7)
+        cfg_shifted, *_ = self._setup(grid + 2 * delta0)
+        shifted = simulate_sweep(cfg_shifted, par, geom, gold_drude, copper_drude,
+                                 dist, seed=7)
+        assert [p.z for p in points] == list(grid)
+        assert [p.omega_r for p in points] == [p.omega_r for p in shifted]
+        assert [p.sigma_omega for p in points] == [p.sigma_omega for p in shifted]
+
     def test_fixed_seed_reproducible(self, gold_drude, copper_drude):
         noise = SweepNoise(freq_noise_rms_hz=0.03, separation_noise_rms_m=3.2e-10)
         cfg, par, geom, dist = self._setup([0.3e-6, 0.5e-6], noise)
