@@ -41,7 +41,6 @@ from .errors import (
     ValidationError,
 )
 from .lifshitz import (
-    SpherePlaneGeometry,
     force_sphere_plane,
     gradient_from_pressure,
     pressure_plane_plane,
@@ -89,21 +88,26 @@ class _Cfg:
         return default
 
     def take_float(self, key, default=_REQUIRED) -> float:
-        return self._take_number(float, key, default)
-
-    def take_int(self, key, default=_REQUIRED) -> int:
-        return self._take_number(int, key, default)
-
-    def _take_number(self, kind, key, default):
         val = self.take(key, default)
         if val is None and default is None:
             return None
         try:
-            return kind(val)
+            return float(val)
         except (TypeError, ValueError):
             raise ConfigurationError(
                 f"{self._where}: {key!r} must be a number, got {val!r}"
             ) from None
+
+    def take_int(self, key, default=_REQUIRED) -> int:
+        # Integers stay exact (64-bit seeds); floats must be whole numbers.
+        val = self.take(key, default)
+        if isinstance(val, float) and val.is_integer():
+            val = int(val)
+        if isinstance(val, bool) or not isinstance(val, int):
+            raise ConfigurationError(
+                f"{self._where}: {key!r} must be an integer, got {val!r}"
+            )
+        return val
 
     def close(self):
         if self._doc:
@@ -387,8 +391,7 @@ def cmd_sweep(args) -> int:
     sweep_cfg = SweepConfig(
         z_grid=grid, integration_time_s=integration, noise=noise, tol=tol
     )
-    geometry = SpherePlaneGeometry(radius=radius, separation=float(grid[0]))
-    points = simulate_sweep(sweep_cfg, params, geometry, m1, m2, dist, seed)
+    points = simulate_sweep(sweep_cfg, params, radius, m1, m2, dist, seed)
 
     _write_csv(
         out,

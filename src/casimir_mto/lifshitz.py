@@ -2,21 +2,20 @@
 
 The pressure between two half-spaces and the sphere-plane force are
 double integrals over imaginary frequency xi and the wave parameter p.
-With the dimensionless frequency u = 2 xi z / c both reduce to
+With the dimensionless frequency u = 2 xi z / c and p = 1 + s/u, both
+become integrals over the quarter plane u, s > 0:
 
-    P(z) = -(hbar c / 32 pi^2 z^4) * integral_0^inf u^3 K_P(u) du
-    F(z) = -(hbar c R / 16 pi z^3) * integral_0^inf u^2 K_F(u) du
+    P(z) = -(hbar c / 32 pi^2 z^4) * integral (u+s)^2 sum_pol Q w / (1 - Q w)
+    F(z) =  (hbar c R / 16 pi z^3) * integral (u+s)   sum_pol log(1 - Q w)
 
-where K_P and K_F are the inner wave-vector integrals over p in [1, inf)
-
-    K_P(u) = integral p^2 * sum_pol Q w / (1 - Q w),    w = exp(-p u),
-    K_F(u) = integral p   * sum_pol log(1 - Q w),
-
-with Q the product of the two surfaces' reflection factors for one
-polarization and s_j = sqrt(eps_j - 1 + p^2). The substitution p = 1/t
-maps the p domain onto (0, 1], where panels refine adaptively under the
-15-point Gauss-Kronrod rule of ``numerics``; the outer u integral uses
-that module's adaptive integrator.
+with w = exp(-(u+s)), Q the product of the two surfaces' reflection
+factors for one polarization and s_j = sqrt(eps_j(xi) - 1 + p^2).
+One double-exponential product rule (Takahasi & Mori 1974) covers both
+axes: x = exp(pi/2 sinh t) on an even t grid, with the u axis split at
+the frequency floor (u = u_floor + x above it, u_floor exp(-x) below it,
+where eps is constant), so each piece is smooth. The t step halves from
+level to level, reusing the nodes already evaluated, until two levels
+agree to the tolerance; their difference is the reported error.
 Perfect conductors take the ideal limit (reflection products = 1), which
 reproduces the closed forms -pi^2 hbar c / 240 z^4 and
 -pi^3 hbar c R / 360 z^3 exactly; those serve as the quadrature oracle.
@@ -37,7 +36,6 @@ import numpy as np
 from .constants import CODATA, HBARC_EV_M
 from .errors import ConvergenceError, DomainError
 from .materials import DielectricModel, PerfectConductor, Tabulated
-from .numerics import GK15_GAUSS, GK15_KRONROD, GK15_NODES, adaptive_quadrature
 
 TOL_MIN = 1e-8
 TOL_MAX = 1e-3
@@ -48,12 +46,11 @@ TOL_MAX = 1e-3
 # results by far less than TOL_MIN).
 XI_FLOOR_EV = 1e-5
 
-# Running-peak cutoff for extending the frequency grid upward.
-_PEAK_CUTOFF = 1e-12
-_U_START = 1.0 / 64.0
-_U_HARD_MAX = 512.0
-# Bisection budget of one inner wave-vector integral.
-_INNER_MAX_PANELS = 4096
+# Exp-sinh rule: t range of every axis, finest level (step 2^-(level+1))
+# and the tensor entries evaluated at once.
+_T_LO, _T_HI = -4.5, 2.25
+_MAX_LEVEL = 6
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,7 @@ class LifshitzResult:
 
     ``value`` is in N/m^2 (pressure), N (force) or N/m (gradient);
     ``est_rel_error`` bounds the quadrature error relative to ``value``;
-    ``evaluations`` counts integrand evaluations in the inner kernels.
+    ``evaluations`` counts the (u, s) nodes of the product rule.
     """
 
     value: float
@@ -116,7 +113,7 @@ def ideal_force_sphere_plane(z: float, radius: float) -> float:
 
 
 def _surface_eps(model) -> object:
-    """Permittivity lookup for one surface: None marks the ideal limit."""
+    """Array permittivity lookup for one surface: None marks the ideal limit."""
     if isinstance(model, PerfectConductor):
         return None
     if isinstance(model, Tabulated):
@@ -124,165 +121,123 @@ def _surface_eps(model) -> object:
     if isinstance(model, DielectricModel):
         return model.eps
     if callable(model):
-        return model
+        # Plain callables are taken to be scalar-only.
+        return np.vectorize(model, otypes=[float])
     raise DomainError(f"not a dielectric model: {model!r}")
 
 
-def _reflection_factors(e: float, p: np.ndarray):
-    """Reflection factors (TE, TM) of one surface at wave parameter p.
+def _exp_sinh(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the exp-sinh rule on (0, inf) at step 2^-(level+1).
 
-    ``e <= 0`` marks a perfect conductor (both factors exactly 1).
-    Cancellation-free forms: (s-p)(s+p) = e-1 and
-    (e p - s)(e p + s) = (e-1)(p^2(e+1) - 1).
+    x = exp(pi/2 sinh t) at t = _T_LO + j h up to _T_HI; the nodes of one
+    level are those of the level before plus the ones at odd j.
     """
-    if e <= 0.0:
-        one = np.ones_like(p)
-        return one, one
-    s = np.sqrt(e - 1.0 + p * p)
-    fte = (e - 1.0) / ((s + p) ** 2)
-    ftm = (e - 1.0) * (p * p * (e + 1.0) - 1.0) / ((e * p + s) ** 2)
+    h = 0.5 ** (level + 1)
+    t = _T_LO + h * np.arange(int((_T_HI - _T_LO) / h) + 1)
+    x = np.exp(0.5 * math.pi * np.sinh(t))
+    return x, h * 0.5 * math.pi * np.cosh(t) * x
+
+
+def _reflection_factors(e, u, v):
+    """Reflection factors (TE, TM) of one surface at p = v/u.
+
+    With k = u sqrt(e - 1 + p^2), the cancellation-free forms
+    (k - v)(k + v) = (e-1) u^2 and (e v - k)(e v + k) = (e-1)((e+1) v^2 - u^2)
+    stay finite as u -> 0.
+    """
+    k = np.sqrt((e - 1.0) * u * u + v * v)
+    fte = (e - 1.0) * u * u / ((k + v) ** 2)
+    ftm = (e - 1.0) * ((e + 1.0) * v * v - u * u) / ((e * v + k) ** 2)
     return fte, ftm
 
 
-def _inner_integrand(kind: str, t: np.ndarray, u: float, e1: float, e2: float):
-    """Inner integrand after p = 1/t, finite and smooth on (0, 1]."""
-    p = 1.0 / t
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = np.exp(-u * p)
-        fte1, ftm1 = _reflection_factors(e1, p)
-        fte2, ftm2 = _reflection_factors(e2, p)
-        qte = fte1 * fte2 * w
-        qtm = ftm1 * ftm2 * w
-        if kind == "pressure":
-            g = p ** 4 * (qte / (1.0 - qte) + qtm / (1.0 - qtm))
-        else:
-            g = p ** 3 * (np.log1p(-qte) + np.log1p(-qtm))
-    # Underflowed exponential: the tail contributes exactly zero.
-    return np.where(w > 0.0, g, 0.0)
+def _integrand(kind: str, u, s, e1, e2):
+    """(u+s)^2 sum_pol Q w/(1 - Q w) for pressure, (u+s) sum_pol log(1 - Q w)
+    for force, with w = exp(-(u+s)).
 
-
-def _inner_edges(u: float) -> np.ndarray:
-    """Log-spaced panels: dense near t -> 0 where exp(-u/t) still bites."""
-    if u >= 0.5:
-        return np.array([0.0, 0.5, 1.0])
-    edges = [0.0, u / 32.0]
-    x = u / 32.0
-    while x < 0.5:
-        x *= 2.0
-        edges.append(x)
-    edges.append(1.0)
-    return np.array(edges)
-
-
-def _gk15_panels(kind: str, a: np.ndarray, b: np.ndarray, u, e1, e2):
-    """GK15 on every panel [a_i, b_i] at once; returns (values, errors)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid[:, None] + half[:, None] * GK15_NODES[None, :]
-    y = _inner_integrand(kind, x, u, e1, e2)
-    resk = half * (y @ GK15_KRONROD)
-    resg = half * (y @ GK15_GAUSS)
-    resabs = half * (np.abs(y) @ GK15_KRONROD)
-    mean = resk / (b - a)
-    resasc = half * (np.abs(y - mean[:, None]) @ GK15_KRONROD)
-    err = np.abs(resk - resg)
-    scale = np.ones_like(err)
-    nz = (resasc != 0.0) & (err != 0.0)
-    scale[nz] = np.minimum(1.0, (200.0 * err[nz] / resasc[nz]) ** 1.5)
-    err = np.maximum(resasc * scale, 50.0 * np.finfo(float).eps * resabs)
-    return resk, err
-
-
-def _inner_integral(kind: str, u: float, e1: float, e2: float,
-                    rtol: float) -> tuple[float, int]:
-    """Wave-vector integral K(u) at scaled frequency u; returns (value, evals).
-
-    Panels whose error estimate misses ``rtol`` are bisected, and each
-    round applies the rule to all of them in one vectorized call.
-    ``e1``/``e2`` <= 0 mark perfect conductors.
+    ``u``, ``e1`` and ``e2`` broadcast against ``s``; an eps of None marks
+    a perfect conductor (both factors exactly 1).
     """
-    if u < 1e-12:
-        raise ValueError("scaled frequency u must be >= 1e-12")
-    edges = _inner_edges(u)
-    a, b = edges[:-1], edges[1:]
-    val, err = _gk15_panels(kind, a, b, u, e1, e2)
-    evals = 15 * a.size
-    i0 = abs(float(val.sum()))
-    acc_val = 0.0
-    panels = a.size
-    while a.size:
-        # Accept on per-panel relative error, with a width-proportional
-        # absolute slack so near-zero panels terminate.
-        slack = 0.25 * rtol * i0 * (b - a)
-        ok = err <= np.maximum(rtol * np.abs(val), slack)
-        acc_val += float(val[ok].sum())
-        a, b = a[~ok], b[~ok]
-        if a.size == 0:
-            break
-        panels += 2 * a.size
-        if panels > _INNER_MAX_PANELS:
-            raise RuntimeError(
-                f"inner quadrature exceeded {_INNER_MAX_PANELS} panels at u={u:g}"
-            )
-        mid = 0.5 * (a + b)
-        a = np.concatenate([a, mid])
-        b = np.concatenate([mid, b])
-        val, err = _gk15_panels(kind, a, b, u, e1, e2)
-        evals += 15 * a.size
-    return acc_val, evals
+    v = u + s
+    qte = qtm = 1.0
+    for e in (e1, e2):
+        if e is not None:
+            fte, ftm = _reflection_factors(e, u, v)
+            qte, qtm = qte * fte, qtm * ftm
+    g = 0.0
+    with np.errstate(divide="ignore"):
+        for q in (qte, qtm):
+            a = np.log(q) - v  # log(Q w), -inf where Q = 0
+            omq = -np.expm1(a)  # 1 - Q w without cancellation
+            g = g + (np.exp(a) / omq if kind == "pressure" else np.log(omq))
+    return v * v * g if kind == "pressure" else v * g
+
+
+def _rule_sum(kind: str, u, wu, e1, e2, s, ws) -> float:
+    """sum_ij wu_i ws_j f(u_i, s_j), a block of u rows at a time.
+
+    ``e1``/``e2`` hold each row's permittivity, or None for a perfect
+    conductor.
+    """
+    rows = max(1, _BLOCK // s.size)
+    total = 0.0
+    for i in range(0, u.size, rows):
+        b = slice(i, i + rows)
+        e1b = None if e1 is None else e1[b, None]
+        e2b = None if e2 is None else e2[b, None]
+        total += float(wu[b] @ (_integrand(kind, u[b, None], s, e1b, e2b) @ ws))
+    return total
 
 
 def _lifshitz(kind: str, z: float, prefactor: float, m1, m2, tol: float,
               xi_floor_ev: float) -> LifshitzResult:
-    """prefactor * integral of u^n K(u) du over all frequencies.
+    """prefactor * integral over u, s > 0 of the Lifshitz integrand.
 
-    Raises ConvergenceError with the scaled partial result attached when
-    the frequency quadrature runs out of budget.
+    Halves the step of the exp-sinh product rule until two successive
+    levels agree to ``tol``; raises ConvergenceError with the scaled
+    finest-level result attached when _MAX_LEVEL does not get there.
     """
     if not TOL_MIN <= tol <= TOL_MAX:
         raise DomainError(f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}]")
     eps1 = _surface_eps(m1)
     eps2 = _surface_eps(m2)
     e_scale = HBARC_EV_M / (2.0 * z)  # photon energy per unit u, eV
-    inner_rtol = tol / 20.0
-    power = 3 if kind == "pressure" else 2
-    evals = 0
+    u_floor = xi_floor_ev / e_scale
+    total = 0.0
+    for level in range(_MAX_LEVEL + 1):
+        x, w = _exp_sinh(level)
+        # u = u_floor + x above the floor and u = u_floor exp(-x) below it,
+        # where eps is constant, so each piece is smooth.
+        below = u_floor * np.exp(-x)
+        u = np.concatenate([u_floor + x, below])
+        xi = np.maximum(u * e_scale, xi_floor_ev)
+        rows = (u, np.concatenate([w, below * w]),
+                None if eps1 is None else eps1(xi),
+                None if eps2 is None else eps2(xi))
+        # Only pairs with a node new at this level are evaluated; the other
+        # pairs sum to a quarter of the previous level (half the step twice).
+        new = np.ones(x.size, dtype=bool)
+        if level:
+            new[::2] = False
+        new_rows = np.concatenate([new, new])
 
-    def h(u_arr: np.ndarray) -> np.ndarray:
-        nonlocal evals
-        out = np.empty_like(u_arr)
-        for i, u in enumerate(u_arr):
-            xi_ev = max(u * e_scale, xi_floor_ev)
-            e1 = -1.0 if eps1 is None else eps1(xi_ev)
-            e2 = -1.0 if eps2 is None else eps2(xi_ev)
-            val, ev = _inner_integral(kind, u, e1, e2, inner_rtol)
-            evals += ev
-            out[i] = u**power * val
-        return out
+        def pick(mask):
+            return [None if a is None else a[mask] for a in rows]
 
-    # March log-spaced edges upward until the integrand falls below the
-    # running peak by _PEAK_CUTOFF; the tail beyond is exponentially dead.
-    edges = [0.0, _U_START]
-    peak = 0.0
-    u_edge = _U_START
-    while u_edge < _U_HARD_MAX:
-        probe = abs(float(h(np.array([u_edge]))[0]))
-        peak = max(peak, probe)
-        if u_edge >= 16.0 and probe < _PEAK_CUTOFF * peak:
-            break
-        u_edge *= 2.0
-        edges.append(u_edge)
-
-    try:
-        quad = adaptive_quadrature(h, edges, rel_tol=0.5 * tol)
-    except ConvergenceError as exc:
-        partial = exc.partial
-        rel = partial.error / max(abs(partial.value), 1e-300) + 1.25 * inner_rtol
-        raise ConvergenceError(
-            str(exc), partial=LifshitzResult(prefactor * partial.value, rel, evals)
-        ) from None
-    rel_err = quad.error / max(abs(quad.value), 1e-300) + 1.25 * inner_rtol
-    return LifshitzResult(prefactor * quad.value, rel_err, evals)
+        previous = total
+        total = (0.25 * total
+                 + _rule_sum(kind, *pick(new_rows), x, w)
+                 + _rule_sum(kind, *pick(~new_rows), x[new], w[new]))
+        evals = u.size * x.size
+        if level:
+            rel = abs(total - previous) / max(abs(total), 1e-300)
+            if rel <= tol:
+                return LifshitzResult(prefactor * total, rel, evals)
+    raise ConvergenceError(
+        f"double-exponential rule did not reach tol={tol:g} by level "
+        f"{_MAX_LEVEL} (reached {rel:.2e})",
+        partial=LifshitzResult(prefactor * total, rel, evals),
+    )
 
 
 def pressure_plane_plane(z: float, m1, m2, tol: float = 1e-6,

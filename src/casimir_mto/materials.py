@@ -30,7 +30,7 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import make_interp_spline
 
 from .errors import (
     ConfigurationError,
@@ -255,7 +255,9 @@ class DielectricModel:
     is_ideal = False
     label = ""
 
-    def eps(self, xi_ev: float) -> float:
+    def eps(self, xi_ev):
+        """eps(i xi) at ``xi_ev`` (eV); the force integrals pass arrays
+        (``Tabulated`` through its sampler)."""
         raise NotImplementedError
 
 
@@ -283,8 +285,8 @@ class DrudeOnly(DielectricModel):
         self.params = params
         self.label = label or f"drude({params.plasma_ev}/{params.relaxation_ev} eV)"
 
-    def eps(self, xi_ev: float) -> float:
-        return float(drude_eps(xi_ev, self.params))
+    def eps(self, xi_ev):
+        return drude_eps(xi_ev, self.params)
 
 
 class Tabulated(DielectricModel):
@@ -338,12 +340,14 @@ class Tabulated(DielectricModel):
 
 
 class SampledDielectric(DielectricModel):
-    """Monotone log-log interpolant of eps(i xi) - 1.
+    """Quintic-spline log-log interpolant of eps(i xi) - 1.
 
     Exact models cost a dispersion integral per evaluation; the force
     integrals query eps hundreds of times per separation, so pipelines
-    evaluate through this interpolant. Power-law extrapolation beyond the
-    sampled range keeps eps >= 1 and non-increasing everywhere.
+    evaluate through this interpolant. It is C^4 so that the force
+    integrals keep converging double-exponentially (a C^1 interpolant
+    stalls the level-to-level error estimate). Power-law extrapolation
+    beyond the sampled range keeps eps >= 1 everywhere.
     """
 
     def __init__(self, xi_ev: np.ndarray, eps: np.ndarray, label: str = ""):
@@ -353,7 +357,7 @@ class SampledDielectric(DielectricModel):
             raise ValidationError("sampled eps must exceed 1")
         self._lx = np.log(xi)
         self._ly = np.log(e - 1.0)
-        self._interp = PchipInterpolator(self._lx, self._ly, extrapolate=False)
+        self._interp = make_interp_spline(self._lx, self._ly, k=5)
         self._lo, self._hi = float(xi[0]), float(xi[-1])
         self._slope_lo = (self._ly[1] - self._ly[0]) / (self._lx[1] - self._lx[0])
         self._slope_hi = (self._ly[-1] - self._ly[-2]) / (self._lx[-1] - self._lx[-2])
@@ -372,15 +376,19 @@ class SampledDielectric(DielectricModel):
         eps = np.array([model.eps(x) for x in xi])
         return cls(xi, eps, label=model.label)
 
-    def eps(self, xi_ev: float) -> float:
-        lx = math.log(min(max(xi_ev, 1e-300), 1e300))
-        if xi_ev <= 0:
+    def eps(self, xi_ev):
+        """eps(i xi) at a scalar or array ``xi_ev`` (eV), all entries > 0."""
+        xi = np.asarray(xi_ev, dtype=float)
+        if np.any(xi <= 0):
             raise DomainError("imaginary frequency must be > 0")
-        if xi_ev < self._lo:
-            return 1.0 + math.exp(self._ly[0] + self._slope_lo * (lx - self._lx[0]))
-        if xi_ev > self._hi:
-            return 1.0 + math.exp(self._ly[-1] + self._slope_hi * (lx - self._lx[-1]))
-        return 1.0 + math.exp(float(self._interp(lx)))
+        lx = np.log(np.minimum(xi, 1e300))
+        ly = np.where(
+            xi < self._lo, self._ly[0] + self._slope_lo * (lx - self._lx[0]),
+            np.where(xi > self._hi, self._ly[-1] + self._slope_hi * (lx - self._lx[-1]),
+                     self._interp(lx, extrapolate=False)),
+        )
+        out = 1.0 + np.exp(ly)
+        return float(out) if np.isscalar(xi_ev) else out
 
 
 def data_dir() -> Path:

@@ -6,10 +6,8 @@ the requested relative tolerance. Integrands must accept a NumPy array of
 abscissae and return an array of values, so one rule application costs a
 single vectorized call.
 
-This integrator backs the dispersion (Kramers--Kronig) transform and the
-outer frequency integral of the Lifshitz formulas. The inner wave-vector
-integral in ``lifshitz`` applies the same rule to all pending panels at
-once.
+This integrator backs the dispersion (Kramers--Kronig) transform in
+``materials``.
 """
 
 from __future__ import annotations
@@ -40,10 +38,10 @@ _WG = np.array([
 
 # All 15 abscissae, negative to positive, with the Kronrod weights and the
 # Gauss weights (zero on the Kronrod-only nodes).
-GK15_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
-GK15_KRONROD = np.concatenate([_WGK[:-1], _WGK[::-1]])
-GK15_GAUSS = np.zeros(15)
-GK15_GAUSS[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
+_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+_WEIGHTS_K = np.concatenate([_WGK[:-1], _WGK[::-1]])
+_WEIGHTS_G = np.zeros(15)
+_WEIGHTS_G[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 
 @dataclass(frozen=True)
@@ -57,13 +55,13 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
     """One Gauss-Kronrod application; returns (kronrod, error_estimate)."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    x = mid + half * GK15_NODES
+    x = mid + half * _NODES
     y = np.asarray(f(x), dtype=float)
-    resk = half * float(np.dot(GK15_KRONROD, y))
-    resg = half * float(np.dot(GK15_GAUSS, y))
-    resabs = half * float(np.dot(GK15_KRONROD, np.abs(y)))
+    resk = half * float(np.dot(_WEIGHTS_K, y))
+    resg = half * float(np.dot(_WEIGHTS_G, y))
+    resabs = half * float(np.dot(_WEIGHTS_K, np.abs(y)))
     mean = resk / (b - a)
-    resasc = half * float(np.dot(GK15_KRONROD, np.abs(y - mean)))
+    resasc = half * float(np.dot(_WEIGHTS_K, np.abs(y - mean)))
     err = abs(resk - resg)
     # QUADPACK-style sharpening of the raw |K - G| estimate.
     if resasc != 0.0 and err != 0.0:

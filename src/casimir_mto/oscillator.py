@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, ValidationError
-from .lifshitz import SpherePlaneGeometry, gradient_from_pressure
+from .lifshitz import gradient_from_pressure
 from .roughness import RoughnessDistribution, averaged_pressure
 
 LINEAR_DOMAIN_LIMIT = 0.1      # max |fractional frequency shift|
@@ -256,37 +256,44 @@ class SweepPoint:
 def simulate_sweep(
     cfg: SweepConfig,
     params: OscillatorParams,
-    geometry: SpherePlaneGeometry,
+    radius: float,
     m1,
     m2,
     dist: RoughnessDistribution,
     seed: int,
+    delta0: float = 0.0,
 ) -> list[SweepPoint]:
     """Synthetic resonance sweep over the separation grid.
 
     Each point maps the roughness-averaged pressure through the
     proximity-force gradient and the resonance formula, then adds
     Gaussian frequency noise (scaled by 1/sqrt(integration time)) and
-    separation jitter. Grid values are metal-to-metal gaps: the force is
-    evaluated at z = z_metal + jitter + 2 * geometry.delta0, while each
-    SweepPoint keeps the nominal grid value. Per-point RNG substreams
+    separation jitter. ``radius`` is the sphere radius and ``delta0`` the
+    per-surface contact offset, both in meters. Grid values are
+    metal-to-metal gaps: the force is evaluated at
+    z = z_metal + jitter + 2 * delta0, while each SweepPoint keeps the
+    nominal grid value. Per-point RNG substreams
     keyed by (seed, index) make the output a pure function of
     configuration and seed, independent of evaluation order.
     """
+    if not radius > 0:
+        raise DomainError("sphere radius must be > 0")
+    if not delta0 >= 0:
+        raise DomainError("contact offset delta0 must be >= 0")
     sigma_f = cfg.noise.freq_noise_rms_hz / math.sqrt(cfg.integration_time_s)
     sigma_omega = 2.0 * math.pi * sigma_f
     out = []
     for i, z in enumerate(cfg.z_grid):
         rng = np.random.default_rng([int(seed), i])
         jitter = rng.normal(0.0, cfg.noise.separation_noise_rms_m)
-        z_true = float(z) + jitter + 2.0 * geometry.delta0
+        z_true = float(z) + jitter + 2.0 * delta0
         if z_true + float(dist.offsets.min()) <= 0:
             raise DomainError(
                 f"point #{i}: jittered separation {z_true:.3e} m leaves the "
                 "physical domain"
             )
         p = averaged_pressure(z_true, dist, m1, m2, tol=cfg.tol)
-        grad = gradient_from_pressure(p, geometry.radius).value
+        grad = gradient_from_pressure(p, radius).value
         omega = resonant_frequency(params, grad)
         omega += rng.normal(0.0, sigma_omega)
         out.append(SweepPoint(float(z), float(omega), float(sigma_omega)))

@@ -235,10 +235,9 @@ def test_criterion_10_pipeline_determinism_and_speed():
     )
     cfg = SweepConfig(z_grid=grid, tol=1e-6)
     par = measured_params()
-    geom = SpherePlaneGeometry(radius=R_SPHERE, separation=float(grid[0]))
 
     t0 = time.perf_counter()
-    points = simulate_sweep(cfg, par, geom, GOLD, COPPER, dist, seed=7)
+    points = simulate_sweep(cfg, par, R_SPHERE, GOLD, COPPER, dist, seed=7)
     elapsed = time.perf_counter() - t0
 
     worst = 0.0
@@ -248,7 +247,7 @@ def test_criterion_10_pipeline_determinism_and_speed():
         )
         worst = max(worst, abs(grad / want - 1.0))
 
-    again = simulate_sweep(cfg, par, geom, GOLD, COPPER, dist, seed=7)
+    again = simulate_sweep(cfg, par, R_SPHERE, GOLD, COPPER, dist, seed=7)
     identical = all(a.omega_r == b.omega_r for a, b in zip(points, again))
     report(
         10,

@@ -368,13 +368,16 @@ def _limits_bound_file(tmp_path, text, **extra):
     (lambda t: _force(t, radius_m="abc"), 2),
     (lambda t: _force(t, z_grid_m=[5e-7, "x"]), 2),
     (lambda t: _force(t, roughness={"entries": [["x", 1.0]]}), 2),
+    (lambda t: _force(t, z_grid_m={"start": 2e-7, "stop": 6e-7, "points": 2.7}), 2),
+    (lambda t: _force(t, z_grid_m={"start": 2e-7, "stop": 6e-7, "points": True}), 2),
     (lambda t: _limits_bound_file(t, "z_m,bound_n\n1e-7,1e-14\n1e-6,abc\n"), 1),
     (lambda t: _limits_bound_file(t, "z_m\n1e-7\n1e-6\n"), 1),
     (lambda t: _limits_bound_file(t, "z_m,bound_n\n1e-6,1e-14\n1e-7,1e-14\n"), 2),
     (lambda t: _limits_bound_file(
         t, "z_m,bound_n\n1e-7,1e-14\n1e-6,1e-14\n",
         plate={"core_density_kg_m3": 2330.0, "layers": [["thick", 8960.0]]}), 2),
-], ids=["radius_m", "grid_list", "roughness_entries", "bound_file_text",
+], ids=["radius_m", "grid_list", "roughness_entries", "grid_points_fraction",
+        "grid_points_bool", "bound_file_text",
         "bound_file_one_column", "bound_file_decreasing", "layer_row"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, make, code):
     command, doc = make(tmp_path)

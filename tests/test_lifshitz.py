@@ -173,6 +173,27 @@ class TestRealMetals:
         b = pressure_plane_plane(0.5e-6, gold_drude, copper_drude, tol=1e-6, xi_floor_ev=5e-6)
         assert abs(a.value - b.value) / abs(a.value) < 1e-6
 
+    def test_drude_force_converges_by_level_four(self, gold_drude, copper_drude):
+        # The u axis is split where eps is clamped at the frequency floor;
+        # across that kink the rule would converge only algebraically.
+        res = force_sphere_plane(3e-6, R_SPHERE, gold_drude, copper_drude, tol=1e-8)
+        assert res.evaluations <= 2 * 217 * 217  # level 4: 434 u by 217 s nodes
+        assert res.est_rel_error <= 1e-8
+
+    def test_sampled_eps_keeps_estimate_honest(self):
+        # Tabulated metals integrate through their sampled eps. A sampler
+        # that is only C^1 makes successive levels agree long before they
+        # converge, so the estimate must hold against the exact eps.
+        from casimir_mto.materials import load_registry
+
+        registry = load_registry()
+        gold, copper = registry["gold"], registry["copper"]
+        for z in (2e-8, 2e-7):
+            fast = pressure_plane_plane(z, gold, copper, tol=1e-8)
+            exact = pressure_plane_plane(z, gold.eps, copper.eps, tol=1e-8)
+            bound = fast.est_rel_error + exact.est_rel_error
+            assert fast.value == pytest.approx(exact.value, rel=bound)
+
     def test_tabulated_material_integrates(self):
         from casimir_mto.materials import load_registry
 

@@ -214,6 +214,17 @@ class TestModels:
         with pytest.raises(ValidationError):
             SampledDielectric(np.array([0.1, 1.0]), np.array([1.0, 0.5]))
 
+    def test_array_eps_matches_scalar(self):
+        # The force integrals pass arrays; every entry must equal the scalar
+        # call, inside and on both sides of the sampled range.
+        sampler = Tabulated(load_optical_data_from_default("au_eps2.csv"), AU).sampled()
+        xi = np.geomspace(1e-8, 1e6, 41)
+        for model in (sampler, DrudeOnly(AU)):
+            assert isinstance(model.eps(0.5), float)
+            assert model.eps(xi).tolist() == [model.eps(float(x)) for x in xi]
+        with pytest.raises(DomainError):
+            sampler.eps(np.array([1.0, 0.0]))
+
 
 class TestRegistry:
     def test_default_registry_loads(self):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimir_mto.errors import ConfigurationError, DomainError, ValidationError
-from casimir_mto.lifshitz import SpherePlaneGeometry
 from casimir_mto.oscillator import (
     OscillatorParams,
     SeparationModel,
@@ -144,18 +143,17 @@ class TestSweep:
     def _setup(self, z_grid, noise=SweepNoise()):
         cfg = SweepConfig(z_grid=np.asarray(z_grid), noise=noise, tol=1e-6)
         par = measured_params()
-        geom = SpherePlaneGeometry(radius=294.3e-6, separation=float(z_grid[0]))
         dist = RoughnessDistribution(np.array([-3e-8, 3e-8]), np.array([0.5, 0.5]))
-        return cfg, par, geom, dist
+        return cfg, par, 294.3e-6, dist
 
     def test_zero_noise_matches_forward_model(self, gold_drude, copper_drude):
         from casimir_mto.roughness import averaged_pressure
 
-        cfg, par, geom, dist = self._setup([0.3e-6, 0.5e-6])
-        points = simulate_sweep(cfg, par, geom, gold_drude, copper_drude, dist, seed=7)
+        cfg, par, radius, dist = self._setup([0.3e-6, 0.5e-6])
+        points = simulate_sweep(cfg, par, radius, gold_drude, copper_drude, dist, seed=7)
         for p in points:
             pr = averaged_pressure(p.z, dist, gold_drude, copper_drude, tol=1e-6)
-            grad = 2 * math.pi * geom.radius * abs(pr.value)
+            grad = 2 * math.pi * radius * abs(pr.value)
             assert p.omega_r == resonant_frequency(par, grad)
             assert p.sigma_omega == 0.0
 
@@ -164,12 +162,11 @@ class TestSweep:
         # while the records keep the nominal metal gaps.
         grid = np.array([0.3e-6, 0.5e-6])
         delta0 = 20e-9
-        cfg, par, geom, dist = self._setup(grid)
-        offset = SpherePlaneGeometry(radius=geom.radius, separation=geom.separation,
-                                     delta0=delta0)
-        points = simulate_sweep(cfg, par, offset, gold_drude, copper_drude, dist, seed=7)
+        cfg, par, radius, dist = self._setup(grid)
+        points = simulate_sweep(cfg, par, radius, gold_drude, copper_drude, dist, seed=7,
+                                delta0=delta0)
         cfg_shifted, *_ = self._setup(grid + 2 * delta0)
-        shifted = simulate_sweep(cfg_shifted, par, geom, gold_drude, copper_drude,
+        shifted = simulate_sweep(cfg_shifted, par, radius, gold_drude, copper_drude,
                                  dist, seed=7)
         assert [p.z for p in points] == list(grid)
         assert [p.omega_r for p in points] == [p.omega_r for p in shifted]
@@ -177,21 +174,21 @@ class TestSweep:
 
     def test_fixed_seed_reproducible(self, gold_drude, copper_drude):
         noise = SweepNoise(freq_noise_rms_hz=0.03, separation_noise_rms_m=3.2e-10)
-        cfg, par, geom, dist = self._setup([0.3e-6, 0.5e-6], noise)
-        a = simulate_sweep(cfg, par, geom, gold_drude, copper_drude, dist, seed=99)
-        b = simulate_sweep(cfg, par, geom, gold_drude, copper_drude, dist, seed=99)
+        cfg, par, radius, dist = self._setup([0.3e-6, 0.5e-6], noise)
+        a = simulate_sweep(cfg, par, radius, gold_drude, copper_drude, dist, seed=99)
+        b = simulate_sweep(cfg, par, radius, gold_drude, copper_drude, dist, seed=99)
         assert all(x.omega_r == y.omega_r for x, y in zip(a, b))
-        c = simulate_sweep(cfg, par, geom, gold_drude, copper_drude, dist, seed=100)
+        c = simulate_sweep(cfg, par, radius, gold_drude, copper_drude, dist, seed=100)
         assert any(x.omega_r != y.omega_r for x, y in zip(a, c))
 
     def test_noiseless_inversion_round_trip(self, gold_drude, copper_drude):
-        cfg, par, geom, dist = self._setup([0.25e-6, 0.4e-6])
-        points = simulate_sweep(cfg, par, geom, gold_drude, copper_drude, dist, seed=1)
+        cfg, par, radius, dist = self._setup([0.25e-6, 0.4e-6])
+        points = simulate_sweep(cfg, par, radius, gold_drude, copper_drude, dist, seed=1)
         from casimir_mto.roughness import averaged_pressure
 
         for z, grad in invert_sweep(points, par):
             pr = averaged_pressure(z, dist, gold_drude, copper_drude, tol=1e-6)
-            want = 2 * math.pi * geom.radius * abs(pr.value)
+            want = 2 * math.pi * radius * abs(pr.value)
             assert grad == pytest.approx(want, rel=1e-12)
 
     def test_noise_scales_with_integration_time(self):
@@ -200,8 +197,8 @@ class TestSweep:
                           integration_time_s=25.0)
         # sigma_f = 0.1/sqrt(25) = 0.02 Hz
         par = measured_params()
-        geom = SpherePlaneGeometry(radius=294.3e-6, separation=0.5e-6)
-        pts = simulate_sweep(cfg, par, geom,
+        radius = 294.3e-6
+        pts = simulate_sweep(cfg, par, radius,
                              *_drude_pair(), RoughnessDistribution.single(), seed=0)
         assert pts[0].sigma_omega == pytest.approx(2 * math.pi * 0.02, rel=1e-12)
 
@@ -212,15 +209,23 @@ class TestSweep:
         sigma_f = 0.05 / math.sqrt(10.0)
         cfg = SweepConfig(z_grid=np.array([0.5e-6]),
                           noise=SweepNoise(freq_noise_rms_hz=0.05))
-        geom = SpherePlaneGeometry(radius=294.3e-6, separation=0.5e-6)
+        radius = 294.3e-6
         m1, m2 = _drude_pair()
         freqs = []
         for s in range(1000):
-            pts = simulate_sweep(cfg, par, geom, m1, m2,
+            pts = simulate_sweep(cfg, par, radius, m1, m2,
                                  RoughnessDistribution.single(), seed=s)
             freqs.append(pts[0].omega_r / (2 * math.pi))
         sample = np.std(freqs, ddof=1)
         assert sample == pytest.approx(sigma_f, rel=0.10)
+
+    def test_bad_geometry_rejected_before_integrals(self):
+        cfg, par, radius, dist = self._setup([0.3e-6])
+        m = object()  # any integral would fail on this with its own message
+        with pytest.raises(DomainError, match="radius"):
+            simulate_sweep(cfg, par, 0.0, m, m, dist, seed=1)
+        with pytest.raises(DomainError, match="delta0"):
+            simulate_sweep(cfg, par, radius, m, m, dist, seed=1, delta0=-1e-9)
 
     def test_amplitude_guard(self):
         with pytest.raises(ConfigurationError, match="z/5"):
