@@ -14,6 +14,14 @@ Sweeping applied voltage and separation while recording the capacitance
 imbalance dC calibrates four system constants at once: the force-per-
 capacitance factor k (F = k dC), the residual contact potential V0, the
 sphere radius R and the roughness contact offset delta0.
+
+The series is summed a block of terms at a time: one NumPy step evaluates
+the terms of many (n, u) pairs and accumulates them along n in the same
+order as a term-by-term loop, so the sums match that loop bit for bit.
+The same routine gives the truncation report its partial sums. S(u)
+depends on R and delta0 only, so the fit reuses the last sum when a step
+moves only k or V0 (the Jacobian's k and V0 columns), and the sample
+generator sums it once for all voltages.
 """
 
 from __future__ import annotations
@@ -36,6 +44,11 @@ from .errors import (
 from .lifshitz import SpherePlaneGeometry
 
 MAX_SERIES_TERMS = 100_000
+# Blocks of the series hold at most _BLOCK_ENTRIES (n, u) terms. They
+# start at _FIRST_ROWS values of n and double, so a series that converges
+# in a few terms (wide gaps) is not charged a full block.
+_BLOCK_ENTRIES = 8_192
+_FIRST_ROWS = 16
 
 # Small-gap expansion of the series, rho = d/R:
 #   F = (pi eps0 V^2 R / d) * [1 + rho ((1/3) ln rho + C1) + O(rho^2 ln^2 rho)]
@@ -78,31 +91,59 @@ def _inv_sinh_stable(x: np.ndarray) -> np.ndarray:
     return 2.0 * e / (1.0 - e * e)
 
 
-def _series_sum(u: np.ndarray, series_tol: float,
-                max_terms: int = MAX_SERIES_TERMS) -> np.ndarray:
-    """Image-charge sum S(u) = sum_n [n coth(nu) - coth u]/sinh(nu).
+def _series_partials(u: np.ndarray, series_tol: float,
+                     max_terms: int = MAX_SERIES_TERMS):
+    """Partial sums of S(u) = sum_n [n coth(nu) - coth u]/sinh(nu), by block.
 
-    Vectorized over u; stops once the running term is below series_tol
-    of the partial sum for every element.
+    Each step evaluates a block of terms at once, rows n and columns u,
+    and accumulates it with ``cumsum`` along n from the previous block's
+    total. Yields ``(n, partial)`` per block, ``partial[i]`` being the sum
+    through term ``n[i]``; the last block ends at the first row n >= 2
+    whose term is within series_tol of its partial sum for every u. Each
+    element is summed term by term in the order of the one-term-at-a-time
+    loop, so results match it exactly.
     """
-    u = np.asarray(u, dtype=float)
+    u = np.asarray(u, dtype=float).reshape(-1)
     if np.any(u <= 0):
         raise DomainError("gap parameter u must be > 0")
     coth_u = _coth_stable(u)
+    max_rows = max(1, _BLOCK_ENTRIES // max(u.size, 1))
+    rows = min(_FIRST_ROWS, max_rows)
     total = np.zeros_like(u)
-    n = 1
-    while n <= max_terms:
-        nu = n * u
-        term = (n * _coth_stable(nu) - coth_u) * _inv_sinh_stable(nu)
-        total += term
+    first = 1
+    while first <= max_terms:
+        n = np.arange(first, min(first + rows, max_terms + 1), dtype=float)
+        nu = n[:, None] * u
+        term = (n[:, None] * _coth_stable(nu) - coth_u) * _inv_sinh_stable(nu)
+        partial = np.cumsum(np.vstack((total, term)), axis=0)[1:]
         # The n = 1 term is identically zero; start testing after it.
-        if n >= 2 and np.all(term <= series_tol * np.maximum(total, 1e-300)):
-            return total
-        n += 1
+        done = (n >= 2) & np.all(term <= series_tol * np.maximum(partial, 1e-300), axis=1)
+        if done.any():
+            stop = int(np.argmax(done)) + 1
+            yield n[:stop], partial[:stop]
+            return
+        yield n, partial
+        total = partial[-1]
+        first += rows
+        rows = min(2 * rows, max_rows)
     raise ConvergenceError(
         f"image-charge series not converged after {max_terms} terms "
         f"(min u = {u.min():.3e})"
     )
+
+
+def _series_sum(u: np.ndarray, series_tol: float,
+                max_terms: int = MAX_SERIES_TERMS) -> np.ndarray:
+    """Image-charge sum S(u) = sum_n [n coth(nu) - coth u]/sinh(nu).
+
+    Vectorized over u and over blocks of terms n (``_series_partials``);
+    stops at the first term below series_tol of the partial sum for every
+    element, bit for bit as a one-term-at-a-time loop would.
+    """
+    u = np.asarray(u, dtype=float)
+    for _, partial in _series_partials(u, series_tol, max_terms):
+        pass
+    return partial[-1].copy().reshape(u.shape)
 
 
 def electrostatic_force(cfg: ElectrostaticConfig) -> float:
@@ -121,15 +162,19 @@ def electrostatic_force(cfg: ElectrostaticConfig) -> float:
     return 2.0 * math.pi * CODATA.eps0 * dv * dv * s
 
 
-def _force_model(z_metal: np.ndarray, v_applied: np.ndarray,
-                 v0: float, radius: float, delta0: float,
-                 series_tol: float = 1e-10) -> np.ndarray:
-    """Vectorized series force over calibration samples."""
+def _series_at(z_metal: np.ndarray, radius: float, delta0: float,
+               series_tol: float = 1e-10) -> np.ndarray:
+    """Image-charge sum S(u) at each metal gap; it depends on (R, delta0)
+    only, so the force at any voltage is ``_force_model(v, v0, s)``."""
     gap = z_metal + 2.0 * delta0
     if np.any(gap <= 0) or radius <= 0:
         raise DomainError("force model needs positive gap and radius")
     u = np.arccosh(1.0 + gap / radius)
-    s = _series_sum(u, series_tol)
+    return _series_sum(u, series_tol)
+
+
+def _force_model(v_applied: np.ndarray, v0: float, s: np.ndarray) -> np.ndarray:
+    """Series force over calibration samples from their sums S(u)."""
     return 2.0 * math.pi * CODATA.eps0 * (v_applied - v0) ** 2 * s
 
 
@@ -170,26 +215,19 @@ def series_truncation_report(cfg: ElectrostaticConfig,
     """
     dv = cfg.v_applied - cfg.v_residual
     gap = cfg.gap
+    if not gap > 0:
+        raise DomainError("electrostatic gap must be > 0")
     radius = cfg.geometry.radius
     u = math.acosh(1.0 + gap / radius)
     pref = 2.0 * math.pi * CODATA.eps0 * dv * dv
-    coth_u = _coth_stable(np.array([u]))[0]
 
     rows: list[tuple[int, float]] = []
-    total = 0.0
-    n = 1
-    while n <= MAX_SERIES_TERMS:
-        nu = np.array([n * u])
-        term = float(((n * _coth_stable(nu) - coth_u) * _inv_sinh_stable(nu))[0])
-        total += term
-        if len(rows) < max_rows:
-            rows.append((n, pref * total))
-        if n >= 2 and term <= cfg.series_tol * max(total, 1e-300):
-            break
-        n += 1
-    force = pref * total
-    if rows[-1][0] != n:
-        rows.append((n, force))
+    for n, partial in _series_partials(np.array([u]), cfg.series_tol):
+        rows.extend((int(ni), pref * float(si))
+                    for ni, si in zip(n[:max_rows - len(rows)], partial[:, 0]))
+    n_last, force = int(n[-1]), pref * float(partial[-1, 0])
+    if rows[-1][0] != n_last:
+        rows.append((n_last, force))
 
     errors: dict[int, float] = {}
     for k in (1, 2):
@@ -279,13 +317,19 @@ def calibrate(samples: Sequence[CalibrationSample],
     # Parameters span ~12 orders of magnitude; fit in units of the guess,
     # floored at a natural unit per parameter so zero guesses stay scaled.
     scale = np.maximum(np.abs(x0), [1.0, 1e-2, 1e-6, 1e-9])
+    last: list = [None, None]  # latest (|R|, |delta0|) and its S(u)
 
     def residuals(y):
         k, v0, radius, delta0 = y * scale
         # Residuals live in measurement (dC) space: the force-space form
         # k*dC - F has a spurious exact minimum at k = R = 0. Exploratory
         # steps may go unphysical; fold them back smoothly.
-        model = _force_model(z, v, v0, max(abs(radius), 1e-30), abs(delta0))
+        geom = (max(abs(radius), 1e-30), abs(delta0))
+        # S(u) depends on (R, delta0) only: the Jacobian's k and V0 steps
+        # reuse the sum of the point they step from.
+        if geom != last[0]:
+            last[:] = geom, _series_at(z, *geom)
+        model = _force_model(v, v0, last[1])
         return dc - model / max(abs(k), 1e-30)
 
     res = least_squares(
@@ -317,7 +361,7 @@ def calibrate(samples: Sequence[CalibrationSample],
     k = float(abs(k))
     radius = float(abs(radius))
     delta0 = float(abs(delta0))
-    force_residuals = k * dc - _force_model(z, v, float(v0), radius, delta0)
+    force_residuals = k * dc - _force_model(v, float(v0), _series_at(z, radius, delta0))
     return CalibrationFit(
         k=k,
         v0=float(v0),
@@ -353,10 +397,10 @@ def make_calibration_samples(
     width (the capacitance bridge resolution).
     """
     rng = np.random.default_rng(seed)
+    s = _series_at(np.asarray(z_grid, dtype=float), radius, delta0)
     out = []
     for vi in voltages:
-        f = _force_model(np.asarray(z_grid, dtype=float),
-                         np.full(len(z_grid), float(vi)), v0, radius, delta0)
+        f = _force_model(np.full(len(z_grid), float(vi)), v0, s)
         dc = f / k
         if noise_rel:
             dc = dc * (1.0 + noise_rel * rng.standard_normal(dc.size))

@@ -1,12 +1,19 @@
+import importlib.util
+import itertools
 import math
+from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from casimir_mto import electrostatics
 from casimir_mto.constants import CODATA
 from casimir_mto.electrostatics import (
+    MAX_SERIES_TERMS,
     CalibrationFit,
     CalibrationSample,
     ElectrostaticConfig,
@@ -19,16 +26,51 @@ from casimir_mto.electrostatics import (
     small_gap_force,
 )
 from casimir_mto.errors import (
+    ConvergenceError,
     DomainError,
     IdentifiabilityError,
     ValidationError,
 )
 from casimir_mto.lifshitz import SpherePlaneGeometry
+from casimir_mto.materials import data_dir
 
 TRUTH = (50280.0, 0.6325, 294.3e-6, 39.4e-9)
 Z_GRID = np.linspace(0.6e-6, 3e-6, 16)
 VOLTS = (0.1325, 0.3325, 0.4825, 0.7825, 0.9325, 1.1325)
 GUESS = (5.2e4, 0.6, 3.0e-4, 3e-8)
+
+
+def _coth(x):
+    e = np.exp(-2.0 * x)
+    return (1.0 + e) / (1.0 - e)
+
+
+def _csch(x):
+    e = np.exp(-x)
+    return 2.0 * e / (1.0 - e * e)
+
+
+def _loop_partials(u):
+    """Reference image-charge partial sums, one term n at a time: yields
+    (n, term, partial sum) without end."""
+    coth_u = _coth(u)
+    total = np.zeros_like(u)
+    n = 1
+    while True:
+        nu = n * u
+        term = (n * _coth(nu) - coth_u) * _csch(nu)
+        total += term
+        yield n, term, total
+        n += 1
+
+
+def _series_loop(u, series_tol, max_terms=MAX_SERIES_TERMS):
+    """Reference image-charge sum; returns (S, last term n)."""
+    for n, term, total in _loop_partials(u):
+        if n >= 2 and np.all(term <= series_tol * np.maximum(total, 1e-300)):
+            return total, n
+        if n == max_terms:
+            raise ConvergenceError("reference loop not converged")
 
 
 def _config(v_applied=0.3, v_residual=0.0, z_metal=1e-6, delta0=0.0,
@@ -89,12 +131,45 @@ class TestForceSeries:
         assert electrostatic_force(_config(v_applied=dv, z_metal=z)) > 0
 
     def test_series_nonconvergence_raises(self):
-        from casimir_mto.errors import ConvergenceError
-
         # Vanishing gap drives u ~ sqrt(2 z/R) so small that 1e5 terms
         # cannot converge the image-charge sum.
         with pytest.raises(ConvergenceError):
             electrostatic_force(_config(z_metal=1e-15))
+
+
+class TestSeriesBlocks:
+    # Small block sizes spread one series over many blocks; with more
+    # samples than a block holds, each block is a single row n.
+    @given(
+        u=st.lists(st.floats(1e-3, 5.0), min_size=1, max_size=80),
+        series_tol=st.floats(1e-12, 1e-6),
+        block=st.sampled_from([16, 256, electrostatics._BLOCK_ENTRIES]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_term_by_term_loop(self, u, series_tol, block):
+        u = np.array(u)
+        with mock.patch.object(electrostatics, "_BLOCK_ENTRIES", block):
+            got = electrostatics._series_sum(u, series_tol)
+        assert np.array_equal(got, _series_loop(u, series_tol)[0])
+
+    def test_series_longer_than_one_default_block(self):
+        u = np.array([1e-3])
+        want, n_last = _series_loop(u, 1e-12)
+        assert n_last > electrostatics._BLOCK_ENTRIES
+        assert np.array_equal(electrostatics._series_sum(u, 1e-12), want)
+
+    def test_max_terms_is_the_last_term_tried(self):
+        u = np.array([0.02, 0.07, 0.3])
+        want, n_last = _series_loop(u, 1e-10)
+        got = electrostatics._series_sum(u, 1e-10, max_terms=n_last)
+        assert np.array_equal(got, want)
+        with pytest.raises(ConvergenceError):
+            electrostatics._series_sum(u, 1e-10, max_terms=n_last - 1)
+
+    @pytest.mark.parametrize("u", [[0.0], [0.1, -0.2], [-1.0]])
+    def test_non_positive_u_rejected(self, u):
+        with pytest.raises(DomainError):
+            electrostatics._series_sum(np.array(u), 1e-10)
 
 
 class TestTruncationReport:
@@ -125,6 +200,28 @@ class TestTruncationReport:
         ns = [n for n, _ in report.terms]
         assert ns[0] == 1
         assert report.terms[-1][1] == report.force
+
+    def test_rows_are_the_series_partial_sums(self):
+        cfg = _config()
+        u = np.array([math.acosh(1.0 + cfg.gap / cfg.geometry.radius)])
+        pref = 2.0 * math.pi * CODATA.eps0 * 0.3 * 0.3
+        first = [(n, pref * float(total[0]))
+                 for n, _, total in itertools.islice(_loop_partials(u), 5)]
+        total, n_last = _series_loop(u, cfg.series_tol)
+        report = series_truncation_report(cfg, max_rows=5)
+        assert report.terms == (*first, (n_last, pref * float(total[0])))
+        assert report.force == pref * float(total[0])
+
+    @pytest.mark.parametrize("separation", [-1e-6, 0.0])
+    def test_non_positive_gap_rejected(self, separation):
+        geom = SimpleNamespace(radius=294.3e-6, separation=separation, delta0=0.0)
+        with pytest.raises(DomainError):
+            series_truncation_report(ElectrostaticConfig(0.3, 0.0, geom))
+
+    def test_gap_below_resolution_rejected(self):
+        # 1 + d/R rounds to 1, so u = 0 and every term is 0/0.
+        with pytest.raises(DomainError):
+            series_truncation_report(_config(z_metal=1e-25))
 
     def test_small_gap_force_orders(self):
         with pytest.raises(DomainError):
@@ -185,6 +282,38 @@ class TestCalibration:
     def test_estimate_v0_picks_quietest_voltage(self):
         samples = make_calibration_samples(*TRUTH, Z_GRID, (0.3325, 0.6325 + 1e-4, 0.9325))
         assert estimate_v0(samples) == pytest.approx(0.6325, abs=1e-3)
+
+    def test_fit_reuses_series_across_k_and_v0_steps(self, monkeypatch):
+        calls = {"series": 0, "residuals": 0}
+        series_sum, solver = electrostatics._series_sum, electrostatics.least_squares
+
+        def counting_series(*args, **kwargs):
+            calls["series"] += 1
+            return series_sum(*args, **kwargs)
+
+        def counting_solver(fun, x0, **kwargs):
+            def counted(y):
+                calls["residuals"] += 1
+                return fun(y)
+            return solver(counted, x0, **kwargs)
+
+        samples = make_calibration_samples(*TRUTH, Z_GRID, VOLTS, noise_rel=2e-6, seed=5)
+        monkeypatch.setattr(electrostatics, "_series_sum", counting_series)
+        monkeypatch.setattr(electrostatics, "least_squares", counting_solver)
+        calibrate(samples, GUESS)
+        # Without reuse every residual sums the series, plus one final sum.
+        assert 0 < calls["series"] < calls["residuals"]
+
+    def test_bundled_demo_dataset_is_regenerated_exactly(self, tmp_path):
+        tool_path = Path(__file__).resolve().parents[1] / "tools" / "make_demo_calibration.py"
+        spec = importlib.util.spec_from_file_location("make_demo_calibration", tool_path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        out = tmp_path / "calibration_demo.csv"
+        tool.write_demo(out)
+        bundled = data_dir() / "calibration_demo.csv"
+        assert (out.read_text(encoding="utf-8").splitlines()
+                == bundled.read_text(encoding="utf-8").splitlines())
 
     def test_generator_determinism(self):
         a = make_calibration_samples(*TRUTH, Z_GRID, VOLTS, noise_rel=1e-6, seed=11)

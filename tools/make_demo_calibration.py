@@ -20,16 +20,21 @@ Z_GRID = np.linspace(0.6e-6, 3e-6, 16)
 VOLTAGES = (0.1325, 0.3325, 0.4825, 0.7825, 0.9325, 1.1325)
 
 
-def main():
+def write_demo(path):
+    """Write the demo sweep to ``path``; returns the number of samples."""
     samples = make_calibration_samples(*TRUTH, Z_GRID, VOLTAGES)
-    path = OUT / "calibration_demo.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# noiseless synthetic sweep; truth: k=50280 N/F, "
                  "V0=0.6325 V, R=294.3e-6 m, delta0=39.4e-9 m\n")
         fh.write("z_metal_m,v_applied_v,delta_c_f\n")
         for s in samples:
             fh.write(f"{s.z_metal:.17e},{s.v_applied:.17e},{s.delta_c:.17e}\n")
-    print(f"wrote {path} ({len(samples)} samples)")
+    return len(samples)
+
+
+def main():
+    path = OUT / "calibration_demo.csv"
+    print(f"wrote {path} ({write_demo(path)} samples)")
 
 
 if __name__ == "__main__":
