@@ -487,12 +487,12 @@ def cmd_materials_validate(args) -> int:
                 print(f"{name}: ok (perfect conductor)")
                 continue
             probe = np.array([0.01, 0.1, 1.0, 10.0, 100.0])
-            eps = np.array([model.eps(x) for x in probe])
+            eps = model.eps(probe)
             if np.any(eps < 1.0):
                 raise ValidationError("eps(i xi) dipped below 1")
             if np.any(np.diff(eps) > 0):
                 raise ValidationError("eps(i xi) is not non-increasing")
-            detail = f"eps(0.1 eV) = {model.eps(0.1):.6g}"
+            detail = f"eps(0.1 eV) = {eps[1]:.6g}"
             if isinstance(model, Tabulated):
                 detail += f", splice mismatch {model.splice_mismatch():.2e}"
             print(f"{name}: ok ({detail})")

@@ -228,15 +228,35 @@ class TestCalibrateCommand:
         cfg = write_json(tmp_path / "cal.json", {"data": str(tmp_path / "absent.csv")})
         assert run(["calibrate", "--config", cfg]) == 1
 
-    def test_nonconvergent_series_exit_3(self, tmp_path):
-        # Sub-femtometer gaps make the image-charge series unconvergeable.
+    @staticmethod
+    def _femtometer_rows(tmp_path):
         data = tmp_path / "cal.csv"
         rows = ["z_metal_m,v_applied_v,delta_c_f"]
         for i in range(4):
             rows.append(f"1e-15,{0.2 + 0.2 * i},1e-14")
         data.write_text("\n".join(rows) + "\n")
+        return data
+
+    def test_nonconvergent_series_exit_3(self, tmp_path, capsys):
+        # With the default 30 nm contact offset the gaps stay near 60 nm and
+        # the series converges at every evaluation; on sub-femtometer metal
+        # separations the LM fit uses up its evaluation budget instead.
+        data = self._femtometer_rows(tmp_path)
         cfg = write_json(tmp_path / "cal.json", {"data": str(data)})
         assert run(["calibrate", "--config", cfg]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: calibration fit did not converge")
+
+    def test_series_nonconvergence_exit_3(self, tmp_path, capsys):
+        # A zero contact offset puts the gaps at 1e-15 m, where the
+        # image-charge series cannot converge within its term budget.
+        data = self._femtometer_rows(tmp_path)
+        cfg = write_json(tmp_path / "cal.json",
+                         {"data": str(data), "initial_guess": {"delta0_m": 0.0}})
+        assert run(["calibrate", "--config", cfg]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: image-charge series not converged after 100000 terms")
 
 
 class TestSweepCommand:

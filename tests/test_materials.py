@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from casimir_mto.errors import (
     ConfigurationError,
@@ -18,6 +19,7 @@ from casimir_mto.materials import (
     PerfectConductor,
     SampledDielectric,
     Tabulated,
+    _dispersion_drude_segment,
     drude_eps,
     drude_eps2,
     drude_eps_via_dispersion,
@@ -112,6 +114,22 @@ class TestDispersionIntegral:
     def test_nonpositive_frequency_rejected(self):
         with pytest.raises(DomainError):
             kk_to_imaginary_axis(None, AU, 0.0)
+
+    @pytest.mark.parametrize("hi", [0.15, 1e5])
+    @pytest.mark.parametrize("xi", [0.035, 0.035 * (1 + 1e-9), 0.035 * (1 - 1e-9), 1e-8, 1e6])
+    def test_drude_segment_matches_quad(self, hi, xi):
+        # The closed form against an adaptive quadrature of the same
+        # integrand, including xi = gamma, where the partial-fraction form
+        # would divide 0 by 0. Decade break points let quad find the peaks
+        # near gamma and xi when the upper limit is far above them.
+        a = AU.plasma_ev**2 * AU.relaxation_ev
+        g2 = AU.relaxation_ev**2
+        points = sorted(p for p in (AU.relaxation_ev, xi, *np.geomspace(1e-9, 1e4, 14))
+                        if p < hi)
+        want, _ = quad(lambda w: a / ((w * w + g2) * (w * w + xi * xi)), 0.0, hi,
+                       points=points, epsabs=0.0, epsrel=1e-13, limit=400)
+        got = _dispersion_drude_segment(AU, np.array([xi]), hi)[0]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def load_optical_data_from_default(name):
@@ -215,15 +233,18 @@ class TestModels:
             SampledDielectric(np.array([0.1, 1.0]), np.array([1.0, 0.5]))
 
     def test_array_eps_matches_scalar(self):
-        # The force integrals pass arrays; every entry must equal the scalar
-        # call, inside and on both sides of the sampled range.
-        sampler = Tabulated(load_optical_data_from_default("au_eps2.csv"), AU).sampled()
-        xi = np.geomspace(1e-8, 1e6, 41)
-        for model in (sampler, DrudeOnly(AU)):
+        # The force integrals and the sampler build pass arrays; every entry
+        # must equal the scalar call, inside and on both sides of the sampled
+        # range, and across the blocks of the table row sums.
+        gold = Tabulated(load_optical_data_from_default("au_eps2.csv"), AU)
+        sampler = gold.sampled()
+        xi = np.geomspace(1e-8, 1e6, 141)
+        for model in (sampler, DrudeOnly(AU), gold):
             assert isinstance(model.eps(0.5), float)
             assert model.eps(xi).tolist() == [model.eps(float(x)) for x in xi]
-        with pytest.raises(DomainError):
-            sampler.eps(np.array([1.0, 0.0]))
+        for model in (sampler, gold):
+            with pytest.raises(DomainError):
+                model.eps(np.array([1.0, 0.0]))
 
 
 class TestRegistry:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from casimir_mto import oscillator
 from casimir_mto.errors import ConfigurationError, DomainError, ValidationError
 from casimir_mto.oscillator import (
     OscillatorParams,
@@ -202,9 +203,20 @@ class TestSweep:
                              *_drude_pair(), RoughnessDistribution.single(), seed=0)
         assert pts[0].sigma_omega == pytest.approx(2 * math.pi * 0.02, rel=1e-12)
 
-    def test_noise_statistics(self):
+    def test_noise_statistics(self, monkeypatch):
         """Sample spread over 1000 repeated noisy points matches the
         configured RMS within 10%."""
+        # Separation noise is 0, so every seed integrates the same pressure:
+        # compute it once per separation and keep the 1000 noise draws.
+        pressure = oscillator.averaged_pressure
+        memo = {}
+
+        def averaged_pressure(z, *args, **kwargs):
+            if z not in memo:
+                memo[z] = pressure(z, *args, **kwargs)
+            return memo[z]
+
+        monkeypatch.setattr(oscillator, "averaged_pressure", averaged_pressure)
         par = measured_params()
         sigma_f = 0.05 / math.sqrt(10.0)
         cfg = SweepConfig(z_grid=np.array([0.5e-6]),
