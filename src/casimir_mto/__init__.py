@@ -10,7 +10,8 @@ Subpackages by physics stage:
 - yukawa: hypothetical short-range force and exclusion limits
 - cli: batch command-line interface over all of the above
 
-Everything is pure Python on NumPy and SciPy; there is no build step.
+Everything is pure Python on NumPy and the standard library; there is
+no build step.
 """
 
 from .constants import CODATA, PhysicalConstants

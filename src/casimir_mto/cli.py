@@ -168,7 +168,8 @@ def _resolve_materials(spec, where: str):
     registry_path = m.take("registry", None)
     pair = m.take("pair")
     m.close()
-    if not (isinstance(pair, list) and len(pair) == 2):
+    if not (isinstance(pair, list) and len(pair) == 2
+            and all(isinstance(name, str) for name in pair)):
         raise ConfigurationError(f"{where}: 'pair' must list two material names")
     registry = load_registry(registry_path)
     models = []
@@ -294,9 +295,13 @@ def _load_calibration_csv(path) -> list[CalibrationSample]:
             if len(parts) != 3:
                 raise ParseError(f"expected 3 fields, got {len(parts)}", line=lineno)
             try:
-                samples.append(CalibrationSample(*(float(p) for p in parts)))
+                fields = [float(p) for p in parts]
             except ValueError:
                 raise ParseError(f"non-numeric field in {line!r}", line=lineno) from None
+            try:
+                samples.append(CalibrationSample(*fields))
+            except ValidationError as exc:
+                raise ValidationError(f"line {lineno}: {exc}") from None
     if not samples:
         raise ValidationError(f"{path}: no calibration rows")
     return samples

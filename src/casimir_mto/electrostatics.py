@@ -13,7 +13,9 @@ calibration uses it; signed force bookkeeping lives with the oscillator.
 Sweeping applied voltage and separation while recording the capacitance
 imbalance dC calibrates four system constants at once: the force-per-
 capacitance factor k (F = k dC), the residual contact potential V0, the
-sphere radius R and the roughness contact offset delta0.
+sphere radius R and the roughness contact offset delta0. The fit is this
+module's ``least_squares``, MINPACK's Levenberg-Marquardt algorithm
+(Moré 1978) on a four-column SVD.
 
 The series is summed a block of terms at a time: one NumPy step evaluates
 the terms of many (n, u) pairs and accumulates them along n in the same
@@ -31,7 +33,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .constants import CODATA
 from .errors import (
@@ -291,14 +292,178 @@ class CalibrationFit:
         return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
 
 
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+_MAX_NFEV_MESSAGE = "The maximum number of function evaluations is exceeded."
+
+
+@dataclass(frozen=True)
+class LeastSquaresResult:
+    """Outcome of ``least_squares``; ``jac`` is taken at ``x``."""
+
+    x: np.ndarray
+    cost: float          # 0.5 * |fun(x)|^2
+    jac: np.ndarray
+    nfev: int            # residual calls outside the Jacobian
+    success: bool
+    message: str
+
+
+def _forward_jacobian(fun, x: np.ndarray, f: np.ndarray, diff_step: float) -> np.ndarray:
+    """Forward differences at step diff_step*|x_j|, away from zero; where
+    that step vanishes, sqrt(eps)*max(1, |x_j|). Each column divides by
+    the step as represented in x + h."""
+    sign = np.where(x >= 0, 1.0, -1.0)
+    h = diff_step * sign * np.abs(x)
+    h = np.where(x + h - x == 0, math.sqrt(_EPS) * sign * np.maximum(1.0, np.abs(x)), h)
+    jac = np.empty((f.size, x.size))
+    for j in range(x.size):
+        xj = x.copy()
+        xj[j] += h[j]
+        jac[:, j] = (fun(xj) - f) / (xj[j] - x[j])
+    return jac
+
+
+def _lm_parameter(sv: np.ndarray, g: np.ndarray, delta: float, par: float):
+    """MINPACK ``lmpar`` on the SVD J D^-1 = U diag(sv) V^T, g = U^T f.
+
+    The scaled step D p = -V w, w = sv g / (sv^2 + par), has a closed form
+    for any damping par. Returns (par, w) with par = 0 if the Gauss-Newton
+    step is within 1.1 delta, else with |w| within 10% of delta, found by
+    Moré's safeguarded Newton iteration on |w(par)| - delta.
+    """
+    sv2 = sv * sv
+    nonsing = sv > 0
+    w = np.zeros_like(g)
+    w[nonsing] = g[nonsing] / sv[nonsing]
+    dxnorm = np.linalg.norm(w)
+    fp = dxnorm - delta
+    if fp <= 0.1 * delta:
+        return 0.0, w
+    # d|w|/dpar = -sum(w^2 / (sv^2 + par)) / |w|: Newton bounds and steps.
+    parl = 0.0
+    if nonsing.all():
+        parl = fp / (delta * np.sum(w * w / sv2) / dxnorm**2)
+    gnorm = np.linalg.norm(sv * g)
+    paru = gnorm / delta
+    par = min(max(par, parl), paru)
+    if par == 0:
+        par = gnorm / dxnorm
+    for it in range(1, 11):
+        if par == 0:
+            par = max(_TINY, 1e-3 * paru)
+        w = sv * g / (sv2 + par)
+        dxnorm = np.linalg.norm(w)
+        prev, fp = fp, dxnorm - delta
+        if abs(fp) <= 0.1 * delta or (parl == 0 and fp <= prev < 0) or it == 10:
+            break
+        parc = fp / (delta * np.sum(w * w / (sv2 + par)) / dxnorm**2)
+        if fp > 0:
+            parl = max(parl, par)
+        elif fp < 0:
+            paru = min(paru, par)
+        par = max(parl, par + parc)
+    return par, w
+
+
+def least_squares(fun, x0, *, diff_step: float, xtol: float, ftol: float,
+                  gtol: float, max_nfev: int) -> LeastSquaresResult:
+    """Minimise 0.5 |fun(x)|^2 by Levenberg-Marquardt, as MINPACK ``lmder``.
+
+    Moré (1978): the variables are scaled by D, the running maximum of the
+    Jacobian's column norms; the trust radius starts at 100 |D x0| and
+    follows MINPACK's update from the ratio of actual to predicted
+    reduction; the damping comes from ``_lm_parameter``. Stops when the
+    relative reduction is within ``ftol`` (actual and predicted), the
+    trust radius within ``xtol`` of |D x|, or the scaled gradient cosine
+    within ``gtol`` (tolerances below machine epsilon count as epsilon).
+    The Jacobian is ``_forward_jacobian``. ``nfev`` counts the residual
+    calls outside it, and at ``max_nfev`` of them the fit gives up
+    (``success`` False).
+    """
+    ftol, xtol, gtol = (max(t, _EPS) for t in (ftol, xtol, gtol))
+    x = np.array(x0, dtype=float)
+    f = np.asarray(fun(x), dtype=float)
+    nfev, fnorm, par, diag, message = 1, np.linalg.norm(f), 0.0, None, None
+    while message is None:
+        jac = _forward_jacobian(fun, x, f, diff_step)
+        colnorm = np.linalg.norm(jac, axis=0)
+        if diag is None:
+            diag = np.where(colnorm == 0, 1.0, colnorm)
+            xnorm = np.linalg.norm(diag * x)
+            delta = 100.0 * xnorm or 100.0
+            first = True
+        live = colnorm != 0
+        gnorm = 0.0
+        if fnorm and live.any():
+            gnorm = float(np.max(np.abs(jac.T @ f)[live] / colnorm[live])) / fnorm
+        if gnorm <= gtol:
+            message = "`gtol` termination condition is satisfied."
+            break
+        diag = np.maximum(diag, colnorm)
+        u, sv, vt = np.linalg.svd(jac / diag, full_matrices=False)
+        g = u.T @ f
+        while True:
+            par, w = _lm_parameter(sv, g, delta, par)
+            step = -(vt.T @ w) / diag
+            pnorm = np.linalg.norm(w)
+            if first:
+                delta = min(delta, pnorm)
+            x_new = x + step
+            f_new = np.asarray(fun(x_new), dtype=float)
+            nfev += 1
+            fnorm_new = np.linalg.norm(f_new)
+            actred = 1.0 - (fnorm_new / fnorm) ** 2 if 0.1 * fnorm_new < fnorm else -1.0
+            temp1 = np.linalg.norm(sv * w) / fnorm
+            temp2 = math.sqrt(par) * pnorm / fnorm
+            prered = temp1**2 + 2.0 * temp2**2
+            dirder = -(temp1**2 + temp2**2)
+            ratio = actred / prered if prered else 0.0
+            if ratio <= 0.25:
+                temp = 0.5 if actred >= 0 else 0.5 * dirder / (dirder + 0.5 * actred)
+                if 0.1 * fnorm_new >= fnorm or temp < 0.1:
+                    temp = 0.1
+                delta = temp * min(delta, pnorm / 0.1)
+                par /= temp
+            elif par == 0 or ratio >= 0.75:
+                delta = 2.0 * pnorm
+                par *= 0.5
+            accepted = ratio >= 1e-4
+            if accepted:
+                x, f, fnorm, first = x_new, f_new, fnorm_new, False
+                xnorm = np.linalg.norm(diag * x)
+            f_conv = abs(actred) <= ftol and prered <= ftol and 0.5 * ratio <= 1
+            x_conv = delta <= xtol * xnorm
+            if f_conv or x_conv:
+                message = ("Both `ftol` and `xtol` termination conditions are satisfied."
+                           if f_conv and x_conv else
+                           "`ftol` termination condition is satisfied." if f_conv else
+                           "`xtol` termination condition is satisfied.")
+            elif nfev >= max_nfev:
+                message = _MAX_NFEV_MESSAGE
+            if message is not None:
+                if accepted:
+                    jac = _forward_jacobian(fun, x, f, diff_step)
+                break
+            if accepted:
+                break
+    return LeastSquaresResult(
+        x=x, cost=0.5 * float(f @ f), jac=jac, nfev=nfev,
+        success=message != _MAX_NFEV_MESSAGE, message=message,
+    )
+
+
 def calibrate(samples: Sequence[CalibrationSample],
               initial_guess: tuple[float, float, float, float]) -> CalibrationFit:
     """Least-squares recovery of (k, V0, R, delta0) from voltage sweeps.
 
-    Minimizes sum [k dC_i - F(z_i, V_i; V0, R, delta0)]^2 with a
-    numerically differentiated Jacobian (relative step 1e-6). Requires at
-    least 4 samples spanning at least 2 distinct applied voltages; a
-    single-voltage design leaves k and (V - V0)^2 degenerate.
+    Minimizes sum [dC_i - F(z_i, V_i; V0, R, delta0) / k]^2 in units of
+    the initial guess with ``least_squares`` (Levenberg-Marquardt, forward
+    differences at relative step 1e-6, at most 4,000 residual evaluations
+    outside the Jacobian, else FitError). The covariance is the pooled
+    2 cost / (n - 4) times (J^T J)^-1. Requires at least 4 samples
+    spanning at least 2 distinct applied voltages; a single-voltage design
+    leaves k and (V - V0)^2 degenerate.
     """
     if len(samples) < 4:
         raise IdentifiabilityError("need at least 4 calibration samples")
@@ -311,8 +476,8 @@ def calibrate(samples: Sequence[CalibrationSample],
         )
 
     x0 = np.asarray(initial_guess, dtype=float)
-    if x0.shape != (4,):
-        raise DomainError("initial_guess must be (k, v0, radius, delta0)")
+    if x0.shape != (4,) or not np.all(np.isfinite(x0)):
+        raise DomainError("initial_guess must be finite (k, v0, radius, delta0)")
 
     # Parameters span ~12 orders of magnitude; fit in units of the guess,
     # floored at a natural unit per parameter so zero guesses stay scaled.
@@ -335,7 +500,6 @@ def calibrate(samples: Sequence[CalibrationSample],
     res = least_squares(
         residuals,
         x0 / scale,
-        method="lm",
         diff_step=1e-6,
         xtol=1e-15,
         ftol=1e-15,

@@ -44,6 +44,8 @@ class RoughnessDistribution:
             raise ValidationError("offsets and weights must match in length")
         if not np.all(np.isfinite(off)):
             raise ValidationError("offsets must be finite")
+        if not np.all(np.isfinite(w)):
+            raise ValidationError("weights must be finite")
         if np.any(w < 0):
             raise ValidationError("weights must be non-negative")
         if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:

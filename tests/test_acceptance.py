@@ -46,9 +46,9 @@ from casimir_mto.yukawa import (
     alpha_limit,
     reference_plate,
     reference_sphere,
-    yukawa_force_brute,
     yukawa_force_sphere_plane,
 )
+from yukawa_brute import yukawa_force_brute
 
 R_SPHERE = 294.3e-6
 GOLD = DrudeOnly(DrudeParams(9.0, 0.035))

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import pytest
 from casimir_mto.cli import main
 from casimir_mto.constants import CODATA
 from casimir_mto.lifshitz import ideal_force_sphere_plane
+from casimir_mto.materials import data_dir
 
 R_SPHERE = 294.3e-6
 
@@ -384,6 +389,18 @@ def _limits_bound_file(tmp_path, text, **extra):
     return "limits", doc
 
 
+def _registry_force(tmp_path, **entry):
+    metal = {"variant": "drude", "plasma_ev": 9.0, "relaxation_ev": 0.035, **entry}
+    registry = write_json(tmp_path / "materials.json", {"metal": metal})
+    return _force(tmp_path, materials={"registry": str(registry), "pair": ["metal", "metal"]})
+
+
+def _calibrate_rows(tmp_path, rows):
+    data = tmp_path / "cal.csv"
+    data.write_text("z_metal_m,v_applied_v,delta_c_f\n" + rows)
+    return "calibrate", {"data": str(data)}
+
+
 @pytest.mark.parametrize("make,code", [
     (lambda t: _force(t, radius_m="abc"), 2),
     (lambda t: _force(t, z_grid_m=[5e-7, "x"]), 2),
@@ -396,12 +413,51 @@ def _limits_bound_file(tmp_path, text, **extra):
     (lambda t: _limits_bound_file(
         t, "z_m,bound_n\n1e-7,1e-14\n1e-6,1e-14\n",
         plate={"core_density_kg_m3": 2330.0, "layers": [["thick", 8960.0]]}), 2),
+    (lambda t: _registry_force(t, plasma_ev="abc"), 2),
+    (lambda t: _registry_force(t, plasma_ev=None), 2),
+    (lambda t: _registry_force(t, variant="tabulated", table=5), 2),
+    (lambda t: _registry_force(t, variant="tabulated", splice_ev="abc",
+                               table=str(data_dir() / "au_eps2.csv")), 2),
+    (lambda t: _force(t, materials={"pair": ["gold_drude", ["x"]]}), 2),
+    (lambda t: _force(t, roughness={"entries": [[1e-9, math.nan], [0.0, 1.0]]}), 2),
+    (lambda t: _calibrate_rows(t, "1e-6,0.1,1e-14\n2e-6,nan,1e-14\n"), 2),
 ], ids=["radius_m", "grid_list", "roughness_entries", "grid_points_fraction",
         "grid_points_bool", "bound_file_text",
-        "bound_file_one_column", "bound_file_decreasing", "layer_row"])
+        "bound_file_one_column", "bound_file_decreasing", "layer_row",
+        "registry_text_number", "registry_null_number", "registry_table_number",
+        "registry_splice_text", "pair_not_a_name",
+        "roughness_nan_weight", "calibration_nan_field"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, make, code):
     command, doc = make(tmp_path)
     cfg = write_json(tmp_path / "run.json", doc)
     assert run([command, "--config", cfg]) == code
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_runtime_does_not_import_scipy(tmp_path):
+    # SciPy is a test-only dependency: a tabulated-pair force run (the
+    # eps sampler) and a calibration (the LM fit) must not load it.
+    force_cfg = write_json(tmp_path / "force.json", {
+        "materials": {"pair": ["gold", "copper"]},
+        "radius_m": R_SPHERE,
+        "z_grid_m": [5e-7],
+        "out": str(tmp_path / "force.csv"),
+    })
+    cal_cfg = write_json(tmp_path / "cal.json", {
+        "data": str(data_dir() / "calibration_demo.csv"),
+    })
+    script = (
+        "import sys\n"
+        "from casimir_mto.cli import main\n"
+        f"assert main(['force', '--config', {str(force_cfg)!r}]) == 0\n"
+        f"assert main(['calibrate', '--config', {str(cal_cfg)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

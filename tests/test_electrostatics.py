@@ -21,6 +21,7 @@ from casimir_mto.electrostatics import (
     calibrate,
     electrostatic_force,
     estimate_v0,
+    least_squares,
     make_calibration_samples,
     series_truncation_report,
     small_gap_force,
@@ -28,6 +29,7 @@ from casimir_mto.electrostatics import (
 from casimir_mto.errors import (
     ConvergenceError,
     DomainError,
+    FitError,
     IdentifiabilityError,
     ValidationError,
 )
@@ -319,3 +321,95 @@ class TestCalibration:
         a = make_calibration_samples(*TRUTH, Z_GRID, VOLTS, noise_rel=1e-6, seed=11)
         b = make_calibration_samples(*TRUTH, Z_GRID, VOLTS, noise_rel=1e-6, seed=11)
         assert all(x.delta_c == y.delta_c for x, y in zip(a, b))
+
+    def test_exhausted_budget_raises_fit_error(self, monkeypatch):
+        solver = electrostatics.least_squares
+        monkeypatch.setattr(electrostatics, "least_squares",
+                            lambda fun, x0, **kw: solver(fun, x0, **{**kw, "max_nfev": 3}))
+        samples = make_calibration_samples(*TRUTH, Z_GRID, VOLTS, noise_rel=2e-6, seed=5)
+        with pytest.raises(FitError, match="maximum number of function evaluations"):
+            calibrate(samples, GUESS)
+
+    def test_fit_matches_scipy_lm(self, monkeypatch):
+        # Oracle: MINPACK through SciPy, with the same Jacobian-norm scaling
+        # (x_scale="jac", the default since SciPy 1.16). 24 seeded designs
+        # around the device values, at three noise levels.
+        from scipy.optimize import least_squares as scipy_least_squares
+
+        solver = electrostatics.least_squares
+        for seed in range(24):
+            rng = np.random.default_rng(seed)
+            truth = (TRUTH[0] * (1 + 0.02 * rng.uniform(-1, 1)),
+                     TRUTH[1] + 0.02 * rng.uniform(-1, 1),
+                     TRUTH[2] * (1 + 0.01 * rng.uniform(-1, 1)),
+                     TRUTH[3] * (1 + 0.05 * rng.uniform(-1, 1)))
+            z = np.sort(rng.uniform(0.6e-6, 3e-6, 16))
+            noise = (2e-6, 1e-4, 1e-3)[seed % 3]
+            samples = make_calibration_samples(*truth, z, VOLTS, noise_rel=noise, seed=seed)
+            monkeypatch.setattr(
+                electrostatics, "least_squares",
+                lambda fun, x0, **kw: scipy_least_squares(fun, x0, method="lm",
+                                                          x_scale="jac", **kw))
+            ref = calibrate(samples, GUESS)
+            monkeypatch.setattr(electrostatics, "least_squares", solver)
+            fit = calibrate(samples, GUESS)
+            sigma = ref.uncertainties()
+            got = np.array([fit.k, fit.v0, fit.radius, fit.delta0])
+            want = np.array([ref.k, ref.v0, ref.radius, ref.delta0])
+            assert np.all(np.abs(got - want) <= 1e-3 * sigma), seed
+            assert np.all(np.abs(fit.uncertainties() / sigma - 1.0) <= 1e-3), seed
+
+
+class TestLeastSquares:
+    @staticmethod
+    def _rosenbrock(calls):
+        def fun(x):
+            calls.append(x.copy())
+            return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+        return fun
+
+    def test_solves_rosenbrock(self):
+        calls = []
+        res = least_squares(self._rosenbrock(calls), [-1.2, 1.0], diff_step=1e-8,
+                            xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=200)
+        assert res.success
+        assert res.x == pytest.approx([1.0, 1.0], abs=1e-8)
+        assert res.cost < 1e-20
+        # nfev leaves out the Jacobian's residual calls, two per Jacobian.
+        assert len(calls) > res.nfev and (len(calls) - res.nfev) % 2 == 0
+
+    @pytest.mark.parametrize("fun,x0", [
+        (lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]), [-1.2, 1.0]),
+        (lambda x: np.array([-13.0 + x[0] + ((5.0 - x[1]) * x[1] - 2.0) * x[1],
+                             -29.0 + x[0] + ((x[1] + 1.0) * x[1] - 14.0) * x[1]]),
+         [0.5, -2.0]),
+        (lambda x: np.array([np.exp(-t * x[0]) - np.exp(-t * x[1])
+                             - x[2] * (np.exp(-t) - np.exp(-10.0 * t))
+                             for t in 0.1 * np.arange(1, 11)]), [0.0, 10.0, 20.0]),
+        (lambda x: np.array([1e4 * x[0] * x[1] - 1.0,
+                             np.exp(-x[0]) + np.exp(-x[1]) - 1.0001]), [0.0, 1.0]),
+    ], ids=["rosenbrock", "freudenstein_roth", "box_3d", "powell_badly_scaled"])
+    def test_follows_minpack_path(self, fun, x0):
+        # Moré-Garbow-Hillstrom problems: the same number of trial steps and
+        # the same solution as MINPACK through SciPy's lm (Jacobian-norm
+        # scaling; nfev there also leaves out the Jacobian's calls).
+        from scipy.optimize import least_squares as scipy_least_squares
+
+        kw = dict(diff_step=1e-7, xtol=1e-10, ftol=1e-10, gtol=1e-10, max_nfev=500)
+        ref = scipy_least_squares(fun, x0, method="lm", x_scale="jac", **kw)
+        res = least_squares(fun, x0, **kw)
+        assert res.success and res.nfev == ref.nfev
+        assert res.x == pytest.approx(ref.x, rel=1e-6)
+
+    def test_budget_counts_calls_outside_the_jacobian(self):
+        res = least_squares(self._rosenbrock([]), [-1.2, 1.0], diff_step=1e-8,
+                            xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=5)
+        assert not res.success
+        assert res.nfev == 5
+        assert res.message == "The maximum number of function evaluations is exceeded."
+
+    def test_zero_residual_start_stops_on_gradient(self):
+        res = least_squares(lambda x: x - 2.0, [2.0, 2.0], diff_step=1e-6,
+                            xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=10)
+        assert res.success and res.nfev == 1
+        assert res.jac == pytest.approx(np.eye(2))

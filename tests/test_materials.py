@@ -228,6 +228,19 @@ class TestModels:
         with pytest.raises(DomainError):
             sampler.eps(0.0)
 
+    @pytest.mark.parametrize("name", ["gold", "copper"])
+    def test_chebyshev_sampler_matches_dispersion(self, name):
+        model = load_registry()[name]
+        sampler = model.sampled()
+        xi = np.geomspace(1e-6, 1e4, 20_001)
+        assert np.max(np.abs(sampler.eps(xi) / model.eps(xi) - 1.0)) <= 1e-12
+        dense = sampler.eps(np.geomspace(1e-8, 1e6, 400_001))
+        assert np.all(np.diff(dense) <= 0) and np.all(dense >= 1.0)
+
+    def test_sampled_xi_must_be_lobatto_points(self):
+        with pytest.raises(ValidationError):
+            SampledDielectric(np.geomspace(1e-3, 1e3, 9), np.full(9, 2.0))
+
     def test_sampled_requires_eps_above_one(self):
         with pytest.raises(ValidationError):
             SampledDielectric(np.array([0.1, 1.0]), np.array([1.0, 0.5]))

@@ -12,9 +12,9 @@ from casimir_mto.yukawa import (
     alpha_limit,
     reference_plate,
     reference_sphere,
-    yukawa_force_brute,
     yukawa_force_sphere_plane,
 )
+from yukawa_brute import yukawa_force_brute
 
 
 class TestBodies:
