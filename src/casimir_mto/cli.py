@@ -40,11 +40,7 @@ from .errors import (
     ToolkitError,
     ValidationError,
 )
-from .lifshitz import (
-    force_sphere_plane,
-    gradient_from_pressure,
-    pressure_plane_plane,
-)
+from .lifshitz import gradient_from_pressure
 from .materials import PerfectConductor, Tabulated, load_registry
 from .oscillator import (
     SweepConfig,
@@ -92,11 +88,14 @@ class _Cfg:
         if val is None and default is None:
             return None
         try:
-            return float(val)
+            num = float(val)
         except (TypeError, ValueError):
+            num = math.nan
+        if not math.isfinite(num):
             raise ConfigurationError(
-                f"{self._where}: {key!r} must be a number, got {val!r}"
-            ) from None
+                f"{self._where}: {key!r} must be a finite number, got {val!r}"
+            )
+        return num
 
     def take_int(self, key, default=_REQUIRED) -> int:
         # Integers stay exact (64-bit seeds); floats must be whole numbers.
@@ -158,8 +157,8 @@ def _parse_grid(spec, where: str) -> np.ndarray:
         raise ConfigurationError(f"{where}: expected a list or start/stop/points object")
     if grid.size == 0:
         raise ConfigurationError(f"{where}: empty grid")
-    if np.any(grid <= 0):
-        raise ConfigurationError(f"{where}: grid values must be > 0")
+    if not np.all(np.isfinite(grid) & (grid > 0)):
+        raise ConfigurationError(f"{where}: grid values must be finite and > 0")
     return grid
 
 
@@ -249,23 +248,19 @@ def cmd_grid(args) -> int:
     if args.command == "force" and quantity not in ("force", "gradient"):
         raise ConfigurationError("quantity must be 'force' or 'gradient'")
 
-    def at(z: float, averaged: bool):
+    def at(z: float, d: RoughnessDistribution):
         if quantity == "force":
-            if averaged:
-                return averaged_force(z, radius, dist, m1, m2, tol=tol)
-            return force_sphere_plane(z, radius, m1, m2, tol=tol)
-        if averaged:
-            p = averaged_pressure(z, dist, m1, m2, tol=tol)
-        else:
-            p = pressure_plane_plane(z, m1, m2, tol=tol)
+            return averaged_force(z, radius, d, m1, m2, tol=tol)
+        p = averaged_pressure(z, d, m1, m2, tol=tol)
         return p if quantity == "pressure" else gradient_from_pressure(p, radius)
 
+    plain = RoughnessDistribution.single()
     rows = []
     for z in grid:
-        r = at(float(z), averaged=False)
+        r = at(float(z), plain)
         row = (z, r.value, r.est_rel_error)
         if dist is not None:
-            row += (at(float(z), averaged=True).value,)
+            row += (at(float(z), dist).value,)
         rows.append(row)
     col = _COLUMNS[quantity]
     header = ["z_m", col, "est_rel_error"] + ([f"{col}_rough"] if dist is not None else [])
@@ -397,6 +392,8 @@ def cmd_sweep(args) -> int:
         z_grid=grid, integration_time_s=integration, noise=noise, tol=tol
     )
     points = simulate_sweep(sweep_cfg, params, radius, m1, m2, dist, seed)
+    # Invert first: a point outside the linear domain must leave no file.
+    gradients = invert_sweep(points, params)
 
     _write_csv(
         out,
@@ -404,7 +401,7 @@ def cmd_sweep(args) -> int:
         [(p.z, p.omega_r / (2 * math.pi), p.sigma_omega / (2 * math.pi)) for p in points],
     )
     grad_out = str(Path(out).with_suffix("")) + "_gradients.csv"
-    _write_csv(grad_out, ["z_m", "dfdz_n_per_m"], invert_sweep(points, params))
+    _write_csv(grad_out, ["z_m", "dfdz_n_per_m"], gradients)
     print(f"wrote {out} and {grad_out} [seed {seed}]")
     return 0
 
@@ -435,12 +432,20 @@ def _parse_body(spec, where: str, default: LayeredBody) -> LayeredBody:
 
 def _interp_bound_file(path, z_grid: np.ndarray) -> np.ndarray:
     """Residual bounds on ``z_grid`` from a 'z_m,bound_n' CSV that covers it."""
+    with open(path, encoding="utf-8") as fh:
+        header = [c.strip().lower() for c in fh.readline().split(",")]
+        if header != ["z_m", "bound_n"]:
+            raise ParseError(f"{path}: expected header 'z_m,bound_n'", line=1)
+        # Blank and comment lines go here: loadtxt warns on an empty input.
+        rows = [line for line in fh if line.strip() and not line.lstrip().startswith("#")]
     try:
-        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        table = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.empty((0, 2))
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
     if table.shape[0] == 0 or table.shape[1] != 2:
         raise ParseError(f"{path}: expected rows of 'z_m,bound_n'")
+    if not np.all(np.isfinite(table)):
+        raise ConfigurationError(f"{path}: z_m and bound_n must be finite")
     z = table[:, 0]
     if np.any(np.diff(z) <= 0):
         raise ConfigurationError(f"{path}: z_m must be strictly increasing")

@@ -88,7 +88,10 @@ class LifshitzResult:
 
     ``value`` is in N/m^2 (pressure), N (force) or N/m (gradient);
     ``est_rel_error`` bounds the quadrature error relative to ``value``;
-    ``evaluations`` counts the (u, s) nodes of the product rule.
+    ``evaluations`` counts the (u, s) nodes of the product rule. For a
+    weighted set of separations (a roughness average) ``value`` is the
+    weighted sum, ``est_rel_error`` the level difference of that sum, and
+    ``evaluations`` the nodes of all entries together.
     """
 
     value: float
@@ -189,13 +192,16 @@ def _rule_sum(kind: str, u, wu, e1, e2, s, ws) -> float:
     return total
 
 
-def _lifshitz(kind: str, z: float, prefactor: float, m1, m2, tol: float,
-              xi_floor_ev: float) -> LifshitzResult:
-    """prefactor * integral over u, s > 0 of the Lifshitz integrand.
+def _lifshitz(kind: str, z: np.ndarray, scale: np.ndarray, prefactor: float,
+              m1, m2, tol: float, xi_floor_ev: float) -> LifshitzResult:
+    """prefactor * sum_i scale_i * integral over u, s > 0 of the Lifshitz
+    integrand at separation z_i, for (entry, 1, 1) arrays ``z`` and ``scale``.
 
-    Halves the step of the exp-sinh product rule until two successive
-    levels agree to ``tol``; raises ConvergenceError with the scaled
-    finest-level result attached when _MAX_LEVEL does not get there.
+    Node arrays have shape (entry, piece, node), a piece being u above or
+    below the frequency floor. Halves the step of the exp-sinh product rule
+    until two successive levels of the weighted sum agree to ``tol``;
+    raises ConvergenceError with the scaled finest-level result attached
+    when _MAX_LEVEL does not get there.
     """
     if not TOL_MIN <= tol <= TOL_MAX:
         raise DomainError(f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}]")
@@ -209,25 +215,24 @@ def _lifshitz(kind: str, z: float, prefactor: float, m1, m2, tol: float,
         # u = u_floor + x above the floor and u = u_floor exp(-x) below it,
         # where eps is constant, so each piece is smooth.
         below = u_floor * np.exp(-x)
-        u = np.concatenate([u_floor + x, below])
+        u = np.concatenate([u_floor + x, below], axis=1)
         xi = np.maximum(u * e_scale, xi_floor_ev)
-        rows = (u, np.concatenate([w, below * w]),
+        sw = scale * w
+        rows = (u, np.concatenate([sw, below * sw], axis=1),
                 None if eps1 is None else eps1(xi),
                 None if eps2 is None else eps2(xi))
-        # Only pairs with a node new at this level are evaluated; the other
-        # pairs sum to a quarter of the previous level (half the step twice).
-        new = np.ones(x.size, dtype=bool)
-        if level:
-            new[::2] = False
-        new_rows = np.concatenate([new, new])
+        # Only pairs with a node new at this level (odd index) are evaluated;
+        # the other pairs sum to a quarter of the previous level (half the
+        # step twice). flatten() copies: BLAS sums a strided row differently.
+        new, old = (slice(1, None, 2), slice(0, None, 2)) if level else (slice(None), slice(0))
 
-        def pick(mask):
-            return [None if a is None else a[mask] for a in rows]
+        def pick(nodes):
+            return [None if a is None else a[..., nodes].flatten() for a in rows]
 
         previous = total
         total = (0.25 * total
-                 + _rule_sum(kind, *pick(new_rows), x, w)
-                 + _rule_sum(kind, *pick(~new_rows), x[new], w[new]))
+                 + _rule_sum(kind, *pick(new), x, w)
+                 + _rule_sum(kind, *pick(old), x[new], w[new]))
         evals = u.size * x.size
         if level:
             rel = abs(total - previous) / max(abs(total), 1e-300)
@@ -240,35 +245,48 @@ def _lifshitz(kind: str, z: float, prefactor: float, m1, m2, tol: float,
     )
 
 
-def pressure_plane_plane(z: float, m1, m2, tol: float = 1e-6,
-                         xi_floor_ev: float = XI_FLOOR_EV) -> LifshitzResult:
+def _stack(z, weights, power: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Separations z_i as an (entry, 1, 1) array, each entry's rule scale
+    w_i (z_0/z_i)^power (w_i = 1 by default) and z_0, the first z_i."""
+    z = np.asarray(z, dtype=float).reshape(-1, 1, 1)
+    if not (z.size and 0 < z.min() and z.max() < math.inf):
+        raise DomainError("separation must be finite and > 0")
+    z0 = float(z[0, 0, 0])
+    w = 1.0 if weights is None else np.asarray(weights, dtype=float).reshape(z.shape)
+    return z, w * (z0 / z) ** power, z0
+
+
+def pressure_plane_plane(z, m1, m2, tol: float = 1e-6,
+                         xi_floor_ev: float = XI_FLOOR_EV, weights=None) -> LifshitzResult:
     """Casimir pressure between two half-spaces at separation z (meters).
 
     Negative (attractive). ``m1``/``m2`` are DielectricModel instances or
     callables xi_ev -> eps; the result is symmetric under their exchange.
+    An array ``z`` with ``weights`` w_i (default 1) gives sum_i w_i P(z_i)
+    from one stacked rule (see LifshitzResult).
     Raises ConvergenceError (with the partial LifshitzResult attached) if
     the quadrature budget is exhausted before reaching ``tol``.
     """
-    if not z > 0:
-        raise DomainError("separation must be > 0")
-    prefactor = -CODATA.hbar * CODATA.c / (32.0 * math.pi**2 * z**4)
-    return _lifshitz("pressure", z, prefactor, m1, m2, tol, xi_floor_ev)
+    z, scale, z0 = _stack(z, weights, 4)
+    prefactor = -CODATA.hbar * CODATA.c / (32.0 * math.pi**2 * z0**4)
+    return _lifshitz("pressure", z, scale, prefactor, m1, m2, tol, xi_floor_ev)
 
 
-def force_sphere_plane(z: float, radius: float, m1, m2, tol: float = 1e-6,
-                       xi_floor_ev: float = XI_FLOOR_EV) -> LifshitzResult:
+def force_sphere_plane(z, radius: float, m1, m2, tol: float = 1e-6,
+                       xi_floor_ev: float = XI_FLOOR_EV, weights=None) -> LifshitzResult:
     """Casimir force on a sphere of given radius above a plane (Newtons).
 
     Negative (attractive); proximity-force form, valid for z << radius.
+    An array ``z`` with ``weights`` gives sum_i w_i F(z_i), as for the
+    pressure.
     """
     if not radius > 0:
         raise DomainError("sphere radius must be > 0")
-    if not z > 0:
-        raise DomainError("separation must be > 0")
+    z, scale, z0 = _stack(z, weights, 3)
     # The inner logarithms are negative, so the positive prefactor keeps
     # the force attractive.
-    prefactor = CODATA.hbar * CODATA.c * radius / (16.0 * math.pi * z**3)
-    return _lifshitz("force", z, prefactor, m1, m2, tol, xi_floor_ev)
+    prefactor = CODATA.hbar * CODATA.c * radius / (16.0 * math.pi * z0**3)
+    return _lifshitz("force", z, scale, prefactor, m1, m2, tol, xi_floor_ev)
 
 
 def gradient_from_pressure(pressure: LifshitzResult,

@@ -9,6 +9,8 @@ forces are averaged as
 
 The distribution is zero-mean by construction; the separate mean contact
 offset delta0 lives in the geometry, matching how calibration reports it.
+An average is one Lifshitz integral over the stacked entries (equal
+offsets merged), so its error estimate is that of the weighted sum.
 """
 
 from __future__ import annotations
@@ -187,7 +189,10 @@ def weights_from_heightmaps(
     return RoughnessDistribution(sums, probs)
 
 
-def _check_shifts(z: float, dist: RoughnessDistribution) -> np.ndarray:
+def _entries(z: float, dist: RoughnessDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Shifted separations z + offset and weights by increasing offset, equal
+    offsets merged in a fixed order: the average is then invariant under
+    entry permutation or weight splitting, bit for bit."""
     shifted = z + dist.offsets
     bad = np.nonzero(shifted <= 0)[0]
     if bad.size:
@@ -196,38 +201,21 @@ def _check_shifts(z: float, dist: RoughnessDistribution) -> np.ndarray:
             f"entry {i} (offset {dist.offsets[i]:.3e} m) shifts separation "
             f"to {shifted[i]:.3e} m <= 0"
         )
-    return shifted
-
-
-def _canonical_order(dist: RoughnessDistribution) -> np.ndarray:
-    # Fixed summation order makes the average invariant under entry
-    # permutation or weight splitting, bit for bit.
-    return np.lexsort((dist.weights, dist.offsets))
-
-
-def _weighted_sum(z: float, dist: RoughnessDistribution, integral) -> LifshitzResult:
-    """sum_i w_i integral(z + offset_i), with the worst entry's error bound."""
-    shifted = _check_shifts(z, dist)
-    value = 0.0
-    evals = 0
-    rel = 0.0
-    for i in _canonical_order(dist):
-        r = integral(float(shifted[i]))
-        value += dist.weights[i] * r.value
-        evals += r.evaluations
-        rel = max(rel, r.est_rel_error)
-    return LifshitzResult(value, rel, evals)
+    order = np.lexsort((dist.weights, dist.offsets))
+    offsets = dist.offsets[order]
+    first = np.flatnonzero(np.concatenate(([True], offsets[1:] > offsets[:-1])))
+    return z + offsets[first], np.add.reduceat(dist.weights[order], first)
 
 
 def averaged_pressure(z: float, dist: RoughnessDistribution, m1, m2,
                       tol: float = 1e-6) -> LifshitzResult:
     """Roughness-averaged two-plane pressure: sum_i w_i P(z + offset_i)."""
-    return _weighted_sum(
-        z, dist, lambda s: pressure_plane_plane(s, m1, m2, tol=tol))
+    shifted, weights = _entries(z, dist)
+    return pressure_plane_plane(shifted, m1, m2, tol=tol, weights=weights)
 
 
 def averaged_force(z: float, radius: float, dist: RoughnessDistribution,
                    m1, m2, tol: float = 1e-6) -> LifshitzResult:
     """Roughness-averaged sphere-plane force: sum_i w_i F(z + offset_i)."""
-    return _weighted_sum(
-        z, dist, lambda s: force_sphere_plane(s, radius, m1, m2, tol=tol))
+    shifted, weights = _entries(z, dist)
+    return force_sphere_plane(shifted, radius, m1, m2, tol=tol, weights=weights)

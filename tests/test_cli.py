@@ -290,6 +290,22 @@ class TestSweepCommand:
         assert run(["sweep", "--config", cfg, "--seed", 43]) == 0
         assert (tmp_path / "sweep.csv").read_bytes() != raw
 
+    def test_inversion_error_leaves_no_output(self, tmp_path, capsys):
+        # Noise this large pushes a shift outside the linear domain.
+        cfg = write_json(tmp_path / "sweep.json", {
+            "materials": {"pair": ["ideal", "ideal"]},
+            "radius_m": R_SPHERE,
+            "z_grid_m": [3e-7, 4e-7],
+            "noise": {"freq_noise_rms_hz": 1e4},
+            "seed": 1,
+            "out": str(tmp_path / "s.csv"),
+        })
+        assert run(["sweep", "--config", cfg]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "s.csv").exists()
+        assert not (tmp_path / "s_gradients.csv").exists()
+
     def test_bad_seed_rejected(self, tmp_path):
         cfg = write_json(
             tmp_path / "sweep.json",
@@ -376,17 +392,33 @@ def _force(tmp_path, **extra):
     return "force", doc
 
 
-def _limits_bound_file(tmp_path, text, **extra):
-    bounds = tmp_path / "bounds.csv"
-    bounds.write_text(text)
+def _limits(tmp_path, bound, **extra):
     doc = {
         "lambda_grid_m": [1e-7],
         "z_grid_m": [2e-7],
-        "residual_bound": {"file": str(bounds)},
+        "residual_bound": bound,
         "out": str(tmp_path / "x.csv"),
     }
     doc.update(extra)
     return "limits", doc
+
+
+def _limits_bound_file(tmp_path, text, **extra):
+    bounds = tmp_path / "bounds.csv"
+    bounds.write_text(text)
+    return _limits(tmp_path, {"file": str(bounds)}, **extra)
+
+
+def _sweep(tmp_path, **extra):
+    doc = {
+        "materials": {"pair": ["ideal", "ideal"]},
+        "radius_m": R_SPHERE,
+        "z_grid_m": [3e-7, 4e-7],
+        "seed": 1,
+        "out": str(tmp_path / "s.csv"),
+    }
+    doc.update(extra)
+    return "sweep", doc
 
 
 def _registry_force(tmp_path, **entry):
@@ -421,12 +453,23 @@ def _calibrate_rows(tmp_path, rows):
     (lambda t: _force(t, materials={"pair": ["gold_drude", ["x"]]}), 2),
     (lambda t: _force(t, roughness={"entries": [[1e-9, math.nan], [0.0, 1.0]]}), 2),
     (lambda t: _calibrate_rows(t, "1e-6,0.1,1e-14\n2e-6,nan,1e-14\n"), 2),
+    (lambda t: _force(t, radius_m=math.inf), 2),
+    (lambda t: _limits(t, {"constant_n": math.nan}), 2),
+    (lambda t: _sweep(t, noise={"freq_noise_rms_hz": math.nan}), 2),
+    (lambda t: _limits_bound_file(t, "z_m,bound_n\n1e-7,nan\n1e-6,1e-14\n"), 2),
+    (lambda t: _limits_bound_file(t, "z_m,bound_n\n1e-7,1e-14\nnan,1e-14\n1e-6,1e-14\n"), 2),
+    (lambda t: _limits_bound_file(t, "1e-7,1e-14\n1.5e-7,1e-14\n1e-6,1e-14\n"), 1),
+    (lambda t: _limits(t, {"constant_n": 1e-14}, lambda_grid_m=[math.inf]), 2),
+    (lambda t: _limits_bound_file(t, "z_m,bound_n\n\n"), 1),
 ], ids=["radius_m", "grid_list", "roughness_entries", "grid_points_fraction",
         "grid_points_bool", "bound_file_text",
         "bound_file_one_column", "bound_file_decreasing", "layer_row",
         "registry_text_number", "registry_null_number", "registry_table_number",
         "registry_splice_text", "pair_not_a_name",
-        "roughness_nan_weight", "calibration_nan_field"])
+        "roughness_nan_weight", "calibration_nan_field",
+        "radius_inf", "bound_constant_nan", "sweep_noise_nan",
+        "bound_file_nan_bound", "bound_file_nan_z", "bound_file_no_header",
+        "grid_inf", "bound_file_header_only"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, make, code):
     command, doc = make(tmp_path)
     cfg = write_json(tmp_path / "run.json", doc)

@@ -219,6 +219,10 @@ class TestContracts:
         with pytest.raises(DomainError):
             pressure_plane_plane(0.0, ideal, ideal)
         with pytest.raises(DomainError):
+            pressure_plane_plane(math.inf, ideal, ideal)
+        with pytest.raises(DomainError):
+            pressure_plane_plane([1e-6, 0.0], ideal, ideal, weights=[0.5, 0.5])
+        with pytest.raises(DomainError):
             force_sphere_plane(1e-6, -1.0, ideal, ideal)
 
     def test_not_a_model(self):

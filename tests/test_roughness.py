@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 
 from casimir_mto.errors import DomainError, ParseError, ValidationError
 from casimir_mto.lifshitz import (
+    _exp_sinh,
     force_sphere_plane,
     ideal_force_sphere_plane,
     pressure_plane_plane,
 )
+from casimir_mto.materials import load_registry
 from casimir_mto.roughness import (
     HeightMap,
     RoughnessDistribution,
@@ -19,6 +21,31 @@ from casimir_mto.roughness import (
 )
 
 R_SPHERE = 294.3e-6
+# The criterion-10 sweep's 5-entry distribution: [offset_m, weight].
+SWEEP_ENTRIES = [[-30e-9, 0.15], [-10e-9, 0.2], [0.0, 0.3], [10e-9, 0.2], [30e-9, 0.15]]
+# (entries, the same entries with a weight split and shuffled, pairs, z_m)
+SPLITS = {
+    "two_way": ([[0.0, 0.5], [2e-8, 0.5]],
+                [[0.0, 0.5], [2e-8, 0.25], [2e-8, 0.25]],
+                ("ideal",), (1e-6,)),
+    "three_way_shuffled": ([[-1e-8, 0.3], [0.0, 0.2], [2e-8, 0.5]],
+                           [[2e-8, 0.125], [0.0, 0.2], [2e-8, 0.25],
+                            [-1e-8, 0.3], [2e-8, 0.125]],
+                           ("ideal", "drude", "tabulated"),
+                           (0.2e-6, 0.33e-6, 0.7e-6, 1.3e-6)),
+}
+
+
+@pytest.fixture(scope="module")
+def pairs(ideal, gold_drude, copper_drude):
+    registry = load_registry()
+    return {"ideal": (ideal, ideal), "drude": (gold_drude, copper_drude),
+            "tabulated": (registry["gold"], registry["copper"]),
+            "ideal_gold": (ideal, registry["gold"])}
+
+
+def _dist(entries) -> RoughnessDistribution:
+    return RoughnessDistribution(*np.array(entries).T)
 
 
 class TestDistributionInvariants:
@@ -130,12 +157,36 @@ class TestAveraging:
         b = averaged_force(1e-6, R_SPHERE, d2, ideal, ideal, tol=1e-6)
         assert a.value == b.value
 
-    def test_weight_splitting_is_exact(self, ideal):
-        d1 = RoughnessDistribution(np.array([0.0, 2e-8]), np.array([0.5, 0.5]))
-        d2 = RoughnessDistribution(np.array([0.0, 2e-8, 2e-8]), np.array([0.5, 0.25, 0.25]))
-        a = averaged_pressure(1e-6, d1, ideal, ideal, tol=1e-6)
-        b = averaged_pressure(1e-6, d2, ideal, ideal, tol=1e-6)
-        assert a.value == b.value
+    @pytest.mark.parametrize("case", sorted(SPLITS))
+    def test_weight_splitting_is_exact(self, pairs, case):
+        entries, split, names, zs = SPLITS[case]
+        d1, d2 = _dist(entries), _dist(split)
+        for name in names:
+            m1, m2 = pairs[name]
+            for z in zs:
+                a = averaged_pressure(z, d1, m1, m2, tol=1e-6)
+                b = averaged_pressure(z, d2, m1, m2, tol=1e-6)
+                assert a.value == b.value, (name, z)
+
+    @pytest.mark.parametrize("name", ["tabulated", "drude", "ideal_gold"])
+    def test_averaged_estimate_is_honest(self, pairs, name):
+        # The estimate is the level difference of the weighted sum; it must
+        # bound the error against entry-by-entry integrals at tol 1e-8.
+        m1, m2 = pairs[name]
+        d = _dist(SWEEP_ENTRIES)
+        entry_nodes = {2 * _exp_sinh(level)[0].size ** 2 for level in range(1, 7)}
+        for z in (0.1e-6, 0.2e-6, 0.5e-6, 1e-6, 3e-6):
+            shifted = z + d.offsets
+            ref_p = sum(w * pressure_plane_plane(s, m1, m2, tol=1e-8).value
+                        for s, w in zip(shifted, d.weights))
+            ref_f = sum(w * force_sphere_plane(s, R_SPHERE, m1, m2, tol=1e-8).value
+                        for s, w in zip(shifted, d.weights))
+            for tol in (1e-3, 1e-4, 1e-6):
+                for avg, ref in ((averaged_pressure(z, d, m1, m2, tol=tol), ref_p),
+                                 (averaged_force(z, R_SPHERE, d, m1, m2, tol=tol), ref_f)):
+                    assert abs(avg.value / ref - 1.0) <= avg.est_rel_error, (z, tol)
+                    assert avg.evaluations % d.n_entries == 0
+                    assert avg.evaluations // d.n_entries in entry_nodes
 
     def test_convexity_enhancement(self, ideal):
         """Zero-mean spread must amplify |F| (Jensen on convex z^-3)."""
