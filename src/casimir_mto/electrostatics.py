@@ -20,10 +20,12 @@ module's ``least_squares``, MINPACK's Levenberg-Marquardt algorithm
 The series is summed a block of terms at a time: one NumPy step evaluates
 the terms of many (n, u) pairs and accumulates them along n in the same
 order as a term-by-term loop, so the sums match that loop bit for bit.
-The same routine gives the truncation report its partial sums. S(u)
-depends on R and delta0 only, so the fit reuses the last sum when a step
-moves only k or V0 (the Jacobian's k and V0 columns), and the sample
-generator sums it once for all voltages.
+The same pass sums the slope dS/du from the same exponentials, and the
+same routine gives the truncation report its partial sums. S(u) depends
+on R and delta0 only: the fit sums it once per trial point over the
+distinct gaps of the sweep, takes its Jacobian analytically from S and
+dS/du of that point, and the sample generator sums it once for all
+voltages.
 """
 
 from __future__ import annotations
@@ -94,31 +96,43 @@ def _inv_sinh_stable(x: np.ndarray) -> np.ndarray:
 
 def _series_partials(u: np.ndarray, series_tol: float,
                      max_terms: int = MAX_SERIES_TERMS):
-    """Partial sums of S(u) = sum_n [n coth(nu) - coth u]/sinh(nu), by block.
+    """Partial sums of S(u) = sum_n [n coth(nu) - coth u]/sinh(nu) and of
+    its slope dS/du, by block.
 
     Each step evaluates a block of terms at once, rows n and columns u,
     and accumulates it with ``cumsum`` along n from the previous block's
-    total. Yields ``(n, partial)`` per block, ``partial[i]`` being the sum
-    through term ``n[i]``; the last block ends at the first row n >= 2
-    whose term is within series_tol of its partial sum for every u. Each
-    element is summed term by term in the order of the one-term-at-a-time
-    loop, so results match it exactly.
+    total. Yields ``(n, partial)`` per block, ``partial[i]`` being the
+    sums (S, dS/du) through term ``n[i]``, shape (rows, 2, u.size); the
+    last block ends at the first row n >= 2 whose S term is within
+    series_tol of its partial sum for every u. Each element is summed term
+    by term in the order of the one-term-at-a-time loop, so results match
+    it exactly. With c = coth and s = csch, the slope of a term comes from
+    the same exponentials:
+
+        d/du [(n c_n - c_1) s_n] = s_n [s_1^2 - n^2 s_n^2 - n c_n (n c_n - c_1)].
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     if np.any(u <= 0):
         raise DomainError("gap parameter u must be > 0")
     coth_u = _coth_stable(u)
+    csch2_u = _inv_sinh_stable(u) ** 2
     max_rows = max(1, _BLOCK_ENTRIES // max(u.size, 1))
     rows = min(_FIRST_ROWS, max_rows)
-    total = np.zeros_like(u)
+    total = np.zeros((2, u.size))
     first = 1
     while first <= max_terms:
         n = np.arange(first, min(first + rows, max_terms + 1), dtype=float)
         nu = n[:, None] * u
-        term = (n[:, None] * _coth_stable(nu) - coth_u) * _inv_sinh_stable(nu)
-        partial = np.cumsum(np.vstack((total, term)), axis=0)[1:]
+        n_coth = n[:, None] * _coth_stable(nu)
+        csch = _inv_sinh_stable(nu)
+        term = (n_coth - coth_u) * csch
+        block = np.empty((n.size + 1, 2, u.size))
+        block[0], block[1:, 0] = total, term
+        block[1:, 1] = csch * (csch2_u - (n[:, None] * csch) ** 2 - n_coth * (n_coth - coth_u))
+        partial = np.cumsum(block, axis=0)[1:]
         # The n = 1 term is identically zero; start testing after it.
-        done = (n >= 2) & np.all(term <= series_tol * np.maximum(partial, 1e-300), axis=1)
+        done = (n >= 2) & np.all(term <= series_tol * np.maximum(partial[:, 0], 1e-300),
+                                 axis=1)
         if done.any():
             stop = int(np.argmax(done)) + 1
             yield n[:stop], partial[:stop]
@@ -133,18 +147,25 @@ def _series_partials(u: np.ndarray, series_tol: float,
     )
 
 
-def _series_sum(u: np.ndarray, series_tol: float,
-                max_terms: int = MAX_SERIES_TERMS) -> np.ndarray:
-    """Image-charge sum S(u) = sum_n [n coth(nu) - coth u]/sinh(nu).
+def _series_sums(u: np.ndarray, series_tol: float,
+                 max_terms: int = MAX_SERIES_TERMS) -> np.ndarray:
+    """Image-charge sum S(u) = sum_n [n coth(nu) - coth u]/sinh(nu) and its
+    slope dS/du, as rows of a (2, *u.shape) array.
 
     Vectorized over u and over blocks of terms n (``_series_partials``);
-    stops at the first term below series_tol of the partial sum for every
-    element, bit for bit as a one-term-at-a-time loop would.
+    stops at the first term of S below series_tol of its partial sum for
+    every element, bit for bit as a one-term-at-a-time loop would.
     """
     u = np.asarray(u, dtype=float)
     for _, partial in _series_partials(u, series_tol, max_terms):
         pass
-    return partial[-1].copy().reshape(u.shape)
+    return partial[-1].copy().reshape(2, *u.shape)
+
+
+def _series_sum(u: np.ndarray, series_tol: float,
+                max_terms: int = MAX_SERIES_TERMS) -> np.ndarray:
+    """Image-charge sum S(u) alone (``_series_sums``)."""
+    return _series_sums(u, series_tol, max_terms)[0]
 
 
 def electrostatic_force(cfg: ElectrostaticConfig) -> float:
@@ -165,13 +186,20 @@ def electrostatic_force(cfg: ElectrostaticConfig) -> float:
 
 def _series_at(z_metal: np.ndarray, radius: float, delta0: float,
                series_tol: float = 1e-10) -> np.ndarray:
-    """Image-charge sum S(u) at each metal gap; it depends on (R, delta0)
-    only, so the force at any voltage is ``_force_model(v, v0, s)``."""
+    """Image-charge sum S(u) at each metal gap and its derivatives in R
+    and delta0, as rows (S, dS/dR, dS/ddelta0). They depend on (R, delta0)
+    only, so the force at any voltage is ``_force_model(v, v0, s)``.
+
+    With g = z + 2 delta0 and cosh u = 1 + g/R, du/dR = -g/(R^2 sinh u)
+    and du/ddelta0 = 2/(R sinh u).
+    """
     gap = z_metal + 2.0 * delta0
     if np.any(gap <= 0) or radius <= 0:
         raise DomainError("force model needs positive gap and radius")
-    u = np.arccosh(1.0 + gap / radius)
-    return _series_sum(u, series_tol)
+    rho = gap / radius
+    s, ds_du = _series_sums(np.arccosh(1.0 + rho), series_tol)
+    ds_dg = ds_du / (radius * np.sqrt(rho * (2.0 + rho)))  # sinh u = sqrt(rho (2 + rho))
+    return np.stack((s, -rho * ds_dg, 2.0 * ds_dg))
 
 
 def _force_model(v_applied: np.ndarray, v0: float, s: np.ndarray) -> np.ndarray:
@@ -225,8 +253,8 @@ def series_truncation_report(cfg: ElectrostaticConfig,
     rows: list[tuple[int, float]] = []
     for n, partial in _series_partials(np.array([u]), cfg.series_tol):
         rows.extend((int(ni), pref * float(si))
-                    for ni, si in zip(n[:max_rows - len(rows)], partial[:, 0]))
-    n_last, force = int(n[-1]), pref * float(partial[-1, 0])
+                    for ni, si in zip(n[:max_rows - len(rows)], partial[:, 0, 0]))
+    n_last, force = int(n[-1]), pref * float(partial[-1, 0, 0])
     if rows[-1][0] != n_last:
         rows.append((n_last, force))
 
@@ -295,6 +323,8 @@ class CalibrationFit:
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _MAX_NFEV_MESSAGE = "The maximum number of function evaluations is exceeded."
+# Fit parameters (k, V0, R, delta0) that the residuals take as |x|.
+_FOLDED = np.array([True, False, True, True])
 
 
 @dataclass(frozen=True)
@@ -304,24 +334,9 @@ class LeastSquaresResult:
     x: np.ndarray
     cost: float          # 0.5 * |fun(x)|^2
     jac: np.ndarray
-    nfev: int            # residual calls outside the Jacobian
+    nfev: int            # residual calls
     success: bool
     message: str
-
-
-def _forward_jacobian(fun, x: np.ndarray, f: np.ndarray, diff_step: float) -> np.ndarray:
-    """Forward differences at step diff_step*|x_j|, away from zero; where
-    that step vanishes, sqrt(eps)*max(1, |x_j|). Each column divides by
-    the step as represented in x + h."""
-    sign = np.where(x >= 0, 1.0, -1.0)
-    h = diff_step * sign * np.abs(x)
-    h = np.where(x + h - x == 0, math.sqrt(_EPS) * sign * np.maximum(1.0, np.abs(x)), h)
-    jac = np.empty((f.size, x.size))
-    for j in range(x.size):
-        xj = x.copy()
-        xj[j] += h[j]
-        jac[:, j] = (fun(xj) - f) / (xj[j] - x[j])
-    return jac
 
 
 def _lm_parameter(sv: np.ndarray, g: np.ndarray, delta: float, par: float):
@@ -366,7 +381,7 @@ def _lm_parameter(sv: np.ndarray, g: np.ndarray, delta: float, par: float):
     return par, w
 
 
-def least_squares(fun, x0, *, diff_step: float, xtol: float, ftol: float,
+def least_squares(fun, x0, *, jac, xtol: float, ftol: float,
                   gtol: float, max_nfev: int) -> LeastSquaresResult:
     """Minimise 0.5 |fun(x)|^2 by Levenberg-Marquardt, as MINPACK ``lmder``.
 
@@ -377,17 +392,18 @@ def least_squares(fun, x0, *, diff_step: float, xtol: float, ftol: float,
     relative reduction is within ``ftol`` (actual and predicted), the
     trust radius within ``xtol`` of |D x|, or the scaled gradient cosine
     within ``gtol`` (tolerances below machine epsilon count as epsilon).
-    The Jacobian is ``_forward_jacobian``. ``nfev`` counts the residual
-    calls outside it, and at ``max_nfev`` of them the fit gives up
-    (``success`` False).
+    ``jac(x)`` returns the Jacobian of ``fun`` at x; it is called at the
+    start and after each accepted step, always right after ``fun`` at the
+    same x. ``nfev`` counts the calls of ``fun``, and at ``max_nfev`` of
+    them the fit gives up (``success`` False).
     """
     ftol, xtol, gtol = (max(t, _EPS) for t in (ftol, xtol, gtol))
     x = np.array(x0, dtype=float)
     f = np.asarray(fun(x), dtype=float)
     nfev, fnorm, par, diag, message = 1, np.linalg.norm(f), 0.0, None, None
     while message is None:
-        jac = _forward_jacobian(fun, x, f, diff_step)
-        colnorm = np.linalg.norm(jac, axis=0)
+        jac_x = np.asarray(jac(x), dtype=float)
+        colnorm = np.linalg.norm(jac_x, axis=0)
         if diag is None:
             diag = np.where(colnorm == 0, 1.0, colnorm)
             xnorm = np.linalg.norm(diag * x)
@@ -396,12 +412,12 @@ def least_squares(fun, x0, *, diff_step: float, xtol: float, ftol: float,
         live = colnorm != 0
         gnorm = 0.0
         if fnorm and live.any():
-            gnorm = float(np.max(np.abs(jac.T @ f)[live] / colnorm[live])) / fnorm
+            gnorm = float(np.max(np.abs(jac_x.T @ f)[live] / colnorm[live])) / fnorm
         if gnorm <= gtol:
             message = "`gtol` termination condition is satisfied."
             break
         diag = np.maximum(diag, colnorm)
-        u, sv, vt = np.linalg.svd(jac / diag, full_matrices=False)
+        u, sv, vt = np.linalg.svd(jac_x / diag, full_matrices=False)
         g = u.T @ f
         while True:
             par, w = _lm_parameter(sv, g, delta, par)
@@ -443,12 +459,12 @@ def least_squares(fun, x0, *, diff_step: float, xtol: float, ftol: float,
                 message = _MAX_NFEV_MESSAGE
             if message is not None:
                 if accepted:
-                    jac = _forward_jacobian(fun, x, f, diff_step)
+                    jac_x = np.asarray(jac(x), dtype=float)
                 break
             if accepted:
                 break
     return LeastSquaresResult(
-        x=x, cost=0.5 * float(f @ f), jac=jac, nfev=nfev,
+        x=x, cost=0.5 * float(f @ f), jac=jac_x, nfev=nfev,
         success=message != _MAX_NFEV_MESSAGE, message=message,
     )
 
@@ -458,10 +474,12 @@ def calibrate(samples: Sequence[CalibrationSample],
     """Least-squares recovery of (k, V0, R, delta0) from voltage sweeps.
 
     Minimizes sum [dC_i - F(z_i, V_i; V0, R, delta0) / k]^2 in units of
-    the initial guess with ``least_squares`` (Levenberg-Marquardt, forward
-    differences at relative step 1e-6, at most 4,000 residual evaluations
-    outside the Jacobian, else FitError). The covariance is the pooled
-    2 cost / (n - 4) times (J^T J)^-1. Requires at least 4 samples
+    the initial guess with ``least_squares`` (Levenberg-Marquardt with the
+    analytic Jacobian, at most 4,000 residual evaluations, else FitError).
+    Each trial point sums the series once, over the distinct gaps only;
+    the same pass gives dS/du for the R and delta0 columns, so a Jacobian
+    costs no series work. The covariance is the pooled 2 cost / (n - 4)
+    times (J^T J)^-1, taken from the SVD of J. Requires at least 4 samples
     spanning at least 2 distinct applied voltages; a single-voltage design
     leaves k and (V - V0)^2 degenerate.
     """
@@ -482,25 +500,39 @@ def calibrate(samples: Sequence[CalibrationSample],
     # Parameters span ~12 orders of magnitude; fit in units of the guess,
     # floored at a natural unit per parameter so zero guesses stay scaled.
     scale = np.maximum(np.abs(x0), [1.0, 1e-2, 1e-6, 1e-9])
-    last: list = [None, None]  # latest (|R|, |delta0|) and its S(u)
+    # Each sweep repeats its gaps at every voltage: sum the series once per
+    # distinct gap (the sums are per column, so this is bit-exact).
+    z_gaps, gap_of = np.unique(z, return_inverse=True)
+    last: list = [None, None]  # latest (|R|, |delta0|) and its _series_at rows
+
+    def model(y):
+        """|k|, V0 and the sample rows (F, dF/dR, dF/ddelta0) at scaled y.
+        Exploratory steps may go unphysical; they are folded back smoothly."""
+        k, v0, radius, delta0 = y * scale
+        geom = (max(abs(radius), 1e-30), abs(delta0))
+        if geom != last[0]:
+            last[:] = geom, _series_at(z_gaps, *geom)
+        return max(abs(k), 1e-30), v0, _force_model(v, v0, last[1][:, gap_of])
 
     def residuals(y):
-        k, v0, radius, delta0 = y * scale
         # Residuals live in measurement (dC) space: the force-space form
-        # k*dC - F has a spurious exact minimum at k = R = 0. Exploratory
-        # steps may go unphysical; fold them back smoothly.
-        geom = (max(abs(radius), 1e-30), abs(delta0))
-        # S(u) depends on (R, delta0) only: the Jacobian's k and V0 steps
-        # reuse the sum of the point they step from.
-        if geom != last[0]:
-            last[:] = geom, _series_at(z, *geom)
-        model = _force_model(v, v0, last[1])
-        return dc - model / max(abs(k), 1e-30)
+        # k*dC - F has a spurious exact minimum at k = R = 0.
+        k, _, forces = model(y)
+        return dc - forces[0] / k
+
+    def jacobian(y):
+        k, v0, forces = model(y)
+        # The folds |k|, |R| and |delta0| contribute sign(x), +1 at x = 0.
+        sign = np.where((y < 0) & _FOLDED, -1.0, 1.0)
+        s = last[1][0, gap_of]
+        cols = (forces[0] / k**2, 4.0 * math.pi * CODATA.eps0 * (v - v0) * s / k,
+                -forces[1] / k, -forces[2] / k)
+        return np.column_stack(cols) * (sign * scale)
 
     res = least_squares(
         residuals,
         x0 / scale,
-        diff_step=1e-6,
+        jac=jacobian,
         xtol=1e-15,
         ftol=1e-15,
         gtol=1e-15,
@@ -509,8 +541,7 @@ def calibrate(samples: Sequence[CalibrationSample],
     if not res.success:
         raise FitError(f"calibration fit did not converge: {res.message}")
 
-    jac_scaled = res.jac
-    sv = np.linalg.svd(jac_scaled, compute_uv=False)
+    _, sv, vt = np.linalg.svd(res.jac, full_matrices=False)
     if sv[-1] <= 0 or sv[0] / sv[-1] > 1e12:
         raise IdentifiabilityError(
             f"calibration design is rank-deficient (condition {sv[0] / max(sv[-1], 1e-300):.2e})"
@@ -518,21 +549,19 @@ def calibrate(samples: Sequence[CalibrationSample],
 
     ndof = max(len(samples) - 4, 1)
     sigma2 = 2.0 * res.cost / ndof
-    cov_scaled = sigma2 * np.linalg.inv(jac_scaled.T @ jac_scaled)
+    cov_scaled = sigma2 * (vt.T / sv**2) @ vt
     cov = cov_scaled * np.outer(scale, scale)
     cov = 0.5 * (cov + cov.T)
     k, v0, radius, delta0 = res.x * scale
     k = float(abs(k))
-    radius = float(abs(radius))
-    delta0 = float(abs(delta0))
-    force_residuals = k * dc - _force_model(v, float(v0), _series_at(z, radius, delta0))
     return CalibrationFit(
         k=k,
         v0=float(v0),
-        radius=radius,
-        delta0=delta0,
+        radius=float(abs(radius)),
+        delta0=float(abs(delta0)),
         covariance=cov,
-        residual_rms=float(np.sqrt(np.mean(force_residuals**2))),
+        # The force residual k dC - F is k times the fitted dC residual.
+        residual_rms=k * math.sqrt(2.0 * res.cost / len(samples)),
     )
 
 
@@ -561,7 +590,7 @@ def make_calibration_samples(
     width (the capacitance bridge resolution).
     """
     rng = np.random.default_rng(seed)
-    s = _series_at(np.asarray(z_grid, dtype=float), radius, delta0)
+    s = _series_at(np.asarray(z_grid, dtype=float), radius, delta0)[0]
     out = []
     for vi in voltages:
         f = _force_model(np.full(len(z_grid), float(vi)), v0, s)

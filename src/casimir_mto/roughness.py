@@ -191,8 +191,9 @@ def weights_from_heightmaps(
 
 def _entries(z: float, dist: RoughnessDistribution) -> tuple[np.ndarray, np.ndarray]:
     """Shifted separations z + offset and weights by increasing offset, equal
-    offsets merged in a fixed order: the average is then invariant under
-    entry permutation or weight splitting, bit for bit."""
+    offsets merged in a fixed order and zero weights dropped: the average is
+    then invariant under entry permutation, weight splitting or zero-weight
+    entries, bit for bit. Every entry's shifted separation must be > 0."""
     shifted = z + dist.offsets
     bad = np.nonzero(shifted <= 0)[0]
     if bad.size:
@@ -204,7 +205,9 @@ def _entries(z: float, dist: RoughnessDistribution) -> tuple[np.ndarray, np.ndar
     order = np.lexsort((dist.weights, dist.offsets))
     offsets = dist.offsets[order]
     first = np.flatnonzero(np.concatenate(([True], offsets[1:] > offsets[:-1])))
-    return z + offsets[first], np.add.reduceat(dist.weights[order], first)
+    weights = np.add.reduceat(dist.weights[order], first)
+    keep = weights > 0
+    return z + offsets[first][keep], weights[keep]
 
 
 def averaged_pressure(z: float, dist: RoughnessDistribution, m1, m2,

@@ -75,6 +75,17 @@ def _series_loop(u, series_tol, max_terms=MAX_SERIES_TERMS):
             raise ConvergenceError("reference loop not converged")
 
 
+def _slope_loop(u, n_last):
+    """Reference dS/du through term n_last, one term at a time:
+    d/du [(n c_n - c_1) s_n] = s_n [s_1^2 - n^2 s_n^2 - n c_n (n c_n - c_1)]."""
+    coth_u, csch2_u = _coth(u), _csch(u) ** 2
+    total = np.zeros_like(u)
+    for n in range(1, n_last + 1):
+        n_coth, csch = n * _coth(n * u), _csch(n * u)
+        total += csch * (csch2_u - (n * csch) ** 2 - n_coth * (n_coth - coth_u))
+    return total
+
+
 def _config(v_applied=0.3, v_residual=0.0, z_metal=1e-6, delta0=0.0,
             radius=294.3e-6, series_tol=1e-9):
     geom = SpherePlaneGeometry(radius=radius, separation=z_metal, delta0=delta0)
@@ -153,6 +164,30 @@ class TestSeriesBlocks:
         with mock.patch.object(electrostatics, "_BLOCK_ENTRIES", block):
             got = electrostatics._series_sum(u, series_tol)
         assert np.array_equal(got, _series_loop(u, series_tol)[0])
+
+    @given(
+        u=st.lists(st.floats(1e-3, 5.0), min_size=1, max_size=80),
+        series_tol=st.floats(1e-12, 1e-6),
+        block=st.sampled_from([16, 256, electrostatics._BLOCK_ENTRIES]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_slope_matches_term_by_term_loop(self, u, series_tol, block):
+        u = np.array(u)
+        with mock.patch.object(electrostatics, "_BLOCK_ENTRIES", block):
+            got = electrostatics._series_sums(u, series_tol)[1]
+        assert np.array_equal(got, _slope_loop(u, _series_loop(u, series_tol)[1]))
+
+    @given(u=st.lists(st.floats(0.02, 5.0), min_size=1, max_size=20))
+    @settings(max_examples=25, deadline=None)
+    def test_slope_matches_central_difference(self, u):
+        # The truncation error of the slope at series_tol 1e-10 stays
+        # below 6e-8 relative for u >= 0.02; the difference error is smaller.
+        u = np.array(u)
+        h = 1e-5 * u
+        s_hi = electrostatics._series_sum(u + h, 1e-14)
+        s_lo = electrostatics._series_sum(u - h, 1e-14)
+        got = electrostatics._series_sums(u, 1e-10)[1]
+        assert np.allclose(got, (s_hi - s_lo) / (2.0 * h), rtol=1e-6, atol=0)
 
     def test_series_longer_than_one_default_block(self):
         u = np.array([1e-3])
@@ -285,26 +320,49 @@ class TestCalibration:
         samples = make_calibration_samples(*TRUTH, Z_GRID, (0.3325, 0.6325 + 1e-4, 0.9325))
         assert estimate_v0(samples) == pytest.approx(0.6325, abs=1e-3)
 
-    def test_fit_reuses_series_across_k_and_v0_steps(self, monkeypatch):
-        calls = {"series": 0, "residuals": 0}
-        series_sum, solver = electrostatics._series_sum, electrostatics.least_squares
+    def test_fit_sums_distinct_gaps_once_per_trial_point(self, monkeypatch):
+        columns, trials = [], []
+        series_sums, solver = electrostatics._series_sums, electrostatics.least_squares
 
-        def counting_series(*args, **kwargs):
-            calls["series"] += 1
-            return series_sum(*args, **kwargs)
+        def counting_series(u, *args, **kwargs):
+            columns.append(np.size(u))
+            return series_sums(u, *args, **kwargs)
 
         def counting_solver(fun, x0, **kwargs):
-            def counted(y):
-                calls["residuals"] += 1
-                return fun(y)
-            return solver(counted, x0, **kwargs)
+            res = solver(fun, x0, **kwargs)
+            trials.append(res.nfev)
+            return res
 
         samples = make_calibration_samples(*TRUTH, Z_GRID, VOLTS, noise_rel=2e-6, seed=5)
-        monkeypatch.setattr(electrostatics, "_series_sum", counting_series)
+        monkeypatch.setattr(electrostatics, "_series_sums", counting_series)
         monkeypatch.setattr(electrostatics, "least_squares", counting_solver)
         calibrate(samples, GUESS)
-        # Without reuse every residual sums the series, plus one final sum.
-        assert 0 < calls["series"] < calls["residuals"]
+        # One pass per trial point gives S and its slope, so the Jacobian
+        # sums nothing; each pass covers the distinct gaps only.
+        assert 0 < len(columns) <= trials[0] + 1
+        assert columns == [Z_GRID.size] * len(columns) and Z_GRID.size < len(samples)
+
+    def test_covariance_from_the_svd(self, monkeypatch):
+        # Ill-conditioned design (cond(J) ~ 5e6): (J^T J)^-1 squares the
+        # condition number and loses ~5e-4 relative; V diag(sv^-2) V^T
+        # does not.
+        z = np.linspace(2.9e-6, 3.0e-6, 10)
+        samples = make_calibration_samples(*TRUTH, z, (0.3, 0.9), noise_rel=1e-6, seed=2)
+        results, solver = [], electrostatics.least_squares
+
+        def capturing_solver(fun, x0, **kwargs):
+            results.append(solver(fun, x0, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(electrostatics, "least_squares", capturing_solver)
+        fit = calibrate(samples, GUESS)
+        res = results[0]
+        _, sv, vt = np.linalg.svd(res.jac, full_matrices=False)
+        assert 1e6 < sv[0] / sv[-1] < 1e8
+        scale = np.maximum(np.abs(GUESS), [1.0, 1e-2, 1e-6, 1e-9])
+        want = (2.0 * res.cost / (len(samples) - 4)) * (vt.T / sv**2) @ vt * np.outer(scale, scale)
+        sigma = np.sqrt(np.diag(want))
+        assert np.all(np.abs(fit.covariance - want) <= 1e-8 * np.outer(sigma, sigma))
 
     def test_bundled_demo_dataset_is_regenerated_exactly(self, tmp_path):
         tool_path = Path(__file__).resolve().parents[1] / "tools" / "make_demo_calibration.py"
@@ -360,6 +418,10 @@ class TestCalibration:
             assert np.all(np.abs(fit.uncertainties() / sigma - 1.0) <= 1e-3), seed
 
 
+def _rosenbrock_jac(x):
+    return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+
 class TestLeastSquares:
     @staticmethod
     def _rosenbrock(calls):
@@ -370,46 +432,66 @@ class TestLeastSquares:
 
     def test_solves_rosenbrock(self):
         calls = []
-        res = least_squares(self._rosenbrock(calls), [-1.2, 1.0], diff_step=1e-8,
+        res = least_squares(self._rosenbrock(calls), [-1.2, 1.0], jac=_rosenbrock_jac,
                             xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=200)
         assert res.success
         assert res.x == pytest.approx([1.0, 1.0], abs=1e-8)
         assert res.cost < 1e-20
-        # nfev leaves out the Jacobian's residual calls, two per Jacobian.
-        assert len(calls) > res.nfev and (len(calls) - res.nfev) % 2 == 0
+        # With an analytic Jacobian every residual call is a trial point.
+        assert len(calls) == res.nfev
 
-    @pytest.mark.parametrize("fun,x0", [
-        (lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]), [-1.2, 1.0]),
+    @pytest.mark.parametrize("fun,jac,x0", [
+        (lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
+         _rosenbrock_jac, [-1.2, 1.0]),
         (lambda x: np.array([-13.0 + x[0] + ((5.0 - x[1]) * x[1] - 2.0) * x[1],
                              -29.0 + x[0] + ((x[1] + 1.0) * x[1] - 14.0) * x[1]]),
+         lambda x: np.array([[1.0, (10.0 - 3.0 * x[1]) * x[1] - 2.0],
+                             [1.0, (3.0 * x[1] + 2.0) * x[1] - 14.0]]),
          [0.5, -2.0]),
         (lambda x: np.array([np.exp(-t * x[0]) - np.exp(-t * x[1])
                              - x[2] * (np.exp(-t) - np.exp(-10.0 * t))
-                             for t in 0.1 * np.arange(1, 11)]), [0.0, 10.0, 20.0]),
+                             for t in 0.1 * np.arange(1, 11)]),
+         lambda x: np.array([[-t * np.exp(-t * x[0]), t * np.exp(-t * x[1]),
+                              np.exp(-10.0 * t) - np.exp(-t)]
+                             for t in 0.1 * np.arange(1, 11)]),
+         [0.0, 10.0, 20.0]),
         (lambda x: np.array([1e4 * x[0] * x[1] - 1.0,
-                             np.exp(-x[0]) + np.exp(-x[1]) - 1.0001]), [0.0, 1.0]),
+                             np.exp(-x[0]) + np.exp(-x[1]) - 1.0001]),
+         lambda x: np.array([[1e4 * x[1], 1e4 * x[0]],
+                             [-np.exp(-x[0]), -np.exp(-x[1])]]),
+         [0.0, 1.0]),
     ], ids=["rosenbrock", "freudenstein_roth", "box_3d", "powell_badly_scaled"])
-    def test_follows_minpack_path(self, fun, x0):
-        # Moré-Garbow-Hillstrom problems: the same number of trial steps and
-        # the same solution as MINPACK through SciPy's lm (Jacobian-norm
-        # scaling; nfev there also leaves out the Jacobian's calls).
+    def test_follows_minpack_path(self, fun, jac, x0):
+        # Moré-Garbow-Hillstrom problems with analytic Jacobians: the same
+        # trial points, the same number of them and the same solution as
+        # MINPACK's lmder through SciPy's lm (Jacobian-norm scaling).
         from scipy.optimize import least_squares as scipy_least_squares
 
-        kw = dict(diff_step=1e-7, xtol=1e-10, ftol=1e-10, gtol=1e-10, max_nfev=500)
-        ref = scipy_least_squares(fun, x0, method="lm", x_scale="jac", **kw)
-        res = least_squares(fun, x0, **kw)
-        assert res.success and res.nfev == ref.nfev
+        def recording(trials):
+            return lambda x: trials.append(np.array(x)) or fun(x)
+
+        kw = dict(jac=jac, xtol=1e-10, ftol=1e-10, gtol=1e-10, max_nfev=500)
+        ref_trials, trials = [], []
+        ref = scipy_least_squares(recording(ref_trials), x0, method="lm", x_scale="jac", **kw)
+        res = least_squares(recording(trials), x0, **kw)
+        assert res.success and len(trials) == res.nfev and len(ref_trials) == ref.nfev
+        assert np.array(trials) == pytest.approx(np.array(ref_trials[:res.nfev]),
+                                                 rel=1e-6, abs=1e-12)
+        # Box 3D's zero-residual solution (1, 10, 1) is representable: a
+        # trial that lands on it exactly has |f| = 0 and stops on gtol, one
+        # trial before a run whose point is an ulp off and stops on xtol.
+        assert res.nfev == ref.nfev or (res.cost == 0.0 and res.nfev == ref.nfev - 1)
         assert res.x == pytest.approx(ref.x, rel=1e-6)
 
     def test_budget_counts_calls_outside_the_jacobian(self):
-        res = least_squares(self._rosenbrock([]), [-1.2, 1.0], diff_step=1e-8,
+        res = least_squares(self._rosenbrock([]), [-1.2, 1.0], jac=_rosenbrock_jac,
                             xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=5)
         assert not res.success
         assert res.nfev == 5
         assert res.message == "The maximum number of function evaluations is exceeded."
 
     def test_zero_residual_start_stops_on_gradient(self):
-        res = least_squares(lambda x: x - 2.0, [2.0, 2.0], diff_step=1e-6,
+        res = least_squares(lambda x: x - 2.0, [2.0, 2.0], jac=lambda x: np.eye(2),
                             xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=10)
         assert res.success and res.nfev == 1
         assert res.jac == pytest.approx(np.eye(2))

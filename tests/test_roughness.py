@@ -196,6 +196,20 @@ class TestAveraging:
         avg = averaged_force(0.7e-6, R_SPHERE, d, ideal, ideal, tol=1e-6)
         assert abs(avg.value) > abs(ideal_force_sphere_plane(0.7e-6, R_SPHERE))
 
+    @pytest.mark.parametrize("average", [averaged_pressure, averaged_force])
+    def test_zero_weight_entries_are_not_integrated(self, average, gold_drude, copper_drude):
+        args = (R_SPHERE,) if average is averaged_force else ()
+        d = RoughnessDistribution(np.array([1e-9, 0.0]), np.array([0.0, 1.0]))
+        got = average(0.5e-6, *args, d, gold_drude, copper_drude, tol=1e-6)
+        want = average(0.5e-6, *args, RoughnessDistribution.single(), gold_drude,
+                       copper_drude, tol=1e-6)
+        assert got.evaluations == want.evaluations
+        assert (got.value, got.est_rel_error) == (want.value, want.est_rel_error)
+        # A zero-weight entry still has to shift to a positive separation.
+        bad = RoughnessDistribution(np.array([-1e-6, 0.0]), np.array([0.0, 1.0]))
+        with pytest.raises(DomainError, match="entry 0"):
+            average(0.5e-6, *args, bad, gold_drude, copper_drude)
+
     def test_offending_entry_named(self, ideal):
         d = RoughnessDistribution(np.array([-2e-6, 2e-6]), np.array([0.5, 0.5]))
         with pytest.raises(DomainError, match="entry 0"):
