@@ -11,16 +11,21 @@ One binary with subcommands::
 
 Configuration lives in a JSON document; the ``--out``, ``--seed`` and
 ``--tol`` flags override the matching config keys.
-Unknown config keys are rejected. Numeric output is full-precision
-scientific notation, so identical configs give byte-identical files.
+Unknown config keys are rejected. Every input document (config,
+registry, optical table, calibration or bound CSV) is read by
+``casimir_mto.inputs`` under one set of rules. Numeric output is
+full-precision scientific notation, so identical configs give
+byte-identical files.
 
-Exit codes: 0 success, 1 I/O or parse failure, 2 domain/validation/
-identifiability error, 3 convergence failure.
+Exit codes: 0 success, 1 I/O or parse failure (a file that is not UTF-8
+included), 2 domain/validation/identifiability error, 3 convergence
+failure. Every failure prints one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -40,6 +45,7 @@ from .errors import (
     ToolkitError,
     ValidationError,
 )
+from .inputs import Cfg, read_json_object, read_table
 from .lifshitz import gradient_from_pressure
 from .materials import PerfectConductor, Tabulated, load_registry
 from .oscillator import (
@@ -64,68 +70,11 @@ from .yukawa import (
     reference_sphere,
 )
 
-_REQUIRED = object()
-
-
-class _Cfg:
-    """Config-dict reader that rejects unknown keys on close()."""
-
-    def __init__(self, doc: dict, where: str):
-        if not isinstance(doc, dict):
-            raise ConfigurationError(f"{where}: expected a JSON object")
-        self._doc = dict(doc)
-        self._where = where
-
-    def take(self, key, default=_REQUIRED):
-        if key in self._doc:
-            return self._doc.pop(key)
-        if default is _REQUIRED:
-            raise ConfigurationError(f"{self._where}: missing required key {key!r}")
-        return default
-
-    def take_float(self, key, default=_REQUIRED) -> float:
-        val = self.take(key, default)
-        if val is None and default is None:
-            return None
-        try:
-            num = float(val)
-        except (TypeError, ValueError):
-            num = math.nan
-        if not math.isfinite(num):
-            raise ConfigurationError(
-                f"{self._where}: {key!r} must be a finite number, got {val!r}"
-            )
-        return num
-
-    def take_int(self, key, default=_REQUIRED) -> int:
-        # Integers stay exact (64-bit seeds); floats must be whole numbers.
-        val = self.take(key, default)
-        if isinstance(val, float) and val.is_integer():
-            val = int(val)
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise ConfigurationError(
-                f"{self._where}: {key!r} must be an integer, got {val!r}"
-            )
-        return val
-
-    def close(self):
-        if self._doc:
-            raise ConfigurationError(
-                f"{self._where}: unknown keys {sorted(self._doc)}"
-            )
-
 
 def _load_config(path: str | None) -> dict:
     if path is None:
         raise ConfigurationError("this command needs --config PATH")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}", line=exc.lineno) from None
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"{path}: config must be a JSON object")
-    return doc
+    return read_json_object(path)
 
 
 def _float_array(spec, where: str) -> np.ndarray:
@@ -139,7 +88,7 @@ def _parse_grid(spec, where: str) -> np.ndarray:
     if isinstance(spec, list):
         grid = _float_array(spec, where)
     elif isinstance(spec, dict):
-        g = _Cfg(spec, where)
+        g = Cfg(spec, where)
         start = g.take_float("start")
         stop = g.take_float("stop")
         points = g.take_int("points")
@@ -163,7 +112,7 @@ def _parse_grid(spec, where: str) -> np.ndarray:
 
 
 def _resolve_materials(spec, where: str):
-    m = _Cfg(spec, where)
+    m = Cfg(spec, where)
     registry_path = m.take("registry", None)
     pair = m.take("pair")
     m.close()
@@ -185,7 +134,7 @@ def _resolve_materials(spec, where: str):
 def _parse_roughness(spec, where: str) -> RoughnessDistribution | None:
     if spec is None:
         return None
-    r = _Cfg(spec, where)
+    r = Cfg(spec, where)
     entries = r.take("entries", None)
     if entries is not None:
         r.close()
@@ -233,7 +182,7 @@ def cmd_grid(args) -> int:
     is the proximity-force 2 pi R |P| of the plain or averaged pressure.
     """
     doc = _common_overrides(_load_config(args.config), args)
-    cfg = _Cfg(doc, f"{args.command} config")
+    cfg = Cfg(doc, f"{args.command} config")
     m1, m2 = _resolve_materials(cfg.take("materials"), "materials")
     if args.command == "force":
         radius = cfg.take_float("radius_m")
@@ -270,41 +219,19 @@ def cmd_grid(args) -> int:
 
 
 def _load_calibration_csv(path) -> list[CalibrationSample]:
+    rows, lines = read_table(path, ("z_metal_m", "v_applied_v", "delta_c_f"))
     samples = []
-    with open(path, encoding="utf-8") as fh:
-        header_seen = False
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                cols = [c.strip().lower() for c in line.split(",")]
-                if cols != ["z_metal_m", "v_applied_v", "delta_c_f"]:
-                    raise ParseError(
-                        "expected header 'z_metal_m,v_applied_v,delta_c_f'",
-                        line=lineno,
-                    )
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ParseError(f"expected 3 fields, got {len(parts)}", line=lineno)
-            try:
-                fields = [float(p) for p in parts]
-            except ValueError:
-                raise ParseError(f"non-numeric field in {line!r}", line=lineno) from None
-            try:
-                samples.append(CalibrationSample(*fields))
-            except ValidationError as exc:
-                raise ValidationError(f"line {lineno}: {exc}") from None
-    if not samples:
-        raise ValidationError(f"{path}: no calibration rows")
+    for lineno, fields in zip(lines, rows.tolist()):
+        try:
+            samples.append(CalibrationSample(*fields))
+        except ValidationError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from None
     return samples
 
 
 def cmd_calibrate(args) -> int:
     doc = _common_overrides(_load_config(args.config), args)
-    cfg = _Cfg(doc, "calibrate config")
+    cfg = Cfg(doc, "calibrate config")
     data_path = cfg.take("data")
     guess_spec = cfg.take("initial_guess", None)
     out = cfg.take("out", None)
@@ -314,7 +241,7 @@ def cmd_calibrate(args) -> int:
     if guess_spec is None:
         guess = (5e4, estimate_v0(samples), 3e-4, 3e-8)
     else:
-        g = _Cfg(guess_spec, "initial_guess")
+        g = Cfg(guess_spec, "initial_guess")
         guess = (
             g.take_float("k_n_per_f", 5e4),
             g.take_float("v0_v", estimate_v0(samples)),
@@ -351,7 +278,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_sweep(args) -> int:
     doc = _common_overrides(_load_config(args.config), args)
-    cfg = _Cfg(doc, "sweep config")
+    cfg = Cfg(doc, "sweep config")
     m1, m2 = _resolve_materials(cfg.take("materials"), "materials")
     radius = cfg.take_float("radius_m")
     grid = _parse_grid(cfg.take("z_grid_m"), "z_grid_m")
@@ -367,7 +294,7 @@ def cmd_sweep(args) -> int:
     if osc_spec is None:
         params = measured_params()
     else:
-        o = _Cfg(osc_spec, "oscillator")
+        o = Cfg(osc_spec, "oscillator")
         params = measured_params(
             kappa=o.take_float("kappa_nm_per_rad", 8.6e-10),
             inertia=o.take_float("inertia_kg_m2", 4.6e-17),
@@ -379,7 +306,7 @@ def cmd_sweep(args) -> int:
     if noise_spec is None:
         noise = SweepNoise()
     else:
-        n = _Cfg(noise_spec, "noise")
+        n = Cfg(noise_spec, "noise")
         noise = SweepNoise(
             freq_noise_rms_hz=n.take_float("freq_noise_rms_hz", 0.0),
             separation_noise_rms_m=n.take_float("separation_noise_rms_m", 0.0),
@@ -409,7 +336,7 @@ def cmd_sweep(args) -> int:
 def _parse_body(spec, where: str, default: LayeredBody) -> LayeredBody:
     if spec is None:
         return default
-    b = _Cfg(spec, where)
+    b = Cfg(spec, where)
     core = b.take_float("core_density_kg_m3")
     layer_rows = b.take("layers", [])
     radius = b.take_float("radius_m", None)
@@ -432,18 +359,7 @@ def _parse_body(spec, where: str, default: LayeredBody) -> LayeredBody:
 
 def _interp_bound_file(path, z_grid: np.ndarray) -> np.ndarray:
     """Residual bounds on ``z_grid`` from a 'z_m,bound_n' CSV that covers it."""
-    with open(path, encoding="utf-8") as fh:
-        header = [c.strip().lower() for c in fh.readline().split(",")]
-        if header != ["z_m", "bound_n"]:
-            raise ParseError(f"{path}: expected header 'z_m,bound_n'", line=1)
-        # Blank and comment lines go here: loadtxt warns on an empty input.
-        rows = [line for line in fh if line.strip() and not line.lstrip().startswith("#")]
-    try:
-        table = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else np.empty((0, 2))
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    if table.shape[0] == 0 or table.shape[1] != 2:
-        raise ParseError(f"{path}: expected rows of 'z_m,bound_n'")
+    table, _ = read_table(path, ("z_m", "bound_n"))
     if not np.all(np.isfinite(table)):
         raise ConfigurationError(f"{path}: z_m and bound_n must be finite")
     z = table[:, 0]
@@ -459,7 +375,7 @@ def _interp_bound_file(path, z_grid: np.ndarray) -> np.ndarray:
 
 def cmd_limits(args) -> int:
     doc = _common_overrides(_load_config(args.config), args)
-    cfg = _Cfg(doc, "limits config")
+    cfg = Cfg(doc, "limits config")
     lam_grid = _parse_grid(cfg.take("lambda_grid_m"), "lambda_grid_m")
     z_grid = _parse_grid(cfg.take("z_grid_m"), "z_grid_m")
     sphere = _parse_body(cfg.take("sphere", None), "sphere", reference_sphere())
@@ -468,7 +384,7 @@ def cmd_limits(args) -> int:
     out = cfg.take("out")
     cfg.close()
 
-    b = _Cfg(bound_spec, "residual_bound")
+    b = Cfg(bound_spec, "residual_bound")
     const = b.take_float("constant_n", None)
     bound_file = b.take("file", None)
     b.close()
@@ -515,6 +431,9 @@ def cmd_materials_validate(args) -> int:
     return 0
 
 
+# Built once per process (~1 ms a build): in-process callers run many jobs
+# through main(), and parse_args returns a fresh namespace each call.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="casimir-mto",
@@ -553,10 +472,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ParseError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DomainError, ValidationError, ConfigurationError, IdentifiabilityError) as exc:

@@ -41,9 +41,10 @@ TOL_MIN = 1e-8
 TOL_MAX = 1e-3
 
 # Materials are never queried below this photon energy; with a Drude tail
-# eps ~ 1/xi the reflection products approach their ideal limit there, so
-# the clamp is invisible at the supported tolerances (halving it moves
-# results by far less than TOL_MIN).
+# eps ~ 1/xi the reflection products approach their ideal limit there.
+# The clamp is a model error that est_rel_error does not include: halving
+# it moves the Drude Au/Cu sphere-plane force at tol 1e-8 by 6.5e-8 at
+# 0.5 um, 3.4e-7 at 1 um, 3.1e-6 at 3 um and 1.7e-5 at 10 um (relative).
 XI_FLOOR_EV = 1e-5
 
 # Exp-sinh rule: t range of every axis, finest level (step 2^-(level+1))

@@ -22,12 +22,12 @@ spectra shaped like noble-metal data. They are placeholders so the
 pipeline runs out of the box: replace them with measured optical
 constants for quantitative work. The default Drude parameters
 (Au: 9.0/0.035 eV, Cu: 8.9/0.030 eV) are conventional literature values,
-shipped as editable registry entries.
+shipped as editable registry entries. The registry (a JSON object) and
+the tables (headed CSV) are read through ``casimir_mto.inputs``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -37,12 +37,8 @@ from pathlib import Path
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    ParseError,
-    ValidationError,
-)
+from .errors import ConfigurationError, DomainError, ValidationError
+from .inputs import Cfg, read_json_object, read_table
 
 SPLICE_TOL = 1e-2          # allowed relative jump of eps'' at the splice
 _TAIL_CUTOFF_EV = 1e5      # beyond this, the pure 1/omega^3 tail is analytic
@@ -126,41 +122,11 @@ class OpticalTable:
         return float(np.interp(omega_ev, self.energy_ev, self.eps2))
 
 
-def load_optical_data(path, fmt: str = "csv") -> OpticalTable:
-    """Read a loss-spectrum table: UTF-8 CSV with header ``energy_ev,eps2``."""
-    if fmt != "csv":
-        raise ConfigurationError(f"unsupported optical-data format {fmt!r}")
-    path = Path(path)
-    energies: list[float] = []
-    values: list[float] = []
-    header_seen = False
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                cols = [c.strip().lower() for c in line.split(",")]
-                if cols != ["energy_ev", "eps2"]:
-                    raise ParseError(
-                        f"expected header 'energy_ev,eps2', got {line!r}", line=lineno
-                    )
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"expected 2 comma-separated fields, got {len(parts)}", line=lineno)
-            try:
-                e, y = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise ParseError(f"non-numeric field in {line!r}", line=lineno) from None
-            energies.append(e)
-            values.append(y)
-    if not header_seen:
-        raise ParseError("missing 'energy_ev,eps2' header", line=1)
-    if not energies:
-        raise ValidationError(f"{path}: no data rows")
-    return OpticalTable(np.array(energies), np.array(values), label=str(path))
+def load_optical_data(path) -> OpticalTable:
+    """Read a loss-spectrum table: headed CSV ``energy_ev,eps2``
+    (``inputs.read_table`` rules)."""
+    rows, _ = read_table(path, ("energy_ev", "eps2"))
+    return OpticalTable(rows[:, 0], rows[:, 1], label=str(path))
 
 
 def _dispersion_drude_segment(drude: DrudeParams, xi: np.ndarray, hi: float) -> np.ndarray:
@@ -493,65 +459,40 @@ def default_registry_path() -> Path:
     return data_dir() / "materials.json"
 
 
-_REGISTRY_KEYS = {"variant", "plasma_ev", "relaxation_ev", "table", "splice_ev", "label"}
-
-
-def _entry_float(name: str, entry: dict, key: str) -> float:
-    if key not in entry:
-        raise ConfigurationError(f"material {name!r}: missing {key!r}")
-    try:
-        return float(entry[key])
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"material {name!r}: {key!r} must be a number, got {entry[key]!r}"
-        ) from None
-
-
 def load_registry(path: str | Path | None = None) -> dict[str, DielectricModel]:
     """Build dielectric models from a materials registry document.
 
     JSON object mapping material names to entries with a ``variant`` of
     ``perfect_conductor``, ``drude`` or ``tabulated``; table paths resolve
-    relative to the registry file. Unknown keys are rejected.
+    relative to the registry file. Unknown keys are rejected; Drude
+    numbers and a table on a perfect conductor are accepted and unused.
     """
     reg_path = Path(path) if path is not None else default_registry_path()
-    try:
-        with open(reg_path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{reg_path}: {exc}", line=exc.lineno) from None
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"{reg_path}: registry must be a JSON object")
     models: dict[str, DielectricModel] = {}
-    for name, entry in doc.items():
-        if not isinstance(entry, dict):
-            raise ConfigurationError(f"material {name!r}: entry must be an object")
-        unknown = set(entry) - _REGISTRY_KEYS
-        if unknown:
-            raise ConfigurationError(
-                f"material {name!r}: unknown keys {sorted(unknown)}"
-            )
-        variant = entry.get("variant")
-        label = entry.get("label", name)
-        if variant == "perfect_conductor":
-            models[name] = PerfectConductor(label=label)
-            continue
-        drude = DrudeParams(_entry_float(name, entry, "plasma_ev"),
-                            _entry_float(name, entry, "relaxation_ev"))
-        if variant == "drude":
-            models[name] = DrudeOnly(drude, label=label)
-        elif variant == "tabulated":
-            if "table" not in entry:
-                raise ConfigurationError(f"material {name!r}: missing 'table'")
-            if not isinstance(entry["table"], str):
-                raise ConfigurationError(f"material {name!r}: 'table' must be a path")
-            table = load_optical_data(reg_path.parent / entry["table"])
-            splice = (None if entry.get("splice_ev") is None
-                      else _entry_float(name, entry, "splice_ev"))
-            models[name] = Tabulated(table, drude, splice_ev=splice, label=label)
-        else:
+    for name, entry in read_json_object(reg_path).items():
+        e = Cfg(entry, f"material {name!r}")
+        variant = e.take("variant", None)
+        label = e.take("label", name)
+        if variant not in ("perfect_conductor", "drude", "tabulated"):
             raise ConfigurationError(
                 f"material {name!r}: unknown variant {variant!r} "
                 "(expected perfect_conductor, drude or tabulated)"
             )
+        if variant == "perfect_conductor":
+            for key in ("plasma_ev", "relaxation_ev", "table", "splice_ev"):
+                e.take(key, None)
+            e.close()
+            models[name] = PerfectConductor(label=label)
+            continue
+        drude = DrudeParams(e.take_float("plasma_ev"), e.take_float("relaxation_ev"))
+        table_path = e.take("table", None)
+        splice = e.take_float("splice_ev", None)
+        e.close()
+        if variant == "drude":
+            models[name] = DrudeOnly(drude, label=label)
+            continue
+        if not isinstance(table_path, str):
+            raise ConfigurationError(f"material {name!r}: 'table' must be a path")
+        table = load_optical_data(reg_path.parent / table_path)
+        models[name] = Tabulated(table, drude, splice_ev=splice, label=label)
     return models

@@ -87,7 +87,8 @@ def load_heightmap(path) -> HeightMap:
     """Read a height map: whitespace-separated matrix of meters.
 
     Leading ``#`` comment lines carry metadata; one of them must define
-    the pixel pitch, e.g. ``# pixel_pitch_m = 2.0e-7``.
+    the pixel pitch, e.g. ``# pixel_pitch_m = 2.0e-7``. A ParseError
+    names the file line.
     """
     path = Path(path)
     pitch = None
@@ -108,17 +109,18 @@ def load_heightmap(path) -> HeightMap:
                             raise ParseError(f"bad pixel_pitch_m value {val!r}", line=lineno) from None
                 continue
             try:
-                rows.append([float(tok) for tok in line.split()])
+                row = [float(tok) for tok in line.split()]
             except ValueError:
                 raise ParseError(f"non-numeric height in {line!r}", line=lineno) from None
+            if rows and len(row) != len(rows[0]):
+                raise ParseError(
+                    f"row has {len(row)} columns, expected {len(rows[0])}", line=lineno
+                )
+            rows.append(row)
     if pitch is None:
         raise ParseError("missing '# pixel_pitch_m = ...' header", line=1)
     if not rows:
         raise ValidationError(f"{path}: no height rows")
-    width = len(rows[0])
-    for i, r in enumerate(rows, start=1):
-        if len(r) != width:
-            raise ParseError(f"row has {len(r)} columns, expected {width}", line=i)
     return HeightMap(np.array(rows), pitch)
 
 

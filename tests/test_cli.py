@@ -116,12 +116,16 @@ class TestForceCommand:
 
     def test_tol_flag_overrides_config(self, tmp_path):
         cfg = self._config(tmp_path, z_grid_m=[1e-6])
+        run(["force", "--config", cfg])
+        first = (tmp_path / "force.csv").read_bytes()
         run(["force", "--config", cfg, "--tol", 1e-4])
         loose = np.loadtxt(tmp_path / "force.csv", delimiter=",", skiprows=1)
         run(["force", "--config", cfg])
         tight = np.loadtxt(tmp_path / "force.csv", delimiter=",", skiprows=1)
         assert loose[2] > tight[2]  # bigger reported error at looser tol
         assert loose[2] <= 1e-4 and tight[2] <= 1e-6
+        # The flag does not leak into the next call (the parser is shared).
+        assert (tmp_path / "force.csv").read_bytes() == first
 
     def test_grid_spec_object(self, tmp_path):
         cfg = self._config(
@@ -427,10 +431,20 @@ def _registry_force(tmp_path, **entry):
     return _force(tmp_path, materials={"registry": str(registry), "pair": ["metal", "metal"]})
 
 
-def _calibrate_rows(tmp_path, rows):
+def _calibrate_file(tmp_path, body: bytes):
     data = tmp_path / "cal.csv"
-    data.write_text("z_metal_m,v_applied_v,delta_c_f\n" + rows)
+    data.write_bytes(body)
     return "calibrate", {"data": str(data)}
+
+
+def _calibrate_rows(tmp_path, rows):
+    return _calibrate_file(tmp_path, ("z_metal_m,v_applied_v,delta_c_f\n" + rows).encode())
+
+
+def _heightmap_force(tmp_path, body: bytes):
+    scan = tmp_path / "scan.txt"
+    scan.write_bytes(body)
+    return _force(tmp_path, roughness={"heightmap1": str(scan)})
 
 
 @pytest.mark.parametrize("make,code", [
@@ -461,6 +475,11 @@ def _calibrate_rows(tmp_path, rows):
     (lambda t: _limits_bound_file(t, "1e-7,1e-14\n1.5e-7,1e-14\n1e-6,1e-14\n"), 1),
     (lambda t: _limits(t, {"constant_n": 1e-14}, lambda_grid_m=[math.inf]), 2),
     (lambda t: _limits_bound_file(t, "z_m,bound_n\n\n"), 1),
+    (lambda t: ("force", b'{"out": "\xff"}'), 1),
+    (lambda t: _calibrate_file(t, b"z_metal_m,v_applied_v,delta_c_f\n1e-6,0.1,\xff\n"), 1),
+    (lambda t: _heightmap_force(t, b"# pixel_pitch_m = 1e-7\n1e-9 \xff\n"), 1),
+    (lambda t: _registry_force(t, plasma_ev=math.inf), 2),
+    (lambda t: _calibrate_rows(t, ""), 1),
 ], ids=["radius_m", "grid_list", "roughness_entries", "grid_points_fraction",
         "grid_points_bool", "bound_file_text",
         "bound_file_one_column", "bound_file_decreasing", "layer_row",
@@ -469,13 +488,32 @@ def _calibrate_rows(tmp_path, rows):
         "roughness_nan_weight", "calibration_nan_field",
         "radius_inf", "bound_constant_nan", "sweep_noise_nan",
         "bound_file_nan_bound", "bound_file_nan_z", "bound_file_no_header",
-        "grid_inf", "bound_file_header_only"])
+        "grid_inf", "bound_file_header_only", "config_not_utf8",
+        "calibration_not_utf8", "heightmap_not_utf8", "registry_inf_number",
+        "calibration_header_only"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, make, code):
     command, doc = make(tmp_path)
-    cfg = write_json(tmp_path / "run.json", doc)
+    cfg = tmp_path / "run.json"
+    if isinstance(doc, bytes):
+        cfg.write_bytes(doc)
+    else:
+        write_json(cfg, doc)
     assert run([command, "--config", cfg]) == code
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_parser_is_built_once(tmp_path):
+    from casimir_mto import cli
+
+    command, doc = _force(tmp_path)
+    cfg = write_json(tmp_path / "f.json", doc)
+    cli._build_parser()
+    before = cli._build_parser.cache_info()
+    assert run([command, "--config", cfg]) == 0
+    assert run([command, "--config", cfg]) == 0
+    after = cli._build_parser.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits + 2
 
 
 def test_runtime_does_not_import_scipy(tmp_path):

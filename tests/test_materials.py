@@ -176,10 +176,6 @@ class TestOpticalTableIO:
         with pytest.raises(ParseError):
             load_optical_data(path)
 
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            load_optical_data(tmp_path / "t.bin", fmt="binary")
-
 
 class TestModels:
     def test_perfect_conductor_has_no_eps(self):
@@ -282,8 +278,16 @@ class TestRegistry:
     def test_unknown_variant_rejected(self, tmp_path):
         path = tmp_path / "materials.json"
         path.write_text(json.dumps({"x": {"variant": "plasma"}}))
-        with pytest.raises(ConfigurationError):
+        # Named as such, not reported as the Drude numbers it lacks.
+        with pytest.raises(ConfigurationError, match="unknown variant 'plasma'"):
             load_registry(path)
+
+    def test_perfect_conductor_may_carry_unused_drude_numbers(self, tmp_path):
+        path = tmp_path / "materials.json"
+        path.write_text(json.dumps({"x": {"variant": "perfect_conductor", "plasma_ev": 9.0,
+                                          "relaxation_ev": 0.03, "label": "pc"}}))
+        model = load_registry(path)["x"]
+        assert model.is_ideal and model.label == "pc"
 
     def test_env_var_root(self, tmp_path, monkeypatch):
         path = tmp_path / "materials.json"

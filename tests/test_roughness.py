@@ -244,9 +244,10 @@ class TestHeightMapIO:
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "scan.txt"
-        path.write_text("# pixel_pitch_m = 1e-7\n1e-9 2e-9\n1e-9\n")
-        with pytest.raises(ParseError):
+        path.write_text("# pixel_pitch_m = 1e-7\n\n1e-9 2e-9\n# note\n1e-9\n")
+        with pytest.raises(ParseError) as exc_info:
             load_heightmap(path)
+        assert exc_info.value.line == 5  # the file line, not the data-row index
 
     def test_non_numeric_rejected(self, tmp_path):
         path = tmp_path / "scan.txt"
