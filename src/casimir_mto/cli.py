@@ -472,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ParseError, OSError, UnicodeDecodeError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DomainError, ValidationError, ConfigurationError, IdentifiabilityError) as exc:

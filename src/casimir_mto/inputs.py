@@ -12,15 +12,18 @@ rules:
   and case-insensitively;
 - every later line holds exactly one comma-separated float per column.
 
-A file that breaks a rule raises ``ParseError`` with its file line (exit
-1 in the CLI). Values are not range-checked here: each caller validates
-what its numbers mean.
+A file that breaks a rule raises ``ParseError`` with its path and file
+line (exit 1 in the CLI); so does any input file that is not UTF-8,
+height maps included (``open_text``). Values are not range-checked here:
+each caller validates what its numbers mean.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -77,13 +80,26 @@ class Cfg:
             )
 
 
+def open_text(path) -> io.StringIO:
+    """The UTF-8 file ``path`` as a text stream with universal newlines.
+
+    A byte sequence that is not UTF-8 raises ParseError with its line.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})",
+                         line=data.count(b"\n", 0, exc.start) + 1) from None
+    return io.StringIO(text, newline=None)
+
+
 def read_json_object(path) -> dict:
     """The JSON object in the UTF-8 file ``path``."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}", line=exc.lineno) from None
+    try:
+        doc = json.load(open_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc}", line=exc.lineno) from None
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{path}: expected a JSON object")
     return doc
@@ -99,26 +115,25 @@ def read_table(path, header: tuple[str, ...]) -> tuple[np.ndarray, list[int]]:
     rows: list[list[float]] = []
     lines: list[int] = []
     header_line = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if header_line is None:
-                if [p.strip().lower() for p in parts] != list(header):
-                    raise ParseError(f"{path}: expected header {want!r}", line=lineno)
-                header_line = lineno
-                continue
-            if len(parts) != len(header):
-                raise ParseError(
-                    f"{path}: expected {len(header)} fields, got {len(parts)}", line=lineno
-                )
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                raise ParseError(f"{path}: non-numeric field in {line!r}", line=lineno) from None
-            lines.append(lineno)
+    for lineno, raw in enumerate(open_text(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if header_line is None:
+            if [p.strip().lower() for p in parts] != list(header):
+                raise ParseError(f"{path}: expected header {want!r}", line=lineno)
+            header_line = lineno
+            continue
+        if len(parts) != len(header):
+            raise ParseError(
+                f"{path}: expected {len(header)} fields, got {len(parts)}", line=lineno
+            )
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            raise ParseError(f"{path}: non-numeric field in {line!r}", line=lineno) from None
+        lines.append(lineno)
     if not rows:
         what = "no data rows" if header_line else f"missing header {want!r}"
         raise ParseError(f"{path}: {what}", line=header_line)

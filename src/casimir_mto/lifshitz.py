@@ -13,9 +13,13 @@ factors for one polarization and s_j = sqrt(eps_j(xi) - 1 + p^2).
 One double-exponential product rule (Takahasi & Mori 1974) covers both
 axes: x = exp(pi/2 sinh t) on an even t grid, with the u axis split at
 the frequency floor (u = u_floor + x above it, u_floor exp(-x) below it,
-where eps is constant), so each piece is smooth. The t step halves from
-level to level, reusing the nodes already evaluated, until two levels
-agree to the tolerance; their difference is the reported error.
+where eps is constant), so each piece is smooth. Each call keeps the t
+range its tolerance needs. The t step halves from level to level, reusing
+the nodes (and eps values) already evaluated, until two levels agree to
+the tolerance. The reported error, est_rel_error, is their difference
+plus a closed-form bound on the part of the integral the trimmed t range
+drops: for eps >= 1 every reflection factor lies in [0, 1], so the
+ideal-metal integrand bounds the real one pointwise.
 Perfect conductors take the ideal limit (reflection products = 1), which
 reproduces the closed forms -pi^2 hbar c / 240 z^4 and
 -pi^3 hbar c R / 360 z^3 exactly; those serve as the quadrature oracle.
@@ -47,11 +51,19 @@ TOL_MAX = 1e-3
 # 0.5 um, 3.4e-7 at 1 um, 3.1e-6 at 3 um and 1.7e-5 at 10 um (relative).
 XI_FLOOR_EV = 1e-5
 
-# Exp-sinh rule: t range of every axis, finest level (step 2^-(level+1))
-# and the tensor entries evaluated at once.
+# Exp-sinh rule: widest t range of an axis, finest level (step
+# 2^-(level+1)) and the tensor entries evaluated at once.
 _T_LO, _T_HI = -4.5, 2.25
 _MAX_LEVEL = 6
-_BLOCK = 1 << 15
+_BLOCK = 1 << 14
+
+# The t range of a call is trimmed so that its truncation bound, less the
+# first dropped node's share (which shrinks with the step), is at most
+# _TRUNC_SHARE * tol of the ideal integral, half at each end.
+_TRUNC_SHARE = 1e-2
+_ZETA3 = 1.2020569031595942
+# Ideal-limit integrals over the quarter plane: 2 pi^4/15 and 4 zeta(4).
+_IDEAL_TOTAL = {"pressure": 2.0 * math.pi**4 / 15.0, "force": 2.0 * math.pi**4 / 45.0}
 
 
 @dataclass(frozen=True)
@@ -88,10 +100,12 @@ class LifshitzResult:
     """Converged integral value with its accuracy bookkeeping.
 
     ``value`` is in N/m^2 (pressure), N (force) or N/m (gradient);
-    ``est_rel_error`` bounds the quadrature error relative to ``value``;
-    ``evaluations`` counts the (u, s) nodes of the product rule. For a
-    weighted set of separations (a roughness average) ``value`` is the
-    weighted sum, ``est_rel_error`` the level difference of that sum, and
+    ``est_rel_error`` bounds the quadrature error relative to ``value``:
+    the difference of the last two levels plus the truncation bound of the
+    trimmed t range; ``evaluations`` counts the (u, s) nodes of the product
+    rule. For a weighted set of separations (a roughness average) ``value``
+    is the weighted sum, ``est_rel_error`` the level difference of that sum
+    plus the entries' truncation bounds weighted by |w_i| (z_0/z_i)^p, and
     ``evaluations`` the nodes of all entries together.
     """
 
@@ -130,16 +144,73 @@ def _surface_eps(model) -> object:
     raise DomainError(f"not a dielectric model: {model!r}")
 
 
-def _exp_sinh(level: int) -> tuple[np.ndarray, np.ndarray]:
+def _x(t):
+    """Exp-sinh node x = exp(pi/2 sinh t)."""
+    return np.exp(0.5 * math.pi * np.sinh(t))
+
+
+def _t(x: float) -> float:
+    """The t of exp-sinh node x."""
+    return math.asinh(math.log(x) / (0.5 * math.pi))
+
+
+def _exp_sinh(level: int, t_lo: float, t_hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the exp-sinh rule on (0, inf) at step 2^-(level+1).
 
-    x = exp(pi/2 sinh t) at t = _T_LO + j h up to _T_HI; the nodes of one
-    level are those of the level before plus the ones at odd j.
+    x = exp(pi/2 sinh t) at the t = _T_LO + j h in [t_lo, t_hi]; with t_lo
+    on the level-0 grid the nodes of one level are those of the level
+    before plus the ones at odd positions.
     """
     h = 0.5 ** (level + 1)
-    t = _T_LO + h * np.arange(int((_T_HI - _T_LO) / h) + 1)
-    x = np.exp(0.5 * math.pi * np.sinh(t))
+    t = _T_LO + h * np.arange(round((t_lo - _T_LO) / h), math.floor((t_hi - _T_LO) / h) + 1)
+    x = _x(t)
     return x, h * 0.5 * math.pi * np.cosh(t) * x
+
+
+def _tails(a: float) -> tuple[float, float]:
+    """Integrals of g(u + s) = 2 v^2/(e^v - 1) over u > 0: for s > a, and
+    at s = a."""
+    c = 2.0 * math.exp(-a) / -math.expm1(-a)
+    return c * (a * a + 4.0 * a + 6.0), c * (a * a + 2.0 * a + 2.0)
+
+
+def _t_range(kind: str, tol: float, u_floor: float) -> tuple[float, float]:
+    """t range of the rule at ``tol`` for a largest frequency floor ``u_floor``.
+
+    Each end's share of the truncation bound (see _truncation) is held to
+    _TRUNC_SHARE * tol / 2 of the ideal integral. t_lo is snapped down onto
+    the level-0 grid, so every level keeps a subset of the full rule's nodes.
+    """
+    budget = 0.5 * _TRUNC_SHARE * tol * _IDEAL_TOTAL[kind]
+    x_lo = budget / (4.0 * _ZETA3 * (2.0 + u_floor))
+    t_lo = max(_T_LO, _T_LO + 0.5 * math.floor(2.0 * (_t(x_lo) - _T_LO)))
+    a = 1.0
+    for _ in range(8):  # fixed point of 2 _tails(a)[0] = budget
+        a = math.log(4.0 * (a * a + 4.0 * a + 6.0) / (-math.expm1(-a) * budget))
+    return t_lo, min(_T_HI, _t(a))
+
+
+def _truncation(scale: np.ndarray, u_floor: np.ndarray, t_lo: float, t_hi: float,
+                level: int) -> float:
+    """Bound on the part of sum_i |scale_i| integral_i that the level's rule
+    on [t_lo, t_hi] drops.
+
+    With eps >= 1 every reflection factor lies in [0, 1], so the pressure
+    integrand is at most g(v) = 2 v^2/(e^v - 1) and the force integrand's
+    magnitude at most h(v) = -2 v log(1 - e^-v), with h <= g for v >= 1
+    and both integrating to at most 4 zeta(3) over v > 0. A strip of width
+    d along either axis thus holds at most 4 zeta(3) d: x < x_lo on s and
+    on u above the floor, and widths u_floor x_lo and u_floor e^-a of the
+    piece below it, a = x(t_hi). Beyond a, either axis holds at most
+    _tails(a)[0]. The nodes dropped past t_hi sum to no more than that
+    plus the first one's weight, at most the step times x'(t_hi), times
+    the bound's u integral at s = a (the integrand falls in t there).
+    """
+    x_lo, a = float(_x(t_lo)), float(_x(t_hi))
+    beyond, at = _tails(a)
+    first = 0.5 ** (level + 1) * 0.5 * math.pi * math.cosh(t_hi) * a
+    strips = (2.0 + u_floor) * x_lo + u_floor * math.exp(-a) * (1.0 + first)
+    return float(np.sum(np.abs(scale) * (4.0 * _ZETA3 * strips + 2.0 * (beyond + first * at))))
 
 
 def _reflection_factors(e, u, v):
@@ -193,35 +264,51 @@ def _rule_sum(kind: str, u, wu, e1, e2, s, ws) -> float:
     return total
 
 
-def _lifshitz(kind: str, z: np.ndarray, scale: np.ndarray, prefactor: float,
-              m1, m2, tol: float, xi_floor_ev: float) -> LifshitzResult:
-    """prefactor * sum_i scale_i * integral over u, s > 0 of the Lifshitz
-    integrand at separation z_i, for (entry, 1, 1) arrays ``z`` and ``scale``.
+def _lookup(eps, xi: np.ndarray, previous) -> np.ndarray | None:
+    """eps at every node of ``xi``: looked up on the nodes at odd positions
+    only when ``previous`` holds the values at the even ones (None marks a
+    perfect conductor). Raises DomainError below 1, where the truncation
+    bound fails."""
+    if eps is None:
+        return None
+    if previous is None:
+        e = np.asarray(eps(xi), dtype=float)
+    else:
+        e = np.empty_like(xi)
+        e[..., ::2] = previous
+        e[..., 1::2] = eps(xi[..., 1::2])
+    if not np.all(e >= 1.0):
+        raise DomainError("permittivity eps(i xi) must be >= 1 (got "
+                          f"{float(np.min(e)):g} at xi = {float(xi.flat[np.argmin(e)]):g} eV)")
+    return e
+
+
+def _levels(kind: str, z: np.ndarray, scale: np.ndarray, m1, m2, xi_floor_ev: float,
+            t_lo: float, t_hi: float):
+    """Yield (sum, nodes) for levels 0.._MAX_LEVEL of the product rule on
+    t in [t_lo, t_hi]: sum_i scale_i * integral over u, s > 0 of the
+    Lifshitz integrand at separation z_i, for (entry, 1, 1) arrays ``z``
+    and ``scale``.
 
     Node arrays have shape (entry, piece, node), a piece being u above or
-    below the frequency floor. Halves the step of the exp-sinh product rule
-    until two successive levels of the weighted sum agree to ``tol``;
-    raises ConvergenceError with the scaled finest-level result attached
-    when _MAX_LEVEL does not get there.
+    below the frequency floor.
     """
-    if not TOL_MIN <= tol <= TOL_MAX:
-        raise DomainError(f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}]")
     eps1 = _surface_eps(m1)
     eps2 = _surface_eps(m2)
     e_scale = HBARC_EV_M / (2.0 * z)  # photon energy per unit u, eV
     u_floor = xi_floor_ev / e_scale
     total = 0.0
+    e1 = e2 = None
     for level in range(_MAX_LEVEL + 1):
-        x, w = _exp_sinh(level)
+        x, w = _exp_sinh(level, t_lo, t_hi)
         # u = u_floor + x above the floor and u = u_floor exp(-x) below it,
         # where eps is constant, so each piece is smooth.
         below = u_floor * np.exp(-x)
         u = np.concatenate([u_floor + x, below], axis=1)
         xi = np.maximum(u * e_scale, xi_floor_ev)
         sw = scale * w
-        rows = (u, np.concatenate([sw, below * sw], axis=1),
-                None if eps1 is None else eps1(xi),
-                None if eps2 is None else eps2(xi))
+        e1, e2 = _lookup(eps1, xi, e1), _lookup(eps2, xi, e2)
+        rows = (u, np.concatenate([sw, below * sw], axis=1), e1, e2)
         # Only pairs with a node new at this level (odd index) are evaluated;
         # the other pairs sum to a quarter of the previous level (half the
         # step twice). flatten() copies: BLAS sums a strided row differently.
@@ -230,15 +317,34 @@ def _lifshitz(kind: str, z: np.ndarray, scale: np.ndarray, prefactor: float,
         def pick(nodes):
             return [None if a is None else a[..., nodes].flatten() for a in rows]
 
-        previous = total
         total = (0.25 * total
                  + _rule_sum(kind, *pick(new), x, w)
                  + _rule_sum(kind, *pick(old), x[new], w[new]))
-        evals = u.size * x.size
+        yield total, u.size * x.size
+
+
+def _lifshitz(kind: str, z: np.ndarray, scale: np.ndarray, prefactor: float,
+              m1, m2, tol: float, xi_floor_ev: float) -> LifshitzResult:
+    """prefactor * sum_i scale_i * integral of the Lifshitz integrand at z_i
+    (see _levels), on the t range that ``tol`` allows.
+
+    Halves the step of the exp-sinh product rule until the difference of
+    two successive levels plus the truncation bound is within ``tol`` of
+    the weighted sum; raises ConvergenceError with the scaled finest-level
+    result attached when _MAX_LEVEL does not get there.
+    """
+    if not TOL_MIN <= tol <= TOL_MAX:
+        raise DomainError(f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}]")
+    u_floor = xi_floor_ev * 2.0 * z / HBARC_EV_M
+    t_lo, t_hi = _t_range(kind, tol, float(u_floor.max()))
+    for level, (total, evals) in enumerate(
+            _levels(kind, z, scale, m1, m2, xi_floor_ev, t_lo, t_hi)):
         if level:
-            rel = abs(total - previous) / max(abs(total), 1e-300)
+            trunc = _truncation(scale, u_floor, t_lo, t_hi, level)
+            rel = (abs(total - previous) + trunc) / max(abs(total), 1e-300)
             if rel <= tol:
                 return LifshitzResult(prefactor * total, rel, evals)
+        previous = total
     raise ConvergenceError(
         f"double-exponential rule did not reach tol={tol:g} by level "
         f"{_MAX_LEVEL} (reached {rel:.2e})",

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, ParseError, ValidationError
+from .inputs import open_text
 from .lifshitz import LifshitzResult, force_sphere_plane, pressure_plane_plane
 
 WEIGHT_SUM_TOL = 1e-12
@@ -88,37 +89,37 @@ def load_heightmap(path) -> HeightMap:
 
     Leading ``#`` comment lines carry metadata; one of them must define
     the pixel pitch, e.g. ``# pixel_pitch_m = 2.0e-7``. A ParseError
-    names the file line.
+    names the file and its line.
     """
     path = Path(path)
     pitch = None
     rows: list[list[float]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if "=" in body:
-                    key, _, val = body.partition("=")
-                    if key.strip() == "pixel_pitch_m":
-                        try:
-                            pitch = float(val)
-                        except ValueError:
-                            raise ParseError(f"bad pixel_pitch_m value {val!r}", line=lineno) from None
-                continue
-            try:
-                row = [float(tok) for tok in line.split()]
-            except ValueError:
-                raise ParseError(f"non-numeric height in {line!r}", line=lineno) from None
-            if rows and len(row) != len(rows[0]):
-                raise ParseError(
-                    f"row has {len(row)} columns, expected {len(rows[0])}", line=lineno
-                )
-            rows.append(row)
+    for lineno, raw in enumerate(open_text(path), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line.lstrip("#").strip()
+            if "=" in body:
+                key, _, val = body.partition("=")
+                if key.strip() == "pixel_pitch_m":
+                    try:
+                        pitch = float(val)
+                    except ValueError:
+                        raise ParseError(f"{path}: bad pixel_pitch_m value {val!r}",
+                                         line=lineno) from None
+            continue
+        try:
+            row = [float(tok) for tok in line.split()]
+        except ValueError:
+            raise ParseError(f"{path}: non-numeric height in {line!r}", line=lineno) from None
+        if rows and len(row) != len(rows[0]):
+            raise ParseError(
+                f"{path}: row has {len(row)} columns, expected {len(rows[0])}", line=lineno
+            )
+        rows.append(row)
     if pitch is None:
-        raise ParseError("missing '# pixel_pitch_m = ...' header", line=1)
+        raise ParseError(f"{path}: missing '# pixel_pitch_m = ...' header", line=1)
     if not rows:
         raise ValidationError(f"{path}: no height rows")
     return HeightMap(np.array(rows), pitch)

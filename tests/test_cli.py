@@ -503,6 +503,32 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, make, code):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def _registry_file_force(tmp_path, body: bytes):
+    registry = tmp_path / "materials.json"
+    registry.write_bytes(body)
+    return _force(tmp_path, materials={"registry": str(registry), "pair": ["metal", "metal"]})
+
+
+@pytest.mark.parametrize("make,bad", [
+    (lambda t: ("force", b'{"radius_m": 1e-4,\n "out": "\xff"}'), "run.json"),
+    (lambda t: _calibrate_file(t, b"z_metal_m,v_applied_v,delta_c_f\n1e-6,0.1,\xff\n"), "cal.csv"),
+    (lambda t: _heightmap_force(t, b"# pixel_pitch_m = 1e-7\n1e-9 \xff\n"), "scan.txt"),
+    (lambda t: _registry_file_force(t, b'{"metal":\n {"variant": "\xff"}}'), "materials.json"),
+], ids=["config", "calibration", "heightmap", "registry"])
+def test_non_utf8_file_is_named(tmp_path, capsys, make, bad):
+    # With several input files in one run, the error line must say which
+    # one holds the bad byte, and on which line (line 2 in every case).
+    command, doc = make(tmp_path)
+    cfg = tmp_path / "run.json"
+    if isinstance(doc, bytes):
+        cfg.write_bytes(doc)
+    else:
+        write_json(cfg, doc)
+    assert run([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"error: line 2: {tmp_path / bad}: not UTF-8")
+
+
 def test_parser_is_built_once(tmp_path):
     from casimir_mto import cli
 

@@ -13,14 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from casimir_mto.lifshitz import _exp_sinh, _rule_sum
+from casimir_mto.lifshitz import _T_HI, _T_LO, _exp_sinh, _rule_sum
 
 LEVEL = 4
 
 
 def _s_rule(kind, u, e1, e2):
     """One u row of the product rule; an eps of None is a perfect conductor."""
-    s, ws = _exp_sinh(LEVEL)
+    s, ws = _exp_sinh(LEVEL, _T_LO, _T_HI)
     row = [None if e is None else np.array([e]) for e in (e1, e2)]
     return _rule_sum(kind, np.array([u]), np.ones(1), *row, s, ws)
 

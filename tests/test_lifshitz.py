@@ -4,9 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from casimir_mto.constants import CODATA
+from casimir_mto import lifshitz
+from casimir_mto.constants import CODATA, HBARC_EV_M
 from casimir_mto.errors import DomainError
 from casimir_mto.lifshitz import (
+    XI_FLOOR_EV,
     SpherePlaneGeometry,
     force_gradient_sphere_plane,
     force_sphere_plane,
@@ -14,6 +16,7 @@ from casimir_mto.lifshitz import (
     ideal_pressure_plane_plane,
     pressure_plane_plane,
 )
+from casimir_mto.materials import DrudeOnly, load_registry
 
 R_SPHERE = 294.3e-6
 
@@ -177,7 +180,8 @@ class TestRealMetals:
         # The u axis is split where eps is clamped at the frequency floor;
         # across that kink the rule would converge only algebraically.
         res = force_sphere_plane(3e-6, R_SPHERE, gold_drude, copper_drude, tol=1e-8)
-        assert res.evaluations <= 2 * 217 * 217  # level 4: 434 u by 217 s nodes
+        n = lifshitz._exp_sinh(4, *lifshitz._t_range("force", 1e-8, 0.0))[0].size
+        assert res.evaluations <= 2 * n * n  # level 4: 2n u by n s nodes
         assert res.est_rel_error <= 1e-8
 
     def test_sampled_eps_keeps_estimate_honest(self):
@@ -258,3 +262,101 @@ class TestContracts:
         assert partial is not None
         assert partial.value < 0
         assert abs(partial.value) < abs(ideal_pressure_plane_plane(1e-6))
+
+
+def _pairs(gold_drude, copper_drude, ideal):
+    registry = load_registry()
+    return {
+        "ideal": (ideal, ideal),
+        "drude": (gold_drude, copper_drude),
+        "mixed": (registry["gold"], ideal),
+        "tabulated": (registry["gold"], registry["copper"]),
+    }
+
+
+def _integral(kind, z, m1, m2, tol):
+    if kind == "pressure":
+        return pressure_plane_plane(z, m1, m2, tol=tol)
+    return force_sphere_plane(z, R_SPHERE, m1, m2, tol=tol)
+
+
+class TestTrimmedRule:
+    """Each call keeps the t range its tol allows; est_rel_error is the level
+    difference plus a closed-form bound on what the dropped nodes hold."""
+
+    def test_estimate_is_honest_over_pairs_separations_and_tolerances(
+            self, gold_drude, copper_drude, ideal):
+        for name, (m1, m2) in _pairs(gold_drude, copper_drude, ideal).items():
+            for kind in ("pressure", "force"):
+                for z in (2e-8, 1e-7, 5e-7, 2e-6, 1e-5):
+                    if name == "ideal":
+                        ref = (ideal_pressure_plane_plane(z) if kind == "pressure"
+                               else ideal_force_sphere_plane(z, R_SPHERE))
+                        ref_est = 0.0
+                    else:
+                        tight = _integral(kind, z, m1, m2, 1e-8)
+                        ref, ref_est = tight.value, tight.est_rel_error
+                    for tol in (1e-3, 1e-4, 1e-6, 1e-8):
+                        res = _integral(kind, z, m1, m2, tol)
+                        assert res.est_rel_error <= tol
+                        true = abs(res.value / ref - 1.0)
+                        assert true <= res.est_rel_error + ref_est, (name, kind, z, tol)
+
+    @pytest.mark.parametrize("kind", ["pressure", "force"])
+    def test_dropped_nodes_stay_within_the_truncation_term(
+            self, kind, gold_drude, copper_drude, ideal):
+        # Full-range minus trimmed rule at the same level, against the term
+        # that est_rel_error adds for that level.
+        for name, (m1, m2) in _pairs(gold_drude, copper_drude, ideal).items():
+            for z0 in (2e-8, 1e-5):
+                z = np.array([z0]).reshape(-1, 1, 1)
+                scale = np.ones_like(z)
+                u_floor = XI_FLOOR_EV * 2.0 * z / HBARC_EV_M
+                for tol in (1e-3, 1e-8):
+                    t_range = lifshitz._t_range(kind, tol, float(u_floor.max()))
+                    levels = (lifshitz._levels(kind, z, scale, m1, m2, XI_FLOOR_EV, *r)
+                              for r in ((lifshitz._T_LO, lifshitz._T_HI), t_range))
+                    for level, ((full, n_full), (trim, n_trim)) in enumerate(zip(*levels)):
+                        if level == 5:
+                            break
+                        assert n_trim < n_full
+                        bound = lifshitz._truncation(scale, u_floor, *t_range, level)
+                        assert abs(full - trim) <= bound, (name, z0, tol, level)
+
+    def test_trimmed_levels_nest_inside_the_full_rule(self):
+        for tol in (1e-3, 1e-6, 1e-8):
+            t_range = lifshitz._t_range("pressure", tol, 0.0)
+            for level in range(4):
+                x = lifshitz._exp_sinh(level, *t_range)[0]
+                full = lifshitz._exp_sinh(level, lifshitz._T_LO, lifshitz._T_HI)[0]
+                assert np.isin(x, full).all()
+                assert np.array_equal(lifshitz._exp_sinh(level + 1, *t_range)[0][::2], x)
+
+    def test_eps_is_looked_up_once_per_node(self, gold_drude):
+        registry = load_registry()
+        t_range = lifshitz._t_range("pressure", 1e-8, 0.0)
+        for eps in (gold_drude.eps, registry["gold"].sampled().eps):
+            e = None
+            for level in range(5):
+                xi = 0.05 * lifshitz._exp_sinh(level, *t_range)[0]
+                e = lifshitz._lookup(eps, xi, e)
+                assert np.array_equal(e, eps(xi))
+
+        sizes = []
+
+        class Counting(DrudeOnly):
+            def eps(self, xi):
+                sizes.append(xi.size)
+                return super().eps(xi)
+
+        model = Counting(gold_drude.params)
+        res = pressure_plane_plane(5e-7, model, model, tol=1e-6)
+        plain = pressure_plane_plane(5e-7, gold_drude, gold_drude, tol=1e-6)
+        assert res.value == plain.value
+        n_u = 2 * math.isqrt(res.evaluations // 2)  # both pieces of the u axis
+        assert sum(sizes) == 2 * n_u
+
+    @pytest.mark.parametrize("eps", [lambda xi: 0.5, lambda xi: 0.99 if xi > 1.0 else 3.0])
+    def test_eps_below_one_is_a_domain_error(self, eps, ideal):
+        with pytest.raises(DomainError, match=">= 1"):
+            pressure_plane_plane(1e-6, eps, ideal, tol=1e-6)

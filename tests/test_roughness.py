@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from casimir_mto.errors import DomainError, ParseError, ValidationError
 from casimir_mto.lifshitz import (
     _exp_sinh,
+    _t_range,
     force_sphere_plane,
     ideal_force_sphere_plane,
     pressure_plane_plane,
@@ -174,7 +175,13 @@ class TestAveraging:
         # bound the error against entry-by-entry integrals at tol 1e-8.
         m1, m2 = pairs[name]
         d = _dist(SWEEP_ENTRIES)
-        entry_nodes = {2 * _exp_sinh(level)[0].size ** 2 for level in range(1, 7)}
+        # Node counts per entry of the trimmed rule at each level, for the
+        # t range of each quantity and tol (the floor does not move it here).
+        entry_nodes = {
+            (kind, tol): {2 * _exp_sinh(level, *_t_range(kind, tol, 0.0))[0].size ** 2
+                          for level in range(1, 7)}
+            for kind in ("pressure", "force") for tol in (1e-3, 1e-4, 1e-6)
+        }
         for z in (0.1e-6, 0.2e-6, 0.5e-6, 1e-6, 3e-6):
             shifted = z + d.offsets
             ref_p = sum(w * pressure_plane_plane(s, m1, m2, tol=1e-8).value
@@ -182,11 +189,12 @@ class TestAveraging:
             ref_f = sum(w * force_sphere_plane(s, R_SPHERE, m1, m2, tol=1e-8).value
                         for s, w in zip(shifted, d.weights))
             for tol in (1e-3, 1e-4, 1e-6):
-                for avg, ref in ((averaged_pressure(z, d, m1, m2, tol=tol), ref_p),
-                                 (averaged_force(z, R_SPHERE, d, m1, m2, tol=tol), ref_f)):
+                for kind, avg, ref in (
+                        ("pressure", averaged_pressure(z, d, m1, m2, tol=tol), ref_p),
+                        ("force", averaged_force(z, R_SPHERE, d, m1, m2, tol=tol), ref_f)):
                     assert abs(avg.value / ref - 1.0) <= avg.est_rel_error, (z, tol)
                     assert avg.evaluations % d.n_entries == 0
-                    assert avg.evaluations // d.n_entries in entry_nodes
+                    assert avg.evaluations // d.n_entries in entry_nodes[kind, tol]
 
     def test_convexity_enhancement(self, ideal):
         """Zero-mean spread must amplify |F| (Jensen on convex z^-3)."""
