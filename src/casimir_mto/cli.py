@@ -78,15 +78,20 @@ def _load_config(path: str | None) -> dict:
 
 
 def _float_array(spec, where: str) -> np.ndarray:
+    """A JSON array of numbers as floats; a boolean is not a number."""
     try:
-        return np.asarray(spec, dtype=float)
+        if not any(isinstance(v, bool) for v in np.asarray(spec, dtype=object).flat):
+            return np.asarray(spec, dtype=float)
     except (TypeError, ValueError):
-        raise ConfigurationError(f"{where}: expected numbers, got {spec!r}") from None
+        pass
+    raise ConfigurationError(f"{where}: expected numbers, got {spec!r}")
 
 
 def _parse_grid(spec, where: str) -> np.ndarray:
     if isinstance(spec, list):
         grid = _float_array(spec, where)
+        if grid.ndim != 1:
+            raise ConfigurationError(f"{where}: expected a flat list, got {spec!r}")
     elif isinstance(spec, dict):
         g = Cfg(spec, where)
         start = g.take_float("start")

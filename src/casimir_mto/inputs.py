@@ -53,7 +53,7 @@ class Cfg:
         if val is None and default is None:
             return None
         try:
-            num = float(val)
+            num = math.nan if isinstance(val, bool) else float(val)
         except (TypeError, ValueError):
             num = math.nan
         if not math.isfinite(num):

@@ -11,12 +11,12 @@ become integrals over the quarter plane u, s > 0:
 with w = exp(-(u+s)), Q the product of the two surfaces' reflection
 factors for one polarization and s_j = sqrt(eps_j(xi) - 1 + p^2).
 One double-exponential product rule (Takahasi & Mori 1974) covers both
-axes: x = exp(pi/2 sinh t) on an even t grid, with the u axis split at
-the frequency floor (u = u_floor + x above it, u_floor exp(-x) below it,
-where eps is constant), so each piece is smooth. Each call keeps the t
-range its tolerance needs. The t step halves from level to level, reusing
-the nodes (and eps values) already evaluated, until two levels agree to
-the tolerance. The reported error, est_rel_error, is their difference
+axes: u = x and s = x with x = exp(pi/2 sinh t) on an even t grid, and
+eps is looked up at xi = u hbar c / 2z itself, however small, so no
+frequency floor leaves a model error. Each call keeps the t range its
+tolerance needs. The t step halves from level to level, reusing the
+nodes (and eps values) already evaluated, until two levels agree to the
+tolerance. The reported error, est_rel_error, is their difference
 plus a closed-form bound on the part of the integral the trimmed t range
 drops: for eps >= 1 every reflection factor lies in [0, 1], so the
 ideal-metal integrand bounds the real one pointwise.
@@ -43,13 +43,6 @@ from .materials import DielectricModel, PerfectConductor, Tabulated
 
 TOL_MIN = 1e-8
 TOL_MAX = 1e-3
-
-# Materials are never queried below this photon energy; with a Drude tail
-# eps ~ 1/xi the reflection products approach their ideal limit there.
-# The clamp is a model error that est_rel_error does not include: halving
-# it moves the Drude Au/Cu sphere-plane force at tol 1e-8 by 6.5e-8 at
-# 0.5 um, 3.4e-7 at 1 um, 3.1e-6 at 3 um and 1.7e-5 at 10 um (relative).
-XI_FLOOR_EV = 1e-5
 
 # Exp-sinh rule: widest t range of an axis, finest level (step
 # 2^-(level+1)) and the tensor entries evaluated at once.
@@ -100,8 +93,9 @@ class LifshitzResult:
     """Converged integral value with its accuracy bookkeeping.
 
     ``value`` is in N/m^2 (pressure), N (force) or N/m (gradient);
-    ``est_rel_error`` bounds the quadrature error relative to ``value``:
-    the difference of the last two levels plus the truncation bound of the
+    ``est_rel_error`` bounds the error of ``value`` relative to the exact
+    Lifshitz integral for the given eps (the model is never clamped): the
+    difference of the last two levels plus the truncation bound of the
     trimmed t range; ``evaluations`` counts the (u, s) nodes of the product
     rule. For a weighted set of separations (a roughness average) ``value``
     is the weighted sum, ``est_rel_error`` the level difference of that sum
@@ -174,15 +168,15 @@ def _tails(a: float) -> tuple[float, float]:
     return c * (a * a + 4.0 * a + 6.0), c * (a * a + 2.0 * a + 2.0)
 
 
-def _t_range(kind: str, tol: float, u_floor: float) -> tuple[float, float]:
-    """t range of the rule at ``tol`` for a largest frequency floor ``u_floor``.
+def _t_range(kind: str, tol: float) -> tuple[float, float]:
+    """t range of the rule at ``tol``.
 
     Each end's share of the truncation bound (see _truncation) is held to
     _TRUNC_SHARE * tol / 2 of the ideal integral. t_lo is snapped down onto
     the level-0 grid, so every level keeps a subset of the full rule's nodes.
     """
     budget = 0.5 * _TRUNC_SHARE * tol * _IDEAL_TOTAL[kind]
-    x_lo = budget / (4.0 * _ZETA3 * (2.0 + u_floor))
+    x_lo = budget / (8.0 * _ZETA3)
     t_lo = max(_T_LO, _T_LO + 0.5 * math.floor(2.0 * (_t(x_lo) - _T_LO)))
     a = 1.0
     for _ in range(8):  # fixed point of 2 _tails(a)[0] = budget
@@ -190,8 +184,7 @@ def _t_range(kind: str, tol: float, u_floor: float) -> tuple[float, float]:
     return t_lo, min(_T_HI, _t(a))
 
 
-def _truncation(scale: np.ndarray, u_floor: np.ndarray, t_lo: float, t_hi: float,
-                level: int) -> float:
+def _truncation(scale: np.ndarray, t_lo: float, t_hi: float, level: int) -> float:
     """Bound on the part of sum_i |scale_i| integral_i that the level's rule
     on [t_lo, t_hi] drops.
 
@@ -199,9 +192,8 @@ def _truncation(scale: np.ndarray, u_floor: np.ndarray, t_lo: float, t_hi: float
     integrand is at most g(v) = 2 v^2/(e^v - 1) and the force integrand's
     magnitude at most h(v) = -2 v log(1 - e^-v), with h <= g for v >= 1
     and both integrating to at most 4 zeta(3) over v > 0. A strip of width
-    d along either axis thus holds at most 4 zeta(3) d: x < x_lo on s and
-    on u above the floor, and widths u_floor x_lo and u_floor e^-a of the
-    piece below it, a = x(t_hi). Beyond a, either axis holds at most
+    d along either axis thus holds at most 4 zeta(3) d: x < x_lo on u and
+    on s. Beyond a = x(t_hi), either axis holds at most
     _tails(a)[0]. The nodes dropped past t_hi sum to no more than that
     plus the first one's weight, at most the step times x'(t_hi), times
     the bound's u integral at s = a (the integrand falls in t there).
@@ -209,8 +201,7 @@ def _truncation(scale: np.ndarray, u_floor: np.ndarray, t_lo: float, t_hi: float
     x_lo, a = float(_x(t_lo)), float(_x(t_hi))
     beyond, at = _tails(a)
     first = 0.5 ** (level + 1) * 0.5 * math.pi * math.cosh(t_hi) * a
-    strips = (2.0 + u_floor) * x_lo + u_floor * math.exp(-a) * (1.0 + first)
-    return float(np.sum(np.abs(scale) * (4.0 * _ZETA3 * strips + 2.0 * (beyond + first * at))))
+    return float(np.sum(np.abs(scale) * (8.0 * _ZETA3 * x_lo + 2.0 * (beyond + first * at))))
 
 
 def _reflection_factors(e, u, v):
@@ -231,7 +222,8 @@ def _integrand(kind: str, u, s, e1, e2):
     for force, with w = exp(-(u+s)).
 
     ``u``, ``e1`` and ``e2`` broadcast against ``s``; an eps of None marks
-    a perfect conductor (both factors exactly 1).
+    a perfect conductor (both factors exactly 1). Q <= 1 analytically;
+    log Q is capped at 0 where huge eps rounds the product above 1.
     """
     v = u + s
     qte = qtm = 1.0
@@ -242,7 +234,7 @@ def _integrand(kind: str, u, s, e1, e2):
     g = 0.0
     with np.errstate(divide="ignore"):
         for q in (qte, qtm):
-            a = np.log(q) - v  # log(Q w), -inf where Q = 0
+            a = np.minimum(np.log(q), 0.0) - v  # log(Q w), -inf where Q = 0
             omq = -np.expm1(a)  # 1 - Q w without cancellation
             g = g + (np.exp(a) / omq if kind == "pressure" else np.log(omq))
     return v * v * g if kind == "pressure" else v * g
@@ -283,32 +275,23 @@ def _lookup(eps, xi: np.ndarray, previous) -> np.ndarray | None:
     return e
 
 
-def _levels(kind: str, z: np.ndarray, scale: np.ndarray, m1, m2, xi_floor_ev: float,
-            t_lo: float, t_hi: float):
+def _levels(kind: str, z: np.ndarray, scale: np.ndarray, m1, m2, t_lo: float, t_hi: float):
     """Yield (sum, nodes) for levels 0.._MAX_LEVEL of the product rule on
     t in [t_lo, t_hi]: sum_i scale_i * integral over u, s > 0 of the
-    Lifshitz integrand at separation z_i, for (entry, 1, 1) arrays ``z``
-    and ``scale``.
-
-    Node arrays have shape (entry, piece, node), a piece being u above or
-    below the frequency floor.
+    Lifshitz integrand at separation z_i, for (entry, 1) arrays ``z`` and
+    ``scale``. u node arrays have shape (entry, node).
     """
     eps1 = _surface_eps(m1)
     eps2 = _surface_eps(m2)
     e_scale = HBARC_EV_M / (2.0 * z)  # photon energy per unit u, eV
-    u_floor = xi_floor_ev / e_scale
     total = 0.0
     e1 = e2 = None
     for level in range(_MAX_LEVEL + 1):
         x, w = _exp_sinh(level, t_lo, t_hi)
-        # u = u_floor + x above the floor and u = u_floor exp(-x) below it,
-        # where eps is constant, so each piece is smooth.
-        below = u_floor * np.exp(-x)
-        u = np.concatenate([u_floor + x, below], axis=1)
-        xi = np.maximum(u * e_scale, xi_floor_ev)
-        sw = scale * w
+        xi = x * e_scale
+        u = np.broadcast_to(x, xi.shape)
         e1, e2 = _lookup(eps1, xi, e1), _lookup(eps2, xi, e2)
-        rows = (u, np.concatenate([sw, below * sw], axis=1), e1, e2)
+        rows = (u, scale * w, e1, e2)
         # Only pairs with a node new at this level (odd index) are evaluated;
         # the other pairs sum to a quarter of the previous level (half the
         # step twice). flatten() copies: BLAS sums a strided row differently.
@@ -324,7 +307,7 @@ def _levels(kind: str, z: np.ndarray, scale: np.ndarray, m1, m2, xi_floor_ev: fl
 
 
 def _lifshitz(kind: str, z: np.ndarray, scale: np.ndarray, prefactor: float,
-              m1, m2, tol: float, xi_floor_ev: float) -> LifshitzResult:
+              m1, m2, tol: float) -> LifshitzResult:
     """prefactor * sum_i scale_i * integral of the Lifshitz integrand at z_i
     (see _levels), on the t range that ``tol`` allows.
 
@@ -335,12 +318,10 @@ def _lifshitz(kind: str, z: np.ndarray, scale: np.ndarray, prefactor: float,
     """
     if not TOL_MIN <= tol <= TOL_MAX:
         raise DomainError(f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}]")
-    u_floor = xi_floor_ev * 2.0 * z / HBARC_EV_M
-    t_lo, t_hi = _t_range(kind, tol, float(u_floor.max()))
-    for level, (total, evals) in enumerate(
-            _levels(kind, z, scale, m1, m2, xi_floor_ev, t_lo, t_hi)):
+    t_lo, t_hi = _t_range(kind, tol)
+    for level, (total, evals) in enumerate(_levels(kind, z, scale, m1, m2, t_lo, t_hi)):
         if level:
-            trunc = _truncation(scale, u_floor, t_lo, t_hi, level)
+            trunc = _truncation(scale, t_lo, t_hi, level)
             rel = (abs(total - previous) + trunc) / max(abs(total), 1e-300)
             if rel <= tol:
                 return LifshitzResult(prefactor * total, rel, evals)
@@ -353,18 +334,22 @@ def _lifshitz(kind: str, z: np.ndarray, scale: np.ndarray, prefactor: float,
 
 
 def _stack(z, weights, power: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Separations z_i as an (entry, 1, 1) array, each entry's rule scale
-    w_i (z_0/z_i)^power (w_i = 1 by default) and z_0, the first z_i."""
-    z = np.asarray(z, dtype=float).reshape(-1, 1, 1)
-    if not (z.size and 0 < z.min() and z.max() < math.inf):
-        raise DomainError("separation must be finite and > 0")
-    z0 = float(z[0, 0, 0])
+    """Separations z_i as an (entry, 1) array, each entry's rule scale
+    w_i (z_0/z_i)^power (w_i = 1 by default) and z_0, the first z_i.
+
+    z^power and z^-power must be finite, as the prefactors divide by z_0^power.
+    """
+    z = np.asarray(z, dtype=float).reshape(-1, 1)
+    with np.errstate(over="ignore", divide="ignore"):
+        zp = z**power
+        if not (z.size and np.all((z > 0) & np.isfinite(zp) & np.isfinite(1.0 / zp))):
+            raise DomainError(f"separation must be > 0, with z^{power} and z^-{power} finite")
+    z0 = float(z[0, 0])
     w = 1.0 if weights is None else np.asarray(weights, dtype=float).reshape(z.shape)
     return z, w * (z0 / z) ** power, z0
 
 
-def pressure_plane_plane(z, m1, m2, tol: float = 1e-6,
-                         xi_floor_ev: float = XI_FLOOR_EV, weights=None) -> LifshitzResult:
+def pressure_plane_plane(z, m1, m2, tol: float = 1e-6, weights=None) -> LifshitzResult:
     """Casimir pressure between two half-spaces at separation z (meters).
 
     Negative (attractive). ``m1``/``m2`` are DielectricModel instances or
@@ -376,11 +361,11 @@ def pressure_plane_plane(z, m1, m2, tol: float = 1e-6,
     """
     z, scale, z0 = _stack(z, weights, 4)
     prefactor = -CODATA.hbar * CODATA.c / (32.0 * math.pi**2 * z0**4)
-    return _lifshitz("pressure", z, scale, prefactor, m1, m2, tol, xi_floor_ev)
+    return _lifshitz("pressure", z, scale, prefactor, m1, m2, tol)
 
 
 def force_sphere_plane(z, radius: float, m1, m2, tol: float = 1e-6,
-                       xi_floor_ev: float = XI_FLOOR_EV, weights=None) -> LifshitzResult:
+                       weights=None) -> LifshitzResult:
     """Casimir force on a sphere of given radius above a plane (Newtons).
 
     Negative (attractive); proximity-force form, valid for z << radius.
@@ -393,7 +378,7 @@ def force_sphere_plane(z, radius: float, m1, m2, tol: float = 1e-6,
     # The inner logarithms are negative, so the positive prefactor keeps
     # the force attractive.
     prefactor = CODATA.hbar * CODATA.c * radius / (16.0 * math.pi * z0**3)
-    return _lifshitz("force", z, scale, prefactor, m1, m2, tol, xi_floor_ev)
+    return _lifshitz("force", z, scale, prefactor, m1, m2, tol)
 
 
 def gradient_from_pressure(pressure: LifshitzResult,
@@ -409,15 +394,14 @@ def gradient_from_pressure(pressure: LifshitzResult,
 
 
 def force_gradient_sphere_plane(z: float, radius: float, m1, m2,
-                                tol: float = 1e-6,
-                                xi_floor_ev: float = XI_FLOOR_EV) -> LifshitzResult:
+                                tol: float = 1e-6) -> LifshitzResult:
     """Sphere-plane force gradient dF/dz = 2 pi R P, reported positive.
 
     The proximity-force identity ties the gradient to the two-plane
     pressure; an attractive force weakening with distance gives a
     positive gradient under the package sign convention.
     """
-    p = pressure_plane_plane(z, m1, m2, tol=tol, xi_floor_ev=xi_floor_ev)
+    p = pressure_plane_plane(z, m1, m2, tol=tol)
     return gradient_from_pressure(p, radius)
 
 
@@ -430,7 +414,6 @@ __all__ = [
     "force_sphere_plane",
     "force_gradient_sphere_plane",
     "gradient_from_pressure",
-    "XI_FLOOR_EV",
     "TOL_MIN",
     "TOL_MAX",
 ]

@@ -396,6 +396,12 @@ def _force(tmp_path, **extra):
     return "force", doc
 
 
+def _pressure(tmp_path, **extra):
+    _, doc = _force(tmp_path, **extra)
+    del doc["radius_m"]
+    return "pressure", doc
+
+
 def _limits(tmp_path, bound, **extra):
     doc = {
         "lambda_grid_m": [1e-7],
@@ -480,6 +486,14 @@ def _heightmap_force(tmp_path, body: bytes):
     (lambda t: _heightmap_force(t, b"# pixel_pitch_m = 1e-7\n1e-9 \xff\n"), 1),
     (lambda t: _registry_force(t, plasma_ev=math.inf), 2),
     (lambda t: _calibrate_rows(t, ""), 1),
+    (lambda t: _force(t, z_grid_m=[1e-300]), 2),
+    (lambda t: _force(t, z_grid_m=[1e300]), 2),
+    (lambda t: _pressure(t, z_grid_m=[1e-300]), 2),
+    (lambda t: _pressure(t, z_grid_m=[1e300]), 2),
+    (lambda t: _force(t, z_grid_m=[True]), 2),
+    (lambda t: _force(t, z_grid_m=[[1e-7]]), 2),
+    (lambda t: _force(t, radius_m=True), 2),
+    (lambda t: _force(t, roughness={"entries": [[0.0, True]]}), 2),
 ], ids=["radius_m", "grid_list", "roughness_entries", "grid_points_fraction",
         "grid_points_bool", "bound_file_text",
         "bound_file_one_column", "bound_file_decreasing", "layer_row",
@@ -490,7 +504,9 @@ def _heightmap_force(tmp_path, body: bytes):
         "bound_file_nan_bound", "bound_file_nan_z", "bound_file_no_header",
         "grid_inf", "bound_file_header_only", "config_not_utf8",
         "calibration_not_utf8", "heightmap_not_utf8", "registry_inf_number",
-        "calibration_header_only"])
+        "calibration_header_only", "force_grid_tiny", "force_grid_huge",
+        "pressure_grid_tiny", "pressure_grid_huge", "grid_bool", "grid_nested",
+        "radius_bool", "roughness_bool_weight"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, make, code):
     command, doc = make(tmp_path)
     cfg = tmp_path / "run.json"

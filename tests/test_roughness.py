@@ -176,9 +176,9 @@ class TestAveraging:
         m1, m2 = pairs[name]
         d = _dist(SWEEP_ENTRIES)
         # Node counts per entry of the trimmed rule at each level, for the
-        # t range of each quantity and tol (the floor does not move it here).
+        # t range of each quantity and tol.
         entry_nodes = {
-            (kind, tol): {2 * _exp_sinh(level, *_t_range(kind, tol, 0.0))[0].size ** 2
+            (kind, tol): {_exp_sinh(level, *_t_range(kind, tol))[0].size ** 2
                           for level in range(1, 7)}
             for kind in ("pressure", "force") for tol in (1e-3, 1e-4, 1e-6)
         }
