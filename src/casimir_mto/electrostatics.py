@@ -20,6 +20,9 @@ module's ``least_squares``, MINPACK's Levenberg-Marquardt algorithm
 The series is summed a block of terms at a time: one NumPy step evaluates
 the terms of many (n, u) pairs and accumulates them along n in the same
 order as a term-by-term loop, so the sums match that loop bit for bit.
+The first block is sized from the predicted last term of the slowest
+column (``_first_rows``), so a pass is usually one block; a block that
+falls short is followed by blocks of twice its rows.
 The same pass sums the slope dS/du from the same exponentials, and the
 same routine gives the truncation report its partial sums. S(u) depends
 on R and delta0 only: the fit sums it once per trial point over the
@@ -47,11 +50,12 @@ from .errors import (
 from .lifshitz import SpherePlaneGeometry
 
 MAX_SERIES_TERMS = 100_000
-# Blocks of the series hold at most _BLOCK_ENTRIES (n, u) terms. They
-# start at _FIRST_ROWS values of n and double, so a series that converges
-# in a few terms (wide gaps) is not charged a full block.
+# Blocks of the series hold at most _BLOCK_ENTRIES (n, u) terms. The first
+# holds the rows n that the slowest column is predicted to need
+# (``_first_rows``), so a series that converges in a few terms (wide gaps)
+# is not charged a full block and a slow one is not split into many; a
+# block that falls short is followed by blocks of twice its rows.
 _BLOCK_ENTRIES = 8_192
-_FIRST_ROWS = 16
 
 # Small-gap expansion of the series, rho = d/R:
 #   F = (pi eps0 V^2 R / d) * [1 + rho ((1/3) ln rho + C1) + O(rho^2 ln^2 rho)]
@@ -94,6 +98,24 @@ def _inv_sinh_stable(x: np.ndarray) -> np.ndarray:
     return 2.0 * e / (1.0 - e * e)
 
 
+def _first_rows(u_min: float, series_tol: float, max_rows: int) -> int:
+    """Rows n the series is predicted to need at its smallest u, at most
+    max_rows.
+
+    For large n a term is about 2 (n - coth u) e^(-nu) = (2/u)(x - 1) e^(-x)
+    with x = nu and coth u ~ 1/u, and S(u) ~ 1/u^2 for small u, so the last
+    term sits near the root x >= 2 of (x - 1) e^(-x) = c = tol / (2u); the
+    step x <- ln((x - 1) / c) climbs to it. One row past ceil(x / u) covers
+    S lying a little below 1/u^2. Above u ~ 3, S lies far below it and the
+    first block falls short.
+    """
+    c = series_tol / (2.0 * u_min)
+    x = 2.0  # (x - 1) e^(-x) peaks at x = 2
+    for _ in range(8):
+        x = max(2.0, math.log(x - 1.0) - math.log(c))
+    return int(min(x / u_min + 2.0, max_rows))
+
+
 def _series_partials(u: np.ndarray, series_tol: float,
                      max_terms: int = MAX_SERIES_TERMS):
     """Partial sums of S(u) = sum_n [n coth(nu) - coth u]/sinh(nu) and of
@@ -117,7 +139,7 @@ def _series_partials(u: np.ndarray, series_tol: float,
     coth_u = _coth_stable(u)
     csch2_u = _inv_sinh_stable(u) ** 2
     max_rows = max(1, _BLOCK_ENTRIES // max(u.size, 1))
-    rows = min(_FIRST_ROWS, max_rows)
+    rows = _first_rows(float(u.min()), series_tol, max_rows) if u.size else 1
     total = np.zeros((2, u.size))
     first = 1
     while first <= max_terms:
@@ -325,6 +347,12 @@ _TINY = float(np.finfo(float).tiny)
 _MAX_NFEV_MESSAGE = "The maximum number of function evaluations is exceeded."
 # Fit parameters (k, V0, R, delta0) that the residuals take as |x|.
 _FOLDED = np.array([True, False, True, True])
+# The calibration fit stops once a step changes chi^2 by less than this.
+# With the pooled sigma^2 = 2 cost / ndof, chi^2 = ndof at the minimum, so
+# MINPACK's relative cost reduction r is a chi^2 change of r ndof and
+# ftol = _CHI2_STOP / ndof. A displacement dx changes chi^2 by
+# dx^T C^-1 dx there, so 1e-6 is about 1e-3 sigma.
+_CHI2_STOP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -469,6 +497,7 @@ def least_squares(fun, x0, *, jac, xtol: float, ftol: float,
     )
 
 
+@np.errstate(all="ignore")  # overflow is raised below as DomainError
 def calibrate(samples: Sequence[CalibrationSample],
               initial_guess: tuple[float, float, float, float]) -> CalibrationFit:
     """Least-squares recovery of (k, V0, R, delta0) from voltage sweeps.
@@ -482,6 +511,13 @@ def calibrate(samples: Sequence[CalibrationSample],
     times (J^T J)^-1, taken from the SVD of J. Requires at least 4 samples
     spanning at least 2 distinct applied voltages; a single-voltage design
     leaves k and (V - V0)^2 degenerate.
+
+    The fit stops at the noise, once a step changes chi^2 by less than
+    1e-6: with the pooled variance, chi^2 = 2 cost / sigma^2 equals
+    ndof = n - 4 at the minimum, so a relative cost reduction r is a chi^2
+    change of r ndof, and ftol = 1e-6 / ndof. A chi^2 change of 1e-6 is
+    a displacement of about 1e-3 sigma. Residuals, cost, Jacobian or
+    covariance that overflow raise DomainError.
     """
     if len(samples) < 4:
         raise IdentifiabilityError("need at least 4 calibration samples")
@@ -518,7 +554,11 @@ def calibrate(samples: Sequence[CalibrationSample],
         # Residuals live in measurement (dC) space: the force-space form
         # k*dC - F has a spurious exact minimum at k = R = 0.
         k, _, forces = model(y)
-        return dc - forces[0] / k
+        r = dc - forces[0] / k
+        if not math.isfinite(r @ r):
+            raise DomainError("calibration cost is not finite: a dC residual "
+                              "or the sum of their squares overflows")
+        return r
 
     def jacobian(y):
         k, v0, forces = model(y)
@@ -527,14 +567,18 @@ def calibrate(samples: Sequence[CalibrationSample],
         s = last[1][0, gap_of]
         cols = (forces[0] / k**2, 4.0 * math.pi * CODATA.eps0 * (v - v0) * s / k,
                 -forces[1] / k, -forces[2] / k)
-        return np.column_stack(cols) * (sign * scale)
+        jac_y = np.column_stack(cols) * (sign * scale)
+        if not np.isfinite(jac_y).all():
+            raise DomainError("calibration Jacobian is not finite: a dC derivative overflows")
+        return jac_y
 
+    ndof = max(len(samples) - 4, 1)
     res = least_squares(
         residuals,
         x0 / scale,
         jac=jacobian,
         xtol=1e-15,
-        ftol=1e-15,
+        ftol=_CHI2_STOP / ndof,
         gtol=1e-15,
         max_nfev=4000,
     )
@@ -547,11 +591,12 @@ def calibrate(samples: Sequence[CalibrationSample],
             f"calibration design is rank-deficient (condition {sv[0] / max(sv[-1], 1e-300):.2e})"
         )
 
-    ndof = max(len(samples) - 4, 1)
     sigma2 = 2.0 * res.cost / ndof
     cov_scaled = sigma2 * (vt.T / sv**2) @ vt
     cov = cov_scaled * np.outer(scale, scale)
     cov = 0.5 * (cov + cov.T)
+    if not np.isfinite(cov).all():
+        raise DomainError("calibration covariance is not finite: the dC residuals are out of range")
     k, v0, radius, delta0 = res.x * scale
     k = float(abs(k))
     return CalibrationFit(

@@ -157,7 +157,8 @@ def alpha_limit(residual_bound: Callable[[float], float] | Sequence[float],
 
     ``residual_bound`` maps separation to the experimental force bound (N),
     or supplies one bound per grid point. The limit is
-    min over z of bound(z) / F(alpha=1, z); alpha-linearity is exact.
+    min over z of bound(z) / F(alpha=1, z); alpha-linearity is exact. A
+    force that vanishes at every z bounds nothing (DomainError).
     """
     z_grid = np.atleast_1d(np.asarray(z_grid, dtype=float))
     if z_grid.size == 0:
@@ -174,4 +175,9 @@ def alpha_limit(residual_bound: Callable[[float], float] | Sequence[float],
     forces = np.array([
         yukawa_force_sphere_plane(unit, sphere, plate, float(z)) for z in z_grid
     ])
-    return float(np.min(bounds / forces))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        limit = float(np.min(bounds / forces))
+    if not math.isfinite(limit):
+        raise DomainError(f"Yukawa force at lambda = {lam:.3e} m is zero or not finite "
+                          "on the whole separation grid; no alpha limit")
+    return limit

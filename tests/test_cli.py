@@ -43,7 +43,7 @@ class TestForceCommand:
         rows = np.loadtxt(tmp_path / "force.csv", delimiter=",", skiprows=1)
         assert rows.shape == (3, 3)
         for z, f, err in rows:
-            assert f == pytest.approx(ideal_force_sphere_plane(z, R_SPHERE), rel=1e-5)
+            assert f == pytest.approx(ideal_force_sphere_plane(z, R_SPHERE), rel=1e-5, abs=0.0)
             assert err <= 1e-6
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -494,6 +494,9 @@ def _heightmap_force(tmp_path, body: bytes):
     (lambda t: _force(t, z_grid_m=[[1e-7]]), 2),
     (lambda t: _force(t, radius_m=True), 2),
     (lambda t: _force(t, roughness={"entries": [[0.0, True]]}), 2),
+    (lambda t: _calibrate_rows(t, "1e-6,0.1,1e300\n2e-6,0.1,1e-14\n1e-6,0.5,1e-14\n"
+                                  "2e-6,0.5,1e-14\n1.5e-6,0.9,1e-14\n"), 2),
+    (lambda t: _limits(t, {"constant_n": 1e-14}, lambda_grid_m=[1e-300]), 2),
 ], ids=["radius_m", "grid_list", "roughness_entries", "grid_points_fraction",
         "grid_points_bool", "bound_file_text",
         "bound_file_one_column", "bound_file_decreasing", "layer_row",
@@ -506,7 +509,9 @@ def _heightmap_force(tmp_path, body: bytes):
         "calibration_not_utf8", "heightmap_not_utf8", "registry_inf_number",
         "calibration_header_only", "force_grid_tiny", "force_grid_huge",
         "pressure_grid_tiny", "pressure_grid_huge", "grid_bool", "grid_nested",
-        "radius_bool", "roughness_bool_weight"])
+        "radius_bool", "roughness_bool_weight", "calibration_overflow",
+        "limit_zero_force"])
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_bad_input_is_one_error_line(tmp_path, capsys, make, code):
     command, doc = make(tmp_path)
     cfg = tmp_path / "run.json"

@@ -1,3 +1,4 @@
+import contextlib
 import importlib.util
 import itertools
 import math
@@ -86,6 +87,20 @@ def _slope_loop(u, n_last):
     return total
 
 
+@contextlib.contextmanager
+def _block_rows():
+    """Record the rows n of each block the series passes evaluate."""
+    rows, coth = [], electrostatics._coth_stable
+
+    def recording(x):
+        if np.ndim(x) == 2:  # a block of n u; coth u itself is 1-D
+            rows.append(x.shape[0])
+        return coth(x)
+
+    with mock.patch.object(electrostatics, "_coth_stable", recording):
+        yield rows
+
+
 def _config(v_applied=0.3, v_residual=0.0, z_metal=1e-6, delta0=0.0,
             radius=294.3e-6, series_tol=1e-9):
     geom = SpherePlaneGeometry(radius=radius, separation=z_metal, delta0=delta0)
@@ -106,12 +121,12 @@ class TestForceSeries:
     def test_quadratic_in_voltage(self):
         f1 = electrostatic_force(_config(v_applied=0.3))
         f2 = electrostatic_force(_config(v_applied=0.6))
-        assert f2 == pytest.approx(4 * f1, rel=1e-12)
+        assert f2 == pytest.approx(4 * f1, rel=1e-12, abs=0.0)
 
     def test_voltage_offset_symmetry(self):
         fp = electrostatic_force(_config(v_applied=0.9325, v_residual=0.6325))
         fm = electrostatic_force(_config(v_applied=0.3325, v_residual=0.6325))
-        assert fp == pytest.approx(fm, rel=1e-12)
+        assert fp == pytest.approx(fm, rel=1e-12, abs=0.0)
 
     def test_monotone_decreasing_in_gap(self):
         forces = [electrostatic_force(_config(z_metal=z)) for z in (0.5e-6, 1e-6, 2e-6, 4e-6)]
@@ -120,7 +135,7 @@ class TestForceSeries:
     def test_delta0_enters_the_gap(self):
         with_offset = electrostatic_force(_config(z_metal=1e-6, delta0=50e-9))
         plain = electrostatic_force(_config(z_metal=1.1e-6))
-        assert with_offset == pytest.approx(plain, rel=1e-10)
+        assert with_offset == pytest.approx(plain, rel=1e-10, abs=0.0)
 
     def test_series_tol_window(self):
         with pytest.raises(ValidationError):
@@ -188,6 +203,32 @@ class TestSeriesBlocks:
         s_lo = electrostatics._series_sum(u - h, 1e-14)
         got = electrostatics._series_sums(u, 1e-10)[1]
         assert np.allclose(got, (s_hi - s_lo) / (2.0 * h), rtol=1e-6, atol=0)
+
+    def test_first_block_covers_the_fit_gaps(self):
+        # A calibration pass (20 gaps of 0.6-3 um, tol 1e-10) is one block
+        # sized from the predicted last term, barely past the series' end.
+        radius, delta0 = 294.3e-6, 39.4e-9
+        u = np.arccosh(1.0 + (np.linspace(0.6e-6, 3e-6, 20) + 2.0 * delta0) / radius)
+        with _block_rows() as rows:
+            got = electrostatics._series_sum(u, 1e-10)
+        want, n_last = _series_loop(u, 1e-10)
+        assert len(rows) == 1 and n_last <= rows[0] <= 1.15 * n_last
+        assert np.array_equal(got, want)
+        cfg = _config(z_metal=1e-6)
+        with _block_rows() as rows:
+            electrostatic_force(cfg)
+        u = np.array([math.acosh(1.0 + cfg.gap / cfg.geometry.radius)])
+        assert sum(rows) <= 2 * _series_loop(u, cfg.series_tol)[1]
+
+    def test_short_first_block_continues_by_doubling(self):
+        # At u = 5, S(u) lies far below the 1/u^2 the first block assumes.
+        u = np.array([5.0])
+        with _block_rows() as rows:
+            got = electrostatics._series_sums(u, 1e-6)
+        want, n_last = _series_loop(u, 1e-6)
+        assert len(rows) > 1 and rows[1] == 2 * rows[0]
+        assert np.array_equal(got[0], want)
+        assert np.array_equal(got[1], _slope_loop(u, n_last))
 
     def test_series_longer_than_one_default_block(self):
         u = np.array([1e-3])
@@ -387,6 +428,40 @@ class TestCalibration:
         samples = make_calibration_samples(*TRUTH, Z_GRID, VOLTS, noise_rel=2e-6, seed=5)
         with pytest.raises(FitError, match="maximum number of function evaluations"):
             calibrate(samples, GUESS)
+
+    def test_fit_stops_at_the_noise(self, monkeypatch):
+        # The chi^2 stop against the same fits run to ftol = xtol = gtol =
+        # 1e-15: no parameter moves by 1e-3 sigma and no sigma by 1e-6
+        # relative, for at least a quarter fewer trial points.
+        solver = electrostatics.least_squares
+        nfev = {"stop": [], "tight": []}
+
+        def counting(key, **tols):
+            def run(fun, x0, **kw):
+                res = solver(fun, x0, **{**kw, **tols})
+                nfev[key].append(res.nfev)
+                return res
+            return run
+
+        for seed in range(20):
+            rng = np.random.default_rng(100 + seed)
+            truth = (TRUTH[0] * (1 + 0.02 * rng.uniform(-1, 1)),
+                     TRUTH[1] + 0.02 * rng.uniform(-1, 1),
+                     TRUTH[2] * (1 + 0.01 * rng.uniform(-1, 1)),
+                     TRUTH[3] * (1 + 0.05 * rng.uniform(-1, 1)))
+            z = np.sort(rng.uniform(0.6e-6, 3e-6, 20))
+            samples = make_calibration_samples(*truth, z, VOLTS, noise_rel=2e-6, seed=seed)
+            monkeypatch.setattr(electrostatics, "least_squares",
+                                counting("tight", xtol=1e-15, ftol=1e-15, gtol=1e-15))
+            ref = calibrate(samples, GUESS)
+            monkeypatch.setattr(electrostatics, "least_squares", counting("stop"))
+            fit = calibrate(samples, GUESS)
+            sigma = ref.uncertainties()
+            got = np.array([fit.k, fit.v0, fit.radius, fit.delta0])
+            want = np.array([ref.k, ref.v0, ref.radius, ref.delta0])
+            assert np.all(np.abs(got - want) <= 1e-3 * sigma), seed
+            assert np.all(np.abs(fit.uncertainties() / sigma - 1.0) <= 1e-6), seed
+        assert np.mean(nfev["stop"]) <= 0.75 * np.mean(nfev["tight"])
 
     def test_fit_matches_scipy_lm(self, monkeypatch):
         # Oracle: MINPACK through SciPy, with the same Jacobian-norm scaling

@@ -29,9 +29,11 @@ class TestIdealClosedForms:
 
     def test_force_formula(self):
         want = -math.pi**3 * CODATA.hbar * CODATA.c * R_SPHERE / 360e-18
-        assert ideal_force_sphere_plane(1e-6, R_SPHERE) == pytest.approx(want, rel=1e-15)
-        assert ideal_force_sphere_plane(1e-6, R_SPHERE) == pytest.approx(-8.0137215e-13, rel=1e-7)
-        assert ideal_force_sphere_plane(0.2e-6, R_SPHERE) == pytest.approx(-1.0017152e-10, rel=1e-7)
+        assert ideal_force_sphere_plane(1e-6, R_SPHERE) == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert ideal_force_sphere_plane(1e-6, R_SPHERE) == pytest.approx(
+            -8.0137215e-13, rel=1e-7, abs=0.0)
+        assert ideal_force_sphere_plane(0.2e-6, R_SPHERE) == pytest.approx(
+            -1.0017152e-10, rel=1e-7, abs=0.0)
 
     def test_scalings(self):
         assert ideal_force_sphere_plane(1e-6, 2 * R_SPHERE) == pytest.approx(
@@ -73,7 +75,7 @@ class TestQuadratureAgainstIdealLimit:
     @pytest.mark.parametrize("z", [0.2e-6, 1e-6])
     def test_force(self, z, ideal):
         res = force_sphere_plane(z, R_SPHERE, ideal, ideal, tol=1e-6)
-        assert res.value == pytest.approx(ideal_force_sphere_plane(z, R_SPHERE), rel=1e-6)
+        assert res.value == pytest.approx(ideal_force_sphere_plane(z, R_SPHERE), rel=1e-6, abs=0.0)
         assert res.value < 0
 
     def test_gradient_closed_form(self, ideal):
