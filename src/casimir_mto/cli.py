@@ -46,7 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .inputs import Cfg, read_json_object, read_table
-from .lifshitz import gradient_from_pressure
+from .lifshitz import force_sphere_plane, gradient_from_pressure, pressure_plane_plane
 from .materials import PerfectConductor, Tabulated, load_registry
 from .oscillator import (
     SweepConfig,
@@ -57,8 +57,8 @@ from .oscillator import (
 )
 from .roughness import (
     RoughnessDistribution,
-    averaged_force,
-    averaged_pressure,
+    _entries,
+    _weighted,
     load_heightmap,
     weights_from_heightmaps,
 )
@@ -118,7 +118,7 @@ def _parse_grid(spec, where: str) -> np.ndarray:
 
 def _resolve_materials(spec, where: str):
     m = Cfg(spec, where)
-    registry_path = m.take("registry", None)
+    registry_path = m.take_path("registry", None)
     pair = m.take("pair")
     m.close()
     if not (isinstance(pair, list) and len(pair) == 2
@@ -147,8 +147,8 @@ def _parse_roughness(spec, where: str) -> RoughnessDistribution | None:
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ConfigurationError(f"{where}: entries must be [[offset_m, weight], ...]")
         return RoughnessDistribution(arr[:, 0], arr[:, 1])
-    map1 = load_heightmap(r.take("heightmap1"))
-    map2_path = r.take("heightmap2", None)
+    map1 = load_heightmap(r.take_path("heightmap1"))
+    map2_path = r.take_path("heightmap2", None)
     bins = r.take_int("bins", 21)
     r.close()
     map2 = load_heightmap(map2_path) if map2_path else None
@@ -183,8 +183,8 @@ def cmd_grid(args) -> int:
     """``force`` (F or dF/dz) and ``pressure`` over a separation grid.
 
     Each row holds the plain value and its error estimate, plus the
-    roughness average when a distribution is configured. The gradient
-    is the proximity-force 2 pi R |P| of the plain or averaged pressure.
+    roughness average when a distribution is configured, from one Lifshitz
+    call. The gradient is 2 pi R |P| of the plain or averaged pressure.
     """
     doc = _common_overrides(_load_config(args.config), args)
     cfg = Cfg(doc, f"{args.command} config")
@@ -197,25 +197,33 @@ def cmd_grid(args) -> int:
     grid = _parse_grid(cfg.take("z_grid_m"), "z_grid_m")
     tol = cfg.take_float("tol", 1e-6)
     dist = _parse_roughness(cfg.take("roughness", None), "roughness")
-    out = cfg.take("out")
+    out = cfg.take_path("out")
     cfg.close()
     if args.command == "force" and quantity not in ("force", "gradient"):
         raise ConfigurationError("quantity must be 'force' or 'gradient'")
 
-    def at(z: float, d: RoughnessDistribution):
+    def integral(z):
         if quantity == "force":
-            return averaged_force(z, radius, d, m1, m2, tol=tol)
-        p = averaged_pressure(z, d, m1, m2, tol=tol)
-        return p if quantity == "pressure" else gradient_from_pressure(p, radius)
+            return force_sphere_plane(z, radius, m1, m2, tol=tol)
+        return pressure_plane_plane(z, m1, m2, tol=tol)
 
-    plain = RoughnessDistribution.single()
+    def column(r):
+        return gradient_from_pressure(r, radius) if quantity == "gradient" else r
+
     rows = []
     for z in grid:
-        r = at(float(z), plain)
-        row = (z, r.value, r.est_rel_error)
-        if dist is not None:
-            row += (at(float(z), dist).value,)
-        rows.append(row)
+        if dist is None:
+            r = column(integral(z))
+            rows.append((z, r.value, r.est_rel_error))
+            continue
+        # z itself is the zero offset's entry, or joins at zero weight.
+        shifted, weights = _entries(z, dist)
+        if z not in shifted:
+            shifted, weights = np.append(shifted, z), np.append(weights, 0.0)
+        r = integral(shifted)
+        k = np.flatnonzero(shifted == z)[0]
+        average, r = column(_weighted(r, weights)), column(r)
+        rows.append((z, r.value[k], r.est_rel_error[k], average.value))
     col = _COLUMNS[quantity]
     header = ["z_m", col, "est_rel_error"] + ([f"{col}_rough"] if dist is not None else [])
     _write_csv(out, header, rows)
@@ -237,9 +245,9 @@ def _load_calibration_csv(path) -> list[CalibrationSample]:
 def cmd_calibrate(args) -> int:
     doc = _common_overrides(_load_config(args.config), args)
     cfg = Cfg(doc, "calibrate config")
-    data_path = cfg.take("data")
+    data_path = cfg.take_path("data")
     guess_spec = cfg.take("initial_guess", None)
-    out = cfg.take("out", None)
+    out = cfg.take_path("out", None)
     cfg.close()
 
     samples = _load_calibration_csv(data_path)
@@ -293,7 +301,7 @@ def cmd_sweep(args) -> int:
     dist = _parse_roughness(cfg.take("roughness", None), "roughness")
     seed = _check_seed(cfg.take_int("seed", 0))
     tol = cfg.take_float("tol", 1e-6)
-    out = cfg.take("out")
+    out = cfg.take_path("out")
     cfg.close()
 
     if osc_spec is None:
@@ -386,12 +394,12 @@ def cmd_limits(args) -> int:
     sphere = _parse_body(cfg.take("sphere", None), "sphere", reference_sphere())
     plate = _parse_body(cfg.take("plate", None), "plate", reference_plate())
     bound_spec = cfg.take("residual_bound")
-    out = cfg.take("out")
+    out = cfg.take_path("out")
     cfg.close()
 
     b = Cfg(bound_spec, "residual_bound")
     const = b.take_float("constant_n", None)
-    bound_file = b.take("file", None)
+    bound_file = b.take_path("file", None)
     b.close()
     if (const is None) == (bound_file is None):
         raise ConfigurationError(
@@ -436,11 +444,19 @@ def cmd_materials_validate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigurationError (one ``error:`` line, exit 2)
+    instead of exiting; --help and --version still print and exit."""
+
+    def error(self, message):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 # Built once per process (~1 ms a build): in-process callers run many jobs
 # through main(), and parse_args returns a fresh namespace each call.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="casimir-mto",
         description="Casimir sphere-plane pipeline: forces, calibration, "
         "sweep simulation and Yukawa limits.",
@@ -474,8 +490,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,9 +2,9 @@
 
 Run configs and material registries are JSON objects, read through
 ``read_json_object`` and unpacked key by key with ``Cfg``, which rejects
-unknown keys. Optical tables, calibration samples and residual-bound
-files are headed CSV tables, read through ``read_table`` under one set of
-rules:
+unknown keys and checks that numbers are numbers and paths are strings.
+Optical tables, calibration samples and residual-bound files are headed
+CSV tables, read through ``read_table`` under one set of rules:
 
 - the file is UTF-8;
 - blank lines and ``#`` comment lines are skipped anywhere;
@@ -71,6 +71,13 @@ class Cfg:
             raise ConfigurationError(
                 f"{self._where}: {key!r} must be an integer, got {val!r}"
             )
+        return val
+
+    def take_path(self, key, default=_REQUIRED) -> str | None:
+        """A file path, which must be a string; a default of None passes."""
+        val = self.take(key, default)
+        if not (isinstance(val, str) or val is default is None):
+            raise ConfigurationError(f"{self._where}: {key!r} must be a path string, got {val!r}")
         return val
 
     def close(self):

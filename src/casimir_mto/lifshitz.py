@@ -19,7 +19,8 @@ nodes (and eps values) already evaluated, until two levels agree to the
 tolerance. The reported error, est_rel_error, is their difference
 plus a closed-form bound on the part of the integral the trimmed t range
 drops: for eps >= 1 every reflection factor lies in [0, 1], so the
-ideal-metal integrand bounds the real one pointwise.
+ideal-metal integrand bounds the real one pointwise. An array of
+separations is one stacked rule, with a result and an estimate per entry.
 Perfect conductors take the ideal limit (reflection products = 1), which
 reproduces the closed forms -pi^2 hbar c / 240 z^4 and
 -pi^3 hbar c R / 360 z^3 exactly; those serve as the quadrature oracle.
@@ -97,14 +98,13 @@ class LifshitzResult:
     Lifshitz integral for the given eps (the model is never clamped): the
     difference of the last two levels plus the truncation bound of the
     trimmed t range; ``evaluations`` counts the (u, s) nodes of the product
-    rule. For a weighted set of separations (a roughness average) ``value``
-    is the weighted sum, ``est_rel_error`` the level difference of that sum
-    plus the entries' truncation bounds weighted by |w_i| (z_0/z_i)^p, and
-    ``evaluations`` the nodes of all entries together.
+    rule. For an array of separations ``value`` and ``est_rel_error`` are
+    arrays, one entry per separation, each with its own level difference,
+    and ``evaluations`` counts the nodes of all entries together.
     """
 
-    value: float
-    est_rel_error: float
+    value: float | np.ndarray
+    est_rel_error: float | np.ndarray
     evaluations: int
 
 
@@ -184,9 +184,9 @@ def _t_range(kind: str, tol: float) -> tuple[float, float]:
     return t_lo, min(_T_HI, _t(a))
 
 
-def _truncation(scale: np.ndarray, t_lo: float, t_hi: float, level: int) -> float:
-    """Bound on the part of sum_i |scale_i| integral_i that the level's rule
-    on [t_lo, t_hi] drops.
+def _truncation(t_lo: float, t_hi: float, level: int) -> float:
+    """Bound on the part of the integral that the level's rule on
+    [t_lo, t_hi] drops.
 
     With eps >= 1 every reflection factor lies in [0, 1], so the pressure
     integrand is at most g(v) = 2 v^2/(e^v - 1) and the force integrand's
@@ -201,7 +201,7 @@ def _truncation(scale: np.ndarray, t_lo: float, t_hi: float, level: int) -> floa
     x_lo, a = float(_x(t_lo)), float(_x(t_hi))
     beyond, at = _tails(a)
     first = 0.5 ** (level + 1) * 0.5 * math.pi * math.cosh(t_hi) * a
-    return float(np.sum(np.abs(scale) * (8.0 * _ZETA3 * x_lo + 2.0 * (beyond + first * at))))
+    return 8.0 * _ZETA3 * x_lo + 2.0 * (beyond + first * at)
 
 
 def _reflection_factors(e, u, v):
@@ -240,20 +240,26 @@ def _integrand(kind: str, u, s, e1, e2):
     return v * v * g if kind == "pressure" else v * g
 
 
-def _rule_sum(kind: str, u, wu, e1, e2, s, ws) -> float:
-    """sum_ij wu_i ws_j f(u_i, s_j), a block of u rows at a time.
+def _row_dot(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v one row at a time: a BLAS product rounds a row differently with
+    other rows around it, and a stacked entry must not depend on the others."""
+    return np.matmul(a[:, None, :], v)[:, 0]
+
+
+def _rule_sum(kind: str, u, e1, e2, s, ws) -> np.ndarray:
+    """sum_j ws_j f(u_i, s_j) for every row i, a block of u rows at a time.
 
     ``e1``/``e2`` hold each row's permittivity, or None for a perfect
     conductor.
     """
     rows = max(1, _BLOCK // s.size)
-    total = 0.0
+    sums = np.empty(u.size)
     for i in range(0, u.size, rows):
         b = slice(i, i + rows)
         e1b = None if e1 is None else e1[b, None]
         e2b = None if e2 is None else e2[b, None]
-        total += float(wu[b] @ (_integrand(kind, u[b, None], s, e1b, e2b) @ ws))
-    return total
+        sums[b] = _row_dot(_integrand(kind, u[b, None], s, e1b, e2b), ws)
+    return sums
 
 
 def _lookup(eps, xi: np.ndarray, previous) -> np.ndarray | None:
@@ -275,11 +281,11 @@ def _lookup(eps, xi: np.ndarray, previous) -> np.ndarray | None:
     return e
 
 
-def _levels(kind: str, z: np.ndarray, scale: np.ndarray, m1, m2, t_lo: float, t_hi: float):
-    """Yield (sum, nodes) for levels 0.._MAX_LEVEL of the product rule on
-    t in [t_lo, t_hi]: sum_i scale_i * integral over u, s > 0 of the
-    Lifshitz integrand at separation z_i, for (entry, 1) arrays ``z`` and
-    ``scale``. u node arrays have shape (entry, node).
+def _levels(kind: str, z: np.ndarray, m1, m2, t_lo: float, t_hi: float):
+    """Yield (sums, nodes) for levels 0.._MAX_LEVEL of the product rule on
+    t in [t_lo, t_hi]: sums_i is the integral over u, s > 0 of the
+    Lifshitz integrand at separation z_i, for an (entry, 1) array ``z``.
+    u node arrays have shape (entry, node).
     """
     eps1 = _surface_eps(m1)
     eps2 = _surface_eps(m2)
@@ -291,118 +297,90 @@ def _levels(kind: str, z: np.ndarray, scale: np.ndarray, m1, m2, t_lo: float, t_
         xi = x * e_scale
         u = np.broadcast_to(x, xi.shape)
         e1, e2 = _lookup(eps1, xi, e1), _lookup(eps2, xi, e2)
-        rows = (u, scale * w, e1, e2)
         # Only pairs with a node new at this level (odd index) are evaluated;
         # the other pairs sum to a quarter of the previous level (half the
-        # step twice). flatten() copies: BLAS sums a strided row differently.
+        # step twice). Picked rows run entry by entry, and fold back per entry.
         new, old = (slice(1, None, 2), slice(0, None, 2)) if level else (slice(None), slice(0))
 
-        def pick(nodes):
-            return [None if a is None else a[..., nodes].flatten() for a in rows]
+        def part(nodes, s, ws):
+            picked = [None if a is None else a[..., nodes].flatten() for a in (u, e1, e2)]
+            sums = _rule_sum(kind, *picked, s, ws).reshape(len(z), -1)
+            return _row_dot(sums, w[nodes])
 
-        total = (0.25 * total
-                 + _rule_sum(kind, *pick(new), x, w)
-                 + _rule_sum(kind, *pick(old), x[new], w[new]))
+        total = 0.25 * total + part(new, x, w) + part(old, x[new], w[new])
         yield total, u.size * x.size
 
 
-def _lifshitz(kind: str, z: np.ndarray, scale: np.ndarray, prefactor: float,
-              m1, m2, tol: float) -> LifshitzResult:
-    """prefactor * sum_i scale_i * integral of the Lifshitz integrand at z_i
-    (see _levels), on the t range that ``tol`` allows.
+def _lifshitz(kind: str, z, coeff: float, m1, m2, tol: float) -> LifshitzResult:
+    """coeff / z_i^p times the integral of the Lifshitz integrand at each
+    separation z_i (see _levels), with p = 4 for pressure and 3 for force,
+    on the t range that ``tol`` allows.
 
-    Halves the step of the exp-sinh product rule until the difference of
-    two successive levels plus the truncation bound is within ``tol`` of
-    the weighted sum; raises ConvergenceError with the scaled finest-level
-    result attached when _MAX_LEVEL does not get there.
+    Halves the step of the exp-sinh product rule until, for every entry,
+    the difference of two successive levels plus the truncation bound is
+    within ``tol`` of its integral; raises ConvergenceError with the
+    finest-level result attached when _MAX_LEVEL does not get there.
     """
+    p = 4 if kind == "pressure" else 3
+    z = np.asarray(z, dtype=float)
+    with np.errstate(over="ignore", divide="ignore"):
+        zp = z**p
+        if not (z.size and np.all((z > 0) & np.isfinite(zp) & np.isfinite(1.0 / zp))):
+            raise DomainError(f"separation must be > 0, with z^{p} and z^-{p} finite")
     if not TOL_MIN <= tol <= TOL_MAX:
         raise DomainError(f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}]")
     t_lo, t_hi = _t_range(kind, tol)
-    for level, (total, evals) in enumerate(_levels(kind, z, scale, m1, m2, t_lo, t_hi)):
+    for level, (total, evals) in enumerate(_levels(kind, z.reshape(-1, 1), m1, m2, t_lo, t_hi)):
         if level:
-            trunc = _truncation(scale, t_lo, t_hi, level)
-            rel = (abs(total - previous) + trunc) / max(abs(total), 1e-300)
-            if rel <= tol:
-                return LifshitzResult(prefactor * total, rel, evals)
+            trunc = _truncation(t_lo, t_hi, level)
+            rel = (np.abs(total - previous) + trunc) / np.maximum(np.abs(total), 1e-300)
+            if rel.max() <= tol:
+                break
         previous = total
-    raise ConvergenceError(
-        f"double-exponential rule did not reach tol={tol:g} by level "
-        f"{_MAX_LEVEL} (reached {rel:.2e})",
-        partial=LifshitzResult(prefactor * total, rel, evals),
-    )
+    value, rel = coeff / zp * total.reshape(z.shape), rel.reshape(z.shape)
+    result = LifshitzResult(value, rel, evals) if z.ndim else LifshitzResult(
+        float(value), float(rel), evals)
+    if rel.max() > tol:
+        raise ConvergenceError(f"double-exponential rule did not reach tol={tol:g} by level "
+                               f"{_MAX_LEVEL} (reached {rel.max():.2e})", partial=result)
+    return result
 
 
-def _stack(z, weights, power: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Separations z_i as an (entry, 1) array, each entry's rule scale
-    w_i (z_0/z_i)^power (w_i = 1 by default) and z_0, the first z_i.
-
-    z^power and z^-power must be finite, as the prefactors divide by z_0^power.
-    """
-    z = np.asarray(z, dtype=float).reshape(-1, 1)
-    with np.errstate(over="ignore", divide="ignore"):
-        zp = z**power
-        if not (z.size and np.all((z > 0) & np.isfinite(zp) & np.isfinite(1.0 / zp))):
-            raise DomainError(f"separation must be > 0, with z^{power} and z^-{power} finite")
-    z0 = float(z[0, 0])
-    w = 1.0 if weights is None else np.asarray(weights, dtype=float).reshape(z.shape)
-    return z, w * (z0 / z) ** power, z0
-
-
-def pressure_plane_plane(z, m1, m2, tol: float = 1e-6, weights=None) -> LifshitzResult:
+def pressure_plane_plane(z, m1, m2, tol: float = 1e-6) -> LifshitzResult:
     """Casimir pressure between two half-spaces at separation z (meters).
 
     Negative (attractive). ``m1``/``m2`` are DielectricModel instances or
     callables xi_ev -> eps; the result is symmetric under their exchange.
-    An array ``z`` with ``weights`` w_i (default 1) gives sum_i w_i P(z_i)
-    from one stacked rule (see LifshitzResult).
+    An array ``z`` gives one pressure per separation from one stacked rule
+    (see LifshitzResult).
     Raises ConvergenceError (with the partial LifshitzResult attached) if
     the quadrature budget is exhausted before reaching ``tol``.
     """
-    z, scale, z0 = _stack(z, weights, 4)
-    prefactor = -CODATA.hbar * CODATA.c / (32.0 * math.pi**2 * z0**4)
-    return _lifshitz("pressure", z, scale, prefactor, m1, m2, tol)
+    return _lifshitz("pressure", z, -CODATA.hbar * CODATA.c / (32.0 * math.pi**2), m1, m2, tol)
 
 
-def force_sphere_plane(z, radius: float, m1, m2, tol: float = 1e-6,
-                       weights=None) -> LifshitzResult:
+def force_sphere_plane(z, radius: float, m1, m2, tol: float = 1e-6) -> LifshitzResult:
     """Casimir force on a sphere of given radius above a plane (Newtons).
 
     Negative (attractive); proximity-force form, valid for z << radius.
-    An array ``z`` with ``weights`` gives sum_i w_i F(z_i), as for the
-    pressure.
+    An array ``z`` gives one force per separation, as for the pressure.
     """
     if not radius > 0:
         raise DomainError("sphere radius must be > 0")
-    z, scale, z0 = _stack(z, weights, 3)
     # The inner logarithms are negative, so the positive prefactor keeps
     # the force attractive.
-    prefactor = CODATA.hbar * CODATA.c * radius / (16.0 * math.pi * z0**3)
-    return _lifshitz("force", z, scale, prefactor, m1, m2, tol)
+    return _lifshitz("force", z, CODATA.hbar * CODATA.c * radius / (16.0 * math.pi), m1, m2, tol)
 
 
 def gradient_from_pressure(pressure: LifshitzResult,
                            radius: float) -> LifshitzResult:
-    """Proximity-force gradient 2 pi R |P| of a (possibly averaged) pressure.
-
-    Keeps the pressure's error estimate and evaluation count.
-    """
+    """Sphere-plane force gradient dF/dz = 2 pi R |P| (proximity force) of a
+    plain, stacked or averaged two-plane pressure, positive for an attraction
+    weakening with distance; keeps the pressure's estimate and node count."""
     if not radius > 0:
         raise DomainError("sphere radius must be > 0")
     return LifshitzResult(2.0 * math.pi * radius * abs(pressure.value),
                           pressure.est_rel_error, pressure.evaluations)
-
-
-def force_gradient_sphere_plane(z: float, radius: float, m1, m2,
-                                tol: float = 1e-6) -> LifshitzResult:
-    """Sphere-plane force gradient dF/dz = 2 pi R P, reported positive.
-
-    The proximity-force identity ties the gradient to the two-plane
-    pressure; an attractive force weakening with distance gives a
-    positive gradient under the package sign convention.
-    """
-    p = pressure_plane_plane(z, m1, m2, tol=tol)
-    return gradient_from_pressure(p, radius)
 
 
 __all__ = [
@@ -412,7 +390,6 @@ __all__ = [
     "ideal_force_sphere_plane",
     "pressure_plane_plane",
     "force_sphere_plane",
-    "force_gradient_sphere_plane",
     "gradient_from_pressure",
     "TOL_MIN",
     "TOL_MAX",

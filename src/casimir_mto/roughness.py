@@ -9,12 +9,13 @@ forces are averaged as
 
 The distribution is zero-mean by construction; the separate mean contact
 offset delta0 lives in the geometry, matching how calibration reports it.
-An average is one Lifshitz integral over the stacked entries (equal
-offsets merged), so its error estimate is that of the weighted sum.
+An average is one stacked Lifshitz call over its entries (equal offsets
+merged), one result per entry, weighted here alone (``_weighted``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -213,15 +214,25 @@ def _entries(z: float, dist: RoughnessDistribution) -> tuple[np.ndarray, np.ndar
     return z + offsets[first][keep], weights[keep]
 
 
+def _weighted(result: LifshitzResult, weights: np.ndarray) -> LifshitzResult:
+    """sum_i w_i r_i of a stacked result, exactly rounded (zero weights leave
+    it unchanged), with estimate sum_i w_i |r_i| e_i / |sum_i w_i r_i|: eps >= 1
+    gives every entry one sign, so that is the weighted mean of the e_i."""
+    terms = weights * result.value
+    total = math.fsum(terms)
+    est = float(np.abs(terms) @ result.est_rel_error) / max(abs(total), 1e-300)
+    return LifshitzResult(total, est, result.evaluations)
+
+
 def averaged_pressure(z: float, dist: RoughnessDistribution, m1, m2,
                       tol: float = 1e-6) -> LifshitzResult:
     """Roughness-averaged two-plane pressure: sum_i w_i P(z + offset_i)."""
     shifted, weights = _entries(z, dist)
-    return pressure_plane_plane(shifted, m1, m2, tol=tol, weights=weights)
+    return _weighted(pressure_plane_plane(shifted, m1, m2, tol=tol), weights)
 
 
 def averaged_force(z: float, radius: float, dist: RoughnessDistribution,
                    m1, m2, tol: float = 1e-6) -> LifshitzResult:
     """Roughness-averaged sphere-plane force: sum_i w_i F(z + offset_i)."""
     shifted, weights = _entries(z, dist)
-    return force_sphere_plane(shifted, radius, m1, m2, tol=tol, weights=weights)
+    return _weighted(force_sphere_plane(shifted, radius, m1, m2, tol=tol), weights)

@@ -47,6 +47,8 @@ class YukawaParams:
     def __post_init__(self):
         if not self.lam > 0:
             raise ValidationError("range lambda must be > 0")
+        if not math.isfinite(self.lam * self.lam * self.lam):
+            raise ValidationError(f"range lambda = {self.lam:.3e} m overflows lambda^3")
 
 
 @dataclass(frozen=True)

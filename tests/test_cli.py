@@ -114,6 +114,33 @@ class TestForceCommand:
                                   registry["copper_drude"], tol=1e-6)
             assert row[3] == 2.0 * math.pi * R_SPHERE * abs(p.value)
 
+    def test_rough_row_is_one_integral(self, tmp_path, monkeypatch):
+        # With a zero offset in the distribution, the plain column is that
+        # entry's: the row costs one stacked call, with the average's nodes.
+        from casimir_mto import lifshitz
+        from casimir_mto.materials import load_registry
+        from casimir_mto.roughness import RoughnessDistribution, averaged_force
+
+        entries = [[-3e-8, 0.15], [-1e-8, 0.2], [0.0, 0.3], [1e-8, 0.2], [3e-8, 0.15]]
+        registry = load_registry()
+        want = averaged_force(5e-7, R_SPHERE, RoughnessDistribution(*np.array(entries).T),
+                              registry["gold"], registry["copper"], tol=1e-6)
+        nodes = []
+        integral = lifshitz._lifshitz
+
+        def counted(*args):
+            result = integral(*args)
+            nodes.append(result.evaluations)
+            return result
+
+        monkeypatch.setattr(lifshitz, "_lifshitz", counted)
+        cfg = self._config(tmp_path, materials={"pair": ["gold", "copper"]},
+                           roughness={"entries": entries}, z_grid_m=[5e-7])
+        assert run(["force", "--config", cfg]) == 0
+        assert nodes == [want.evaluations]
+        row = np.loadtxt(tmp_path / "force.csv", delimiter=",", skiprows=1)
+        assert row[3] == want.value
+
     def test_tol_flag_overrides_config(self, tmp_path):
         cfg = self._config(tmp_path, z_grid_m=[1e-6])
         run(["force", "--config", cfg])
@@ -447,10 +474,10 @@ def _calibrate_rows(tmp_path, rows):
     return _calibrate_file(tmp_path, ("z_metal_m,v_applied_v,delta_c_f\n" + rows).encode())
 
 
-def _heightmap_force(tmp_path, body: bytes):
+def _heightmap_force(tmp_path, body: bytes, **roughness):
     scan = tmp_path / "scan.txt"
     scan.write_bytes(body)
-    return _force(tmp_path, roughness={"heightmap1": str(scan)})
+    return _force(tmp_path, roughness={"heightmap1": str(scan), **roughness})
 
 
 @pytest.mark.parametrize("make,code", [
@@ -497,6 +524,15 @@ def _heightmap_force(tmp_path, body: bytes):
     (lambda t: _calibrate_rows(t, "1e-6,0.1,1e300\n2e-6,0.1,1e-14\n1e-6,0.5,1e-14\n"
                                   "2e-6,0.5,1e-14\n1.5e-6,0.9,1e-14\n"), 2),
     (lambda t: _limits(t, {"constant_n": 1e-14}, lambda_grid_m=[1e-300]), 2),
+    (lambda t: _limits(t, {"constant_n": 1e-14}, lambda_grid_m=[1e300]), 2),
+    (lambda t: _force(t, out=1), 2),
+    (lambda t: _force(t, out=None), 2),
+    (lambda t: _sweep(t, out=["s.csv"]), 2),
+    (lambda t: ("calibrate", {"data": 1}), 2),
+    (lambda t: _limits(t, {"file": 1}), 2),
+    (lambda t: _force(t, materials={"registry": 1, "pair": ["gold", "gold"]}), 2),
+    (lambda t: _force(t, roughness={"heightmap1": 1}), 2),
+    (lambda t: _heightmap_force(t, b"# pixel_pitch_m = 1e-7\n1e-9 0.0\n", heightmap2=1), 2),
 ], ids=["radius_m", "grid_list", "roughness_entries", "grid_points_fraction",
         "grid_points_bool", "bound_file_text",
         "bound_file_one_column", "bound_file_decreasing", "layer_row",
@@ -510,7 +546,9 @@ def _heightmap_force(tmp_path, body: bytes):
         "calibration_header_only", "force_grid_tiny", "force_grid_huge",
         "pressure_grid_tiny", "pressure_grid_huge", "grid_bool", "grid_nested",
         "radius_bool", "roughness_bool_weight", "calibration_overflow",
-        "limit_zero_force"])
+        "limit_zero_force", "limit_lambda_huge", "out_number", "out_null",
+        "sweep_out_list", "calibration_data_number", "bound_file_number",
+        "registry_number", "heightmap1_number", "heightmap2_number"])
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_bad_input_is_one_error_line(tmp_path, capsys, make, code):
     command, doc = make(tmp_path)
@@ -522,6 +560,24 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, make, code):
     assert run([command, "--config", cfg]) == code
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["force", "--seed", "abc"], [], ["bogus"], ["materials"]],
+                         ids=["bad_int", "no_command", "unknown_command", "no_subcommand"])
+def test_usage_error_is_one_error_line(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    err = err.strip().splitlines()
+    assert out == "" and len(err) == 1 and err[0].startswith("error: casimir-mto")
+
+
+def test_help_and_version_still_exit(capsys):
+    for argv in (["--help"], ["--version"], ["force", "--help"]):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 0
+    out = capsys.readouterr().out
+    assert "usage: casimir-mto" in out and "0.1.0" in out
 
 
 def _registry_file_force(tmp_path, body: bytes):

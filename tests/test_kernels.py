@@ -22,7 +22,7 @@ def _s_rule(kind, u, e1, e2):
     """One u row of the product rule; an eps of None is a perfect conductor."""
     s, ws = _exp_sinh(LEVEL, _T_LO, _T_HI)
     row = [None if e is None else np.array([e]) for e in (e1, e2)]
-    return _rule_sum(kind, np.array([u]), np.ones(1), *row, s, ws)
+    return _rule_sum(kind, np.array([u]), *row, s, ws)
 
 
 def pressure_inner(u, e1, e2):
