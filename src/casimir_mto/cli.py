@@ -58,7 +58,7 @@ from .oscillator import (
 from .roughness import (
     RoughnessDistribution,
     _entries,
-    _weighted,
+    _stacked_averages,
     load_heightmap,
     weights_from_heightmaps,
 )
@@ -183,8 +183,10 @@ def cmd_grid(args) -> int:
     """``force`` (F or dF/dz) and ``pressure`` over a separation grid.
 
     Each row holds the plain value and its error estimate, plus the
-    roughness average when a distribution is configured, from one Lifshitz
-    call. The gradient is 2 pi R |P| of the plain or averaged pressure.
+    roughness average when a distribution is configured. The whole grid is
+    one stacked Lifshitz call: the separations themselves, or every row's
+    roughness entries with the row's own separation among them. The
+    gradient is 2 pi R |P| of the plain or averaged pressure.
     """
     doc = _common_overrides(_load_config(args.config), args)
     cfg = Cfg(doc, f"{args.command} config")
@@ -210,24 +212,21 @@ def cmd_grid(args) -> int:
     def column(r):
         return gradient_from_pressure(r, radius) if quantity == "gradient" else r
 
-    rows = []
-    for z in grid:
-        if dist is None:
-            r = column(integral(z))
-            rows.append((z, r.value, r.est_rel_error))
-            continue
+    if dist is None:
+        r = column(integral(grid))
+        rows = zip(grid, r.value, r.est_rel_error)
+    else:
+        zs, offsets, weights = _entries(grid, dist)
         # z itself is the zero offset's entry, or joins at zero weight.
-        shifted, weights = _entries(z, dist)
-        if z not in shifted:
-            shifted, weights = np.append(shifted, z), np.append(weights, 0.0)
-        r = integral(shifted)
-        k = np.flatnonzero(shifted == z)[0]
-        average, r = column(_weighted(r, weights)), column(r)
-        rows.append((z, r.value[k], r.est_rel_error[k], average.value))
+        if 0.0 not in offsets:
+            offsets, weights = np.append(offsets, 0.0), np.append(weights, 0.0)
+        k = int(np.flatnonzero(offsets == 0.0)[0])
+        r, average = (column(x) for x in _stacked_averages(integral, zs + offsets, weights))
+        rows = zip(grid, r.value[:, k], r.est_rel_error[:, k], average.value)
     col = _COLUMNS[quantity]
     header = ["z_m", col, "est_rel_error"] + ([f"{col}_rough"] if dist is not None else [])
     _write_csv(out, header, rows)
-    print(f"wrote {len(rows)} rows to {out}")
+    print(f"wrote {grid.size} rows to {out}")
     return 0
 
 

@@ -151,7 +151,9 @@ def _series_partials(u: np.ndarray, series_tol: float,
         block = np.empty((n.size + 1, 2, u.size))
         block[0], block[1:, 0] = total, term
         block[1:, 1] = csch * (csch2_u - (n[:, None] * csch) ** 2 - n_coth * (n_coth - coth_u))
-        partial = np.cumsum(block, axis=0)[1:]
+        # In place: a fresh result array per block can make the C heap give
+        # its top back and fault it in again, each time it is freed.
+        partial = np.cumsum(block, axis=0, out=block)[1:]
         # The n = 1 term is identically zero; start testing after it.
         done = (n >= 2) & np.all(term <= series_tol * np.maximum(partial[:, 0], 1e-300),
                                  axis=1)

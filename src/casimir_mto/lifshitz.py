@@ -20,7 +20,8 @@ tolerance. The reported error, est_rel_error, is their difference
 plus a closed-form bound on the part of the integral the trimmed t range
 drops: for eps >= 1 every reflection factor lies in [0, 1], so the
 ideal-metal integrand bounds the real one pointwise. An array of
-separations is one stacked rule, with a result and an estimate per entry.
+separations is one stacked rule, with a result and an estimate per entry;
+each entry stops at its own level.
 Perfect conductors take the ideal limit (reflection products = 1), which
 reproduces the closed forms -pi^2 hbar c / 240 z^4 and
 -pi^3 hbar c R / 360 z^3 exactly; those serve as the quadrature oracle.
@@ -49,7 +50,9 @@ TOL_MAX = 1e-3
 # 2^-(level+1)) and the tensor entries evaluated at once.
 _T_LO, _T_HI = -4.5, 2.25
 _MAX_LEVEL = 6
-_BLOCK = 1 << 14
+_BLOCK = 1 << 12
+# Entries of a stack integrated together: bounds the memory of a long stack.
+_STACK = 256
 
 # The t range of a call is trimmed so that its truncation bound, less the
 # first dropped node's share (which shrinks with the step), is at most
@@ -99,8 +102,9 @@ class LifshitzResult:
     difference of the last two levels plus the truncation bound of the
     trimmed t range; ``evaluations`` counts the (u, s) nodes of the product
     rule. For an array of separations ``value`` and ``est_rel_error`` are
-    arrays, one entry per separation, each with its own level difference,
-    and ``evaluations`` counts the nodes of all entries together.
+    arrays, one entry per separation, each from the level at which that
+    entry alone meets tol (bit for bit a call on it alone), and
+    ``evaluations`` sums every entry's nodes at its own level.
     """
 
     value: float | np.ndarray
@@ -284,8 +288,10 @@ def _lookup(eps, xi: np.ndarray, previous) -> np.ndarray | None:
 def _levels(kind: str, z: np.ndarray, m1, m2, t_lo: float, t_hi: float):
     """Yield (sums, nodes) for levels 0.._MAX_LEVEL of the product rule on
     t in [t_lo, t_hi]: sums_i is the integral over u, s > 0 of the
-    Lifshitz integrand at separation z_i, for an (entry, 1) array ``z``.
-    u node arrays have shape (entry, node).
+    Lifshitz integrand at separation z_i, for an (entry, 1) array ``z``,
+    and nodes the (u, s) nodes of one entry's rule. u node arrays have
+    shape (entry, node). Sending the indices of the entries to keep drops
+    the others from the levels after.
     """
     eps1 = _surface_eps(m1)
     eps2 = _surface_eps(m2)
@@ -304,11 +310,40 @@ def _levels(kind: str, z: np.ndarray, m1, m2, t_lo: float, t_hi: float):
 
         def part(nodes, s, ws):
             picked = [None if a is None else a[..., nodes].flatten() for a in (u, e1, e2)]
-            sums = _rule_sum(kind, *picked, s, ws).reshape(len(z), -1)
+            sums = _rule_sum(kind, *picked, s, ws).reshape(len(xi), -1)
             return _row_dot(sums, w[nodes])
 
         total = 0.25 * total + part(new, x, w) + part(old, x[new], w[new])
-        yield total, u.size * x.size
+        keep = yield total, x.size * x.size
+        if keep is not None:
+            e_scale, total = e_scale[keep], total[keep]
+            e1, e2 = (None if e is None else e[keep] for e in (e1, e2))
+
+
+def _stops(kind: str, z: np.ndarray, m1, m2, tol: float, t_lo: float, t_hi: float):
+    """Level sums, estimates and the node count of a 1-D array ``z``, each
+    entry's from the first level at which its estimate is within ``tol``
+    (the finest level's if none is): what a call on the entry alone gives.
+    Entries that stop leave the levels after."""
+    sums, rel = np.empty(z.size), np.empty(z.size)
+    evals = 0
+    live = np.arange(z.size)
+    levels = _levels(kind, z.reshape(-1, 1), m1, m2, t_lo, t_hi)
+    total, _ = next(levels)
+    keep = None
+    for level in range(1, _MAX_LEVEL + 1):
+        previous = total
+        total, nodes = levels.send(keep)
+        r = (np.abs(total - previous) + _truncation(t_lo, t_hi, level)) / np.maximum(
+            np.abs(total), 1e-300)
+        stop = (r <= tol) | (level == _MAX_LEVEL)
+        sums[live[stop]], rel[live[stop]] = total[stop], r[stop]
+        evals += nodes * int(stop.sum())
+        keep = np.flatnonzero(~stop)
+        live, total = live[keep], total[keep]
+        if not live.size:
+            break
+    return sums, rel, evals
 
 
 def _lifshitz(kind: str, z, coeff: float, m1, m2, tol: float) -> LifshitzResult:
@@ -316,10 +351,13 @@ def _lifshitz(kind: str, z, coeff: float, m1, m2, tol: float) -> LifshitzResult:
     separation z_i (see _levels), with p = 4 for pressure and 3 for force,
     on the t range that ``tol`` allows.
 
-    Halves the step of the exp-sinh product rule until, for every entry,
-    the difference of two successive levels plus the truncation bound is
-    within ``tol`` of its integral; raises ConvergenceError with the
-    finest-level result attached when _MAX_LEVEL does not get there.
+    Halves the step of the exp-sinh product rule until the difference of
+    two successive levels plus the truncation bound is within ``tol`` of
+    the integral. Every entry stops at its own first such level, so its
+    value and estimate are bit for bit those of a call on it alone; the
+    stack runs _STACK entries at a time. Raises ConvergenceError with the
+    result attached (the finest level for the entries that did not get
+    there) when some entry does not meet ``tol`` by _MAX_LEVEL.
     """
     p = 4 if kind == "pressure" else 3
     z = np.asarray(z, dtype=float)
@@ -330,13 +368,13 @@ def _lifshitz(kind: str, z, coeff: float, m1, m2, tol: float) -> LifshitzResult:
     if not TOL_MIN <= tol <= TOL_MAX:
         raise DomainError(f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}]")
     t_lo, t_hi = _t_range(kind, tol)
-    for level, (total, evals) in enumerate(_levels(kind, z.reshape(-1, 1), m1, m2, t_lo, t_hi)):
-        if level:
-            trunc = _truncation(t_lo, t_hi, level)
-            rel = (np.abs(total - previous) + trunc) / np.maximum(np.abs(total), 1e-300)
-            if rel.max() <= tol:
-                break
-        previous = total
+    flat = z.reshape(-1)
+    total, rel = np.empty(flat.size), np.empty(flat.size)
+    evals = 0
+    for i in range(0, flat.size, _STACK):
+        chunk = slice(i, i + _STACK)
+        total[chunk], rel[chunk], nodes = _stops(kind, flat[chunk], m1, m2, tol, t_lo, t_hi)
+        evals += nodes
     value, rel = coeff / zp * total.reshape(z.shape), rel.reshape(z.shape)
     result = LifshitzResult(value, rel, evals) if z.ndim else LifshitzResult(
         float(value), float(rel), evals)

@@ -274,7 +274,10 @@ def simulate_sweep(
     z = z_metal + jitter + 2 * delta0, while each SweepPoint keeps the
     nominal grid value. Per-point RNG substreams
     keyed by (seed, index) make the output a pure function of
-    configuration and seed, independent of evaluation order.
+    configuration and seed, independent of evaluation order. Every point's
+    jitter is drawn and checked first; the averages of all points are then
+    one stacked Lifshitz call (see roughness.averaged_pressure), and each
+    point's frequency noise comes last from its own substream.
     """
     if not radius > 0:
         raise DomainError("sphere radius must be > 0")
@@ -282,7 +285,7 @@ def simulate_sweep(
         raise DomainError("contact offset delta0 must be >= 0")
     sigma_f = cfg.noise.freq_noise_rms_hz / math.sqrt(cfg.integration_time_s)
     sigma_omega = 2.0 * math.pi * sigma_f
-    out = []
+    rngs, shifted = [], []
     for i, z in enumerate(cfg.z_grid):
         rng = np.random.default_rng([int(seed), i])
         jitter = rng.normal(0.0, cfg.noise.separation_noise_rms_m)
@@ -292,9 +295,12 @@ def simulate_sweep(
                 f"point #{i}: jittered separation {z_true:.3e} m leaves the "
                 "physical domain"
             )
-        p = averaged_pressure(z_true, dist, m1, m2, tol=cfg.tol)
-        grad = gradient_from_pressure(p, radius).value
-        omega = resonant_frequency(params, grad)
+        rngs.append(rng)
+        shifted.append(z_true)
+    p = averaged_pressure(np.array(shifted), dist, m1, m2, tol=cfg.tol)
+    out = []
+    for z, rng, grad in zip(cfg.z_grid, rngs, gradient_from_pressure(p, radius).value):
+        omega = resonant_frequency(params, float(grad))
         omega += rng.normal(0.0, sigma_omega)
         out.append(SweepPoint(float(z), float(omega), float(sigma_omega)))
     return out

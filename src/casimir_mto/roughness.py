@@ -9,8 +9,9 @@ forces are averaged as
 
 The distribution is zero-mean by construction; the separate mean contact
 offset delta0 lives in the geometry, matching how calibration reports it.
-An average is one stacked Lifshitz call over its entries (equal offsets
-merged), one result per entry, weighted here alone (``_weighted``).
+Averages are one stacked Lifshitz call over all their separations' entries
+(equal offsets merged), one result per entry, weighted here alone
+(``_weighted``).
 """
 
 from __future__ import annotations
@@ -193,46 +194,69 @@ def weights_from_heightmaps(
     return RoughnessDistribution(sums, probs)
 
 
-def _entries(z: float, dist: RoughnessDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """Shifted separations z + offset and weights by increasing offset, equal
-    offsets merged in a fixed order and zero weights dropped: the average is
-    then invariant under entry permutation, weight splitting or zero-weight
-    entries, bit for bit. Every entry's shifted separation must be > 0."""
-    shifted = z + dist.offsets
-    bad = np.nonzero(shifted <= 0)[0]
+def _entries(z, dist: RoughnessDistribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Separations z as a column, with the offsets and weights by increasing
+    offset, equal offsets merged in a fixed order and zero weights dropped:
+    an average is then invariant under entry permutation, weight splitting
+    or zero-weight entries, bit for bit. Every shifted separation
+    z_i + offset_j must be > 0."""
+    z = np.asarray(z, dtype=float).reshape(-1, 1)
+    bad = np.argwhere(z + dist.offsets <= 0)
     if bad.size:
-        i = int(bad[0])
+        row, i = bad[0]
         raise DomainError(
             f"entry {i} (offset {dist.offsets[i]:.3e} m) shifts separation "
-            f"to {shifted[i]:.3e} m <= 0"
+            f"to {z[row, 0] + dist.offsets[i]:.3e} m <= 0"
         )
     order = np.lexsort((dist.weights, dist.offsets))
     offsets = dist.offsets[order]
     first = np.flatnonzero(np.concatenate(([True], offsets[1:] > offsets[:-1])))
     weights = np.add.reduceat(dist.weights[order], first)
     keep = weights > 0
-    return z + offsets[first][keep], weights[keep]
+    return z, offsets[first][keep], weights[keep]
 
 
-def _weighted(result: LifshitzResult, weights: np.ndarray) -> LifshitzResult:
-    """sum_i w_i r_i of a stacked result, exactly rounded (zero weights leave
-    it unchanged), with estimate sum_i w_i |r_i| e_i / |sum_i w_i r_i|: eps >= 1
-    gives every entry one sign, so that is the weighted mean of the e_i."""
-    terms = weights * result.value
+def _weighted(value: np.ndarray, est: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
+    """sum_i w_i v_i of entry values v_i with estimates e_i, exactly rounded
+    (zero weights leave it unchanged), with estimate
+    sum_i w_i |v_i| e_i / |sum_i w_i v_i|: eps >= 1 gives every entry one
+    sign, so that is the weighted mean of the e_i."""
+    terms = weights * value
     total = math.fsum(terms)
-    est = float(np.abs(terms) @ result.est_rel_error) / max(abs(total), 1e-300)
-    return LifshitzResult(total, est, result.evaluations)
+    return total, float(np.abs(terms) @ est) / max(abs(total), 1e-300)
 
 
-def averaged_pressure(z: float, dist: RoughnessDistribution, m1, m2,
+def _stacked_averages(integral, shifted: np.ndarray, weights: np.ndarray):
+    """One ``integral`` call on a (separation, entry) array ``shifted``: the
+    stacked result, and the weighted sum of each row (see _weighted)."""
+    result = integral(shifted)
+    value, est = np.array([_weighted(v, e, weights)
+                           for v, e in zip(result.value, result.est_rel_error)]).T
+    return result, LifshitzResult(value, est, result.evaluations)
+
+
+def _average(integral, z, dist: RoughnessDistribution) -> LifshitzResult:
+    zs, offsets, weights = _entries(z, dist)
+    average = _stacked_averages(integral, zs + offsets, weights)[1]
+    if np.ndim(z):
+        return average
+    return LifshitzResult(float(average.value[0]), float(average.est_rel_error[0]),
+                          average.evaluations)
+
+
+def averaged_pressure(z, dist: RoughnessDistribution, m1, m2,
                       tol: float = 1e-6) -> LifshitzResult:
-    """Roughness-averaged two-plane pressure: sum_i w_i P(z + offset_i)."""
-    shifted, weights = _entries(z, dist)
-    return _weighted(pressure_plane_plane(shifted, m1, m2, tol=tol), weights)
+    """Roughness-averaged two-plane pressure: sum_i w_i P(z + offset_i).
+
+    An array ``z`` gives one average per separation, from one stacked
+    Lifshitz call over every separation's entries; ``evaluations`` counts
+    the nodes of them all.
+    """
+    return _average(lambda s: pressure_plane_plane(s, m1, m2, tol=tol), z, dist)
 
 
-def averaged_force(z: float, radius: float, dist: RoughnessDistribution,
+def averaged_force(z, radius: float, dist: RoughnessDistribution,
                    m1, m2, tol: float = 1e-6) -> LifshitzResult:
-    """Roughness-averaged sphere-plane force: sum_i w_i F(z + offset_i)."""
-    shifted, weights = _entries(z, dist)
-    return _weighted(force_sphere_plane(shifted, radius, m1, m2, tol=tol), weights)
+    """Roughness-averaged sphere-plane force: sum_i w_i F(z + offset_i);
+    an array ``z`` as for the pressure."""
+    return _average(lambda s: force_sphere_plane(s, radius, m1, m2, tol=tol), z, dist)

@@ -131,9 +131,31 @@ def reference_plate() -> LayeredBody:
     )
 
 
+# Odd series y - tanh y = sum_k c_k y^(2k+3), to 1e-17 relative for y < 0.1.
+_Y_MINUS_TANH = (1 / 3, -2 / 15, 17 / 315, -62 / 2835, 1382 / 155925,
+                 -21844 / 6081075, 929569 / 638512875)
+
+
 def _unit_force(gap: float, radius: float, lam: float) -> float:
-    """Closed-form sphere/half-space force per (G alpha rho_s rho_p)."""
-    bracket = (radius - lam) + (radius + lam) * math.exp(-2.0 * radius / lam)
+    """Closed-form sphere/half-space force per (G alpha rho_s rho_p).
+
+    The bracket (R - lam) + (R + lam) e^(-2y), y = R/lam, cancels to about
+    (2/3) R y^2 once lam >> R. For 2y < 1 it is taken as
+    lam (1 + e^(-2y)) (y - tanh y), the same quantity, with y - tanh y
+    from its odd series below y = 0.1.
+    """
+    y = radius / lam
+    if 2.0 * y < 1.0:
+        if y < 0.1:
+            d = 0.0
+            for c in reversed(_Y_MINUS_TANH):
+                d = d * (y * y) + c
+            d *= y**3
+        else:
+            d = y - math.tanh(y)
+        bracket = lam * (1.0 + math.exp(-2.0 * y)) * d
+    else:
+        bracket = (radius - lam) + (radius + lam) * math.exp(-2.0 * radius / lam)
     return 4.0 * math.pi**2 * lam**3 * math.exp(-gap / lam) * bracket
 
 

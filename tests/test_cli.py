@@ -116,15 +116,17 @@ class TestForceCommand:
 
     def test_rough_row_is_one_integral(self, tmp_path, monkeypatch):
         # With a zero offset in the distribution, the plain column is that
-        # entry's: the row costs one stacked call, with the average's nodes.
+        # entry's: every row of the grid shares one stacked call, with the
+        # nodes of the rows' averages made one by one.
         from casimir_mto import lifshitz
         from casimir_mto.materials import load_registry
         from casimir_mto.roughness import RoughnessDistribution, averaged_force
 
         entries = [[-3e-8, 0.15], [-1e-8, 0.2], [0.0, 0.3], [1e-8, 0.2], [3e-8, 0.15]]
+        grid = [5e-7, 1.1e-6, 1.5e-6]
         registry = load_registry()
-        want = averaged_force(5e-7, R_SPHERE, RoughnessDistribution(*np.array(entries).T),
-                              registry["gold"], registry["copper"], tol=1e-6)
+        want = [averaged_force(z, R_SPHERE, RoughnessDistribution(*np.array(entries).T),
+                               registry["gold"], registry["copper"], tol=1e-6) for z in grid]
         nodes = []
         integral = lifshitz._lifshitz
 
@@ -135,11 +137,11 @@ class TestForceCommand:
 
         monkeypatch.setattr(lifshitz, "_lifshitz", counted)
         cfg = self._config(tmp_path, materials={"pair": ["gold", "copper"]},
-                           roughness={"entries": entries}, z_grid_m=[5e-7])
+                           roughness={"entries": entries}, z_grid_m=grid)
         assert run(["force", "--config", cfg]) == 0
-        assert nodes == [want.evaluations]
-        row = np.loadtxt(tmp_path / "force.csv", delimiter=",", skiprows=1)
-        assert row[3] == want.value
+        assert nodes == [sum(w.evaluations for w in want)]
+        rows = np.loadtxt(tmp_path / "force.csv", delimiter=",", skiprows=1)
+        assert rows[:, 3].tolist() == [w.value for w in want]
 
     def test_tol_flag_overrides_config(self, tmp_path):
         cfg = self._config(tmp_path, z_grid_m=[1e-6])

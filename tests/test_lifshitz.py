@@ -358,6 +358,21 @@ class TestTrimmedRule:
                             break
                         assert np.array_equal(a, b[:-1]), (kind, z, k, level)
 
+    def test_a_stacked_entry_is_its_lone_call(self, monkeypatch):
+        # Alone, the 1.1 um Au/Cu force stops a level before its neighbours;
+        # stacked, it must still stop there, also across a chunk boundary.
+        registry = load_registry()
+        au, cu = registry["gold"], registry["copper"]
+        zs = np.array([5e-7, 1.1e-6, 1.5e-6, 1.1e-6, 2e-7])
+        lone = [force_sphere_plane(z, R_SPHERE, au, cu, tol=1e-6) for z in zs]
+        assert lone[1].evaluations < lone[0].evaluations
+        for stack in (lifshitz._STACK, 2):
+            monkeypatch.setattr(lifshitz, "_STACK", stack)
+            res = force_sphere_plane(zs, R_SPHERE, au, cu, tol=1e-6)
+            assert res.value.tolist() == [r.value for r in lone]
+            assert res.est_rel_error.tolist() == [r.est_rel_error for r in lone]
+            assert res.evaluations == sum(r.evaluations for r in lone)
+
     def test_trimmed_levels_nest_inside_the_full_rule(self):
         for tol in (1e-3, 1e-6, 1e-8):
             t_range = lifshitz._t_range("pressure", tol)

@@ -212,9 +212,10 @@ class TestSweep:
         memo = {}
 
         def averaged_pressure(z, *args, **kwargs):
-            if z not in memo:
-                memo[z] = pressure(z, *args, **kwargs)
-            return memo[z]
+            key = tuple(np.atleast_1d(z))
+            if key not in memo:
+                memo[key] = pressure(z, *args, **kwargs)
+            return memo[key]
 
         monkeypatch.setattr(oscillator, "averaged_pressure", averaged_pressure)
         par = measured_params()
@@ -238,6 +239,26 @@ class TestSweep:
             simulate_sweep(cfg, par, 0.0, m, m, dist, seed=1)
         with pytest.raises(DomainError, match="delta0"):
             simulate_sweep(cfg, par, radius, m, m, dist, seed=1, delta0=-1e-9)
+        # Every point is checked before the one stacked integral.
+        cfg, *_ = self._setup([0.3e-6, 2.5e-8])
+        with pytest.raises(DomainError, match="point #1"):
+            simulate_sweep(cfg, par, radius, m, m, dist, seed=1)
+
+    def test_sweep_is_one_integral(self, monkeypatch, gold_drude, copper_drude):
+        from casimir_mto import lifshitz
+
+        calls = []
+        integral = lifshitz._lifshitz
+
+        def counted(kind, z, *args):
+            calls.append(np.size(z))
+            return integral(kind, z, *args)
+
+        monkeypatch.setattr(lifshitz, "_lifshitz", counted)
+        noise = SweepNoise(freq_noise_rms_hz=0.03, separation_noise_rms_m=3.2e-10)
+        cfg, par, radius, dist = self._setup([0.25e-6, 0.3e-6, 0.5e-6], noise)
+        simulate_sweep(cfg, par, radius, gold_drude, copper_drude, dist, seed=5)
+        assert calls == [3 * dist.n_entries]
 
     def test_amplitude_guard(self):
         with pytest.raises(ConfigurationError, match="z/5"):

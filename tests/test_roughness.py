@@ -175,8 +175,8 @@ class TestAveraging:
         # bound the error against entry-by-entry integrals at tol 1e-8.
         m1, m2 = pairs[name]
         d = _dist(SWEEP_ENTRIES)
-        # Node counts per entry of the trimmed rule at each level, for the
-        # t range of each quantity and tol.
+        # Node counts of the trimmed rule at each level, for the t range of
+        # each quantity and tol.
         entry_nodes = {
             (kind, tol): {_exp_sinh(level, *_t_range(kind, tol))[0].size ** 2
                           for level in range(1, 7)}
@@ -189,12 +189,16 @@ class TestAveraging:
             ref_f = sum(w * force_sphere_plane(s, R_SPHERE, m1, m2, tol=1e-8).value
                         for s, w in zip(shifted, d.weights))
             for tol in (1e-3, 1e-4, 1e-6):
-                for kind, avg, ref in (
-                        ("pressure", averaged_pressure(z, d, m1, m2, tol=tol), ref_p),
-                        ("force", averaged_force(z, R_SPHERE, d, m1, m2, tol=tol), ref_f)):
+                for kind, avg, ref, lone in (
+                        ("pressure", averaged_pressure(z, d, m1, m2, tol=tol), ref_p,
+                         [pressure_plane_plane(s, m1, m2, tol=tol) for s in shifted]),
+                        ("force", averaged_force(z, R_SPHERE, d, m1, m2, tol=tol), ref_f,
+                         [force_sphere_plane(s, R_SPHERE, m1, m2, tol=tol) for s in shifted])):
                     assert abs(avg.value / ref - 1.0) <= avg.est_rel_error, (z, tol)
-                    assert avg.evaluations % d.n_entries == 0
-                    assert avg.evaluations // d.n_entries in entry_nodes[kind, tol]
+                    # Each entry stops at its own level, as it would alone.
+                    nodes = [r.evaluations for r in lone]
+                    assert avg.evaluations == sum(nodes)
+                    assert all(n in entry_nodes[kind, tol] for n in nodes)
 
     def test_convexity_enhancement(self, ideal):
         """Zero-mean spread must amplify |F| (Jensen on convex z^-3)."""

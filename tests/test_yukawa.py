@@ -9,6 +9,7 @@ from casimir_mto.yukawa import (
     Layer,
     LayeredBody,
     YukawaParams,
+    _unit_force,
     alpha_limit,
     reference_plate,
     reference_sphere,
@@ -105,6 +106,19 @@ class TestForce:
         )
         without = yukawa_force_sphere_plane(p, no_cr_sphere, no_cr_plate, 2e-7)
         assert abs(with_cr / without - 1.0) < bound
+
+    def test_unit_force_keeps_full_precision_for_every_range(self):
+        # (R - lam) + (R + lam) e^(-2R/lam) cancels to about (2/3) R^3/lam^2
+        # once lam >> R; the closed form used to lose everything by 1 km.
+        mp = pytest.importorskip("mpmath")
+        radius, gap = 294.3e-6, 2e-7
+        for lam in np.geomspace(1e-9, 1e4, 261):
+            with mp.workdps(60):
+                g, r, l = (mp.mpf(float(v)) for v in (gap, radius, lam))
+                want = (4 * mp.pi**2 * l**3 * mp.exp(-g / l)
+                        * ((r - l) + (r + l) * mp.exp(-2 * r / l)))
+                err = abs(mp.mpf(_unit_force(gap, radius, float(lam))) / want - 1)
+            assert err <= 1e-13, lam
 
     def test_domain(self):
         p = YukawaParams(1.0, 2e-7)
