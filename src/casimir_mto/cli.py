@@ -87,6 +87,11 @@ def _float_array(spec, where: str) -> np.ndarray:
     raise ConfigurationError(f"{where}: expected numbers, got {spec!r}")
 
 
+# A start/stop/points grid holds at most this many points: far more than a
+# run can integrate, and an array NumPy can allocate.
+_MAX_GRID_POINTS = 1_000_000
+
+
 def _parse_grid(spec, where: str) -> np.ndarray:
     if isinstance(spec, list):
         grid = _float_array(spec, where)
@@ -99,8 +104,8 @@ def _parse_grid(spec, where: str) -> np.ndarray:
         points = g.take_int("points")
         spacing = g.take("spacing", "linear")
         g.close()
-        if points < 1:
-            raise ConfigurationError(f"{where}: points must be >= 1")
+        if not 1 <= points <= _MAX_GRID_POINTS:
+            raise ConfigurationError(f"{where}: points must be in [1, {_MAX_GRID_POINTS}]")
         if spacing == "linear":
             grid = np.linspace(start, stop, points)
         elif spacing == "log":

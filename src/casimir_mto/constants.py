@@ -22,9 +22,6 @@ class PhysicalConstants:
 
 CODATA = PhysicalConstants()
 
-# 1 eV expressed as an angular frequency, rad/s (E / hbar).
-EV_TO_RAD_PER_S = CODATA.ev / CODATA.hbar
-
 # hbar * c in eV m, used to map the dimensionless Lifshitz frequency
 # variable back to a photon energy at a given separation.
 HBARC_EV_M = CODATA.hbar * CODATA.c / CODATA.ev

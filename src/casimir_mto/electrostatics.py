@@ -17,22 +17,19 @@ sphere radius R and the roughness contact offset delta0. The fit is this
 module's ``least_squares``, MINPACK's Levenberg-Marquardt algorithm
 (Moré 1978) on a four-column SVD.
 
-The series is summed a block of terms at a time: one NumPy step evaluates
-the terms of many (n, u) pairs and accumulates them along n in the same
-order as a term-by-term loop, so the sums match that loop bit for bit.
-The first block is sized from the predicted last term of the slowest
-column (``_first_rows``), so a pass is usually one block; a block that
-falls short is followed by blocks of twice its rows.
-The same pass sums the slope dS/du from the same exponentials, and the
-same routine gives the truncation report its partial sums. S(u) depends
-on R and delta0 only: the fit sums it once per trial point over the
-distinct gaps of the sweep, takes its Jacobian analytically from S and
-dS/du of that point, and the sample generator sums it once for all
-voltages.
+The series is summed by Euler-Maclaurin (``_series_sums``): the first
+terms directly, the rest as a closed-form integral plus end corrections
+whose n-derivatives are polynomials in coth and csch. That is
+exact to rounding for every gap, at a fixed cost of a few dozen NumPy
+steps, and the same expressions give the slope dS/du. S(u) depends on R
+and delta0 only: the fit sums it once per trial point over the distinct
+gaps of the sweep, takes its Jacobian analytically from S and dS/du of
+that point, and the sample generator sums it once for all voltages.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -41,7 +38,6 @@ import numpy as np
 
 from .constants import CODATA
 from .errors import (
-    ConvergenceError,
     DomainError,
     FitError,
     IdentifiabilityError,
@@ -49,20 +45,20 @@ from .errors import (
 )
 from .lifshitz import SpherePlaneGeometry
 
-MAX_SERIES_TERMS = 100_000
-# Blocks of the series hold at most _BLOCK_ENTRIES (n, u) terms. The first
-# holds the rows n that the slowest column is predicted to need
-# (``_first_rows``), so a series that converges in a few terms (wide gaps)
-# is not charged a full block and a slow one is not split into many; a
-# block that falls short is followed by blocks of twice its rows.
-_BLOCK_ENTRIES = 8_192
+# Euler-Maclaurin: sum_{n >= N0} t(n) = int_N0^inf t dn - sum_m B_m/m! t^(m-1)(N0),
+# m = 1, 2, 4, ..., 12 (these B_m/m!). t is analytic within pi/u of the real
+# n axis and has a pole at n = 0, so the first omitted term is below 1e-17 of S.
+_N0 = 16
+_BERNOULLI = (-1 / 2, 1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+              -691 / 1307674368000)
 
 # Small-gap expansion of the series, rho = d/R:
 #   F = (pi eps0 V^2 R / d) * [1 + rho ((1/3) ln rho + C1) + O(rho^2 ln^2 rho)]
-# The 1/3 is the exact log coefficient; C1 is frozen from a high-precision
-# evaluation of the series at rho -> 0.
+# The 1/3 is the exact log coefficient; C1 is the limit rho -> 0 of
+# (2 rho S - 1)/rho - (1/3) ln rho, which a 30-digit evaluation puts at
+# -0.504743, -0.504748 and -0.5047483 for rho = 1e-5, 1e-6 and 1e-7.
 SMALL_GAP_LOG_COEFF = 1.0 / 3.0
-SMALL_GAP_C1 = -0.505
+SMALL_GAP_C1 = -0.50475
 
 
 @dataclass(frozen=True)
@@ -70,126 +66,108 @@ class ElectrostaticConfig:
     """Inputs of one electrostatic evaluation.
 
     ``geometry.separation`` is the metal gap z_metal; the electrostatic
-    gap is z_metal + 2*delta0. ``series_tol`` is the relative term size at
-    which the image-charge series stops.
+    gap is z_metal + 2*delta0.
     """
 
     v_applied: float
     v_residual: float
     geometry: SpherePlaneGeometry
-    series_tol: float = 1e-9
-
-    def __post_init__(self):
-        if not 0.0 < self.series_tol <= 1e-6:
-            raise ValidationError("series_tol must lie in (0, 1e-6]")
 
     @property
     def gap(self) -> float:
         return self.geometry.separation + 2.0 * self.geometry.delta0
 
 
-def _coth_stable(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-2.0 * x)
-    return (1.0 + e) / (1.0 - e)
-
-
-def _inv_sinh_stable(x: np.ndarray) -> np.ndarray:
+def _coth_csch(x: np.ndarray):
+    """(coth x, csch x) to a few ulps for every x > 0."""
     e = np.exp(-x)
-    return 2.0 * e / (1.0 - e * e)
+    csch = -2.0 * e / np.expm1(-2.0 * x)
+    return 1.0 + e * csch, csch
 
 
-def _first_rows(u_min: float, series_tol: float, max_rows: int) -> int:
-    """Rows n the series is predicted to need at its smallest u, at most
-    max_rows.
+@functools.cache
+def _tables():
+    """The Bernoulli corrections as polynomials, built on first use.
 
-    For large n a term is about 2 (n - coth u) e^(-nu) = (2/u)(x - 1) e^(-x)
-    with x = nu and coth u ~ 1/u, and S(u) ~ 1/u^2 for small u, so the last
-    term sits near the root x >= 2 of (x - 1) e^(-x) = c = tol / (2u); the
-    step x <- ln((x - 1) / c) climbs to it. One row past ceil(x / u) covers
-    S lying a little below 1/u^2. Above u ~ 3, S lies far below it and the
-    first block falls short.
+    In x = nu, the derivatives of g = coth x csch x and h = csch x are
+    polynomials in c = coth x and s = csch x, as
+    d/dx c^a s^b = -a c^(a-1) s^(b+2) - b c^(a+1) s^b; the j-th has only
+    coefficients of sign (-1)^j. With b_m = B_m/m! and j = m - 1,
+    d^j t/dn^j = n u^j g^(j) + j u^(j-1) g^(j-1) - coth u u^j h^(j), so the
+    corrections at n = _N0 are P0 - coth u P1 and their u-slopes are
+    P2 + csch^2 u P1 - coth u P3, where P0..P3 are polynomials in c, s (at
+    x = _N0 u) and u: P0 = sum_m b_m [N0 u^j g^(j) + j u^(j-1) g^(j-1)],
+    P1 = sum_m b_m u^j h^(j), and P2, P3 are the u-slopes of P0, P1.
+    Returns the powers (a, b) of the monomials c^a s^b in use, the
+    coefficients of P0..P3 over (P, u^i, monomial) and those of u^i in
+    coth u - 1/u = sum_{m > 1} b_m 2^m u^(m-1).
     """
-    c = series_tol / (2.0 * u_min)
-    x = 2.0  # (x - 1) e^(-x) peaks at x = 2
-    for _ in range(8):
-        x = max(2.0, math.log(x - 1.0) - math.log(c))
-    return int(min(x / u_min + 2.0, max_rows))
+    size = 2 * len(_BERNOULLI) + 1  # powers 0 .. 14
+    a, b, i = np.ogrid[:size, :size, :size]
+
+    def d_dx(q):  # of sum q[..., a, b, i] c^a s^b u^i at fixed u
+        out = np.zeros_like(q)
+        out[..., :-1, 2:, :] -= (a * q)[..., 1:, :-2, :]
+        out[..., 1:, :, :] -= (b * q)[..., :-1, :, :]
+        return out
+
+    weight = dict(zip((0, *range(1, size - 3, 2)), _BERNOULLI))  # j = m - 1 -> b_m
+    langevin = np.zeros(size - 3)  # b_m 2^m at u^(m-1), m = 2, 4, .., 12
+    langevin[1::2] = np.array(_BERNOULLI[1:]) * 2.0 ** np.arange(2, size - 2, 2)
+    gh = np.zeros((2, size, size, size))  # (g, h), then (g^(j), h^(j))
+    gh[0, 1, 1, 0] = gh[1, 0, 1, 0] = 1.0
+    poly = np.zeros_like(gh)
+    for j in range(size - 3):  # rolling the u axis by j multiplies by u^j
+        g_j = (_N0 * weight.get(j, 0.0) + (j + 1) * weight.get(j + 1, 0.0)) * gh[0]
+        poly += np.roll((g_j, weight.get(j, 0.0) * gh[1]), j, axis=-1)
+        gh = d_dx(gh)
+    poly = np.concatenate((poly, _N0 * d_dx(poly)))
+    poly[2:, ..., :-1] += (i * poly[:2])[..., 1:]
+    pa, pb = np.nonzero(poly.any(axis=(0, 3)))
+    return pa, pb, poly[:, pa, pb, :size - 3].transpose(0, 2, 1).reshape(-1, pa.size), langevin
 
 
-def _series_partials(u: np.ndarray, series_tol: float,
-                     max_terms: int = MAX_SERIES_TERMS):
-    """Partial sums of S(u) = sum_n [n coth(nu) - coth u]/sinh(nu) and of
-    its slope dS/du, by block.
+def _series_sums(u: np.ndarray) -> np.ndarray:
+    """Image-charge sum S(u) = sum_n t(n), t(n) = (n coth(nu) - coth u)
+    csch(nu), and its slope dS/du, as rows of a (2, u.size) array.
 
-    Each step evaluates a block of terms at once, rows n and columns u,
-    and accumulates it with ``cumsum`` along n from the previous block's
-    total. Yields ``(n, partial)`` per block, ``partial[i]`` being the
-    sums (S, dS/du) through term ``n[i]``, shape (rows, 2, u.size); the
-    last block ends at the first row n >= 2 whose S term is within
-    series_tol of its partial sum for every u. Each element is summed term
-    by term in the order of the one-term-at-a-time loop, so results match
-    it exactly. With c = coth and s = csch, the slope of a term comes from
-    the same exponentials:
+    Euler-Maclaurin (constants above), exact to rounding for every u > 0:
+    the terms n < _N0, minus the corrections (``_tables``), plus the tail
+    integral [_N0 csch a + ln tanh(a/2) (coth u - 1/u)] / u, a = _N0 u.
+    The slope differentiates the same expressions in u; for the terms,
+    with c = coth and s = csch,
 
         d/du [(n c_n - c_1) s_n] = s_n [s_1^2 - n^2 s_n^2 - n c_n (n c_n - c_1)].
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     if np.any(u <= 0):
         raise DomainError("gap parameter u must be > 0")
-    coth_u = _coth_stable(u)
-    csch2_u = _inv_sinh_stable(u) ** 2
-    max_rows = max(1, _BLOCK_ENTRIES // max(u.size, 1))
-    rows = _first_rows(float(u.min()), series_tol, max_rows) if u.size else 1
-    total = np.zeros((2, u.size))
-    first = 1
-    while first <= max_terms:
-        n = np.arange(first, min(first + rows, max_terms + 1), dtype=float)
-        nu = n[:, None] * u
-        n_coth = n[:, None] * _coth_stable(nu)
-        csch = _inv_sinh_stable(nu)
-        term = (n_coth - coth_u) * csch
-        block = np.empty((n.size + 1, 2, u.size))
-        block[0], block[1:, 0] = total, term
-        block[1:, 1] = csch * (csch2_u - (n[:, None] * csch) ** 2 - n_coth * (n_coth - coth_u))
-        # In place: a fresh result array per block can make the C heap give
-        # its top back and fault it in again, each time it is freed.
-        partial = np.cumsum(block, axis=0, out=block)[1:]
-        # The n = 1 term is identically zero; start testing after it.
-        done = (n >= 2) & np.all(term <= series_tol * np.maximum(partial[:, 0], 1e-300),
-                                 axis=1)
-        if done.any():
-            stop = int(np.argmax(done)) + 1
-            yield n[:stop], partial[:stop]
-            return
-        yield n, partial
-        total = partial[-1]
-        first += rows
-        rows = min(2 * rows, max_rows)
-    raise ConvergenceError(
-        f"image-charge series not converged after {max_terms} terms "
-        f"(min u = {u.min():.3e})"
-    )
+    pa, pb, poly, langevin = _tables()
+    n = np.arange(1.0, _N0 + 1.0)[:, None]
+    c, s = _coth_csch(n * u)  # rows n = 1.._N0
+    c1, s1, ca, sa = c[0], s[0], c[-1], s[-1]
+    dn = n * c - c1
+    out = np.stack((dn * s, s * (s1 * s1 - (n * s) ** 2 - (dn + c1) * dn)))[:, :-1].sum(axis=1)
 
+    powers = np.empty((2 * len(_BERNOULLI) + 1, 3, u.size))  # c^k, s^k, u^k
+    powers[0], powers[1:] = 1.0, (ca, sa, u)
+    np.cumprod(powers, axis=0, out=powers)
+    u_pow = powers[:langevin.size, 2]
+    p0, p1, p2, p3 = ((poly @ (powers[pa, 0] * powers[pb, 1])).reshape(4, -1, u.size)
+                      * u_pow).sum(axis=1)
+    out[0] -= p0 - c1 * p1
+    out[1] -= p2 + s1 * s1 * p1 - c1 * p3
 
-def _series_sums(u: np.ndarray, series_tol: float,
-                 max_terms: int = MAX_SERIES_TERMS) -> np.ndarray:
-    """Image-charge sum S(u) = sum_n [n coth(nu) - coth u]/sinh(nu) and its
-    slope dS/du, as rows of a (2, *u.shape) array.
-
-    Vectorized over u and over blocks of terms n (``_series_partials``);
-    stops at the first term of S below series_tol of its partial sum for
-    every element, bit for bit as a one-term-at-a-time loop would.
-    """
-    u = np.asarray(u, dtype=float)
-    for _, partial in _series_partials(u, series_tol, max_terms):
-        pass
-    return partial[-1].copy().reshape(2, *u.shape)
-
-
-def _series_sum(u: np.ndarray, series_tol: float,
-                max_terms: int = MAX_SERIES_TERMS) -> np.ndarray:
-    """Image-charge sum S(u) alone (``_series_sums``)."""
-    return _series_sums(u, series_tol, max_terms)[0]
+    # coth u - 1/u (the Langevin function) by its series where it cancels;
+    # ln tanh(a/2) = ln(coth a - csch a) cancels at small a, but by at most
+    # eps/a^2, about eps/400 of S.
+    inv_u = 1.0 / u
+    lang = np.where(u < 0.25, langevin @ u_pow, c1 - inv_u)
+    dlang = 1.0 - lang * (lang + 2.0 * inv_u)  # 1/u^2 - csch^2 u
+    lnt = np.log(ca - sa)
+    out[0] += (_N0 * sa + lnt * lang) * inv_u
+    out[1] += (_N0 * sa * (lang - inv_u - _N0 * ca) + lnt * (dlang - lang * inv_u)) * inv_u
+    return out
 
 
 def electrostatic_force(cfg: ElectrostaticConfig) -> float:
@@ -204,12 +182,11 @@ def electrostatic_force(cfg: ElectrostaticConfig) -> float:
     if not gap > 0:
         raise DomainError("electrostatic gap must be > 0")
     u = math.acosh(1.0 + gap / cfg.geometry.radius)
-    s = float(_series_sum(np.array([u]), cfg.series_tol)[0])
+    s = float(_series_sums(u)[0, 0])
     return 2.0 * math.pi * CODATA.eps0 * dv * dv * s
 
 
-def _series_at(z_metal: np.ndarray, radius: float, delta0: float,
-               series_tol: float = 1e-10) -> np.ndarray:
+def _series_at(z_metal: np.ndarray, radius: float, delta0: float) -> np.ndarray:
     """Image-charge sum S(u) at each metal gap and its derivatives in R
     and delta0, as rows (S, dS/dR, dS/ddelta0). They depend on (R, delta0)
     only, so the force at any voltage is ``_force_model(v, v0, s)``.
@@ -221,7 +198,7 @@ def _series_at(z_metal: np.ndarray, radius: float, delta0: float,
     if np.any(gap <= 0) or radius <= 0:
         raise DomainError("force model needs positive gap and radius")
     rho = gap / radius
-    s, ds_du = _series_sums(np.arccosh(1.0 + rho), series_tol)
+    s, ds_du = _series_sums(np.arccosh(1.0 + rho))
     ds_dg = ds_du / (radius * np.sqrt(rho * (2.0 + rho)))  # sinh u = sqrt(rho (2 + rho))
     return np.stack((s, -rho * ds_dg, 2.0 * ds_dg))
 
@@ -253,7 +230,7 @@ class TruncationReport:
     """Convergence diagnostics of the series and its small-gap expansion."""
 
     gap_ratio: float
-    terms: tuple[tuple[int, float], ...]   # (n, partial force sum in N)
+    terms: tuple[tuple[float, float], ...]  # (n, partial force sum in N); n = inf: all
     force: float
     expansion_rel_error: dict[int, float]  # orders kept -> relative error
     orders_for_0p1pct: int | None          # smallest order count within 0.1%
@@ -263,6 +240,8 @@ def series_truncation_report(cfg: ElectrostaticConfig,
                              max_rows: int = 64) -> TruncationReport:
     """Tabulate the partial sums of the series and rate the expansion.
 
+    ``terms`` holds the force through each of the first ``max_rows`` terms
+    and, as its last row (n = inf), the whole sum, which is ``force``.
     Identifies how many orders of the small-gap (d/R) expansion reach
     0.1% of the converged series (None if two are not enough).
     """
@@ -274,13 +253,11 @@ def series_truncation_report(cfg: ElectrostaticConfig,
     u = math.acosh(1.0 + gap / radius)
     pref = 2.0 * math.pi * CODATA.eps0 * dv * dv
 
-    rows: list[tuple[int, float]] = []
-    for n, partial in _series_partials(np.array([u]), cfg.series_tol):
-        rows.extend((int(ni), pref * float(si))
-                    for ni, si in zip(n[:max_rows - len(rows)], partial[:, 0, 0]))
-    n_last, force = int(n[-1]), pref * float(partial[-1, 0, 0])
-    if rows[-1][0] != n_last:
-        rows.append((n_last, force))
+    force = pref * float(_series_sums(u)[0, 0])
+    n = np.arange(1.0, max_rows + 1.0)
+    cn, sn = _coth_csch(n * u)
+    partial = pref * np.cumsum((n * cn - _coth_csch(u)[0]) * sn)
+    rows = [*zip(range(1, max_rows + 1), partial.tolist()), (math.inf, force)]
 
     errors: dict[int, float] = {}
     for k in (1, 2):
@@ -350,11 +327,14 @@ _MAX_NFEV_MESSAGE = "The maximum number of function evaluations is exceeded."
 # Fit parameters (k, V0, R, delta0) that the residuals take as |x|.
 _FOLDED = np.array([True, False, True, True])
 # The calibration fit stops once a step changes chi^2 by less than this.
-# With the pooled sigma^2 = 2 cost / ndof, chi^2 = ndof at the minimum, so
-# MINPACK's relative cost reduction r is a chi^2 change of r ndof and
-# ftol = _CHI2_STOP / ndof. A displacement dx changes chi^2 by
-# dx^T C^-1 dx there, so 1e-6 is about 1e-3 sigma.
+# In units of the residual variance sigma^2 = 2 cost / ndof, chi^2 = ndof
+# at the minimum, so MINPACK's relative cost reduction r is a chi^2 change
+# of r ndof and ftol = _CHI2_STOP / ndof. A displacement dx changes chi^2
+# by dx^T C^-1 dx there, so 1e-6 is about 1e-3 sigma.
 _CHI2_STOP = 1e-6
+# A sample whose leverage is within this of 1 alone fixes a direction of
+# the parameters, and the HC3 covariance has no estimate for it.
+_LEVERAGE_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -363,6 +343,7 @@ class LeastSquaresResult:
 
     x: np.ndarray
     cost: float          # 0.5 * |fun(x)|^2
+    fun: np.ndarray      # residuals at x
     jac: np.ndarray
     nfev: int            # residual calls
     success: bool
@@ -494,7 +475,7 @@ def least_squares(fun, x0, *, jac, xtol: float, ftol: float,
             if accepted:
                 break
     return LeastSquaresResult(
-        x=x, cost=0.5 * float(f @ f), jac=jac_x, nfev=nfev,
+        x=x, cost=0.5 * float(f @ f), fun=f, jac=jac_x, nfev=nfev,
         success=message != _MAX_NFEV_MESSAGE, message=message,
     )
 
@@ -509,13 +490,20 @@ def calibrate(samples: Sequence[CalibrationSample],
     analytic Jacobian, at most 4,000 residual evaluations, else FitError).
     Each trial point sums the series once, over the distinct gaps only;
     the same pass gives dS/du for the R and delta0 columns, so a Jacobian
-    costs no series work. The covariance is the pooled 2 cost / (n - 4)
-    times (J^T J)^-1, taken from the SVD of J. Requires at least 4 samples
-    spanning at least 2 distinct applied voltages; a single-voltage design
-    leaves k and (V - V0)^2 degenerate.
+    costs no series work. Requires at least 4 samples spanning at least 2
+    distinct applied voltages; a single-voltage design leaves k and
+    (V - V0)^2 degenerate.
+
+    The covariance is the HC3 sandwich (MacKinnon & White 1985), which
+    holds when the residuals do not share one variance, as under the
+    multiplicative noise of a capacitance bridge:
+    (J^T J)^-1 J^T diag(r_i^2 / (1 - h_i)^2) J (J^T J)^-1, with h_i the
+    leverage of sample i. With J = U S V^T, h_i = |U_i|^2 and it is
+    V S^-1 (U^T diag(w) U) S^-1 V^T, so the condition number of J is
+    never squared. A sample with leverage 1 raises IdentifiabilityError.
 
     The fit stops at the noise, once a step changes chi^2 by less than
-    1e-6: with the pooled variance, chi^2 = 2 cost / sigma^2 equals
+    1e-6: with the residual variance, chi^2 = 2 cost / sigma^2 equals
     ndof = n - 4 at the minimum, so a relative cost reduction r is a chi^2
     change of r ndof, and ftol = 1e-6 / ndof. A chi^2 change of 1e-6 is
     a displacement of about 1e-3 sigma. Residuals, cost, Jacobian or
@@ -587,15 +575,19 @@ def calibrate(samples: Sequence[CalibrationSample],
     if not res.success:
         raise FitError(f"calibration fit did not converge: {res.message}")
 
-    _, sv, vt = np.linalg.svd(res.jac, full_matrices=False)
+    u, sv, vt = np.linalg.svd(res.jac, full_matrices=False)
     if sv[-1] <= 0 or sv[0] / sv[-1] > 1e12:
         raise IdentifiabilityError(
             f"calibration design is rank-deficient (condition {sv[0] / max(sv[-1], 1e-300):.2e})"
         )
-
-    sigma2 = 2.0 * res.cost / ndof
-    cov_scaled = sigma2 * (vt.T / sv**2) @ vt
-    cov = cov_scaled * np.outer(scale, scale)
+    # HC3: cov = H H^T, H = V S^-1 U^T diag(r_i / (1 - h_i)), h_i = |U_i|^2.
+    free = 1.0 - np.einsum("ij,ij->i", u, u)
+    if free.min() <= _LEVERAGE_FLOOR:
+        raise IdentifiabilityError(
+            f"calibration sample {int(np.argmin(free)) + 1} alone fixes a parameter "
+            "(leverage 1); its uncertainty cannot be estimated")
+    half = (vt.T / sv) @ (u.T * (res.fun / free))
+    cov = half @ half.T * np.outer(scale, scale)
     cov = 0.5 * (cov + cov.T)
     if not np.isfinite(cov).all():
         raise DomainError("calibration covariance is not finite: the dC residuals are out of range")

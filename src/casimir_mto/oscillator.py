@@ -71,6 +71,12 @@ class OscillatorParams:
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be > 0")
         w_derived = math.sqrt(self.kappa / self.inertia)
+        c_derived = self.lever_b * self.lever_b / (2.0 * self.inertia)
+        # A derived constant that overflows or vanishes would make the checks
+        # below compare NaN or divide by zero.
+        for name, value in (("sqrt(kappa/inertia)", w_derived), ("b^2/2I", c_derived)):
+            if not 0.0 < value < math.inf:
+                raise ValidationError(f"{name} = {value:g} must be finite and > 0")
         if self.omega0 is None:
             object.__setattr__(self, "omega0", w_derived)
         elif not self.omega0 > 0:
@@ -80,7 +86,6 @@ class OscillatorParams:
                 f"omega0 {self.omega0:.6g} deviates {abs(self.omega0 / w_derived - 1):.1%} "
                 f"from sqrt(kappa/inertia) = {w_derived:.6g}"
             )
-        c_derived = self.lever_b**2 / (2.0 * self.inertia)
         if self.coupling is None:
             object.__setattr__(self, "coupling", c_derived)
         elif not self.coupling > 0:

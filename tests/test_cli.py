@@ -285,17 +285,6 @@ class TestCalibrateCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: calibration fit did not converge")
 
-    def test_series_nonconvergence_exit_3(self, tmp_path, capsys):
-        # A zero contact offset puts the gaps at 1e-15 m, where the
-        # image-charge series cannot converge within its term budget.
-        data = self._femtometer_rows(tmp_path)
-        cfg = write_json(tmp_path / "cal.json",
-                         {"data": str(data), "initial_guess": {"delta0_m": 0.0}})
-        assert run(["calibrate", "--config", cfg]) == 3
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error: image-charge series not converged after 100000 terms")
-
 
 class TestSweepCommand:
     def test_outputs_and_determinism(self, tmp_path):
@@ -535,6 +524,10 @@ def _heightmap_force(tmp_path, body: bytes, **roughness):
     (lambda t: _force(t, materials={"registry": 1, "pair": ["gold", "gold"]}), 2),
     (lambda t: _force(t, roughness={"heightmap1": 1}), 2),
     (lambda t: _heightmap_force(t, b"# pixel_pitch_m = 1e-7\n1e-9 0.0\n", heightmap2=1), 2),
+    # Never a count that really allocates: 1e15 points would need 8 PB.
+    (lambda t: _force(t, z_grid_m={"start": 2e-7, "stop": 6e-7, "points": 10**15}), 2),
+    (lambda t: _sweep(t, oscillator={"f0_hz": 1e308, "kappa_nm_per_rad": 1e308,
+                                     "inertia_kg_m2": 1e-308}), 2),
 ], ids=["radius_m", "grid_list", "roughness_entries", "grid_points_fraction",
         "grid_points_bool", "bound_file_text",
         "bound_file_one_column", "bound_file_decreasing", "layer_row",
@@ -550,7 +543,8 @@ def _heightmap_force(tmp_path, body: bytes, **roughness):
         "radius_bool", "roughness_bool_weight", "calibration_overflow",
         "limit_zero_force", "limit_lambda_huge", "out_number", "out_null",
         "sweep_out_list", "calibration_data_number", "bound_file_number",
-        "registry_number", "heightmap1_number", "heightmap2_number"])
+        "registry_number", "heightmap1_number", "heightmap2_number",
+        "grid_points_huge", "oscillator_overflow"])
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_bad_input_is_one_error_line(tmp_path, capsys, make, code):
     command, doc = make(tmp_path)

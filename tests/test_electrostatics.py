@@ -1,6 +1,5 @@
 import contextlib
 import importlib.util
-import itertools
 import math
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,7 +13,8 @@ from hypothesis import strategies as st
 from casimir_mto import electrostatics
 from casimir_mto.constants import CODATA
 from casimir_mto.electrostatics import (
-    MAX_SERIES_TERMS,
+    _N0,
+    SMALL_GAP_C1,
     CalibrationFit,
     CalibrationSample,
     ElectrostaticConfig,
@@ -28,7 +28,6 @@ from casimir_mto.electrostatics import (
     small_gap_force,
 )
 from casimir_mto.errors import (
-    ConvergenceError,
     DomainError,
     FitError,
     IdentifiabilityError,
@@ -43,68 +42,37 @@ VOLTS = (0.1325, 0.3325, 0.4825, 0.7825, 0.9325, 1.1325)
 GUESS = (5.2e4, 0.6, 3.0e-4, 3e-8)
 
 
-def _coth(x):
-    e = np.exp(-2.0 * x)
-    return (1.0 + e) / (1.0 - e)
-
-
-def _csch(x):
-    e = np.exp(-x)
-    return 2.0 * e / (1.0 - e * e)
-
-
-def _loop_partials(u):
-    """Reference image-charge partial sums, one term n at a time: yields
-    (n, term, partial sum) without end."""
-    coth_u = _coth(u)
-    total = np.zeros_like(u)
-    n = 1
-    while True:
-        nu = n * u
-        term = (n * _coth(nu) - coth_u) * _csch(nu)
-        total += term
-        yield n, term, total
-        n += 1
-
-
-def _series_loop(u, series_tol, max_terms=MAX_SERIES_TERMS):
-    """Reference image-charge sum; returns (S, last term n)."""
-    for n, term, total in _loop_partials(u):
-        if n >= 2 and np.all(term <= series_tol * np.maximum(total, 1e-300)):
-            return total, n
-        if n == max_terms:
-            raise ConvergenceError("reference loop not converged")
-
-
-def _slope_loop(u, n_last):
-    """Reference dS/du through term n_last, one term at a time:
-    d/du [(n c_n - c_1) s_n] = s_n [s_1^2 - n^2 s_n^2 - n c_n (n c_n - c_1)]."""
-    coth_u, csch2_u = _coth(u), _csch(u) ** 2
-    total = np.zeros_like(u)
-    for n in range(1, n_last + 1):
-        n_coth, csch = n * _coth(n * u), _csch(n * u)
-        total += csch * (csch2_u - (n * csch) ** 2 - n_coth * (n_coth - coth_u))
-    return total
+def _plain_sums(u):
+    """Reference image-charge sum S(u) and slope dS/du: every term until
+    the rest is below 1e-20 of the sum, added pairwise along n."""
+    u = np.asarray(u, dtype=float)[:, None]
+    n = np.arange(1.0, np.ceil(50.0 / u.min()) + _N0)
+    with np.errstate(over="ignore"):
+        c1, s1 = 1.0 / np.tanh(u), 1.0 / np.sinh(u)
+        n_coth, csch = n / np.tanh(n * u), 1.0 / np.sinh(n * u)
+    terms = (n_coth - c1) * csch
+    slopes = csch * (s1 * s1 - (n * csch) ** 2 - n_coth * (n_coth - c1))
+    return terms.sum(axis=1), slopes.sum(axis=1)
 
 
 @contextlib.contextmanager
 def _block_rows():
     """Record the rows n of each block the series passes evaluate."""
-    rows, coth = [], electrostatics._coth_stable
+    rows, coth_csch = [], electrostatics._coth_csch
 
     def recording(x):
-        if np.ndim(x) == 2:  # a block of n u; coth u itself is 1-D
+        if np.ndim(x) == 2:  # rows n by columns u
             rows.append(x.shape[0])
-        return coth(x)
+        return coth_csch(x)
 
-    with mock.patch.object(electrostatics, "_coth_stable", recording):
+    with mock.patch.object(electrostatics, "_coth_csch", recording):
         yield rows
 
 
 def _config(v_applied=0.3, v_residual=0.0, z_metal=1e-6, delta0=0.0,
-            radius=294.3e-6, series_tol=1e-9):
+            radius=294.3e-6):
     geom = SpherePlaneGeometry(radius=radius, separation=z_metal, delta0=delta0)
-    return ElectrostaticConfig(v_applied, v_residual, geom, series_tol)
+    return ElectrostaticConfig(v_applied, v_residual, geom)
 
 
 class TestForceSeries:
@@ -137,12 +105,6 @@ class TestForceSeries:
         plain = electrostatic_force(_config(z_metal=1.1e-6))
         assert with_offset == pytest.approx(plain, rel=1e-10, abs=0.0)
 
-    def test_series_tol_window(self):
-        with pytest.raises(ValidationError):
-            _config(series_tol=1e-5)
-        with pytest.raises(ValidationError):
-            _config(series_tol=0.0)
-
     @pytest.mark.parametrize("gap_ratio", [1e-4, 1e-3, 1e-2, 0.09])
     def test_partial_sums_monotone_after_first_term(self, gap_ratio):
         import warnings
@@ -158,96 +120,100 @@ class TestForceSeries:
     def test_positive_magnitude(self, dv, z):
         assert electrostatic_force(_config(v_applied=dv, z_metal=z)) > 0
 
-    def test_series_nonconvergence_raises(self):
-        # Vanishing gap drives u ~ sqrt(2 z/R) so small that 1e5 terms
-        # cannot converge the image-charge sum.
-        with pytest.raises(ConvergenceError):
-            electrostatic_force(_config(z_metal=1e-15))
-
 
 class TestSeriesBlocks:
-    # Small block sizes spread one series over many blocks; with more
-    # samples than a block holds, each block is a single row n.
-    @given(
-        u=st.lists(st.floats(1e-3, 5.0), min_size=1, max_size=80),
-        series_tol=st.floats(1e-12, 1e-6),
-        block=st.sampled_from([16, 256, electrostatics._BLOCK_ENTRIES]),
-    )
+    # The Euler-Maclaurin sum against the plain series, summed term by
+    # term to its end (up to 50,000 terms at u = 1e-3).
+    @given(u=st.lists(st.floats(1e-3, 5.0), min_size=1, max_size=20))
     @settings(max_examples=25, deadline=None)
-    def test_matches_term_by_term_loop(self, u, series_tol, block):
-        u = np.array(u)
-        with mock.patch.object(electrostatics, "_BLOCK_ENTRIES", block):
-            got = electrostatics._series_sum(u, series_tol)
-        assert np.array_equal(got, _series_loop(u, series_tol)[0])
+    def test_matches_term_by_term_loop(self, u):
+        got = electrostatics._series_sums(np.array(u))[0]
+        assert np.allclose(got, _plain_sums(u)[0], rtol=1e-13, atol=0)
 
-    @given(
-        u=st.lists(st.floats(1e-3, 5.0), min_size=1, max_size=80),
-        series_tol=st.floats(1e-12, 1e-6),
-        block=st.sampled_from([16, 256, electrostatics._BLOCK_ENTRIES]),
-    )
+    @given(u=st.lists(st.floats(1e-3, 5.0), min_size=1, max_size=20))
     @settings(max_examples=25, deadline=None)
-    def test_slope_matches_term_by_term_loop(self, u, series_tol, block):
-        u = np.array(u)
-        with mock.patch.object(electrostatics, "_BLOCK_ENTRIES", block):
-            got = electrostatics._series_sums(u, series_tol)[1]
-        assert np.array_equal(got, _slope_loop(u, _series_loop(u, series_tol)[1]))
+    def test_slope_matches_term_by_term_loop(self, u):
+        got = electrostatics._series_sums(np.array(u))[1]
+        assert np.allclose(got, _plain_sums(u)[1], rtol=1e-13, atol=0)
 
     @given(u=st.lists(st.floats(0.02, 5.0), min_size=1, max_size=20))
     @settings(max_examples=25, deadline=None)
     def test_slope_matches_central_difference(self, u):
-        # The truncation error of the slope at series_tol 1e-10 stays
-        # below 6e-8 relative for u >= 0.02; the difference error is smaller.
+        # The difference error at h = 1e-5 u is about 1e-10 relative.
         u = np.array(u)
         h = 1e-5 * u
-        s_hi = electrostatics._series_sum(u + h, 1e-14)
-        s_lo = electrostatics._series_sum(u - h, 1e-14)
-        got = electrostatics._series_sums(u, 1e-10)[1]
+        s_hi = electrostatics._series_sums(u + h)[0]
+        s_lo = electrostatics._series_sums(u - h)[0]
+        got = electrostatics._series_sums(u)[1]
         assert np.allclose(got, (s_hi - s_lo) / (2.0 * h), rtol=1e-6, atol=0)
 
     def test_first_block_covers_the_fit_gaps(self):
-        # A calibration pass (20 gaps of 0.6-3 um, tol 1e-10) is one block
-        # sized from the predicted last term, barely past the series' end.
+        # A pass is one block of _N0 terms whatever the gaps: the 20 gaps of
+        # a calibration (0.6-3 um) and a single force.
         radius, delta0 = 294.3e-6, 39.4e-9
         u = np.arccosh(1.0 + (np.linspace(0.6e-6, 3e-6, 20) + 2.0 * delta0) / radius)
         with _block_rows() as rows:
-            got = electrostatics._series_sum(u, 1e-10)
-        want, n_last = _series_loop(u, 1e-10)
-        assert len(rows) == 1 and n_last <= rows[0] <= 1.15 * n_last
-        assert np.array_equal(got, want)
-        cfg = _config(z_metal=1e-6)
+            got = electrostatics._series_sums(u)
+        assert rows == [_N0]
+        assert np.allclose(got, _plain_sums(u), rtol=1e-13, atol=0)
         with _block_rows() as rows:
-            electrostatic_force(cfg)
-        u = np.array([math.acosh(1.0 + cfg.gap / cfg.geometry.radius)])
-        assert sum(rows) <= 2 * _series_loop(u, cfg.series_tol)[1]
-
-    def test_short_first_block_continues_by_doubling(self):
-        # At u = 5, S(u) lies far below the 1/u^2 the first block assumes.
-        u = np.array([5.0])
-        with _block_rows() as rows:
-            got = electrostatics._series_sums(u, 1e-6)
-        want, n_last = _series_loop(u, 1e-6)
-        assert len(rows) > 1 and rows[1] == 2 * rows[0]
-        assert np.array_equal(got[0], want)
-        assert np.array_equal(got[1], _slope_loop(u, n_last))
+            electrostatic_force(_config(z_metal=1e-6))
+        assert rows == [_N0]
 
     def test_series_longer_than_one_default_block(self):
+        # At u = 1e-3 the plain series needs about 40,000 terms; the
+        # Euler-Maclaurin pass still evaluates one block of _N0 rows.
         u = np.array([1e-3])
-        want, n_last = _series_loop(u, 1e-12)
-        assert n_last > electrostatics._BLOCK_ENTRIES
-        assert np.array_equal(electrostatics._series_sum(u, 1e-12), want)
-
-    def test_max_terms_is_the_last_term_tried(self):
-        u = np.array([0.02, 0.07, 0.3])
-        want, n_last = _series_loop(u, 1e-10)
-        got = electrostatics._series_sum(u, 1e-10, max_terms=n_last)
-        assert np.array_equal(got, want)
-        with pytest.raises(ConvergenceError):
-            electrostatics._series_sum(u, 1e-10, max_terms=n_last - 1)
+        with _block_rows() as rows:
+            got = electrostatics._series_sums(u)
+        assert rows == [_N0]
+        assert np.allclose(got, _plain_sums(u), rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("u", [[0.0], [0.1, -0.2], [-1.0]])
     def test_non_positive_u_rejected(self, u):
         with pytest.raises(DomainError):
-            electrostatics._series_sum(np.array(u), 1e-10)
+            electrostatics._series_sums(np.array(u))
+
+    def test_finite_at_the_smallest_gaps(self):
+        # u = 2e-8 is acosh(1 + eps): no positive float gap gives less.
+        # S ~ 1/u^2 and dS/du ~ -2/u^3 there.
+        u = np.array([1e-8, 2e-8, 1e-6])
+        s, ds = electrostatics._series_sums(u)
+        assert np.all(np.isfinite(s) & np.isfinite(ds))
+        assert np.allclose(s * u**2, 1.0, rtol=1e-6, atol=0)
+        assert np.allclose(ds * u**3, -2.0, rtol=1e-6, atol=0)
+
+    def test_small_gap_c1(self):
+        # C1 is the rho -> 0 limit of (2 rho S - 1)/rho - ln(rho)/3, which
+        # at rho = 1e-6 is within about 1e-6 of it. u solves cosh u = 1 + rho
+        # in a form that does not round rho against 1.
+        rho = 1e-6
+        s = electrostatics._series_sums(2.0 * math.asinh(math.sqrt(rho / 2.0)))[0, 0]
+        estimate = (2.0 * rho * s - 1.0) / rho - math.log(rho) / 3.0
+        assert estimate == pytest.approx(SMALL_GAP_C1, abs=1e-4)
+
+
+class TestSeriesOracle:
+    # mpmath's own Euler-Maclaurin summation (numerical tail integral and
+    # derivatives) at 20 digits; its default extrapolation fails below
+    # u ~ 1e-2.
+    @pytest.mark.parametrize("u", [1e-4, 2e-3, 0.03, 0.3, 5.0])
+    def test_sum_and_slope(self, u):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(20):
+            x = mp.mpf(u)
+            c1, s1 = mp.coth(x), mp.csch(x)
+
+            def term(n):
+                return (n * mp.coth(n * x) - c1) * mp.csch(n * x)
+
+            def slope(n):
+                cn, sn = mp.coth(n * x), mp.csch(n * x)
+                return sn * (s1**2 - (n * sn) ** 2 - n * cn * (n * cn - c1))
+
+            want = [float(mp.nsum(f, [2, mp.inf], method="e")) for f in (term, slope)]
+        got = electrostatics._series_sums(u)[:, 0]
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestTruncationReport:
@@ -281,14 +247,15 @@ class TestTruncationReport:
 
     def test_rows_are_the_series_partial_sums(self):
         cfg = _config()
-        u = np.array([math.acosh(1.0 + cfg.gap / cfg.geometry.radius)])
+        u = math.acosh(1.0 + cfg.gap / cfg.geometry.radius)
         pref = 2.0 * math.pi * CODATA.eps0 * 0.3 * 0.3
-        first = [(n, pref * float(total[0]))
-                 for n, _, total in itertools.islice(_loop_partials(u), 5)]
-        total, n_last = _series_loop(u, cfg.series_tol)
+        n = np.arange(1.0, 6.0)
+        partial = pref * np.cumsum((n / np.tanh(n * u) - 1.0 / np.tanh(u)) / np.sinh(n * u))
         report = series_truncation_report(cfg, max_rows=5)
-        assert report.terms == (*first, (n_last, pref * float(total[0])))
-        assert report.force == pref * float(total[0])
+        assert [n for n, _ in report.terms] == [1, 2, 3, 4, 5, math.inf]
+        assert [f for _, f in report.terms[:-1]] == pytest.approx(partial, rel=1e-13, abs=0.0)
+        assert report.terms[-1][1] == report.force
+        assert report.force == pytest.approx(pref * _plain_sums([u])[0][0], rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("separation", [-1e-6, 0.0])
     def test_non_positive_gap_rejected(self, separation):
@@ -385,8 +352,10 @@ class TestCalibration:
 
     def test_covariance_from_the_svd(self, monkeypatch):
         # Ill-conditioned design (cond(J) ~ 5e6): (J^T J)^-1 squares the
-        # condition number and loses ~5e-4 relative; V diag(sv^-2) V^T
-        # does not.
+        # condition number and loses ~5e-4 relative; the SVD form of the
+        # HC3 sandwich does not. Oracle: the same sandwich from a QR of J,
+        # h_i = |Q_i|^2 and R^-1 Q^T diag(r_i / (1 - h_i)) (its transpose
+        # on the right), which does not square it either.
         z = np.linspace(2.9e-6, 3.0e-6, 10)
         samples = make_calibration_samples(*TRUTH, z, (0.3, 0.9), noise_rel=1e-6, seed=2)
         results, solver = [], electrostatics.least_squares
@@ -398,12 +367,42 @@ class TestCalibration:
         monkeypatch.setattr(electrostatics, "least_squares", capturing_solver)
         fit = calibrate(samples, GUESS)
         res = results[0]
-        _, sv, vt = np.linalg.svd(res.jac, full_matrices=False)
+        sv = np.linalg.svd(res.jac, compute_uv=False)
         assert 1e6 < sv[0] / sv[-1] < 1e8
+        q, r = np.linalg.qr(res.jac)
+        lev = np.sum(q * q, axis=1)
+        half = np.linalg.solve(r, q.T * (res.fun / (1.0 - lev)))
         scale = np.maximum(np.abs(GUESS), [1.0, 1e-2, 1e-6, 1e-9])
-        want = (2.0 * res.cost / (len(samples) - 4)) * (vt.T / sv**2) @ vt * np.outer(scale, scale)
+        want = half @ half.T * np.outer(scale, scale)
         sigma = np.sqrt(np.diag(want))
         assert np.all(np.abs(fit.covariance - want) <= 1e-8 * np.outer(sigma, sigma))
+
+    def test_sigma_covers_the_truth(self):
+        # HC3 under the multiplicative noise of make_calibration_samples:
+        # over 200 seeded designs the pulls (fit - truth)/sigma have a
+        # standard deviation near 1 for every parameter (the pooled
+        # variance gave 1.9 / 1.2 / 1.9 / 2.4).
+        truth = (4.7e4, 0.03, 296e-6, 25e-9)
+        z = np.linspace(0.6e-6, 3e-6, 30)
+        pulls = []
+        for seed in range(200):
+            samples = make_calibration_samples(*truth, z, (-0.2, 0.1, 0.25, 0.4),
+                                               noise_rel=1e-3, seed=seed)
+            fit = calibrate(samples, (5e4, 0.0, 3e-4, 3e-8))
+            got = np.array([fit.k, fit.v0, fit.radius, fit.delta0])
+            pulls.append((got - truth) / fit.uncertainties())
+        spread = np.std(pulls, axis=0)
+        assert np.all((0.8 <= spread) & (spread <= 1.25)), spread
+
+    def test_leverage_one_sample_unidentifiable(self):
+        # Four gaps at one voltage fix R, delta0 and (V - V0)^2 / k; the one
+        # sample at a second voltage alone fixes V0, and nothing is left to
+        # estimate its spread from.
+        samples = (make_calibration_samples(*TRUTH, Z_GRID[::4], (0.3325,),
+                                            noise_rel=1e-6, seed=1)
+                   + make_calibration_samples(*TRUTH, Z_GRID[5:6], (0.9325,)))
+        with pytest.raises(IdentifiabilityError, match=r"sample 5 .*\(leverage 1\)"):
+            calibrate(samples, GUESS)
 
     def test_bundled_demo_dataset_is_regenerated_exactly(self, tmp_path):
         tool_path = Path(__file__).resolve().parents[1] / "tools" / "make_demo_calibration.py"
