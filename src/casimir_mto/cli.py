@@ -57,9 +57,8 @@ from .oscillator import (
 )
 from .roughness import (
     RoughnessDistribution,
-    _entries,
-    _stacked_averages,
     load_heightmap,
+    nominal_and_average,
     weights_from_heightmaps,
 )
 from .yukawa import (
@@ -141,9 +140,10 @@ def _resolve_materials(spec, where: str):
     return models[0], models[1]
 
 
-def _parse_roughness(spec, where: str) -> RoughnessDistribution | None:
+def _parse_roughness(spec, where: str) -> RoughnessDistribution:
+    """The configured distribution; no roughness is the one-entry one."""
     if spec is None:
-        return None
+        return RoughnessDistribution.single()
     r = Cfg(spec, where)
     entries = r.take("entries", None)
     if entries is not None:
@@ -154,10 +154,20 @@ def _parse_roughness(spec, where: str) -> RoughnessDistribution | None:
         return RoughnessDistribution(arr[:, 0], arr[:, 1])
     map1 = load_heightmap(r.take_path("heightmap1"))
     map2_path = r.take_path("heightmap2", None)
-    bins = r.take_int("bins", 21)
+    bins = {"bins": r.take_int("bins")} if "bins" in spec else {}
     r.close()
     map2 = load_heightmap(map2_path) if map2_path else None
-    return weights_from_heightmaps(map1, map2, bins=bins)
+    return weights_from_heightmaps(map1, map2, **bins)
+
+
+def _optional_floats(spec, where: str, keys) -> dict:
+    """The numbers of the optional config object ``spec`` under ``keys``, by
+    key; absent keys are left out, so their defaults live with the callee."""
+    doc = {} if spec is None else spec
+    c = Cfg(doc, where)
+    values = {key: c.take_float(key) for key in keys if key in doc}
+    c.close()
+    return values
 
 
 def _write_csv(path: str, header: list[str], rows):
@@ -189,9 +199,10 @@ def cmd_grid(args) -> int:
 
     Each row holds the plain value and its error estimate, plus the
     roughness average when a distribution is configured. The whole grid is
-    one stacked Lifshitz call: the separations themselves, or every row's
-    roughness entries with the row's own separation among them. The
-    gradient is 2 pi R |P| of the plain or averaged pressure.
+    one stacked Lifshitz call (``roughness.nominal_and_average``) over every
+    row's roughness entries with the row's own separation among them; no
+    roughness is the one-entry distribution. The gradient is 2 pi R |P| of
+    the plain or averaged pressure.
     """
     doc = _common_overrides(_load_config(args.config), args)
     cfg = Cfg(doc, f"{args.command} config")
@@ -203,7 +214,8 @@ def cmd_grid(args) -> int:
         radius, quantity = None, "pressure"
     grid = _parse_grid(cfg.take("z_grid_m"), "z_grid_m")
     tol = cfg.take_float("tol", 1e-6)
-    dist = _parse_roughness(cfg.take("roughness", None), "roughness")
+    rough_spec = cfg.take("roughness", None)
+    dist = _parse_roughness(rough_spec, "roughness")
     out = cfg.take_path("out")
     cfg.close()
     if args.command == "force" and quantity not in ("force", "gradient"):
@@ -217,20 +229,11 @@ def cmd_grid(args) -> int:
     def column(r):
         return gradient_from_pressure(r, radius) if quantity == "gradient" else r
 
-    if dist is None:
-        r = column(integral(grid))
-        rows = zip(grid, r.value, r.est_rel_error)
-    else:
-        zs, offsets, weights = _entries(grid, dist)
-        # z itself is the zero offset's entry, or joins at zero weight.
-        if 0.0 not in offsets:
-            offsets, weights = np.append(offsets, 0.0), np.append(weights, 0.0)
-        k = int(np.flatnonzero(offsets == 0.0)[0])
-        r, average = (column(x) for x in _stacked_averages(integral, zs + offsets, weights))
-        rows = zip(grid, r.value[:, k], r.est_rel_error[:, k], average.value)
+    nominal, average = (column(r) for r in nominal_and_average(integral, grid, dist))
     col = _COLUMNS[quantity]
-    header = ["z_m", col, "est_rel_error"] + ([f"{col}_rough"] if dist is not None else [])
-    _write_csv(out, header, rows)
+    header = ["z_m", col, "est_rel_error"] + ([f"{col}_rough"] if rough_spec is not None else [])
+    columns = [grid, nominal.value, nominal.est_rel_error, average.value][:len(header)]
+    _write_csv(out, header, zip(*columns))
     print(f"wrote {grid.size} rows to {out}")
     return 0
 
@@ -246,6 +249,10 @@ def _load_calibration_csv(path) -> list[CalibrationSample]:
     return samples
 
 
+# The fit's start (k, V0, R, delta0) where initial_guess is silent; V0 by estimate_v0.
+_INITIAL_GUESS = {"k_n_per_f": 5e4, "v0_v": None, "radius_m": 3e-4, "delta0_m": 3e-8}
+
+
 def cmd_calibrate(args) -> int:
     doc = _common_overrides(_load_config(args.config), args)
     cfg = Cfg(doc, "calibrate config")
@@ -255,19 +262,11 @@ def cmd_calibrate(args) -> int:
     cfg.close()
 
     samples = _load_calibration_csv(data_path)
-    if guess_spec is None:
-        guess = (5e4, estimate_v0(samples), 3e-4, 3e-8)
-    else:
-        g = Cfg(guess_spec, "initial_guess")
-        guess = (
-            g.take_float("k_n_per_f", 5e4),
-            g.take_float("v0_v", estimate_v0(samples)),
-            g.take_float("radius_m", 3e-4),
-            g.take_float("delta0_m", 3e-8),
-        )
-        g.close()
+    guess = {**_INITIAL_GUESS, **_optional_floats(guess_spec, "initial_guess", _INITIAL_GUESS)}
+    if guess["v0_v"] is None:
+        guess["v0_v"] = estimate_v0(samples)
 
-    fit = calibrate(samples, guess)
+    fit = calibrate(samples, tuple(guess.values()))
     sig = fit.uncertainties()
     report = {
         "k_n_per_f": fit.k,
@@ -293,6 +292,13 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
+# Config keys of the optional sweep objects; defaults live in measured_params
+# and SweepNoise.
+_OSCILLATOR_ARGS = {"kappa_nm_per_rad": "kappa", "inertia_kg_m2": "inertia",
+                    "coupling_per_kg": "coupling", "f0_hz": "f0_hz", "quality_q": "quality_q"}
+_NOISE_KEYS = ("freq_noise_rms_hz", "separation_noise_rms_m")
+
+
 def cmd_sweep(args) -> int:
     doc = _common_overrides(_load_config(args.config), args)
     cfg = Cfg(doc, "sweep config")
@@ -308,29 +314,9 @@ def cmd_sweep(args) -> int:
     out = cfg.take_path("out")
     cfg.close()
 
-    if osc_spec is None:
-        params = measured_params()
-    else:
-        o = Cfg(osc_spec, "oscillator")
-        params = measured_params(
-            kappa=o.take_float("kappa_nm_per_rad", 8.6e-10),
-            inertia=o.take_float("inertia_kg_m2", 4.6e-17),
-            coupling=o.take_float("coupling_per_kg", 6.489e8),
-            f0_hz=o.take_float("f0_hz", 687.23),
-            quality_q=o.take_float("quality_q", 1e4),
-        )
-        o.close()
-    if noise_spec is None:
-        noise = SweepNoise()
-    else:
-        n = Cfg(noise_spec, "noise")
-        noise = SweepNoise(
-            freq_noise_rms_hz=n.take_float("freq_noise_rms_hz", 0.0),
-            separation_noise_rms_m=n.take_float("separation_noise_rms_m", 0.0),
-        )
-        n.close()
-    if dist is None:
-        dist = RoughnessDistribution.single()
+    osc = _optional_floats(osc_spec, "oscillator", _OSCILLATOR_ARGS)
+    params = measured_params(**{_OSCILLATOR_ARGS[key]: val for key, val in osc.items()})
+    noise = SweepNoise(**_optional_floats(noise_spec, "noise", _NOISE_KEYS))
 
     sweep_cfg = SweepConfig(
         z_grid=grid, integration_time_s=integration, noise=noise, tol=tol
@@ -358,13 +344,10 @@ def _parse_body(spec, where: str, default: LayeredBody) -> LayeredBody:
     layer_rows = b.take("layers", [])
     radius = b.take_float("radius_m", None)
     b.close()
-    try:
-        rows = [(float(t), float(rho)) for t, rho in layer_rows]
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"{where}: layers must be [[thickness_m, density_kg_m3], ...]"
-        ) from None
-    layers = tuple(Layer(t, rho) for t, rho in rows)
+    rows = _float_array(layer_rows, where)
+    if rows.shape != (0,) and (rows.ndim != 2 or rows.shape[1] != 2):
+        raise ConfigurationError(f"{where}: layers must be [[thickness_m, density_kg_m3], ...]")
+    layers = tuple(Layer(t, rho) for t, rho in rows.reshape(-1, 2).tolist())
     if default.shape == "sphere":
         if radius is None:
             raise ConfigurationError(f"{where}: sphere needs radius_m")

@@ -7,6 +7,7 @@ feels the attraction
     cosh u = 1 + d / R,
 
 with d the surface gap (image-charge series; the n = 1 term vanishes).
+u is formed as 2 asinh(sqrt(d / 2R)), without rounding d / R against 1.
 This module reports the attraction magnitude, which is how the
 calibration uses it; signed force bookkeeping lives with the oscillator.
 
@@ -170,20 +171,17 @@ def _series_sums(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def electrostatic_force(cfg: ElectrostaticConfig) -> float:
-    """Attraction magnitude (N) between sphere and plane, exact series.
-
-    Zero exactly when the applied voltage matches the residual potential.
-    """
-    dv = cfg.v_applied - cfg.v_residual
-    if dv == 0.0:
-        return 0.0
-    gap = cfg.gap
-    if not gap > 0:
-        raise DomainError("electrostatic gap must be > 0")
-    u = math.acosh(1.0 + gap / cfg.geometry.radius)
-    s = float(_series_sums(u)[0, 0])
-    return 2.0 * math.pi * CODATA.eps0 * dv * dv * s
+def _gap_u(gap, radius: float):
+    """rho = gap/R and u = 2 asinh(sqrt(rho/2)) (cosh u = 1 + rho) per gap, with
+    no rounding of rho against 1 (which costs up to 1.1e-16/rho relative). A
+    gap with 1 + rho == 1 is rejected all the same: such gaps stay out of domain."""
+    gap = np.asarray(gap, dtype=float)
+    if not (np.all(gap > 0) and radius > 0):
+        raise DomainError("electrostatic gap and sphere radius must be > 0")
+    rho = gap / radius
+    if np.any(1.0 + rho == 1.0):
+        raise DomainError("electrostatic gap is below the resolution of 1 + gap/R")
+    return rho, 2.0 * np.arcsinh(np.sqrt(0.5 * rho))
 
 
 def _series_at(z_metal: np.ndarray, radius: float, delta0: float) -> np.ndarray:
@@ -194,11 +192,8 @@ def _series_at(z_metal: np.ndarray, radius: float, delta0: float) -> np.ndarray:
     With g = z + 2 delta0 and cosh u = 1 + g/R, du/dR = -g/(R^2 sinh u)
     and du/ddelta0 = 2/(R sinh u).
     """
-    gap = z_metal + 2.0 * delta0
-    if np.any(gap <= 0) or radius <= 0:
-        raise DomainError("force model needs positive gap and radius")
-    rho = gap / radius
-    s, ds_du = _series_sums(np.arccosh(1.0 + rho))
+    rho, u = _gap_u(z_metal + 2.0 * delta0, radius)
+    s, ds_du = _series_sums(u)
     ds_dg = ds_du / (radius * np.sqrt(rho * (2.0 + rho)))  # sinh u = sqrt(rho (2 + rho))
     return np.stack((s, -rho * ds_dg, 2.0 * ds_dg))
 
@@ -206,6 +201,16 @@ def _series_at(z_metal: np.ndarray, radius: float, delta0: float) -> np.ndarray:
 def _force_model(v_applied: np.ndarray, v0: float, s: np.ndarray) -> np.ndarray:
     """Series force over calibration samples from their sums S(u)."""
     return 2.0 * math.pi * CODATA.eps0 * (v_applied - v0) ** 2 * s
+
+
+def electrostatic_force(cfg: ElectrostaticConfig) -> float:
+    """Attraction magnitude (N) between sphere and plane, exact series.
+
+    Zero exactly when the applied voltage matches the residual potential.
+    """
+    geom = cfg.geometry
+    s = _series_at(np.array([geom.separation]), geom.radius, geom.delta0)[0]
+    return float(_force_model(cfg.v_applied, cfg.v_residual, s)[0])
 
 
 def small_gap_force(d: float, radius: float, v_diff: float,
@@ -246,17 +251,13 @@ def series_truncation_report(cfg: ElectrostaticConfig,
     0.1% of the converged series (None if two are not enough).
     """
     dv = cfg.v_applied - cfg.v_residual
-    gap = cfg.gap
-    if not gap > 0:
-        raise DomainError("electrostatic gap must be > 0")
-    radius = cfg.geometry.radius
-    u = math.acosh(1.0 + gap / radius)
-    pref = 2.0 * math.pi * CODATA.eps0 * dv * dv
-
-    force = pref * float(_series_sums(u)[0, 0])
+    gap, radius = cfg.gap, cfg.geometry.radius
+    rho, u = _gap_u(gap, radius)
+    force = electrostatic_force(cfg)
     n = np.arange(1.0, max_rows + 1.0)
     cn, sn = _coth_csch(n * u)
-    partial = pref * np.cumsum((n * cn - _coth_csch(u)[0]) * sn)
+    partial = _force_model(cfg.v_applied, cfg.v_residual,
+                           np.cumsum((n * cn - _coth_csch(u)[0]) * sn))
     rows = [*zip(range(1, max_rows + 1), partial.tolist()), (math.inf, force)]
 
     errors: dict[int, float] = {}
@@ -265,7 +266,7 @@ def series_truncation_report(cfg: ElectrostaticConfig,
         errors[k] = abs(approx - force) / abs(force) if force else 0.0
     orders = next((k for k in (1, 2) if errors[k] <= 1e-3), None)
     return TruncationReport(
-        gap_ratio=gap / radius,
+        gap_ratio=float(rho),
         terms=tuple(rows),
         force=force,
         expansion_rel_error=errors,

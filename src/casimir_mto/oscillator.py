@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -223,7 +223,6 @@ class SweepConfig:
     """Separation grid and acquisition settings for a simulated sweep."""
 
     z_grid: np.ndarray
-    amplitude: Callable[[float], float] = default_amplitude_schedule
     integration_time_s: float = 10.0
     noise: SweepNoise = field(default_factory=SweepNoise)
     tol: float = 1e-6
@@ -239,7 +238,7 @@ class SweepConfig:
             raise ConfigurationError("integration time must be > 0")
         bad = [
             (i, float(zi)) for i, zi in enumerate(z)
-            if not self.amplitude(float(zi)) < zi / 5.0
+            if not default_amplitude_schedule(float(zi)) < zi / 5.0
         ]
         if bad:
             listing = ", ".join(f"#{i} (z={zi:.3g} m)" for i, zi in bad)

@@ -143,6 +143,22 @@ class TestForceCommand:
         rows = np.loadtxt(tmp_path / "force.csv", delimiter=",", skiprows=1)
         assert rows[:, 3].tolist() == [w.value for w in want]
 
+    def test_one_entry_roughness_is_the_plain_grid(self, tmp_path):
+        # A grid without roughness is the one-entry distribution: configuring
+        # that distribution only adds the rough column, equal to the plain one.
+        grid = {"start": 2e-7, "stop": 2e-6, "points": 5, "spacing": "log"}
+        pair = {"pair": ["gold", "copper"]}
+        assert run(["force", "--config", self._config(tmp_path, materials=pair,
+                                                      z_grid_m=grid)]) == 0
+        plain = (tmp_path / "force.csv").read_text().splitlines()
+        cfg = self._config(tmp_path, materials=pair, z_grid_m=grid,
+                           roughness={"entries": [[0.0, 1.0]]})
+        assert run(["force", "--config", cfg]) == 0
+        rough = [line.split(",") for line in (tmp_path / "force.csv").read_text().splitlines()]
+        assert [",".join(row[:3]) for row in rough] == plain
+        assert rough[0][3] == "f_n_rough"
+        assert all(row[3] == row[1] for row in rough[1:])
+
     def test_tol_flag_overrides_config(self, tmp_path):
         cfg = self._config(tmp_path, z_grid_m=[1e-6])
         run(["force", "--config", cfg])
@@ -327,6 +343,17 @@ class TestSweepCommand:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (tmp_path / "s.csv").exists()
         assert not (tmp_path / "s_gradients.csv").exists()
+
+    def test_oscillator_key_at_its_default_changes_nothing(self, tmp_path):
+        # Every oscillator default lives in measured_params: naming one key
+        # at its value gives the files of no oscillator object at all.
+        outputs = []
+        for extra in ({}, {"oscillator": {"f0_hz": 687.23}}):
+            _, doc = _sweep(tmp_path, noise={"freq_noise_rms_hz": 0.03}, **extra)
+            assert run(["sweep", "--config", write_json(tmp_path / "sweep.json", doc)]) == 0
+            outputs.append([(tmp_path / name).read_bytes()
+                            for name in ("s.csv", "s_gradients.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_bad_seed_rejected(self, tmp_path):
         cfg = write_json(
@@ -528,6 +555,14 @@ def _heightmap_force(tmp_path, body: bytes, **roughness):
     (lambda t: _force(t, z_grid_m={"start": 2e-7, "stop": 6e-7, "points": 10**15}), 2),
     (lambda t: _sweep(t, oscillator={"f0_hz": 1e308, "kappa_nm_per_rad": 1e308,
                                      "inertia_kg_m2": 1e-308}), 2),
+    (lambda t: _limits(t, {"constant_n": 1e-14},
+                       plate={"core_density_kg_m3": 2330.0, "layers": [[1e-9, True]]}), 2),
+    (lambda t: _limits(t, {"constant_n": 1e-14},
+                       plate={"core_density_kg_m3": 2330.0, "layers": [[True, 8960.0]]}), 2),
+    # Flat maps take the exact path, but the bound comes first: never a
+    # bin count that really allocates.
+    (lambda t: _heightmap_force(t, b"# pixel_pitch_m = 1e-7\n0.0 0.0\n0.0 0.0\n",
+                                heightmap2=str(t / "scan.txt"), bins=10**9), 2),
 ], ids=["radius_m", "grid_list", "roughness_entries", "grid_points_fraction",
         "grid_points_bool", "bound_file_text",
         "bound_file_one_column", "bound_file_decreasing", "layer_row",
@@ -544,7 +579,8 @@ def _heightmap_force(tmp_path, body: bytes, **roughness):
         "limit_zero_force", "limit_lambda_huge", "out_number", "out_null",
         "sweep_out_list", "calibration_data_number", "bound_file_number",
         "registry_number", "heightmap1_number", "heightmap2_number",
-        "grid_points_huge", "oscillator_overflow"])
+        "grid_points_huge", "oscillator_overflow", "layer_density_bool",
+        "layer_thickness_bool", "bins_huge"])
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_bad_input_is_one_error_line(tmp_path, capsys, make, code):
     command, doc = make(tmp_path)

@@ -175,7 +175,7 @@ class TestSeriesBlocks:
             electrostatics._series_sums(np.array(u))
 
     def test_finite_at_the_smallest_gaps(self):
-        # u = 2e-8 is acosh(1 + eps): no positive float gap gives less.
+        # u = 1.5e-8 is sqrt(eps): no gap with 1 + d/R > 1 gives less.
         # S ~ 1/u^2 and dS/du ~ -2/u^3 there.
         u = np.array([1e-8, 2e-8, 1e-6])
         s, ds = electrostatics._series_sums(u)
@@ -191,6 +191,13 @@ class TestSeriesBlocks:
         s = electrostatics._series_sums(2.0 * math.asinh(math.sqrt(rho / 2.0)))[0, 0]
         estimate = (2.0 * rho * s - 1.0) / rho - math.log(rho) / 3.0
         assert estimate == pytest.approx(SMALL_GAP_C1, abs=1e-4)
+
+    def test_u_is_formed_without_rounding_the_gap(self):
+        # At rho = 1e-6, arccosh(1 + rho) would be off by about 1e-10.
+        rho = 1e-6
+        want = electrostatics._series_sums(2.0 * math.asinh(math.sqrt(rho / 2.0)))[0, 0]
+        got = electrostatics._series_at(np.array([rho]), 1.0, 0.0)[0, 0]
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestSeriesOracle:
@@ -244,6 +251,12 @@ class TestTruncationReport:
         ns = [n for n, _ in report.terms]
         assert ns[0] == 1
         assert report.terms[-1][1] == report.force
+
+    @pytest.mark.parametrize("z_metal", [1e-7, 1e-6, 2e-5])
+    def test_force_is_electrostatic_force(self, z_metal):
+        # One path from gap to force: the report's force is the function's.
+        cfg = _config(v_applied=0.9325, v_residual=0.6325, z_metal=z_metal, delta0=39.4e-9)
+        assert series_truncation_report(cfg).force == electrostatic_force(cfg)
 
     def test_rows_are_the_series_partial_sums(self):
         cfg = _config()
