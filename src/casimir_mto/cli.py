@@ -77,9 +77,9 @@ def _load_config(path: str | None) -> dict:
 
 
 def _float_array(spec, where: str) -> np.ndarray:
-    """A JSON array of numbers as floats; a boolean is not a number."""
+    """A JSON array of numbers as floats; a boolean or a string is not a number."""
     try:
-        if not any(isinstance(v, bool) for v in np.asarray(spec, dtype=object).flat):
+        if not any(isinstance(v, (bool, str)) for v in np.asarray(spec, dtype=object).flat):
             return np.asarray(spec, dtype=float)
     except (TypeError, ValueError):
         pass
@@ -128,16 +128,8 @@ def _resolve_materials(spec, where: str):
     if not (isinstance(pair, list) and len(pair) == 2
             and all(isinstance(name, str) for name in pair)):
         raise ConfigurationError(f"{where}: 'pair' must list two material names")
-    registry = load_registry(registry_path)
-    models = []
-    for name in pair:
-        if name not in registry:
-            raise ConfigurationError(
-                f"{where}: unknown material {name!r}; registry has "
-                f"{sorted(registry)}"
-            )
-        models.append(registry[name])
-    return models[0], models[1]
+    models = load_registry(registry_path, pair)
+    return models[pair[0]], models[pair[1]]
 
 
 def _parse_roughness(spec, where: str) -> RoughnessDistribution:

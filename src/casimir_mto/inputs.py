@@ -2,7 +2,8 @@
 
 Run configs and material registries are JSON objects, read through
 ``read_json_object`` and unpacked key by key with ``Cfg``, which rejects
-unknown keys and checks that numbers are numbers and paths are strings.
+unknown keys and checks that numbers are JSON numbers (not booleans or
+strings) and paths are strings.
 Optical tables, calibration samples and residual-bound files are headed
 CSV tables, read through ``read_table`` under one set of rules:
 
@@ -53,7 +54,7 @@ class Cfg:
         if val is None and default is None:
             return None
         try:
-            num = math.nan if isinstance(val, bool) else float(val)
+            num = math.nan if isinstance(val, (bool, str)) else float(val)
         except (TypeError, ValueError):
             num = math.nan
         if not math.isfinite(num):

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -42,6 +43,10 @@ from .inputs import Cfg, read_json_object, read_table
 
 SPLICE_TOL = 1e-2          # allowed relative jump of eps'' at the splice
 _TAIL_CUTOFF_EV = 1e5      # beyond this, the pure 1/omega^3 tail is analytic
+# Largest Drude energy accepted, far above any metal's (Au: 9 eV plasma).
+# Squares of energies near 1e154 eV overflow, and a plasma energy of 1e80 eV
+# makes eps(i xi) overflow the reflection factors at micron separations.
+DRUDE_EV_MAX = 1e3
 
 
 @dataclass(frozen=True)
@@ -52,10 +57,10 @@ class DrudeParams:
     relaxation_ev: float
 
     def __post_init__(self):
-        if not self.plasma_ev > 0:
-            raise ValidationError("plasma energy must be > 0")
-        if not self.relaxation_ev > 0:
-            raise ValidationError("relaxation energy must be > 0")
+        if not 0 < self.plasma_ev <= DRUDE_EV_MAX:
+            raise ValidationError(f"plasma energy must be in (0, {DRUDE_EV_MAX:g}] eV")
+        if not 0 < self.relaxation_ev <= DRUDE_EV_MAX:
+            raise ValidationError(f"relaxation energy must be in (0, {DRUDE_EV_MAX:g}] eV")
 
 
 def drude_eps(xi_ev, params: DrudeParams):
@@ -459,40 +464,61 @@ def default_registry_path() -> Path:
     return data_dir() / "materials.json"
 
 
-def load_registry(path: str | Path | None = None) -> dict[str, DielectricModel]:
+def _registry_entry(name: str, entry, root: Path):
+    """Check one registry entry; return a function that builds its model.
+
+    Keys, variant, Drude numbers and the type of the table path are
+    checked here; the table itself is read only when the model is built.
+    """
+    e = Cfg(entry, f"material {name!r}")
+    variant = e.take("variant", None)
+    label = e.take("label", name)
+    if variant not in ("perfect_conductor", "drude", "tabulated"):
+        raise ConfigurationError(
+            f"material {name!r}: unknown variant {variant!r} "
+            "(expected perfect_conductor, drude or tabulated)"
+        )
+    if variant == "perfect_conductor":
+        for key in ("plasma_ev", "relaxation_ev", "table", "splice_ev"):
+            e.take(key, None)
+        e.close()
+        return lambda: PerfectConductor(label=label)
+    drude = DrudeParams(e.take_float("plasma_ev"), e.take_float("relaxation_ev"))
+    table_path = e.take("table", None)
+    splice = e.take_float("splice_ev", None)
+    e.close()
+    if variant == "drude":
+        return lambda: DrudeOnly(drude, label=label)
+    if not isinstance(table_path, str):
+        raise ConfigurationError(f"material {name!r}: 'table' must be a path")
+    return lambda: Tabulated(load_optical_data(root / table_path), drude,
+                             splice_ev=splice, label=label)
+
+
+def load_registry(
+    path: str | Path | None = None, names: Iterable[str] | None = None
+) -> dict[str, DielectricModel]:
     """Build dielectric models from a materials registry document.
 
     JSON object mapping material names to entries with a ``variant`` of
     ``perfect_conductor``, ``drude`` or ``tabulated``; table paths resolve
-    relative to the registry file. Unknown keys are rejected; Drude
-    numbers and a table on a perfect conductor are accepted and unused.
+    relative to the registry file. Every entry is checked: unknown keys
+    are rejected; Drude numbers and a table on a perfect conductor are
+    accepted and unused.
+
+    ``names`` selects the models to build: only their optical tables are
+    read, and only they are returned (a name given twice gives one
+    model), so a missing or broken table of an entry that is not named
+    raises nothing. A name the registry lacks raises ConfigurationError
+    listing the registry's names. ``None`` builds every entry.
     """
     reg_path = Path(path) if path is not None else default_registry_path()
-    models: dict[str, DielectricModel] = {}
-    for name, entry in read_json_object(reg_path).items():
-        e = Cfg(entry, f"material {name!r}")
-        variant = e.take("variant", None)
-        label = e.take("label", name)
-        if variant not in ("perfect_conductor", "drude", "tabulated"):
+    builders = {name: _registry_entry(name, entry, reg_path.parent)
+                for name, entry in read_json_object(reg_path).items()}
+    wanted = dict.fromkeys(builders if names is None else names)
+    for name in wanted:
+        if name not in builders:
             raise ConfigurationError(
-                f"material {name!r}: unknown variant {variant!r} "
-                "(expected perfect_conductor, drude or tabulated)"
+                f"materials: unknown material {name!r}; registry has {sorted(builders)}"
             )
-        if variant == "perfect_conductor":
-            for key in ("plasma_ev", "relaxation_ev", "table", "splice_ev"):
-                e.take(key, None)
-            e.close()
-            models[name] = PerfectConductor(label=label)
-            continue
-        drude = DrudeParams(e.take_float("plasma_ev"), e.take_float("relaxation_ev"))
-        table_path = e.take("table", None)
-        splice = e.take_float("splice_ev", None)
-        e.close()
-        if variant == "drude":
-            models[name] = DrudeOnly(drude, label=label)
-            continue
-        if not isinstance(table_path, str):
-            raise ConfigurationError(f"material {name!r}: 'table' must be a path")
-        table = load_optical_data(reg_path.parent / table_path)
-        models[name] = Tabulated(table, drude, splice_ev=splice, label=label)
-    return models
+    return {name: builders[name]() for name in wanted}

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from casimir_mto.cli import main
 from casimir_mto.constants import CODATA
@@ -60,8 +65,9 @@ class TestForceCommand:
     def test_unknown_material_lists_registry(self, tmp_path, capsys):
         cfg = self._config(tmp_path, materials={"pair": ["ideal", "unobtanium"]})
         assert run(["force", "--config", cfg]) == 2
-        err = capsys.readouterr().err
-        assert "unobtanium" in err and "gold" in err
+        assert capsys.readouterr().err == (
+            "error: materials: unknown material 'unobtanium'; registry has "
+            "['copper', 'copper_drude', 'gold', 'gold_drude', 'ideal']\n")
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = self._config(tmp_path, bogus_key=1)
@@ -422,6 +428,30 @@ class TestMaterialsValidate:
         assert "gold: ok" in out
         assert "5 material(s) valid" in out
 
+    def test_broken_table_fails_only_runs_that_name_it(self, tmp_path, capsys):
+        bundled = json.loads((data_dir() / "materials.json").read_text(encoding="utf-8"))
+        reg = write_json(tmp_path / "materials.json", {
+            "gold_drude": bundled["gold_drude"],
+            "copper_drude": bundled["copper_drude"],
+            "broken": {"variant": "tabulated", "plasma_ev": 9.0, "relaxation_ev": 0.035,
+                       "table": "missing.csv"},
+        })
+        csv = {}
+        for name, registry in (("bundled", {}), ("copy", {"registry": str(reg)})):
+            _, doc = _force(tmp_path, out=str(tmp_path / f"{name}.csv"),
+                            materials={**registry, "pair": ["gold_drude", "copper_drude"]})
+            assert run(["force", "--config", write_json(tmp_path / "run.json", doc)]) == 0
+            csv[name] = (tmp_path / f"{name}.csv").read_bytes()
+        assert csv["copy"] == csv["bundled"]
+        capsys.readouterr()
+
+        _, doc = _force(tmp_path, materials={"registry": str(reg), "pair": ["broken", "gold_drude"]})
+        for argv in (["force", "--config", write_json(tmp_path / "run.json", doc)],
+                     ["materials", "validate", "--config", reg]):
+            assert run(argv) == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ") and "missing.csv" in err[0]
+
     def test_broken_registry_exit_2(self, tmp_path):
         reg = write_json(
             tmp_path / "materials.json",
@@ -563,6 +593,9 @@ def _heightmap_force(tmp_path, body: bytes, **roughness):
     # bin count that really allocates.
     (lambda t: _heightmap_force(t, b"# pixel_pitch_m = 1e-7\n0.0 0.0\n0.0 0.0\n",
                                 heightmap2=str(t / "scan.txt"), bins=10**9), 2),
+    (lambda t: _force(t, radius_m="294.3e-6"), 2),
+    (lambda t: _force(t, z_grid_m=["5e-7", "1e-6"]), 2),
+    (lambda t: _registry_force(t, plasma_ev="9.0"), 2),
 ], ids=["radius_m", "grid_list", "roughness_entries", "grid_points_fraction",
         "grid_points_bool", "bound_file_text",
         "bound_file_one_column", "bound_file_decreasing", "layer_row",
@@ -580,7 +613,8 @@ def _heightmap_force(tmp_path, body: bytes, **roughness):
         "sweep_out_list", "calibration_data_number", "bound_file_number",
         "registry_number", "heightmap1_number", "heightmap2_number",
         "grid_points_huge", "oscillator_overflow", "layer_density_bool",
-        "layer_thickness_bool", "bins_huge"])
+        "layer_thickness_bool", "bins_huge", "radius_numeric_text", "grid_numeric_text",
+        "registry_numeric_text"])
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_bad_input_is_one_error_line(tmp_path, capsys, make, code):
     command, doc = make(tmp_path)
@@ -592,6 +626,73 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, make, code):
     assert run([command, "--config", cfg]) == code
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+# Registry fuzzing: numbers of every JSON kind, each table-file failure,
+# and one name the registry lacks.
+_TABLES = {
+    "valid.csv": (data_dir() / "au_eps2.csv").read_bytes(),
+    "not_utf8.csv": b"energy_ev,eps2\n0.5,\xff\n",
+    "header_only.csv": b"energy_ev,eps2\n",
+}
+_NUMBER = st.one_of(
+    st.sampled_from([9.0, 0.035]),  # the valid.csv Drude tail
+    st.sampled_from([1e300, 1e80, 1e-300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+)
+_ENTRY = st.fixed_dictionaries(
+    {"variant": st.sampled_from(["perfect_conductor", "drude", "tabulated", "junk"]),
+     "plasma_ev": _NUMBER, "relaxation_ev": _NUMBER},
+    optional={"splice_ev": _NUMBER, "table": st.sampled_from([*_TABLES, "missing.csv"])},
+)
+
+
+_REGISTRY_AND_PAIR = st.dictionaries(
+    st.sampled_from(["a", "b", "c", "d"]), _ENTRY, min_size=1, max_size=4,
+).flatmap(lambda reg: st.tuples(
+    st.just(reg), st.lists(st.sampled_from([*reg, "unknown"]), min_size=2, max_size=2)))
+
+
+def _finite_output(text: str) -> bool:
+    return not any(word in text.lower() for word in ("nan", "inf"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_REGISTRY_AND_PAIR)
+# Energies that overflowed the Drude model or the reflection factors.
+@example(case=({"a": {"variant": "drude", "plasma_ev": 1e300, "relaxation_ev": 0.035}},
+               ["a", "a"]))
+@example(case=({"a": {"variant": "drude", "plasma_ev": 1e80, "relaxation_ev": 0.035}},
+               ["a", "a"]))
+@example(case=({"a": {"variant": "tabulated", "plasma_ev": 9.0, "relaxation_ev": 1e300,
+                      "table": "valid.csv"}}, ["a", "a"]))
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+def test_fuzzed_registry_is_one_error_line_or_finite_output(case):
+    registry, pair = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, body in _TABLES.items():
+            (tmp / name).write_bytes(body)
+        reg = write_json(tmp / "materials.json", registry)
+        _, doc = _force(tmp, materials={"registry": str(reg), "pair": pair},
+                        z_grid_m=[3e-7, 1e-6], tol=1e-6)
+        for argv in (["force", "--config", write_json(tmp / "run.json", doc)],
+                     ["materials", "validate", "--config", reg]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+            assert code in (0, 1, 2, 3), argv
+            if code:
+                lines = err.getvalue().strip().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+            elif argv[0] == "force":
+                assert _finite_output((tmp / "f.csv").read_text()), registry
+            else:
+                assert _finite_output(out.getvalue()), registry
 
 
 @pytest.mark.parametrize("argv", [["force", "--seed", "abc"], [], ["bogus"], ["materials"]],

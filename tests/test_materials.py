@@ -55,6 +55,11 @@ class TestDrudeEps:
             DrudeParams(0.0, 0.035)
         with pytest.raises(ValidationError):
             DrudeParams(9.0, -1.0)
+        with pytest.raises(ValidationError, match="plasma energy"):
+            DrudeParams(1e80, 0.035)
+        with pytest.raises(ValidationError, match="relaxation energy"):
+            DrudeParams(9.0, 1e300)
+        DrudeParams(1e3, 1e3)
 
     @given(
         wp=st.floats(0.5, 20.0),
@@ -288,6 +293,29 @@ class TestRegistry:
                                           "relaxation_ev": 0.03, "label": "pc"}}))
         model = load_registry(path)["x"]
         assert model.is_ideal and model.label == "pc"
+
+    def test_named_models_read_only_their_tables(self, monkeypatch):
+        import casimir_mto.materials as materials
+
+        real = materials.read_table
+
+        def no_table(path, header):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(materials, "read_table", no_table)
+        registry = load_registry(names=["ideal", "gold_drude"])
+        assert list(registry) == ["ideal", "gold_drude"]
+        assert registry["ideal"].is_ideal and isinstance(registry["gold_drude"], DrudeOnly)
+
+        read = []
+
+        def recorded(path, header):
+            read.append(path.name)
+            return real(path, header)
+
+        monkeypatch.setattr(materials, "read_table", recorded)
+        assert len(load_registry()) == 5
+        assert sorted(read) == ["au_eps2.csv", "cu_eps2.csv"]
 
     def test_env_var_root(self, tmp_path, monkeypatch):
         path = tmp_path / "materials.json"
