@@ -9,8 +9,9 @@ One binary with subcommands::
     casimir-mto limits     --config run.json   # alpha(lambda) exclusion CSV
     casimir-mto materials validate [--config registry.json]
 
-Configuration lives in a JSON document; the ``--out``, ``--seed`` and
-``--tol`` flags override the matching config keys.
+Configuration lives in a JSON document; ``--out`` (every run command),
+``--tol`` (force, pressure, sweep) and ``--seed`` (sweep) override the
+matching config keys.
 Unknown config keys are rejected. Every input document (config,
 registry, optical table, calibration or bound CSV) is read by
 ``casimir_mto.inputs`` under one set of rules. Numeric output is
@@ -105,6 +106,8 @@ def _parse_grid(spec, where: str) -> np.ndarray:
         g.close()
         if not 1 <= points <= _MAX_GRID_POINTS:
             raise ConfigurationError(f"{where}: points must be in [1, {_MAX_GRID_POINTS}]")
+        if not (0 < start < math.inf and 0 < stop < math.inf):
+            raise ConfigurationError(f"{where}: grid values must be finite and > 0")
         if spacing == "linear":
             grid = np.linspace(start, stop, points)
         elif spacing == "log":
@@ -287,7 +290,7 @@ def cmd_calibrate(args) -> int:
 # Config keys of the optional sweep objects; defaults live in measured_params
 # and SweepNoise.
 _OSCILLATOR_ARGS = {"kappa_nm_per_rad": "kappa", "inertia_kg_m2": "inertia",
-                    "coupling_per_kg": "coupling", "f0_hz": "f0_hz", "quality_q": "quality_q"}
+                    "coupling_per_kg": "coupling", "f0_hz": "f0_hz"}
 _NOISE_KEYS = ("freq_noise_rms_hz", "separation_noise_rms_m")
 
 
@@ -443,21 +446,21 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="JSON run configuration")
-        p.add_argument("--out", help="output path (overrides config)")
-        p.add_argument("--seed", type=int, help="RNG seed, unsigned 64-bit")
-        p.add_argument("--tol", type=float, help="quadrature tolerance")
-
-    for name, fn in (
-        ("force", cmd_grid),
-        ("pressure", cmd_grid),
-        ("calibrate", cmd_calibrate),
-        ("sweep", cmd_sweep),
-        ("limits", cmd_limits),
+    # Each command is offered only the overrides of keys its config reads.
+    seed = ("--seed", int, "RNG seed, unsigned 64-bit (overrides config)")
+    tol = ("--tol", float, "quadrature tolerance (overrides config)")
+    for name, fn, flags in (
+        ("force", cmd_grid, [tol]),
+        ("pressure", cmd_grid, [tol]),
+        ("calibrate", cmd_calibrate, []),
+        ("sweep", cmd_sweep, [seed, tol]),
+        ("limits", cmd_limits, []),
     ):
         p = sub.add_parser(name)
-        add_common(p)
+        p.add_argument("--config", help="JSON run configuration")
+        p.add_argument("--out", help="output path (overrides config)")
+        for flag, kind, text in flags:
+            p.add_argument(flag, type=kind, help=text)
         p.set_defaults(handler=fn)
 
     mats = sub.add_parser("materials")

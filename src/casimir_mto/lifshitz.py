@@ -136,9 +136,6 @@ def _surface_eps(model) -> object:
         return model.sampled().eps
     if isinstance(model, DielectricModel):
         return model.eps
-    if callable(model):
-        # Plain callables are taken to be scalar-only.
-        return np.vectorize(model, otypes=[float])
     raise DomainError(f"not a dielectric model: {model!r}")
 
 
@@ -387,8 +384,9 @@ def _lifshitz(kind: str, z, coeff: float, m1, m2, tol: float) -> LifshitzResult:
 def pressure_plane_plane(z, m1, m2, tol: float = 1e-6) -> LifshitzResult:
     """Casimir pressure between two half-spaces at separation z (meters).
 
-    Negative (attractive). ``m1``/``m2`` are DielectricModel instances or
-    callables xi_ev -> eps; the result is symmetric under their exchange.
+    Negative (attractive). ``m1``/``m2`` are DielectricModel instances (any
+    other object raises DomainError); the result is symmetric under their
+    exchange.
     An array ``z`` gives one pressure per separation from one stacked rule
     (see LifshitzResult).
     Raises ConvergenceError (with the partial LifshitzResult attached) if

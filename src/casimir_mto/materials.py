@@ -88,12 +88,12 @@ def drude_eps2(omega_ev, params: DrudeParams):
 class OpticalTable:
     """Tabulated loss spectrum eps''(omega) over a measured energy range.
 
-    Energies must be strictly increasing and positive, eps'' non-negative.
+    At least one row; energies must be strictly increasing and positive,
+    eps'' non-negative.
     """
 
     energy_ev: np.ndarray
     eps2: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         e = np.asarray(self.energy_ev, dtype=float)
@@ -102,36 +102,25 @@ class OpticalTable:
         object.__setattr__(self, "eps2", y)
         if e.shape != y.shape or e.ndim != 1:
             raise ValidationError("energy and eps2 columns must be 1-D and equal length")
-        if e.size:
-            if not np.all(e > 0):
-                raise ValidationError("photon energies must be > 0")
-            if not np.all(np.diff(e) > 0):
-                raise ValidationError("photon energies must be strictly increasing")
-            if not np.all(y >= 0):
-                raise ValidationError("eps'' must be non-negative")
-
-    @property
-    def n_rows(self) -> int:
-        return int(self.energy_ev.size)
+        if not e.size:
+            raise ValidationError("optical table has no rows")
+        if not np.all(e > 0):
+            raise ValidationError("photon energies must be > 0")
+        if not np.all(np.diff(e) > 0):
+            raise ValidationError("photon energies must be strictly increasing")
+        if not np.all(y >= 0):
+            raise ValidationError("eps'' must be non-negative")
 
     @property
     def energy_range(self) -> tuple[float, float]:
-        if not self.n_rows:
-            raise ValidationError("empty table has no energy range")
         return float(self.energy_ev[0]), float(self.energy_ev[-1])
-
-    def eps2_at(self, omega_ev: float) -> float:
-        lo, hi = self.energy_range
-        if not lo <= omega_ev <= hi:
-            raise DomainError(f"{omega_ev} eV outside tabulated range [{lo}, {hi}]")
-        return float(np.interp(omega_ev, self.energy_ev, self.eps2))
 
 
 def load_optical_data(path) -> OpticalTable:
     """Read a loss-spectrum table: headed CSV ``energy_ev,eps2``
     (``inputs.read_table`` rules)."""
     rows, _ = read_table(path, ("energy_ev", "eps2"))
-    return OpticalTable(rows[:, 0], rows[:, 1], label=str(path))
+    return OpticalTable(rows[:, 0], rows[:, 1])
 
 
 def _dispersion_drude_segment(drude: DrudeParams, xi: np.ndarray, hi: float) -> np.ndarray:
@@ -209,13 +198,14 @@ def kk_to_imaginary_axis(
     in closed form. ``table=None`` selects a pure-Drude spectrum over the
     whole axis (the table-free configuration).
 
-    ``xi_ev`` (eV) is a scalar or an array; a scalar gives a float, and
-    every entry of an array equals the scalar call at that entry.
+    ``xi_ev`` (eV) is a scalar or an array of any shape; a scalar gives a
+    float, and every entry of an array equals the scalar call at that entry.
 
-    Raises ConfigurationError for a zero-row table, DomainError for any
+    Raises ConfigurationError for a splice outside the table (an empty
+    table is rejected when the OpticalTable is made), DomainError for any
     xi <= 0.
     """
-    xi = np.atleast_1d(np.asarray(xi_ev, dtype=float))
+    xi = np.asarray(xi_ev, dtype=float).reshape(-1)
     if np.any(xi <= 0):
         raise DomainError("imaginary frequency must be > 0")
     if table is None:
@@ -224,8 +214,6 @@ def kk_to_imaginary_axis(
         a3 = drude.plasma_ev**2 * drude.relaxation_ev * hi**2 / (hi**2 + drude.relaxation_ev**2)
         total = seg + _dispersion_tail(a3, xi, hi)
     else:
-        if table.n_rows == 0:
-            raise ConfigurationError("optical table has no rows")
         lo, hi = table.energy_range
         if splice_ev is None:
             splice_ev = lo
@@ -254,9 +242,6 @@ def drude_eps_via_dispersion(params: DrudeParams, xi_ev):
 class DielectricModel:
     """A metal's permittivity evaluated on the imaginary frequency axis."""
 
-    is_ideal = False
-    label = ""
-
     def eps(self, xi_ev):
         """eps(i xi) at ``xi_ev`` (eV); the force integrals pass arrays
         (``Tabulated`` through its sampler)."""
@@ -268,11 +253,6 @@ class PerfectConductor(DielectricModel):
     infinite-permittivity limit inside the force integrals, so there is no
     finite eps to evaluate."""
 
-    is_ideal = True
-
-    def __init__(self, label: str = "ideal"):
-        self.label = label
-
     def eps(self, xi_ev: float) -> float:
         raise DomainError(
             "perfect conductor has no finite permittivity; "
@@ -283,9 +263,8 @@ class PerfectConductor(DielectricModel):
 class DrudeOnly(DielectricModel):
     """Free-electron metal with the closed-form Drude eps(i xi)."""
 
-    def __init__(self, params: DrudeParams, label: str = ""):
+    def __init__(self, params: DrudeParams):
         self.params = params
-        self.label = label or f"drude({params.plasma_ev}/{params.relaxation_ev} eV)"
 
     def eps(self, xi_ev):
         return drude_eps(xi_ev, self.params)
@@ -299,15 +278,7 @@ class Tabulated(DielectricModel):
     within SPLICE_TOL.
     """
 
-    def __init__(
-        self,
-        table: OpticalTable,
-        drude: DrudeParams,
-        splice_ev: float | None = None,
-        label: str = "",
-    ):
-        if table.n_rows == 0:
-            raise ConfigurationError("optical table has no rows")
+    def __init__(self, table: OpticalTable, drude: DrudeParams, splice_ev: float | None = None):
         lo, hi = table.energy_range
         self.table = table
         self.drude = drude
@@ -316,7 +287,6 @@ class Tabulated(DielectricModel):
             raise ConfigurationError(
                 f"splice energy {self.splice_ev} eV outside tabulated range [{lo}, {hi}]"
             )
-        self.label = label or table.label
         mismatch = self.splice_mismatch()
         if mismatch > SPLICE_TOL:
             raise ValidationError(
@@ -328,7 +298,7 @@ class Tabulated(DielectricModel):
     def splice_mismatch(self) -> float:
         """Relative eps'' discontinuity where the Drude tail meets the table."""
         d = float(drude_eps2(self.splice_ev, self.drude))
-        t = self.table.eps2_at(self.splice_ev)
+        t = float(np.interp(self.splice_ev, self.table.energy_ev, self.table.eps2))
         return abs(d - t) / max(0.5 * (d + t), 1e-300)
 
     def eps(self, xi_ev):
@@ -341,18 +311,14 @@ class Tabulated(DielectricModel):
         return self._sampler
 
 
-# Chebyshev sampler: polynomial degree, theta cells of the Taylor table
-# and the terms kept per cell (value plus six theta-derivatives).
+# Chebyshev sampler: sampled xi range (eV), polynomial degree, theta cells
+# of the Taylor table and the terms kept per cell (value plus six
+# theta-derivatives).
+_SAMPLED_LO_EV = 1e-6
+_SAMPLED_HI_EV = 1e4
 _CHEB_DEGREE = 192
 _CELLS = 1024
 _TAYLOR_TERMS = 7
-
-
-def _lobatto_log_xi(lo_ev: float, hi_ev: float, degree: int) -> np.ndarray:
-    """log xi at the Chebyshev-Lobatto points of [log lo, log hi], ascending."""
-    a, b = math.log(lo_ev), math.log(hi_ev)
-    t = -np.cos(np.pi * np.arange(degree + 1) / degree)
-    return 0.5 * (a + b) + 0.5 * (b - a) * t
 
 
 class SampledDielectric(DielectricModel):
@@ -361,9 +327,10 @@ class SampledDielectric(DielectricModel):
     Exact models cost a dispersion integral per evaluation; the force
     integrals query eps hundreds of times per separation, so pipelines
     evaluate through this interpolant. It is the degree-n polynomial
-    through samples at the n + 1 Chebyshev-Lobatto points of log xi over
-    the sampled range, written as a cosine series f(theta) = sum_k c_k
-    cos(k theta) in t = cos(theta), t the mapped log xi (Trefethen,
+    through samples at the n + 1 = _CHEB_DEGREE + 1 Chebyshev-Lobatto
+    points of log xi over the sampled range [_SAMPLED_LO_EV, _SAMPLED_HI_EV],
+    written as a cosine series f(theta) = sum_k c_k cos(k theta) in
+    t = cos(theta), t the mapped log xi (Trefethen,
     Approximation Theory and Approximation Practice, ch. 2-8). The c_k
     come from a DCT-I of the samples. Evaluation does not sum the series:
     one real inverse FFT tabulates f and its first six theta-derivatives at the
@@ -373,24 +340,16 @@ class SampledDielectric(DielectricModel):
     force integrals converging double-exponentially (a C^1 interpolant
     stalls the level-to-level error estimate). Power-law extrapolation
     beyond the sampled range, with the end slopes of the polynomial, keeps
-    eps >= 1 everywhere.
+    eps >= 1 everywhere. Built by ``from_model``.
     """
 
-    def __init__(self, xi_ev: np.ndarray, eps: np.ndarray, label: str = ""):
-        """``eps`` sampled at ``xi_ev``, the Chebyshev-Lobatto points of log
-        xi between its first and last entry (``from_model`` makes them)."""
-        xi = np.asarray(xi_ev, dtype=float)
+    def __init__(self, lx: np.ndarray, eps: np.ndarray):
+        """``eps`` sampled at the Chebyshev-Lobatto points ``lx`` of log xi,
+        ascending, that ``from_model`` makes; every sample must exceed 1."""
         e = np.asarray(eps, dtype=float)
-        if np.any(e <= 1.0):
+        if not np.all(e > 1.0):
             raise ValidationError("sampled eps must exceed 1")
-        degree = xi.size - 1
-        if xi.shape != e.shape or not 1 <= degree < _CELLS or not 0 < xi[0] < xi[-1]:
-            raise ValidationError(
-                f"need 2 to {_CELLS} samples of eps at increasing positive xi"
-            )
-        lx = _lobatto_log_xi(xi[0], xi[-1], degree)
-        if not np.max(np.abs(np.log(xi) - lx)) <= 1e-9 * (lx[-1] - lx[0]):
-            raise ValidationError("sampled xi must be the Chebyshev-Lobatto points")
+        degree = lx.size - 1
         self._mid = float(0.5 * (lx[-1] + lx[0]))
         self._half = float(0.5 * (lx[-1] - lx[0]))
         f = np.log(e - 1.0)[::-1]               # theta_j = pi j / degree
@@ -414,22 +373,19 @@ class SampledDielectric(DielectricModel):
         k2 = k * k * c
         self._slope = (float(np.sum(k2 * (-1.0) ** (k + 1))) / self._half,
                        float(np.sum(k2)) / self._half)
-        self._lo, self._hi = float(xi[0]), float(xi[-1])
-        self.label = label
 
     @classmethod
-    def from_model(
-        cls,
-        model: DielectricModel,
-        lo_ev: float = 1e-6,
-        hi_ev: float = 1e4,
-        degree: int = _CHEB_DEGREE,
-    ) -> "SampledDielectric":
-        """Sample ``model`` at the ``degree + 1`` Chebyshev-Lobatto points of
-        log xi over [lo_ev, hi_ev], with one array call to ``model.eps``."""
-        xi = np.exp(_lobatto_log_xi(lo_ev, hi_ev, degree))
-        xi[[0, -1]] = lo_ev, hi_ev
-        return cls(xi, model.eps(xi), label=model.label)
+    def from_model(cls, model: DielectricModel) -> "SampledDielectric":
+        """Sample ``model`` at the _CHEB_DEGREE + 1 Chebyshev-Lobatto points
+        of log xi over [_SAMPLED_LO_EV, _SAMPLED_HI_EV], with one array call
+        to ``model.eps``. Raises ValidationError unless every sample
+        exceeds 1."""
+        a, b = math.log(_SAMPLED_LO_EV), math.log(_SAMPLED_HI_EV)
+        t = -np.cos(np.pi * np.arange(_CHEB_DEGREE + 1) / _CHEB_DEGREE)
+        lx = 0.5 * (a + b) + 0.5 * (b - a) * t
+        xi = np.exp(lx)
+        xi[[0, -1]] = _SAMPLED_LO_EV, _SAMPLED_HI_EV
+        return cls(lx, model.eps(xi))
 
     def eps(self, xi_ev):
         """eps(i xi) at a scalar or array ``xi_ev`` (eV), all entries > 0."""
@@ -445,8 +401,8 @@ class SampledDielectric(DielectricModel):
         for j in range(_TAYLOR_TERMS - 2, -1, -1):
             ly = ly * d + row[..., j]
         ly = np.where(
-            xi < self._lo, self._ly[0] + self._slope[0] * (lx - self._lx[0]),
-            np.where(xi > self._hi, self._ly[1] + self._slope[1] * (lx - self._lx[1]), ly),
+            xi < _SAMPLED_LO_EV, self._ly[0] + self._slope[0] * (lx - self._lx[0]),
+            np.where(xi > _SAMPLED_HI_EV, self._ly[1] + self._slope[1] * (lx - self._lx[1]), ly),
         )
         out = 1.0 + np.exp(ly)
         return float(out) if np.isscalar(xi_ev) else out
@@ -472,7 +428,7 @@ def _registry_entry(name: str, entry, root: Path):
     """
     e = Cfg(entry, f"material {name!r}")
     variant = e.take("variant", None)
-    label = e.take("label", name)
+    e.take("label", None)  # a free-text note, read by nothing
     if variant not in ("perfect_conductor", "drude", "tabulated"):
         raise ConfigurationError(
             f"material {name!r}: unknown variant {variant!r} "
@@ -482,17 +438,16 @@ def _registry_entry(name: str, entry, root: Path):
         for key in ("plasma_ev", "relaxation_ev", "table", "splice_ev"):
             e.take(key, None)
         e.close()
-        return lambda: PerfectConductor(label=label)
+        return PerfectConductor
     drude = DrudeParams(e.take_float("plasma_ev"), e.take_float("relaxation_ev"))
     table_path = e.take("table", None)
     splice = e.take_float("splice_ev", None)
     e.close()
     if variant == "drude":
-        return lambda: DrudeOnly(drude, label=label)
+        return lambda: DrudeOnly(drude)
     if not isinstance(table_path, str):
         raise ConfigurationError(f"material {name!r}: 'table' must be a path")
-    return lambda: Tabulated(load_optical_data(root / table_path), drude,
-                             splice_ev=splice, label=label)
+    return lambda: Tabulated(load_optical_data(root / table_path), drude, splice_ev=splice)
 
 
 def load_registry(
@@ -502,7 +457,8 @@ def load_registry(
 
     JSON object mapping material names to entries with a ``variant`` of
     ``perfect_conductor``, ``drude`` or ``tabulated``; table paths resolve
-    relative to the registry file. Every entry is checked: unknown keys
+    relative to the registry file, and an entry's ``label`` is a free-text
+    note that nothing reads. Every entry is checked: unknown keys
     are rejected; Drude numbers and a table on a perfect conductor are
     accepted and unused.
 

@@ -63,11 +63,10 @@ class OscillatorParams:
     inertia: float               # kg m^2
     lever_b: float               # m
     omega0: float | None = None  # rad/s
-    quality_q: float = 1e4
     coupling: float | None = None  # kg^-1
 
     def __post_init__(self):
-        for name in ("kappa", "inertia", "lever_b", "quality_q"):
+        for name in ("kappa", "inertia", "lever_b"):
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be > 0")
         w_derived = math.sqrt(self.kappa / self.inertia)
@@ -106,13 +105,10 @@ def measured_params(
     inertia: float = 4.6e-17,
     coupling: float = 6.489e8,
     f0_hz: float = 687.23,
-    quality_q: float = 1e4,
 ) -> OscillatorParams:
     """Oscillator constants as calibrated on the physical device.
 
-    The lever arm is reconstructed from the coupling constant b^2/2I;
-    the quality factor is an assumed order of magnitude (only Q >> 1
-    matters for the resonance formula).
+    The lever arm is reconstructed from the coupling constant b^2/2I.
     """
     lever_b = math.sqrt(2.0 * inertia * coupling)
     return OscillatorParams(
@@ -120,7 +116,6 @@ def measured_params(
         inertia=inertia,
         lever_b=lever_b,
         omega0=2.0 * math.pi * f0_hz,
-        quality_q=quality_q,
         coupling=coupling,
     )
 

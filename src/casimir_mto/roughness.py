@@ -61,8 +61,8 @@ class RoughnessDistribution:
             raise ValidationError(f"weights sum to {w.sum()!r}, not 1")
 
     @classmethod
-    def single(cls, offset: float = 0.0) -> "RoughnessDistribution":
-        return cls(np.array([offset]), np.array([1.0]))
+    def single(cls) -> "RoughnessDistribution":
+        return cls(np.zeros(1), np.ones(1))
 
     @property
     def n_entries(self) -> int:

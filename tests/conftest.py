@@ -6,12 +6,12 @@ from casimir_mto.materials import DrudeOnly, DrudeParams, PerfectConductor
 
 @pytest.fixture(scope="session")
 def gold_drude():
-    return DrudeOnly(DrudeParams(9.0, 0.035), label="Au")
+    return DrudeOnly(DrudeParams(9.0, 0.035))
 
 
 @pytest.fixture(scope="session")
 def copper_drude():
-    return DrudeOnly(DrudeParams(8.9, 0.030), label="Cu")
+    return DrudeOnly(DrudeParams(8.9, 0.030))
 
 
 @pytest.fixture(scope="session")

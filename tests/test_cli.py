@@ -596,6 +596,10 @@ def _heightmap_force(tmp_path, body: bytes, **roughness):
     (lambda t: _force(t, radius_m="294.3e-6"), 2),
     (lambda t: _force(t, z_grid_m=["5e-7", "1e-6"]), 2),
     (lambda t: _registry_force(t, plasma_ev="9.0"), 2),
+    (lambda t: _force(t, z_grid_m={"start": 0, "stop": 1e-6, "points": 3, "spacing": "log"}), 2),
+    (lambda t: _limits(t, {"constant_n": 1e-14}, lambda_grid_m={
+        "start": 1e-7, "stop": -1e-6, "points": 3, "spacing": "log"}), 2),
+    (lambda t: _sweep(t, oscillator={"quality_q": 1e4}), 2),
 ], ids=["radius_m", "grid_list", "roughness_entries", "grid_points_fraction",
         "grid_points_bool", "bound_file_text",
         "bound_file_one_column", "bound_file_decreasing", "layer_row",
@@ -614,7 +618,8 @@ def _heightmap_force(tmp_path, body: bytes, **roughness):
         "registry_number", "heightmap1_number", "heightmap2_number",
         "grid_points_huge", "oscillator_overflow", "layer_density_bool",
         "layer_thickness_bool", "bins_huge", "radius_numeric_text", "grid_numeric_text",
-        "registry_numeric_text"])
+        "registry_numeric_text", "grid_log_zero_start", "grid_log_negative_stop",
+        "oscillator_quality_q"])
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_bad_input_is_one_error_line(tmp_path, capsys, make, code):
     command, doc = make(tmp_path)
@@ -695,8 +700,13 @@ def test_fuzzed_registry_is_one_error_line_or_finite_output(case):
                 assert _finite_output(out.getvalue()), registry
 
 
-@pytest.mark.parametrize("argv", [["force", "--seed", "abc"], [], ["bogus"], ["materials"]],
-                         ids=["bad_int", "no_command", "unknown_command", "no_subcommand"])
+# A command is offered --seed and --tol only where its config reads the key.
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--seed", "abc"], [], ["bogus"], ["materials"],
+    ["force", "--seed", "1"], ["pressure", "--seed", "1"], ["calibrate", "--tol", "1e-6"],
+    ["limits", "--seed", "1"],
+], ids=["bad_int", "no_command", "unknown_command", "no_subcommand", "force_seed",
+        "pressure_seed", "calibrate_tol", "limits_seed"])
 def test_usage_error_is_one_error_line(capsys, argv):
     assert main(argv) == 2
     out, err = capsys.readouterr()

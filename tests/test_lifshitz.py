@@ -15,9 +15,19 @@ from casimir_mto.lifshitz import (
     ideal_pressure_plane_plane,
     pressure_plane_plane,
 )
-from casimir_mto.materials import DrudeOnly, load_registry
+from casimir_mto.materials import DielectricModel, DrudeOnly, load_registry
 
 R_SPHERE = 294.3e-6
+
+
+class ArrayEps(DielectricModel):
+    """A model whose eps(i xi) is ``fn`` of the xi array (eV), as given."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def eps(self, xi_ev):
+        return self.fn(xi_ev)
 
 
 class TestIdealClosedForms:
@@ -167,14 +177,13 @@ class TestRealMetals:
         # that is only C^1 makes successive levels agree long before they
         # converge, so the estimate must hold against the exact eps. At
         # 10 um the rule queries eps far below the sampled range, where the
-        # sampler continues it by a power law.
-        from casimir_mto.materials import load_registry
-
+        # sampler continues it by a power law. Wrapped in a plain model, the
+        # exact transform is evaluated at every node, not sampled.
         registry = load_registry()
         gold, copper = registry["gold"], registry["copper"]
         for z in (2e-8, 2e-7, 1e-5):
             fast = pressure_plane_plane(z, gold, copper, tol=1e-8)
-            exact = pressure_plane_plane(z, gold.eps, copper.eps, tol=1e-8)
+            exact = pressure_plane_plane(z, ArrayEps(gold.eps), ArrayEps(copper.eps), tol=1e-8)
             bound = fast.est_rel_error + exact.est_rel_error
             assert fast.value == pytest.approx(exact.value, rel=bound, abs=0.0)
 
@@ -209,9 +218,12 @@ class TestContracts:
         with pytest.raises(DomainError):
             force_sphere_plane(1e-6, -1.0, ideal, ideal)
 
-    def test_not_a_model(self):
+    def test_not_a_model(self, ideal):
         with pytest.raises(DomainError):
             pressure_plane_plane(1e-6, object(), object())
+        # A plain callable is not a model either: models take xi arrays.
+        with pytest.raises(DomainError, match="not a dielectric model"):
+            pressure_plane_plane(1e-6, lambda xi: 2.0 + 0.0 * xi, ideal)
 
     def test_geometry_validation(self):
         with pytest.raises(DomainError):
@@ -235,7 +247,7 @@ class TestContracts:
 
         # A pathological "material" oscillating too fast for any panel
         # budget; the partial result must still come back scaled.
-        noisy = lambda xi: 2.0 + math.sin(3e9 * xi)
+        noisy = ArrayEps(lambda xi: 2.0 + np.sin(3e9 * xi))
         with pytest.raises(ConvergenceError) as exc_info:
             pressure_plane_plane(1e-6, noisy, noisy, tol=1e-6)
         partial = exc_info.value.partial
@@ -406,7 +418,8 @@ class TestTrimmedRule:
         n_u = math.isqrt(res.evaluations)
         assert sum(sizes) == 2 * n_u  # one lookup per u node and surface
 
-    @pytest.mark.parametrize("eps", [lambda xi: 0.5, lambda xi: 0.99 if xi > 1.0 else 3.0])
+    @pytest.mark.parametrize("eps", [lambda xi: np.full_like(xi, 0.5),
+                                     lambda xi: np.where(xi > 1.0, 0.99, 3.0)])
     def test_eps_below_one_is_a_domain_error(self, eps, ideal):
         with pytest.raises(DomainError, match=">= 1"):
-            pressure_plane_plane(1e-6, eps, ideal, tol=1e-6)
+            pressure_plane_plane(1e-6, ArrayEps(eps), ideal, tol=1e-6)
