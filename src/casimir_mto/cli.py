@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .electrostatics import CalibrationSample, calibrate, estimate_v0
+from .electrostatics import calibrate, calibration_rows, estimate_v0
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -233,15 +233,9 @@ def cmd_grid(args) -> int:
     return 0
 
 
-def _load_calibration_csv(path) -> list[CalibrationSample]:
-    rows, lines = read_table(path, ("z_metal_m", "v_applied_v", "delta_c_f"))
-    samples = []
-    for lineno, fields in zip(lines, rows.tolist()):
-        try:
-            samples.append(CalibrationSample(*fields))
-        except ValidationError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from None
-    return samples
+def _load_calibration_csv(path) -> np.ndarray:
+    """The checked (n, 3) calibration rows of ``path``; errors name the file line."""
+    return calibration_rows(*read_table(path, ("z_metal_m", "v_applied_v", "delta_c_f")))
 
 
 # The fit's start (k, V0, R, delta0) where initial_guess is silent; V0 by estimate_v0.

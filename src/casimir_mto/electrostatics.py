@@ -274,21 +274,24 @@ def series_truncation_report(cfg: ElectrostaticConfig,
     )
 
 
-@dataclass(frozen=True)
-class CalibrationSample:
-    """One calibration record: metal gap (m), applied voltage (V),
-    capacitance imbalance (F)."""
-
-    z_metal: float
-    v_applied: float
-    delta_c: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.z_metal) and math.isfinite(self.v_applied)
-                and math.isfinite(self.delta_c)):
-            raise ValidationError("calibration sample fields must be finite")
-        if not self.z_metal > 0:
-            raise ValidationError("z_metal must be > 0")
+def calibration_rows(samples, lines: Sequence[int] | None = None) -> np.ndarray:
+    """Calibration records as the (n, 3) float array of rows (z_metal m,
+    v_applied V, delta_c F), checked in one pass: the first row with a
+    field that is not finite, or with z_metal <= 0, raises ValidationError,
+    prefixed with its file line ``lines[i]`` when ``lines`` is given."""
+    rows = np.asarray(samples, dtype=float)
+    if rows.size == 0:  # no rows: calibrate's count check names the error
+        rows = rows.reshape(0, 3)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ValidationError("calibration samples must be (n, 3) rows")
+    finite = np.isfinite(rows).all(axis=1)
+    bad = ~finite | (rows[:, 0] <= 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = "" if lines is None else f"line {lines[i]}: "
+        raise ValidationError(where + ("z_metal must be > 0" if finite[i]
+                                       else "calibration sample fields must be finite"))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -482,9 +485,9 @@ def least_squares(fun, x0, *, jac, xtol: float, ftol: float,
 
 
 @np.errstate(all="ignore")  # overflow is raised below as DomainError
-def calibrate(samples: Sequence[CalibrationSample],
-              initial_guess: tuple[float, float, float, float]) -> CalibrationFit:
-    """Least-squares recovery of (k, V0, R, delta0) from voltage sweeps.
+def calibrate(samples, initial_guess: tuple[float, float, float, float]) -> CalibrationFit:
+    """Least-squares recovery of (k, V0, R, delta0) from voltage sweeps,
+    the (n, 3) rows (z_metal, v_applied, delta_c) of ``calibration_rows``.
 
     Minimizes sum [dC_i - F(z_i, V_i; V0, R, delta0) / k]^2 in units of
     the initial guess with ``least_squares`` (Levenberg-Marquardt with the
@@ -510,12 +513,11 @@ def calibrate(samples: Sequence[CalibrationSample],
     a displacement of about 1e-3 sigma. Residuals, cost, Jacobian or
     covariance that overflow raise DomainError.
     """
-    if len(samples) < 4:
+    rows = calibration_rows(samples)
+    if len(rows) < 4:
         raise IdentifiabilityError("need at least 4 calibration samples")
-    z = np.array([s.z_metal for s in samples])
-    v = np.array([s.v_applied for s in samples])
-    dc = np.array([s.delta_c for s in samples])
-    if np.unique(v).size < 2:
+    z, v, dc = rows.T
+    if v.min() == v.max():
         raise IdentifiabilityError(
             "all samples share one applied voltage; k and V0 are degenerate"
         )
@@ -563,7 +565,7 @@ def calibrate(samples: Sequence[CalibrationSample],
             raise DomainError("calibration Jacobian is not finite: a dC derivative overflows")
         return jac_y
 
-    ndof = max(len(samples) - 4, 1)
+    ndof = max(len(rows) - 4, 1)
     res = least_squares(
         residuals,
         x0 / scale,
@@ -601,16 +603,17 @@ def calibrate(samples: Sequence[CalibrationSample],
         delta0=float(abs(delta0)),
         covariance=cov,
         # The force residual k dC - F is k times the fitted dC residual.
-        residual_rms=k * math.sqrt(2.0 * res.cost / len(samples)),
+        residual_rms=k * math.sqrt(2.0 * res.cost / len(rows)),
     )
 
 
-def estimate_v0(samples: Sequence[CalibrationSample]) -> float:
-    """Prior for V0: the applied voltage with the smallest mean |dC|."""
-    v = np.array([s.v_applied for s in samples])
-    dc = np.abs([s.delta_c for s in samples])
-    volts = np.unique(v)
-    means = np.array([dc[v == vi].mean() for vi in volts])
+def estimate_v0(samples) -> float:
+    """Prior for V0 from the (n, 3) calibration rows: the applied voltage
+    with the smallest mean |dC|."""
+    rows = calibration_rows(samples)
+    volts, group = np.unique(rows[:, 1], return_inverse=True)
+    dc = np.abs(rows[:, 2])
+    means = [dc[group == i].mean() for i in range(volts.size)]
     return float(volts[np.argmin(means)])
 
 
@@ -623,22 +626,17 @@ def make_calibration_samples(
     voltages: Sequence[float],
     noise_rel: float = 0.0,
     seed: int | None = None,
-) -> list[CalibrationSample]:
+) -> np.ndarray:
     """Synthesize a calibration sweep from known system constants.
 
-    ``noise_rel`` perturbs each dC reading by a Gaussian of that relative
-    width (the capacitance bridge resolution).
+    Returns the (n, 3) rows (z_metal, v_applied, delta_c) that ``calibrate``
+    takes: the whole z grid at each voltage in turn. ``noise_rel`` perturbs
+    each dC reading by a Gaussian of that relative width (the capacitance
+    bridge resolution).
     """
-    rng = np.random.default_rng(seed)
-    s = _series_at(np.asarray(z_grid, dtype=float), radius, delta0)[0]
-    out = []
-    for vi in voltages:
-        f = _force_model(np.full(len(z_grid), float(vi)), v0, s)
-        dc = f / k
-        if noise_rel:
-            dc = dc * (1.0 + noise_rel * rng.standard_normal(dc.size))
-        out.extend(
-            CalibrationSample(float(zi), float(vi), float(ci))
-            for zi, ci in zip(z_grid, dc)
-        )
-    return out
+    z = np.asarray(z_grid, dtype=float)
+    v = np.repeat(np.asarray(voltages, dtype=float), z.size)
+    dc = _force_model(v, v0, np.tile(_series_at(z, radius, delta0)[0], len(voltages))) / k
+    if noise_rel:
+        dc = dc * (1.0 + noise_rel * np.random.default_rng(seed).standard_normal(dc.size))
+    return calibration_rows(np.column_stack((np.tile(z, len(voltages)), v, dc)))

@@ -242,8 +242,8 @@ class TestCalibrateCommand:
         path = tmp_path / "cal.csv"
         with open(path, "w") as fh:
             fh.write("z_metal_m,v_applied_v,delta_c_f\n")
-            for s in samples:
-                fh.write(f"{s.z_metal:.17e},{s.v_applied:.17e},{s.delta_c:.17e}\n")
+            for row in samples:
+                fh.write(",".join(f"{x:.17e}" for x in row) + "\n")
         return path
 
     def test_round_trip(self, tmp_path, capsys):
@@ -306,6 +306,22 @@ class TestCalibrateCommand:
         assert run(["calibrate", "--config", cfg]) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: calibration fit did not converge")
+
+    @pytest.mark.parametrize("bad,message", [
+        ("2e-6,nan,1e-14", "calibration sample fields must be finite"),
+        ("-2e-6,0.3,1e-14", "z_metal must be > 0"),
+        ("0,0.3,1e-14", "z_metal must be > 0"),
+    ])
+    def test_bad_row_names_its_file_line(self, tmp_path, capsys, bad, message):
+        # The bad row is data row 4 (index 3) on file line 7.
+        data = tmp_path / "cal.csv"
+        data.write_text("# bridge export\nz_metal_m,v_applied_v,delta_c_f\n"
+                        "1e-6,0.1,1e-14\n2e-6,0.1,1e-14\n\n1e-6,0.3,1e-14\n"
+                        f"{bad}\n3e-6,0.3,1e-14\n-1e-6,nan,1e-14\n", encoding="utf-8")
+        cfg = write_json(tmp_path / "cal.json", {"data": str(data)})
+        assert run(["calibrate", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.strip().splitlines() == [f"error: line 7: {message}"]
 
 
 class TestSweepCommand:
@@ -788,3 +804,31 @@ def test_runtime_does_not_import_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_runtime_does_not_import_numpy_ma(tmp_path):
+    # Loading numpy.ma costs 10-15 ms of a process's first fit and nothing
+    # here needs it: a calibration with and without v0_v (estimate_v0), a
+    # limits run on a bound file and the registry check must not load it.
+    demo = str(data_dir() / "calibration_demo.csv")
+    cal_cfg = write_json(tmp_path / "cal.json", {"data": demo})
+    guess_cfg = write_json(tmp_path / "guess.json", {
+        "data": demo, "initial_guess": {"v0_v": 0.6}})
+    command, doc = _limits_bound_file(tmp_path, "z_m,bound_n\n1e-7,1e-14\n1e-6,2e-14\n")
+    limits_cfg = write_json(tmp_path / "limits.json", doc)
+    script = (
+        "import sys\n"
+        "from casimir_mto.cli import main\n"
+        f"assert main(['calibrate', '--config', {str(cal_cfg)!r}]) == 0\n"
+        f"assert main(['calibrate', '--config', {str(guess_cfg)!r}]) == 0\n"
+        f"assert main(['{command}', '--config', {str(limits_cfg)!r}]) == 0\n"
+        "assert main(['materials', 'validate']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "False"

@@ -16,10 +16,10 @@ from casimir_mto.electrostatics import (
     _N0,
     SMALL_GAP_C1,
     CalibrationFit,
-    CalibrationSample,
     ElectrostaticConfig,
     TruncationReport,
     calibrate,
+    calibration_rows,
     electrostatic_force,
     estimate_v0,
     least_squares,
@@ -314,6 +314,8 @@ class TestCalibration:
         samples = make_calibration_samples(*TRUTH, Z_GRID[:2], (0.3325,))[:3]
         with pytest.raises(IdentifiabilityError):
             calibrate(samples, GUESS)
+        with pytest.raises(IdentifiabilityError, match="need at least 4"):
+            calibrate([], GUESS)
 
     def test_covariance_properties(self):
         samples = make_calibration_samples(*TRUTH, Z_GRID, VOLTS,
@@ -327,10 +329,24 @@ class TestCalibration:
         assert abs(fit.k - TRUTH[0]) < 10 * fit.uncertainties()[0]
 
     def test_sample_validation(self):
-        with pytest.raises(ValidationError):
-            CalibrationSample(z_metal=-1e-6, v_applied=0.3, delta_c=1e-14)
-        with pytest.raises(ValidationError):
-            CalibrationSample(z_metal=1e-6, v_applied=math.nan, delta_c=1e-14)
+        # One check for every caller; with row 9 bad too, the error is row
+        # 7's, named by its file line (9 here) when the lines are given.
+        for row, message in [
+            ((-1e-6, 0.3, 1e-14), "z_metal must be > 0"),
+            ((0.0, 0.3, 1e-14), "z_metal must be > 0"),
+            ((1e-6, math.nan, 1e-14), "calibration sample fields must be finite"),
+            ((math.nan, 0.3, 1e-14), "calibration sample fields must be finite"),
+            ((1e-6, 0.3, math.inf), "calibration sample fields must be finite"),
+        ]:
+            samples = make_calibration_samples(*TRUTH, Z_GRID, VOLTS)
+            samples[7] = row
+            samples[9] = (-1e-6, math.nan, 0.0)
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                calibrate(samples, GUESS)
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                estimate_v0(samples)
+            with pytest.raises(ValidationError, match=f"^line 9: {message}$"):
+                calibration_rows(samples, range(2, 2 + len(samples)))
 
     def test_fit_invariants_enforced(self):
         with pytest.raises(ValidationError):
@@ -411,9 +427,9 @@ class TestCalibration:
         # Four gaps at one voltage fix R, delta0 and (V - V0)^2 / k; the one
         # sample at a second voltage alone fixes V0, and nothing is left to
         # estimate its spread from.
-        samples = (make_calibration_samples(*TRUTH, Z_GRID[::4], (0.3325,),
-                                            noise_rel=1e-6, seed=1)
-                   + make_calibration_samples(*TRUTH, Z_GRID[5:6], (0.9325,)))
+        samples = np.concatenate((make_calibration_samples(*TRUTH, Z_GRID[::4], (0.3325,),
+                                                           noise_rel=1e-6, seed=1),
+                                  make_calibration_samples(*TRUTH, Z_GRID[5:6], (0.9325,))))
         with pytest.raises(IdentifiabilityError, match=r"sample 5 .*\(leverage 1\)"):
             calibrate(samples, GUESS)
 
@@ -431,7 +447,7 @@ class TestCalibration:
     def test_generator_determinism(self):
         a = make_calibration_samples(*TRUTH, Z_GRID, VOLTS, noise_rel=1e-6, seed=11)
         b = make_calibration_samples(*TRUTH, Z_GRID, VOLTS, noise_rel=1e-6, seed=11)
-        assert all(x.delta_c == y.delta_c for x, y in zip(a, b))
+        assert np.array_equal(a, b)
 
     def test_exhausted_budget_raises_fit_error(self, monkeypatch):
         solver = electrostatics.least_squares

@@ -15,7 +15,7 @@ def _optical(path):
 
 
 def _calibration(path):
-    return [[s.z_metal, s.v_applied, s.delta_c] for s in _load_calibration_csv(path)]
+    return _load_calibration_csv(path).tolist()
 
 
 def _bound(path):

@@ -27,8 +27,8 @@ def write_demo(path):
         fh.write("# noiseless synthetic sweep; truth: k=50280 N/F, "
                  "V0=0.6325 V, R=294.3e-6 m, delta0=39.4e-9 m\n")
         fh.write("z_metal_m,v_applied_v,delta_c_f\n")
-        for s in samples:
-            fh.write(f"{s.z_metal:.17e},{s.v_applied:.17e},{s.delta_c:.17e}\n")
+        for z_metal, v_applied, delta_c in samples.tolist():
+            fh.write(f"{z_metal:.17e},{v_applied:.17e},{delta_c:.17e}\n")
     return len(samples)
 
 
