@@ -1,6 +1,6 @@
 """Casimir-force pipeline for a sphere-plane torsional-oscillator experiment.
 
-Subpackages by physics stage:
+Modules by physics stage:
 
 - materials: dielectric models eps(i xi) from tabulated data + Drude tails
 - lifshitz: zero-temperature force/pressure integrals and ideal closed forms
@@ -9,6 +9,13 @@ Subpackages by physics stage:
 - oscillator: torsional-oscillator forward/inverse model, sweep simulation
 - yukawa: hypothetical short-range force and exclusion limits
 - cli: batch command-line interface over all of the above
+
+and the modules they share:
+
+- inputs: one reader for JSON documents and headed CSV tables
+- records: the immutable ``Record`` base of every parameter and result type
+- errors: the exception hierarchy behind the CLI's exit codes
+- constants: CODATA values and unit conversions
 
 Everything is pure Python on NumPy and the standard library; there is
 no build step.

@@ -6,11 +6,10 @@ angular frequency happens once, at the Lifshitz-integral boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import Record
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(Record):
     """Fixed CODATA values used throughout the toolkit."""
 
     hbar: float = 1.054571817e-34      # J s

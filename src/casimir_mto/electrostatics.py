@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -45,6 +44,7 @@ from .errors import (
     ValidationError,
 )
 from .lifshitz import SpherePlaneGeometry
+from .records import Record
 
 # Euler-Maclaurin: sum_{n >= N0} t(n) = int_N0^inf t dn - sum_m B_m/m! t^(m-1)(N0),
 # m = 1, 2, 4, ..., 12 (these B_m/m!). t is analytic within pi/u of the real
@@ -62,8 +62,7 @@ SMALL_GAP_LOG_COEFF = 1.0 / 3.0
 SMALL_GAP_C1 = -0.50475
 
 
-@dataclass(frozen=True)
-class ElectrostaticConfig:
+class ElectrostaticConfig(Record):
     """Inputs of one electrostatic evaluation.
 
     ``geometry.separation`` is the metal gap z_metal; the electrostatic
@@ -230,8 +229,7 @@ def small_gap_force(d: float, radius: float, v_diff: float,
     return lead * (1.0 + rho * (SMALL_GAP_LOG_COEFF * math.log(rho) + SMALL_GAP_C1))
 
 
-@dataclass(frozen=True)
-class TruncationReport:
+class TruncationReport(Record):
     """Convergence diagnostics of the series and its small-gap expansion."""
 
     gap_ratio: float
@@ -294,8 +292,7 @@ def calibration_rows(samples, lines: Sequence[int] | None = None) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True)
-class CalibrationFit:
+class CalibrationFit(Record):
     """Fitted system constants with covariance from the Jacobian."""
 
     k: float            # N/F
@@ -341,8 +338,7 @@ _CHI2_STOP = 1e-6
 _LEVERAGE_FLOOR = 1e-10
 
 
-@dataclass(frozen=True)
-class LeastSquaresResult:
+class LeastSquaresResult(Record):
     """Outcome of ``least_squares``; ``jac`` is taken at ``x``."""
 
     x: np.ndarray

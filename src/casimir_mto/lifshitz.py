@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import CODATA, HBARC_EV_M
 from .errors import ConvergenceError, DomainError
 from .materials import DielectricModel, PerfectConductor, Tabulated
+from .records import Record
 
 TOL_MIN = 1e-8
 TOL_MAX = 1e-3
@@ -63,8 +63,7 @@ _ZETA3 = 1.2020569031595942
 _IDEAL_TOTAL = {"pressure": 2.0 * math.pi**4 / 15.0, "force": 2.0 * math.pi**4 / 45.0}
 
 
-@dataclass(frozen=True)
-class SpherePlaneGeometry:
+class SpherePlaneGeometry(Record):
     """Sphere of radius ``radius`` above a plane at surface gap ``separation``.
 
     ``delta0`` is the per-surface mean contact offset: rough surfaces touch
@@ -82,8 +81,8 @@ class SpherePlaneGeometry:
             raise DomainError("sphere radius must be > 0")
         if not self.separation > 0:
             raise DomainError("separation must be > 0")
-        if self.delta0 < 0:
-            raise DomainError("contact offset delta0 must be >= 0")
+        if not 0 <= self.delta0 < math.inf:
+            raise DomainError("contact offset delta0 must be finite and >= 0")
         if self.separation / self.radius > 0.1:
             warnings.warn(
                 "separation exceeds 10% of the sphere radius; the "
@@ -92,8 +91,7 @@ class SpherePlaneGeometry:
             )
 
 
-@dataclass(frozen=True)
-class LifshitzResult:
+class LifshitzResult(Record):
     """Converged integral value with its accuracy bookkeeping.
 
     ``value`` is in N/m^2 (pressure), N (force) or N/m (gradient);

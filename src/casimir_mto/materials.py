@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Iterable
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -40,6 +39,7 @@ from numpy.fft import irfft, rfft
 
 from .errors import ConfigurationError, DomainError, ValidationError
 from .inputs import Cfg, read_json_object, read_table
+from .records import Record
 
 SPLICE_TOL = 1e-2          # allowed relative jump of eps'' at the splice
 _TAIL_CUTOFF_EV = 1e5      # beyond this, the pure 1/omega^3 tail is analytic
@@ -49,8 +49,7 @@ _TAIL_CUTOFF_EV = 1e5      # beyond this, the pure 1/omega^3 tail is analytic
 DRUDE_EV_MAX = 1e3
 
 
-@dataclass(frozen=True)
-class DrudeParams:
+class DrudeParams(Record):
     """Free-electron parameters: plasma and relaxation energies in eV."""
 
     plasma_ev: float
@@ -84,8 +83,7 @@ def drude_eps2(omega_ev, params: DrudeParams):
     return float(out) if np.isscalar(omega_ev) else out
 
 
-@dataclass(frozen=True)
-class OpticalTable:
+class OpticalTable(Record):
     """Tabulated loss spectrum eps''(omega) over a measured energy range.
 
     At least one row; energies must be strictly increasing and positive,
@@ -227,16 +225,6 @@ def kk_to_imaginary_axis(
         total = seg + tab + _dispersion_tail(float(a3), xi, hi)
     out = 1.0 + (2.0 / math.pi) * total
     return float(out[0]) if np.isscalar(xi_ev) else out.reshape(np.shape(xi_ev))
-
-
-def drude_eps_via_dispersion(params: DrudeParams, xi_ev):
-    """Dispersion transform of the analytic Drude loss over the whole axis.
-
-    Independent route to the closed-form ``drude_eps``: it goes through the
-    Drude-segment and 1/omega^3-tail pieces of ``kk_to_imaginary_axis``, so
-    it cross-checks the transform itself.
-    """
-    return kk_to_imaginary_axis(None, params, xi_ev)
 
 
 class DielectricModel:

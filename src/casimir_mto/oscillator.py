@@ -16,22 +16,20 @@ synthetic noisy sweeps of that measurement over a separation grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, ValidationError
 from .lifshitz import gradient_from_pressure
+from .records import Record
 from .roughness import RoughnessDistribution, averaged_pressure
 
 LINEAR_DOMAIN_LIMIT = 0.1      # max |fractional frequency shift|
-THETA_LIMIT = 0.01             # small-angle contract, rad
 CONSISTENCY_TOL = 0.02         # omega0 vs sqrt(kappa/I), coupling vs b^2/2I
 
 
-@dataclass(frozen=True)
-class SerpentineSpring:
+class SerpentineSpring(Record):
     """Meandered suspension beam; all lengths m, modulus Pa."""
 
     width: float
@@ -50,8 +48,7 @@ def spring_constant(s: SerpentineSpring) -> float:
     return s.width * s.thickness**3 * s.youngs_modulus / (6.0 * s.length)
 
 
-@dataclass(frozen=True)
-class OscillatorParams:
+class OscillatorParams(Record):
     """Mechanical constants of the oscillator.
 
     ``omega0`` (rad/s) and ``coupling`` (= lever_b^2 / 2 I, kg^-1) are
@@ -120,35 +117,6 @@ def measured_params(
     )
 
 
-@dataclass(frozen=True)
-class SeparationModel:
-    """Bookkeeping from interferometer readings to the metal gap:
-
-    z_metal = z_fiber - z_contact - z_gap - lever_b * theta,
-
-    with the fiber-platform distance z_fiber, the touch reference
-    z_contact, the fixed stack height z_gap, and the small tilt theta.
-    """
-
-    z_fiber: float
-    z_contact: float
-    z_gap: float
-    lever_b: float
-    theta: float
-
-    def __post_init__(self):
-        if abs(self.theta) > THETA_LIMIT:
-            raise DomainError(
-                f"|theta| = {abs(self.theta):.3g} rad exceeds the small-angle "
-                f"limit {THETA_LIMIT} rad"
-            )
-
-
-def separation(sm: SeparationModel) -> float:
-    """Metal-to-metal gap in meters."""
-    return sm.z_fiber - sm.z_contact - sm.z_gap - sm.lever_b * sm.theta
-
-
 def _fractional_shift(params: OscillatorParams, grad: float) -> float:
     return params.coupling * grad / params.omega0**2
 
@@ -197,8 +165,7 @@ def default_amplitude_schedule(z: float) -> float:
     return max(a, 0.5e-9)
 
 
-@dataclass(frozen=True)
-class SweepNoise:
+class SweepNoise(Record):
     """Measurement noise magnitudes.
 
     ``freq_noise_rms_hz`` is the frequency RMS at 1 s integration (scaled
@@ -209,17 +176,17 @@ class SweepNoise:
     separation_noise_rms_m: float = 0.0
 
     def __post_init__(self):
-        if self.freq_noise_rms_hz < 0 or self.separation_noise_rms_m < 0:
-            raise ValidationError("noise magnitudes must be >= 0")
+        for value in (self.freq_noise_rms_hz, self.separation_noise_rms_m):
+            if not 0 <= value < math.inf:
+                raise ValidationError("noise magnitudes must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(Record):
     """Separation grid and acquisition settings for a simulated sweep."""
 
     z_grid: np.ndarray
     integration_time_s: float = 10.0
-    noise: SweepNoise = field(default_factory=SweepNoise)
+    noise: SweepNoise = SweepNoise()
     tol: float = 1e-6
 
     def __post_init__(self):
@@ -231,6 +198,8 @@ class SweepConfig:
             raise ConfigurationError("sweep separations must be > 0")
         if not self.integration_time_s > 0:
             raise ConfigurationError("integration time must be > 0")
+        if not math.isfinite(self.tol):
+            raise ConfigurationError("tolerance must be finite")
         bad = [
             (i, float(zi)) for i, zi in enumerate(z)
             if not default_amplitude_schedule(float(zi)) < zi / 5.0
@@ -242,8 +211,7 @@ class SweepConfig:
             )
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(Record):
     """One simulated record: nominal separation, measured resonance and
     its standard deviation (rad/s)."""
 

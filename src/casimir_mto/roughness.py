@@ -18,7 +18,6 @@ value from the same call, as the entry at offset zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,7 @@ import numpy as np
 from .errors import DomainError, ParseError, ValidationError
 from .inputs import open_text
 from .lifshitz import LifshitzResult, force_sphere_plane, pressure_plane_plane
+from .records import Record
 
 WEIGHT_SUM_TOL = 1e-12
 # Above this many exact pairwise sums, fall back to gridded convolution.
@@ -35,8 +35,7 @@ _EXACT_PAIR_BUDGET = 1 << 16
 _MAX_BINS = 1000
 
 
-@dataclass(frozen=True)
-class RoughnessDistribution:
+class RoughnessDistribution(Record):
     """Discrete separation-offset distribution: offsets (m) and weights."""
 
     offsets: np.ndarray
@@ -68,12 +67,8 @@ class RoughnessDistribution:
     def n_entries(self) -> int:
         return int(self.offsets.size)
 
-    def mean_offset(self) -> float:
-        return float(np.dot(self.weights, self.offsets))
 
-
-@dataclass(frozen=True)
-class HeightMap:
+class HeightMap(Record):
     """Topography scan: 2-D height grid (m) with its pixel pitch (m)."""
 
     grid: np.ndarray

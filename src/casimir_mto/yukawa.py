@@ -20,13 +20,13 @@ exclusion limits scale directly out of residual force bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .constants import CODATA
 from .errors import ConfigurationError, DomainError, ValidationError
+from .records import Record
 
 # Standard reference densities, kg/m^3 (bulk handbook values).
 DENSITIES = {
@@ -37,22 +37,22 @@ DENSITIES = {
     "silicon": 2330.0,
 }
 
-@dataclass(frozen=True)
-class YukawaParams:
+class YukawaParams(Record):
     """Interaction strength (dimensionless) and range (m)."""
 
     alpha: float
     lam: float
 
     def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise ValidationError("strength alpha must be finite")
         if not self.lam > 0:
             raise ValidationError("range lambda must be > 0")
         if not math.isfinite(self.lam * self.lam * self.lam):
             raise ValidationError(f"range lambda = {self.lam:.3e} m overflows lambda^3")
 
 
-@dataclass(frozen=True)
-class Layer:
+class Layer(Record):
     """One coating: thickness (m) and density (kg/m^3)."""
 
     thickness: float
@@ -65,8 +65,7 @@ class Layer:
             raise ValidationError("layer density must be > 0")
 
 
-@dataclass(frozen=True)
-class LayeredBody:
+class LayeredBody(Record):
     """Sphere or half-space with coatings listed outermost-first."""
 
     shape: str                    # "sphere" | "half_space"

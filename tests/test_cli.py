@@ -778,6 +778,29 @@ def test_parser_is_built_once(tmp_path):
     assert after.misses == before.misses and after.hits == before.hits + 2
 
 
+def _fresh_python(script: str, cwd) -> str:
+    """Run ``script`` in a new interpreter on this checkout; its last stdout line."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_import_leaves_out_unneeded_modules(tmp_path):
+    # Every CLI process pays for what importing the CLI loads: records
+    # generate no code (no dataclasses), and numpy.random (a sweep's seeded
+    # stream) and numpy.ma (nothing) load only when a run needs them.
+    script = (
+        "import sys\n"
+        "import casimir_mto.cli\n"
+        "print(sorted({'dataclasses', 'numpy.random', 'numpy.ma'} & set(sys.modules)))\n"
+    )
+    assert _fresh_python(script, tmp_path) == "[]"
+
+
 def test_runtime_does_not_import_scipy(tmp_path):
     # SciPy is a test-only dependency: a tabulated-pair force run (the
     # eps sampler) and a calibration (the LM fit) must not load it.
@@ -797,13 +820,7 @@ def test_runtime_does_not_import_scipy(tmp_path):
         f"assert main(['calibrate', '--config', {str(cal_cfg)!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert _fresh_python(script, tmp_path) == "[]"
 
 
 def test_runtime_does_not_import_numpy_ma(tmp_path):
@@ -825,10 +842,4 @@ def test_runtime_does_not_import_numpy_ma(tmp_path):
         "assert main(['materials', 'validate']) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "False"
+    assert _fresh_python(script, tmp_path) == "False"

@@ -230,8 +230,9 @@ class TestContracts:
             SpherePlaneGeometry(radius=-1.0, separation=1e-6)
         with pytest.raises(DomainError):
             SpherePlaneGeometry(radius=1e-4, separation=0.0)
-        with pytest.raises(DomainError):
-            SpherePlaneGeometry(radius=1e-4, separation=1e-6, delta0=-1e-9)
+        for delta0 in (-1e-9, math.nan, math.inf):
+            with pytest.raises(DomainError, match="delta0"):
+                SpherePlaneGeometry(radius=1e-4, separation=1e-6, delta0=delta0)
         with pytest.warns(UserWarning):
             SpherePlaneGeometry(radius=1e-4, separation=2e-5)
         with warnings.catch_warnings():

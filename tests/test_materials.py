@@ -22,7 +22,6 @@ from casimir_mto.materials import (
     _dispersion_drude_segment,
     drude_eps,
     drude_eps2,
-    drude_eps_via_dispersion,
     kk_to_imaginary_axis,
     load_optical_data,
     load_registry,
@@ -79,14 +78,14 @@ class TestDispersionIntegral:
     def test_pure_drude_dual_route(self):
         """Numeric dispersion of the Drude loss vs the closed form."""
         for xi in np.geomspace(0.01, 100.0, 12):
-            numeric = drude_eps_via_dispersion(AU, float(xi))
+            numeric = kk_to_imaginary_axis(None, AU, float(xi))
             closed = drude_eps(float(xi), AU)
             assert numeric == pytest.approx(closed, rel=1e-3)
             # The machinery is much better than the contractual 1e-3.
             assert numeric == pytest.approx(closed, rel=1e-5)
 
     def test_drude_only_documented_value(self):
-        assert drude_eps_via_dispersion(AU, 0.1) == pytest.approx(6001.0, rel=1e-5)
+        assert kk_to_imaginary_axis(None, AU, 0.1) == pytest.approx(6001.0, rel=1e-5)
 
     def test_single_lorentzian_closed_form(self):
         # eps''(w) = S w0^2 G w / ((w0^2 - w^2)^2 + G^2 w^2)

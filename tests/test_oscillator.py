@@ -9,7 +9,6 @@ from casimir_mto import oscillator
 from casimir_mto.errors import ConfigurationError, DomainError, ValidationError
 from casimir_mto.oscillator import (
     OscillatorParams,
-    SeparationModel,
     SerpentineSpring,
     SweepConfig,
     SweepNoise,
@@ -19,7 +18,6 @@ from casimir_mto.oscillator import (
     measured_params,
     min_detectable_gradient,
     resonant_frequency,
-    separation,
     simulate_sweep,
     spring_constant,
 )
@@ -69,27 +67,6 @@ class TestParams:
         with pytest.raises(ValidationError):
             OscillatorParams(kappa=8.6e-10, inertia=4.6e-17, lever_b=2.44e-4,
                              coupling=1e9)
-
-
-class TestSeparationBookkeeping:
-    def test_formula(self):
-        sm = SeparationModel(z_fiber=10e-6, z_contact=2e-6, z_gap=5.73e-6,
-                             lever_b=2.44e-4, theta=1e-5)
-        want = 10e-6 - 2e-6 - 5.73e-6 - 2.44e-4 * 1e-5
-        assert separation(sm) == pytest.approx(want, rel=1e-15)
-
-    def test_zero_angle(self):
-        sm = SeparationModel(10e-6, 2e-6, 5.73e-6, 2.44e-4, 0.0)
-        assert separation(sm) == pytest.approx(2.27e-6, rel=1e-12)
-
-    def test_zero_lever_is_angle_independent(self):
-        a = separation(SeparationModel(10e-6, 2e-6, 5.73e-6, 0.0, 0.009))
-        b = separation(SeparationModel(10e-6, 2e-6, 5.73e-6, 0.0, -0.009))
-        assert a == b
-
-    def test_large_angle_rejected(self):
-        with pytest.raises(DomainError):
-            SeparationModel(10e-6, 2e-6, 5.73e-6, 2.44e-4, 0.02)
 
 
 class TestFrequencyMap:
@@ -271,6 +248,18 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError):
             SweepConfig(z_grid=np.array([]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_noise_magnitudes_validated(self, bad):
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            SweepNoise(bad)
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            SweepNoise(0.0, bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_tolerance_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="tolerance"):
+            SweepConfig(z_grid=np.array([3e-7]), tol=bad)
 
 
 def _drude_pair():

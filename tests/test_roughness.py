@@ -69,7 +69,7 @@ class TestDistributionInvariants:
     def test_single(self):
         d = RoughnessDistribution.single()
         assert d.n_entries == 1
-        assert d.mean_offset() == 0.0
+        assert np.dot(d.weights, d.offsets) == 0.0
 
 
 class TestWeightsFromHeightmaps:
@@ -104,7 +104,7 @@ class TestWeightsFromHeightmaps:
         m2 = HeightMap(rng.normal(-1e-9, 2e-9, (32, 32)), 1e-7)
         d = weights_from_heightmaps(m1, m2, bins=21)
         assert d.n_entries <= 21
-        assert abs(d.mean_offset()) < 1e-22
+        assert abs(np.dot(d.weights, d.offsets)) < 1e-22
         assert abs(d.weights.sum() - 1.0) <= 1e-12
 
     def test_histogram_path_for_large_maps(self, rng):
@@ -112,7 +112,7 @@ class TestWeightsFromHeightmaps:
         m2 = HeightMap(rng.normal(0, 3e-9, (64, 64)), 1e-7)
         d = weights_from_heightmaps(m1, m2, bins=15)
         assert d.n_entries <= 15
-        assert abs(d.mean_offset()) < 1e-22
+        assert abs(np.dot(d.weights, d.offsets)) < 1e-22
 
     def test_bins_validated(self):
         flat = HeightMap(np.zeros((2, 2)), 1e-7)

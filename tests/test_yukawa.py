@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,9 @@ class TestBodies:
     def test_params_validation(self):
         with pytest.raises(ValidationError):
             YukawaParams(1.0, 0.0)
+        for alpha in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match="alpha"):
+                YukawaParams(alpha, 1e-6)
 
 
 class TestForce:
