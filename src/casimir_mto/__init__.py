@@ -8,7 +8,8 @@ Modules by physics stage:
 - electrostatics: exact sphere-plane force series and system calibration
 - oscillator: torsional-oscillator forward/inverse model, sweep simulation
 - yukawa: hypothetical short-range force and exclusion limits
-- cli: batch command-line interface over all of the above
+- cli: batch command-line interface over all of the above; each command
+  loads only the layers it runs
 
 and the modules they share:
 

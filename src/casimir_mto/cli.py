@@ -18,6 +18,9 @@ registry, optical table, calibration or bound CSV) is read by
 full-precision scientific notation, so identical configs give
 byte-identical files.
 
+A command loads only the layers it runs: ``force`` and ``pressure``, for
+instance, never import the calibration, sweep or Yukawa modules.
+
 Exit codes: 0 success, 1 I/O or parse failure (a file that is not UTF-8
 included), 2 domain/validation/identifiability error, 3 convergence
 failure. Every failure prints one ``error:`` line.
@@ -35,7 +38,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .electrostatics import calibrate, calibration_rows, estimate_v0
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -47,27 +49,17 @@ from .errors import (
     ValidationError,
 )
 from .inputs import Cfg, read_json_object, read_table
+
+# A process loads only the layers its command runs. force, pressure and sweep
+# all run lifshitz, materials and roughness, imported here; electrostatics,
+# oscillator and yukawa are imported inside the handlers that run them.
 from .lifshitz import force_sphere_plane, gradient_from_pressure, pressure_plane_plane
 from .materials import PerfectConductor, Tabulated, load_registry
-from .oscillator import (
-    SweepConfig,
-    SweepNoise,
-    invert_sweep,
-    measured_params,
-    simulate_sweep,
-)
 from .roughness import (
     RoughnessDistribution,
     load_heightmap,
     nominal_and_average,
     weights_from_heightmaps,
-)
-from .yukawa import (
-    Layer,
-    LayeredBody,
-    alpha_limit,
-    reference_plate,
-    reference_sphere,
 )
 
 
@@ -235,6 +227,8 @@ def cmd_grid(args) -> int:
 
 def _load_calibration_csv(path) -> np.ndarray:
     """The checked (n, 3) calibration rows of ``path``; errors name the file line."""
+    from .electrostatics import calibration_rows
+
     return calibration_rows(*read_table(path, ("z_metal_m", "v_applied_v", "delta_c_f")))
 
 
@@ -243,6 +237,8 @@ _INITIAL_GUESS = {"k_n_per_f": 5e4, "v0_v": None, "radius_m": 3e-4, "delta0_m": 
 
 
 def cmd_calibrate(args) -> int:
+    from .electrostatics import calibrate, estimate_v0
+
     doc = _common_overrides(_load_config(args.config), args)
     cfg = Cfg(doc, "calibrate config")
     data_path = cfg.take_path("data")
@@ -289,6 +285,14 @@ _NOISE_KEYS = ("freq_noise_rms_hz", "separation_noise_rms_m")
 
 
 def cmd_sweep(args) -> int:
+    from .oscillator import (
+        SweepConfig,
+        SweepNoise,
+        invert_sweep,
+        measured_params,
+        simulate_sweep,
+    )
+
     doc = _common_overrides(_load_config(args.config), args)
     cfg = Cfg(doc, "sweep config")
     m1, m2 = _resolve_materials(cfg.take("materials"), "materials")
@@ -326,6 +330,8 @@ def cmd_sweep(args) -> int:
 
 
 def _parse_body(spec, where: str, default: LayeredBody) -> LayeredBody:
+    from .yukawa import Layer, LayeredBody
+
     if spec is None:
         return default
     b = Cfg(spec, where)
@@ -363,6 +369,8 @@ def _interp_bound_file(path, z_grid: np.ndarray) -> np.ndarray:
 
 
 def cmd_limits(args) -> int:
+    from .yukawa import alpha_limit, reference_plate, reference_sphere
+
     doc = _common_overrides(_load_config(args.config), args)
     cfg = Cfg(doc, "limits config")
     lam_grid = _parse_grid(cfg.take("lambda_grid_m"), "lambda_grid_m")

@@ -73,6 +73,10 @@ class ElectrostaticConfig(Record):
     v_residual: float
     geometry: SpherePlaneGeometry
 
+    def __post_init__(self):
+        if not (math.isfinite(self.v_applied) and math.isfinite(self.v_residual)):
+            raise ValidationError("voltages must be finite")
+
     @property
     def gap(self) -> float:
         return self.geometry.separation + 2.0 * self.geometry.delta0

@@ -77,10 +77,10 @@ class SpherePlaneGeometry(Record):
     delta0: float = 0.0
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise DomainError("sphere radius must be > 0")
-        if not self.separation > 0:
-            raise DomainError("separation must be > 0")
+        if not 0 < self.radius < math.inf:
+            raise DomainError("sphere radius must be finite and > 0")
+        if not 0 < self.separation < math.inf:
+            raise DomainError("separation must be finite and > 0")
         if not 0 <= self.delta0 < math.inf:
             raise DomainError("contact offset delta0 must be finite and >= 0")
         if self.separation / self.radius > 0.1:

@@ -35,7 +35,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from numpy.fft import irfft, rfft
 
 from .errors import ConfigurationError, DomainError, ValidationError
 from .inputs import Cfg, read_json_object, read_table
@@ -334,6 +333,9 @@ class SampledDielectric(DielectricModel):
     def __init__(self, lx: np.ndarray, eps: np.ndarray):
         """``eps`` sampled at the Chebyshev-Lobatto points ``lx`` of log xi,
         ascending, that ``from_model`` makes; every sample must exceed 1."""
+        # Imported here, so a process without a tabulated material never loads it.
+        from numpy.fft import irfft, rfft
+
         e = np.asarray(eps, dtype=float)
         if not np.all(e > 1.0):
             raise ValidationError("sampled eps must exceed 1")

@@ -39,8 +39,8 @@ class SerpentineSpring(Record):
 
     def __post_init__(self):
         for name in ("width", "thickness", "length", "youngs_modulus"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be > 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and > 0")
 
 
 def spring_constant(s: SerpentineSpring) -> float:
@@ -196,8 +196,8 @@ class SweepConfig(Record):
             raise ConfigurationError("sweep grid is empty")
         if np.any(z <= 0):
             raise ConfigurationError("sweep separations must be > 0")
-        if not self.integration_time_s > 0:
-            raise ConfigurationError("integration time must be > 0")
+        if not 0 < self.integration_time_s < math.inf:
+            raise ConfigurationError("integration time must be finite and > 0")
         if not math.isfinite(self.tol):
             raise ConfigurationError("tolerance must be finite")
         bad = [

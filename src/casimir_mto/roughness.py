@@ -81,8 +81,8 @@ class HeightMap(Record):
             raise ValidationError("height map must be non-empty")
         if not np.all(np.isfinite(g)):
             raise ValidationError("heights must be finite")
-        if not self.pixel_pitch > 0:
-            raise ValidationError("pixel pitch must be > 0")
+        if not 0 < self.pixel_pitch < math.inf:
+            raise ValidationError("pixel pitch must be finite and > 0")
 
 
 def load_heightmap(path) -> HeightMap:

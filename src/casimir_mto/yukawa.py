@@ -59,10 +59,10 @@ class Layer(Record):
     density: float
 
     def __post_init__(self):
-        if not self.thickness > 0:
-            raise ValidationError("layer thickness must be > 0")
-        if not self.density > 0:
-            raise ValidationError("layer density must be > 0")
+        if not 0 < self.thickness < math.inf:
+            raise ValidationError("layer thickness must be finite and > 0")
+        if not 0 < self.density < math.inf:
+            raise ValidationError("layer density must be finite and > 0")
 
 
 class LayeredBody(Record):
@@ -76,12 +76,12 @@ class LayeredBody(Record):
     def __post_init__(self):
         if self.shape not in ("sphere", "half_space"):
             raise ValidationError(f"unknown shape {self.shape!r}")
-        if not self.core_density > 0:
-            raise ValidationError("core density must be > 0")
+        if not 0 < self.core_density < math.inf:
+            raise ValidationError("core density must be finite and > 0")
         object.__setattr__(self, "layers", tuple(self.layers))
         if self.shape == "sphere":
-            if self.radius is None or not self.radius > 0:
-                raise ValidationError("sphere needs a positive outer radius")
+            if self.radius is None or not 0 < self.radius < math.inf:
+                raise ValidationError("sphere needs a finite positive outer radius")
             if sum(l.thickness for l in self.layers) >= self.radius:
                 raise ValidationError("coatings thicker than the sphere radius")
 

@@ -789,14 +789,53 @@ def _fresh_python(script: str, cwd) -> str:
     return proc.stdout.strip().splitlines()[-1]
 
 
+# Layers and NumPy parts that only some commands run: calibrate, sweep and
+# limits import their own layer, and only a tabulated material's eps sampler
+# uses numpy.fft.
+_COMMAND_ONLY = ("casimir_mto.electrostatics", "casimir_mto.oscillator",
+                 "casimir_mto.yukawa", "numpy.fft")
+
+
 def test_import_leaves_out_unneeded_modules(tmp_path):
     # Every CLI process pays for what importing the CLI loads: records
-    # generate no code (no dataclasses), and numpy.random (a sweep's seeded
-    # stream) and numpy.ma (nothing) load only when a run needs them.
+    # generate no code (no dataclasses), numpy.random (a sweep's seeded
+    # stream) and numpy.ma (nothing) load only when a run needs them, and
+    # so does each command's own layer.
+    unneeded = {"dataclasses", "numpy.random", "numpy.ma", *_COMMAND_ONLY}
     script = (
         "import sys\n"
         "import casimir_mto.cli\n"
-        "print(sorted({'dataclasses', 'numpy.random', 'numpy.ma'} & set(sys.modules)))\n"
+        f"print(sorted({unneeded!r} & set(sys.modules)))\n"
+    )
+    assert _fresh_python(script, tmp_path) == "[]"
+
+
+def test_force_runs_load_no_other_command_layers(tmp_path):
+    # A force run on Drude or ideal materials loads none of the other
+    # commands' layers, nor numpy.fft; a sweep afterwards finds the layer
+    # it imports on first use.
+    argv = []
+    for pair in (["gold_drude", "copper_drude"], ["ideal", "ideal"]):
+        cfg = write_json(tmp_path / f"{pair[0]}.json", {
+            "materials": {"pair": pair},
+            "radius_m": R_SPHERE,
+            "z_grid_m": [5e-7],
+            "out": str(tmp_path / f"{pair[0]}.csv"),
+        })
+        argv.append(["force", "--config", str(cfg)])
+    sweep_cfg = write_json(tmp_path / "sweep.json", {
+        "materials": {"pair": ["gold_drude", "copper_drude"]},
+        "radius_m": R_SPHERE,
+        "z_grid_m": [3e-7],
+        "out": str(tmp_path / "sweep.csv"),
+    })
+    script = (
+        "import sys\n"
+        "from casimir_mto.cli import main\n"
+        f"assert all(main(a) == 0 for a in {argv!r})\n"
+        f"loaded = sorted({set(_COMMAND_ONLY)!r} & set(sys.modules))\n"
+        f"assert main(['sweep', '--config', {str(sweep_cfg)!r}]) == 0\n"
+        "print(loaded)\n"
     )
     assert _fresh_python(script, tmp_path) == "[]"
 

@@ -79,6 +79,13 @@ class TestForceSeries:
     def test_zero_at_matched_voltage(self):
         assert electrostatic_force(_config(v_applied=0.6325, v_residual=0.6325)) == 0.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_voltages_rejected(self, bad):
+        with pytest.raises(ValidationError, match="voltages must be finite"):
+            _config(v_applied=bad)
+        with pytest.raises(ValidationError, match="voltages must be finite"):
+            _config(v_residual=bad)
+
     def test_small_gap_asymptote(self):
         cfg = _config()
         force = electrostatic_force(cfg)

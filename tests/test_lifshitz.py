@@ -239,6 +239,13 @@ class TestContracts:
             warnings.simplefilter("error")
             SpherePlaneGeometry(radius=294.3e-6, separation=1e-6, delta0=39.4e-9)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_geometry_rejected(self, bad):
+        with pytest.raises(DomainError, match="radius must be finite and > 0"):
+            SpherePlaneGeometry(radius=bad, separation=1e-6)
+        with pytest.raises(DomainError, match="separation must be finite and > 0"):
+            SpherePlaneGeometry(radius=1e-4, separation=bad)
+
     def test_result_evaluation_count(self, ideal):
         res = pressure_plane_plane(1e-6, ideal, ideal, tol=1e-6)
         assert res.evaluations > 1000

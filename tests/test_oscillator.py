@@ -46,6 +46,13 @@ class TestSpring:
         with pytest.raises(ValidationError):
             SerpentineSpring(0.0, 2e-6, 500e-6, 180e9)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", SerpentineSpring._fields)
+    def test_nonfinite_rejected(self, field, bad):
+        values = dict(zip(SerpentineSpring._fields, (2e-6, 2e-6, 500e-6, 180e9)))
+        with pytest.raises(ValidationError, match=f"{field} must be finite and > 0"):
+            SerpentineSpring(**{**values, field: bad})
+
 
 class TestParams:
     def test_measured_set_is_internally_consistent(self):
@@ -255,6 +262,12 @@ class TestSweep:
             SweepNoise(bad)
         with pytest.raises(ValidationError, match="finite and >= 0"):
             SweepNoise(0.0, bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_integration_time_rejected(self, bad):
+        # An infinite integration time would report sigma_hz = 0.
+        with pytest.raises(ConfigurationError, match="integration time must be finite and > 0"):
+            SweepConfig(z_grid=np.array([3e-7]), integration_time_s=bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_nonfinite_tolerance_rejected(self, bad):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,13 @@ class TestDistributionInvariants:
         d = RoughnessDistribution.single()
         assert d.n_entries == 1
         assert np.dot(d.weights, d.offsets) == 0.0
+
+
+class TestHeightMap:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_pixel_pitch_rejected(self, bad):
+        with pytest.raises(ValidationError, match="pixel pitch must be finite and > 0"):
+            HeightMap(np.zeros((2, 2)), bad)
 
 
 class TestWeightsFromHeightmaps:

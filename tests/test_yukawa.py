@@ -44,6 +44,17 @@ class TestBodies:
         with pytest.raises(ValidationError):
             Layer(1e-9, -1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_bodies_rejected(self, bad):
+        with pytest.raises(ValidationError, match="thickness must be finite and > 0"):
+            Layer(bad, 1000.0)
+        with pytest.raises(ValidationError, match="density must be finite and > 0"):
+            Layer(1e-9, bad)
+        with pytest.raises(ValidationError, match="core density must be finite and > 0"):
+            LayeredBody.half_space(bad)
+        with pytest.raises(ValidationError, match="finite positive outer radius"):
+            LayeredBody.sphere(bad, 1000.0)
+
     def test_params_validation(self):
         with pytest.raises(ValidationError):
             YukawaParams(1.0, 0.0)

@@ -5,8 +5,10 @@ Noiseless synthetic data from the reference system constants
 `casimir-mto calibrate` on this file recovers exactly those values.
 
 Run from the repository root:  python tools/make_demo_calibration.py
+``--out DIR`` writes the file there instead of the package's data directory.
 """
 
+import argparse
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +34,13 @@ def write_demo(path):
     return len(samples)
 
 
-def main():
-    path = OUT / "calibration_demo.csv"
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", type=Path, default=OUT, metavar="DIR",
+                    help="output directory (default: the package data)")
+    out = ap.parse_args(argv).out
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / "calibration_demo.csv"
     print(f"wrote {path} ({write_demo(path)} samples)")
 
 

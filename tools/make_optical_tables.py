@@ -7,8 +7,10 @@ The Drude part matches the registry defaults exactly, which keeps the
 low-energy splice continuous.
 
 Run from the repository root:  python tools/make_optical_tables.py
+``--out DIR`` writes the files there instead of the package's data directory.
 """
 
+import argparse
 import json
 from pathlib import Path
 
@@ -33,11 +35,15 @@ def eps2(w, drude, oscillators):
     return out
 
 
-def main():
-    OUT.mkdir(parents=True, exist_ok=True)
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", type=Path, default=OUT, metavar="DIR",
+                    help="output directory (default: the package data)")
+    out = ap.parse_args(argv).out
+    out.mkdir(parents=True, exist_ok=True)
     for name, (drude, osc) in MATERIALS.items():
         y = eps2(GRID_EV, drude, osc)
-        path = OUT / f"{name}_eps2.csv"
+        path = out / f"{name}_eps2.csv"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("# synthetic Drude + interband-oscillator loss spectrum\n")
             fh.write("# placeholder data - replace with measured optical constants\n")
@@ -65,7 +71,7 @@ def main():
         "copper_drude": {"variant": "drude", "plasma_ev": 8.9, "relaxation_ev": 0.030},
         "ideal": {"variant": "perfect_conductor"},
     }
-    reg_path = OUT / "materials.json"
+    reg_path = out / "materials.json"
     with open(reg_path, "w", encoding="utf-8") as fh:
         json.dump(registry, fh, indent=2)
         fh.write("\n")
