@@ -21,9 +21,10 @@ byte-identical files.
 A command loads only the layers it runs: ``force`` and ``pressure``, for
 instance, never import the calibration, sweep or Yukawa modules.
 
-Exit codes: 0 success, 1 I/O or parse failure (a file that is not UTF-8
-included), 2 domain/validation/identifiability error, 3 convergence
-failure. Every failure prints one ``error:`` line.
+Exit codes: 0 success, 1 I/O failure, else the ``exit_code`` of the
+package error raised (see ``casimir_mto.errors``): 1 parse (a file that is
+not UTF-8 included), 2 domain/validation/configuration/identifiability,
+3 convergence or fit failure. Every failure prints one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -38,16 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ConfigurationError,
-    ConvergenceError,
-    DomainError,
-    FitError,
-    IdentifiabilityError,
-    ParseError,
-    ToolkitError,
-    ValidationError,
-)
+from .errors import ConfigurationError, ToolkitError, ValidationError
 from .inputs import Cfg, read_json_object, read_table
 
 # A process loads only the layers its command runs. force, pressure and sweep
@@ -61,12 +53,6 @@ from .roughness import (
     nominal_and_average,
     weights_from_heightmaps,
 )
-
-
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        raise ConfigurationError("this command needs --config PATH")
-    return read_json_object(path)
 
 
 def _float_array(spec, where: str) -> np.ndarray:
@@ -164,12 +150,17 @@ def _write_csv(path: str, header: list[str], rows):
             fh.write(",".join(f"{x:.17e}" for x in row) + "\n")
 
 
-def _common_overrides(doc: dict, args) -> dict:
+def _config(args) -> Cfg:
+    """The command's config document with its ``--out``, ``--seed`` and
+    ``--tol`` overrides applied; errors name ``<command> config``."""
+    if args.config is None:
+        raise ConfigurationError("this command needs --config PATH")
+    doc = read_json_object(args.config)
     for key in ("out", "seed", "tol"):
         val = getattr(args, key, None)
         if val is not None:
             doc[key] = val
-    return doc
+    return Cfg(doc, f"{args.command} config")
 
 
 def _check_seed(seed: int) -> int:
@@ -191,8 +182,7 @@ def cmd_grid(args) -> int:
     roughness is the one-entry distribution. The gradient is 2 pi R |P| of
     the plain or averaged pressure.
     """
-    doc = _common_overrides(_load_config(args.config), args)
-    cfg = Cfg(doc, f"{args.command} config")
+    cfg = _config(args)
     m1, m2 = _resolve_materials(cfg.take("materials"), "materials")
     if args.command == "force":
         radius = cfg.take_float("radius_m")
@@ -239,8 +229,7 @@ _INITIAL_GUESS = {"k_n_per_f": 5e4, "v0_v": None, "radius_m": 3e-4, "delta0_m": 
 def cmd_calibrate(args) -> int:
     from .electrostatics import calibrate, estimate_v0
 
-    doc = _common_overrides(_load_config(args.config), args)
-    cfg = Cfg(doc, "calibrate config")
+    cfg = _config(args)
     data_path = cfg.take_path("data")
     guess_spec = cfg.take("initial_guess", None)
     out = cfg.take_path("out", None)
@@ -293,8 +282,7 @@ def cmd_sweep(args) -> int:
         simulate_sweep,
     )
 
-    doc = _common_overrides(_load_config(args.config), args)
-    cfg = Cfg(doc, "sweep config")
+    cfg = _config(args)
     m1, m2 = _resolve_materials(cfg.take("materials"), "materials")
     radius = cfg.take_float("radius_m")
     grid = _parse_grid(cfg.take("z_grid_m"), "z_grid_m")
@@ -371,8 +359,7 @@ def _interp_bound_file(path, z_grid: np.ndarray) -> np.ndarray:
 def cmd_limits(args) -> int:
     from .yukawa import alpha_limit, reference_plate, reference_sphere
 
-    doc = _common_overrides(_load_config(args.config), args)
-    cfg = Cfg(doc, "limits config")
+    cfg = _config(args)
     lam_grid = _parse_grid(cfg.take("lambda_grid_m"), "lambda_grid_m")
     z_grid = _parse_grid(cfg.take("z_grid_m"), "z_grid_m")
     sphere = _parse_body(cfg.take("sphere", None), "sphere", reference_sphere())
@@ -477,15 +464,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.handler(args)
-    except (ParseError, OSError) as exc:
+    except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DomainError, ValidationError, ConfigurationError, IdentifiabilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConvergenceError, FitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return getattr(exc, "exit_code", 1)
 
 
 if __name__ == "__main__":

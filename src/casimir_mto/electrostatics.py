@@ -243,11 +243,13 @@ class TruncationReport(Record):
     orders_for_0p1pct: int | None          # smallest order count within 0.1%
 
 
-def series_truncation_report(cfg: ElectrostaticConfig,
-                             max_rows: int = 64) -> TruncationReport:
+_REPORT_ROWS = 64
+
+
+def series_truncation_report(cfg: ElectrostaticConfig) -> TruncationReport:
     """Tabulate the partial sums of the series and rate the expansion.
 
-    ``terms`` holds the force through each of the first ``max_rows`` terms
+    ``terms`` holds the force through each of the first ``_REPORT_ROWS`` terms
     and, as its last row (n = inf), the whole sum, which is ``force``.
     Identifies how many orders of the small-gap (d/R) expansion reach
     0.1% of the converged series (None if two are not enough).
@@ -256,11 +258,11 @@ def series_truncation_report(cfg: ElectrostaticConfig,
     gap, radius = cfg.gap, cfg.geometry.radius
     rho, u = _gap_u(gap, radius)
     force = electrostatic_force(cfg)
-    n = np.arange(1.0, max_rows + 1.0)
+    n = np.arange(1.0, _REPORT_ROWS + 1.0)
     cn, sn = _coth_csch(n * u)
     partial = _force_model(cfg.v_applied, cfg.v_residual,
                            np.cumsum((n * cn - _coth_csch(u)[0]) * sn))
-    rows = [*zip(range(1, max_rows + 1), partial.tolist()), (math.inf, force)]
+    rows = [*zip(range(1, _REPORT_ROWS + 1), partial.tolist()), (math.inf, force)]
 
     errors: dict[int, float] = {}
     for k in (1, 2):
@@ -309,12 +311,12 @@ class CalibrationFit(Record):
     def __post_init__(self):
         cov = np.asarray(self.covariance, dtype=float)
         object.__setattr__(self, "covariance", cov)
-        if not self.k > 0:
-            raise ValidationError("fitted k must be > 0")
-        if not self.radius > 0:
-            raise ValidationError("fitted radius must be > 0")
-        if self.delta0 < 0:
-            raise ValidationError("fitted delta0 must be >= 0")
+        if not 0 < self.k < math.inf:
+            raise ValidationError("fitted k must be finite and > 0")
+        if not 0 < self.radius < math.inf:
+            raise ValidationError("fitted radius must be finite and > 0")
+        if not 0 <= self.delta0 < math.inf:
+            raise ValidationError("fitted delta0 must be finite and >= 0")
         if cov.shape != (4, 4):
             raise ValidationError("covariance must be 4x4")
         if not np.allclose(cov, cov.T, rtol=1e-8, atol=0):
@@ -328,7 +330,6 @@ class CalibrationFit(Record):
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-_MAX_NFEV_MESSAGE = "The maximum number of function evaluations is exceeded."
 # Fit parameters (k, V0, R, delta0) that the residuals take as |x|.
 _FOLDED = np.array([True, False, True, True])
 # The calibration fit stops once a step changes chi^2 by less than this.
@@ -350,8 +351,7 @@ class LeastSquaresResult(Record):
     fun: np.ndarray      # residuals at x
     jac: np.ndarray
     nfev: int            # residual calls
-    success: bool
-    message: str
+    success: bool        # False: stopped at max_nfev
 
 
 def _lm_parameter(sv: np.ndarray, g: np.ndarray, delta: float, par: float):
@@ -415,8 +415,9 @@ def least_squares(fun, x0, *, jac, xtol: float, ftol: float,
     ftol, xtol, gtol = (max(t, _EPS) for t in (ftol, xtol, gtol))
     x = np.array(x0, dtype=float)
     f = np.asarray(fun(x), dtype=float)
-    nfev, fnorm, par, diag, message = 1, np.linalg.norm(f), 0.0, None, None
-    while message is None:
+    nfev, fnorm, par, diag = 1, np.linalg.norm(f), 0.0, None
+    done = success = False
+    while not done:
         jac_x = np.asarray(jac(x), dtype=float)
         colnorm = np.linalg.norm(jac_x, axis=0)
         if diag is None:
@@ -429,7 +430,7 @@ def least_squares(fun, x0, *, jac, xtol: float, ftol: float,
         if fnorm and live.any():
             gnorm = float(np.max(np.abs(jac_x.T @ f)[live] / colnorm[live])) / fnorm
         if gnorm <= gtol:
-            message = "`gtol` termination condition is satisfied."
+            success = True
             break
         diag = np.maximum(diag, colnorm)
         u, sv, vt = np.linalg.svd(jac_x / diag, full_matrices=False)
@@ -465,23 +466,16 @@ def least_squares(fun, x0, *, jac, xtol: float, ftol: float,
                 xnorm = np.linalg.norm(diag * x)
             f_conv = abs(actred) <= ftol and prered <= ftol and 0.5 * ratio <= 1
             x_conv = delta <= xtol * xnorm
-            if f_conv or x_conv:
-                message = ("Both `ftol` and `xtol` termination conditions are satisfied."
-                           if f_conv and x_conv else
-                           "`ftol` termination condition is satisfied." if f_conv else
-                           "`xtol` termination condition is satisfied.")
-            elif nfev >= max_nfev:
-                message = _MAX_NFEV_MESSAGE
-            if message is not None:
+            success = bool(f_conv or x_conv)
+            done = success or nfev >= max_nfev
+            if done:
                 if accepted:
                     jac_x = np.asarray(jac(x), dtype=float)
                 break
             if accepted:
                 break
-    return LeastSquaresResult(
-        x=x, cost=0.5 * float(f @ f), fun=f, jac=jac_x, nfev=nfev,
-        success=message != _MAX_NFEV_MESSAGE, message=message,
-    )
+    return LeastSquaresResult(x=x, cost=0.5 * float(f @ f), fun=f, jac=jac_x,
+                              nfev=nfev, success=success)
 
 
 @np.errstate(all="ignore")  # overflow is raised below as DomainError
@@ -576,7 +570,7 @@ def calibrate(samples, initial_guess: tuple[float, float, float, float]) -> Cali
         max_nfev=4000,
     )
     if not res.success:
-        raise FitError(f"calibration fit did not converge: {res.message}")
+        raise FitError(f"calibration fit did not converge in {res.nfev} evaluations")
 
     u, sv, vt = np.linalg.svd(res.jac, full_matrices=False)
     if sv[-1] <= 0 or sv[0] / sv[-1] > 1e12:

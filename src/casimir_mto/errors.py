@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these onto its exit-code contract: 1 for I/O and parsing,
-2 for domain/validation/identifiability, 3 for convergence failures.
+Each class carries the CLI exit code it maps to, as ``exit_code``: 1 for
+parsing, 2 for domain/validation/configuration/identifiability, 3 for
+convergence and fit failures.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 
 class ToolkitError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 class DomainError(ToolkitError, ValueError):
@@ -26,6 +29,8 @@ class ConfigurationError(ToolkitError, ValueError):
 class ParseError(ToolkitError):
     """A data file could not be parsed; carries the offending line."""
 
+    exit_code = 1
+
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         if line is not None:
@@ -39,6 +44,8 @@ class ConvergenceError(ToolkitError):
     ``partial`` carries the best available result, when one exists.
     """
 
+    exit_code = 3
+
     def __init__(self, message: str, partial=None):
         self.partial = partial
         super().__init__(message)
@@ -50,3 +57,5 @@ class IdentifiabilityError(ToolkitError, ValueError):
 
 class FitError(ToolkitError):
     """A least-squares fit failed to converge."""
+
+    exit_code = 3

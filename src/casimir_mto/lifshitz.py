@@ -112,17 +112,17 @@ class LifshitzResult(Record):
 
 def ideal_pressure_plane_plane(z: float) -> float:
     """Ideal-metal pressure between two planes: -pi^2 hbar c / 240 z^4."""
-    if not z > 0:
-        raise DomainError("separation must be > 0")
+    if not 0 < z < math.inf:
+        raise DomainError("separation must be finite and > 0")
     return -(math.pi**2) * CODATA.hbar * CODATA.c / (240.0 * z**4)
 
 
 def ideal_force_sphere_plane(z: float, radius: float) -> float:
     """Ideal-metal sphere-plane force: -pi^3 hbar c R / 360 z^3."""
-    if not z > 0:
-        raise DomainError("separation must be > 0")
-    if not radius > 0:
-        raise DomainError("sphere radius must be > 0")
+    if not 0 < z < math.inf:
+        raise DomainError("separation must be finite and > 0")
+    if not 0 < radius < math.inf:
+        raise DomainError("sphere radius must be finite and > 0")
     return -(math.pi**3) * CODATA.hbar * CODATA.c * radius / (360.0 * z**3)
 
 
@@ -399,8 +399,8 @@ def force_sphere_plane(z, radius: float, m1, m2, tol: float = 1e-6) -> LifshitzR
     Negative (attractive); proximity-force form, valid for z << radius.
     An array ``z`` gives one force per separation, as for the pressure.
     """
-    if not radius > 0:
-        raise DomainError("sphere radius must be > 0")
+    if not 0 < radius < math.inf:
+        raise DomainError("sphere radius must be finite and > 0")
     # The inner logarithms are negative, so the positive prefactor keeps
     # the force attractive.
     return _lifshitz("force", z, CODATA.hbar * CODATA.c * radius / (16.0 * math.pi), m1, m2, tol)
@@ -411,8 +411,8 @@ def gradient_from_pressure(pressure: LifshitzResult,
     """Sphere-plane force gradient dF/dz = 2 pi R |P| (proximity force) of a
     plain, stacked or averaged two-plane pressure, positive for an attraction
     weakening with distance; keeps the pressure's estimate and node count."""
-    if not radius > 0:
-        raise DomainError("sphere radius must be > 0")
+    if not 0 < radius < math.inf:
+        raise DomainError("sphere radius must be finite and > 0")
     return LifshitzResult(2.0 * math.pi * radius * abs(pressure.value),
                           pressure.est_rel_error, pressure.evaluations)
 

@@ -26,7 +26,7 @@ from .records import Record
 from .roughness import RoughnessDistribution, averaged_pressure
 
 LINEAR_DOMAIN_LIMIT = 0.1      # max |fractional frequency shift|
-CONSISTENCY_TOL = 0.02         # omega0 vs sqrt(kappa/I), coupling vs b^2/2I
+CONSISTENCY_TOL = 0.02         # omega0 vs sqrt(kappa/I)
 
 
 class SerpentineSpring(Record):
@@ -49,48 +49,36 @@ def spring_constant(s: SerpentineSpring) -> float:
 
 
 class OscillatorParams(Record):
-    """Mechanical constants of the oscillator.
+    """Mechanical constants of the oscillator, each finite and > 0.
 
-    ``omega0`` (rad/s) and ``coupling`` (= lever_b^2 / 2 I, kg^-1) are
-    derived when omitted; when supplied they must agree with the derived
-    values to 2% (high-Q resonance: omega0 ~ sqrt(kappa/I)).
+    ``omega0`` must agree with sqrt(kappa/inertia) to 2% (high-Q
+    resonance); ``coupling`` is b^2 / 2I, the lever arm b squared over
+    twice the moment of inertia, as calibrated.
     """
 
-    kappa: float                 # N m / rad
-    inertia: float               # kg m^2
-    lever_b: float               # m
-    omega0: float | None = None  # rad/s
-    coupling: float | None = None  # kg^-1
+    kappa: float     # N m / rad
+    inertia: float   # kg m^2
+    coupling: float  # kg^-1
+    omega0: float    # rad/s
 
     def __post_init__(self):
-        for name in ("kappa", "inertia", "lever_b"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be > 0")
+        for name in ("kappa", "inertia", "coupling", "omega0"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and > 0")
         w_derived = math.sqrt(self.kappa / self.inertia)
-        c_derived = self.lever_b * self.lever_b / (2.0 * self.inertia)
-        # A derived constant that overflows or vanishes would make the checks
-        # below compare NaN or divide by zero.
-        for name, value in (("sqrt(kappa/inertia)", w_derived), ("b^2/2I", c_derived)):
-            if not 0.0 < value < math.inf:
-                raise ValidationError(f"{name} = {value:g} must be finite and > 0")
-        if self.omega0 is None:
-            object.__setattr__(self, "omega0", w_derived)
-        elif not self.omega0 > 0:
-            raise ValidationError("omega0 must be > 0")
-        elif abs(self.omega0 / w_derived - 1.0) > CONSISTENCY_TOL:
+        # A root that overflows or vanishes would make the check below
+        # compare NaN or divide by zero.
+        if not 0.0 < w_derived < math.inf:
+            raise ValidationError(
+                f"sqrt(kappa/inertia) = {w_derived:g} must be finite and > 0")
+        if abs(self.omega0 / w_derived - 1.0) > CONSISTENCY_TOL:
             raise ValidationError(
                 f"omega0 {self.omega0:.6g} deviates {abs(self.omega0 / w_derived - 1):.1%} "
                 f"from sqrt(kappa/inertia) = {w_derived:.6g}"
             )
-        if self.coupling is None:
-            object.__setattr__(self, "coupling", c_derived)
-        elif not self.coupling > 0:
-            raise ValidationError("coupling must be > 0")
-        elif abs(self.coupling / c_derived - 1.0) > CONSISTENCY_TOL:
-            raise ValidationError(
-                f"coupling {self.coupling:.6g} deviates "
-                f"{abs(self.coupling / c_derived - 1):.1%} from b^2/2I = {c_derived:.6g}"
-            )
+        # The frequency map divides by omega0^2.
+        if not self.omega0 * self.omega0 < math.inf:
+            raise ValidationError(f"omega0^2 = ({self.omega0:g})^2 overflows")
 
     @property
     def f0_hz(self) -> float:
@@ -103,18 +91,9 @@ def measured_params(
     coupling: float = 6.489e8,
     f0_hz: float = 687.23,
 ) -> OscillatorParams:
-    """Oscillator constants as calibrated on the physical device.
-
-    The lever arm is reconstructed from the coupling constant b^2/2I.
-    """
-    lever_b = math.sqrt(2.0 * inertia * coupling)
-    return OscillatorParams(
-        kappa=kappa,
-        inertia=inertia,
-        lever_b=lever_b,
-        omega0=2.0 * math.pi * f0_hz,
-        coupling=coupling,
-    )
+    """Oscillator constants as calibrated on the physical device, with the
+    resonance given in Hz."""
+    return OscillatorParams(kappa, inertia, coupling, 2.0 * math.pi * f0_hz)
 
 
 def _fractional_shift(params: OscillatorParams, grad: float) -> float:
@@ -153,8 +132,8 @@ def gradient_from_frequency(params: OscillatorParams, omega_r: float) -> float:
 def min_detectable_gradient(params: OscillatorParams,
                             delta_f_min_hz: float) -> float:
     """Gradient (N/m) producing exactly the resolvable frequency step."""
-    if not delta_f_min_hz > 0:
-        raise DomainError("frequency resolution must be > 0")
+    if not 0 < delta_f_min_hz < math.inf:
+        raise DomainError("frequency resolution must be finite and > 0")
     return (delta_f_min_hz / params.f0_hz) * params.omega0**2 / params.coupling
 
 
@@ -194,8 +173,8 @@ class SweepConfig(Record):
         object.__setattr__(self, "z_grid", z)
         if z.size == 0:
             raise ConfigurationError("sweep grid is empty")
-        if np.any(z <= 0):
-            raise ConfigurationError("sweep separations must be > 0")
+        if not np.all(np.isfinite(z) & (z > 0)):
+            raise ConfigurationError("sweep separations must be finite and > 0")
         if not 0 < self.integration_time_s < math.inf:
             raise ConfigurationError("integration time must be finite and > 0")
         if not math.isfinite(self.tol):
@@ -242,29 +221,21 @@ def simulate_sweep(
     nominal grid value. Per-point RNG substreams
     keyed by (seed, index) make the output a pure function of
     configuration and seed, independent of evaluation order. Every point's
-    jitter is drawn and checked first; the averages of all points are then
-    one stacked Lifshitz call (see roughness.averaged_pressure), and each
-    point's frequency noise comes last from its own substream.
+    jitter is drawn first; the averages of all points are then one stacked
+    Lifshitz call (see roughness.averaged_pressure), which checks every
+    shifted separation before it integrates, and each point's frequency
+    noise comes last from its own substream.
     """
-    if not radius > 0:
-        raise DomainError("sphere radius must be > 0")
-    if not delta0 >= 0:
-        raise DomainError("contact offset delta0 must be >= 0")
+    if not 0 < radius < math.inf:
+        raise DomainError("sphere radius must be finite and > 0")
+    if not 0 <= delta0 < math.inf:
+        raise DomainError("contact offset delta0 must be finite and >= 0")
     sigma_f = cfg.noise.freq_noise_rms_hz / math.sqrt(cfg.integration_time_s)
     sigma_omega = 2.0 * math.pi * sigma_f
-    rngs, shifted = [], []
-    for i, z in enumerate(cfg.z_grid):
-        rng = np.random.default_rng([int(seed), i])
-        jitter = rng.normal(0.0, cfg.noise.separation_noise_rms_m)
-        z_true = float(z) + jitter + 2.0 * delta0
-        if z_true + float(dist.offsets.min()) <= 0:
-            raise DomainError(
-                f"point #{i}: jittered separation {z_true:.3e} m leaves the "
-                "physical domain"
-            )
-        rngs.append(rng)
-        shifted.append(z_true)
-    p = averaged_pressure(np.array(shifted), dist, m1, m2, tol=cfg.tol)
+    rngs = [np.random.default_rng([int(seed), i]) for i in range(cfg.z_grid.size)]
+    jitter = np.array([rng.normal(0.0, cfg.noise.separation_noise_rms_m) for rng in rngs])
+    shifted = cfg.z_grid + jitter + 2.0 * delta0
+    p = averaged_pressure(shifted, dist, m1, m2, tol=cfg.tol)
     out = []
     for z, rng, grad in zip(cfg.z_grid, rngs, gradient_from_pressure(p, radius).value):
         omega = resonant_frequency(params, float(grad))

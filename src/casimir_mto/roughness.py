@@ -69,10 +69,9 @@ class RoughnessDistribution(Record):
 
 
 class HeightMap(Record):
-    """Topography scan: 2-D height grid (m) with its pixel pitch (m)."""
+    """Topography scan: 2-D grid of finite heights (m)."""
 
     grid: np.ndarray
-    pixel_pitch: float
 
     def __post_init__(self):
         g = np.atleast_2d(np.asarray(self.grid, dtype=float))
@@ -81,34 +80,19 @@ class HeightMap(Record):
             raise ValidationError("height map must be non-empty")
         if not np.all(np.isfinite(g)):
             raise ValidationError("heights must be finite")
-        if not 0 < self.pixel_pitch < math.inf:
-            raise ValidationError("pixel pitch must be finite and > 0")
 
 
 def load_heightmap(path) -> HeightMap:
     """Read a height map: whitespace-separated matrix of meters.
 
-    Leading ``#`` comment lines carry metadata; one of them must define
-    the pixel pitch, e.g. ``# pixel_pitch_m = 2.0e-7``. A ParseError
-    names the file and its line.
+    Blank lines and ``#`` comment lines are skipped. A ParseError names the
+    file and its line.
     """
     path = Path(path)
-    pitch = None
     rows: list[list[float]] = []
     for lineno, raw in enumerate(open_text(path), start=1):
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if "=" in body:
-                key, _, val = body.partition("=")
-                if key.strip() == "pixel_pitch_m":
-                    try:
-                        pitch = float(val)
-                    except ValueError:
-                        raise ParseError(f"{path}: bad pixel_pitch_m value {val!r}",
-                                         line=lineno) from None
+        if not line or line.startswith("#"):
             continue
         try:
             row = [float(tok) for tok in line.split()]
@@ -119,11 +103,9 @@ def load_heightmap(path) -> HeightMap:
                 f"{path}: row has {len(row)} columns, expected {len(rows[0])}", line=lineno
             )
         rows.append(row)
-    if pitch is None:
-        raise ParseError(f"{path}: missing '# pixel_pitch_m = ...' header", line=1)
     if not rows:
         raise ValidationError(f"{path}: no height rows")
-    return HeightMap(np.array(rows), pitch)
+    return HeightMap(np.array(rows))
 
 
 def _value_distribution(values: np.ndarray):
@@ -199,14 +181,15 @@ def _entries(z, dist: RoughnessDistribution) -> tuple[np.ndarray, np.ndarray, np
     offset, equal offsets merged in a fixed order and zero weights dropped:
     an average is then invariant under entry permutation, weight splitting
     or zero-weight entries, bit for bit. Every shifted separation
-    z_i + offset_j must be > 0."""
+    z_i + offset_j must be > 0; the first that is not names its row and
+    entry."""
     z = np.asarray(z, dtype=float).reshape(-1, 1)
     bad = np.argwhere(z + dist.offsets <= 0)
     if bad.size:
         row, i = bad[0]
         raise DomainError(
-            f"entry {i} (offset {dist.offsets[i]:.3e} m) shifts separation "
-            f"to {z[row, 0] + dist.offsets[i]:.3e} m <= 0"
+            f"separation #{row} ({z[row, 0]:.3e} m): entry {i} (offset "
+            f"{dist.offsets[i]:.3e} m) shifts it to {z[row, 0] + dist.offsets[i]:.3e} m <= 0"
         )
     order = np.lexsort((dist.weights, dist.offsets))
     offsets = dist.offsets[order]

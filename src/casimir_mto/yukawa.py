@@ -113,10 +113,11 @@ class LayeredBody(Record):
         return steps
 
 
-def reference_sphere(radius: float = 294.3e-6) -> LayeredBody:
-    """Au-coated sapphire sphere: 203 nm Au over 1 nm Cr on an alumina core."""
+def reference_sphere() -> LayeredBody:
+    """Au-coated sapphire sphere of radius 294.3 um: 203 nm Au over 1 nm Cr
+    on an alumina core."""
     return LayeredBody.sphere(
-        radius,
+        294.3e-6,
         DENSITIES["alumina"],
         (Layer(203e-9, DENSITIES["gold"]), Layer(1e-9, DENSITIES["chromium"])),
     )

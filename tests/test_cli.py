@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from casimir_mto import errors
 from casimir_mto.cli import main
 from casimir_mto.constants import CODATA
 from casimir_mto.lifshitz import ideal_force_sphere_plane
@@ -616,6 +618,12 @@ def _heightmap_force(tmp_path, body: bytes, **roughness):
     (lambda t: _limits(t, {"constant_n": 1e-14}, lambda_grid_m={
         "start": 1e-7, "stop": -1e-6, "points": 3, "spacing": "log"}), 2),
     (lambda t: _sweep(t, oscillator={"quality_q": 1e4}), 2),
+    (lambda t: _sweep(t, oscillator={"coupling_per_kg": -1}), 2),
+    (lambda t: _sweep(t, oscillator={"inertia_kg_m2": -1e-17}), 2),
+    (lambda t: _sweep(t, oscillator={"coupling_per_kg": 0}), 2),
+    (lambda t: _force(t, out=str(t)), 1),
+    (lambda t: _sweep(t, oscillator={"kappa_nm_per_rad": 1.79e308, "inertia_kg_m2": 1.0,
+                                     "coupling_per_kg": 1.0, "f0_hz": 2.1645e153}), 2),
 ], ids=["radius_m", "grid_list", "roughness_entries", "grid_points_fraction",
         "grid_points_bool", "bound_file_text",
         "bound_file_one_column", "bound_file_decreasing", "layer_row",
@@ -635,7 +643,9 @@ def _heightmap_force(tmp_path, body: bytes, **roughness):
         "grid_points_huge", "oscillator_overflow", "layer_density_bool",
         "layer_thickness_bool", "bins_huge", "radius_numeric_text", "grid_numeric_text",
         "registry_numeric_text", "grid_log_zero_start", "grid_log_negative_stop",
-        "oscillator_quality_q"])
+        "oscillator_quality_q", "oscillator_negative_coupling",
+        "oscillator_negative_inertia", "oscillator_zero_coupling", "out_is_directory",
+        "oscillator_omega0_squared_overflow"])
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_bad_input_is_one_error_line(tmp_path, capsys, make, code):
     command, doc = make(tmp_path)
@@ -647,6 +657,48 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, make, code):
     assert run([command, "--config", cfg]) == code
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_oscillator_error_names_the_constant_set(tmp_path, capsys):
+    command, doc = _sweep(tmp_path, oscillator={"coupling_per_kg": 0})
+    assert run([command, "--config", write_json(tmp_path / "run.json", doc)]) == 2
+    assert capsys.readouterr().err == "error: coupling must be finite and > 0\n"
+
+
+# The exit-code table of the README: every package error class carries its code.
+_EXIT_CODES = {"ParseError": 1, "DomainError": 2, "ValidationError": 2,
+               "ConfigurationError": 2, "IdentifiabilityError": 2,
+               "ConvergenceError": 3, "FitError": 3}
+
+
+def test_every_error_class_carries_its_exit_code():
+    classes = inspect.getmembers(errors, lambda obj: inspect.isclass(obj)
+                                 and issubclass(obj, errors.ToolkitError))
+    assert {name: cls.exit_code for name, cls in classes
+            if cls is not errors.ToolkitError} == _EXIT_CODES
+
+
+@pytest.mark.parametrize("name", sorted(_EXIT_CODES))
+def test_main_returns_the_class_exit_code(monkeypatch, capsys, name):
+    from casimir_mto import cli
+
+    def fail(args):
+        raise getattr(errors, name)("boom")
+
+    monkeypatch.setattr(cli, "_config", fail)
+    assert main(["limits", "--config", "run.json"]) == _EXIT_CODES[name]
+    assert capsys.readouterr().err.endswith("boom\n")
+
+
+def test_main_returns_1_on_os_error(monkeypatch, capsys):
+    from casimir_mto import cli
+
+    def fail(args):
+        raise PermissionError(13, "Permission denied", "run.json")
+
+    monkeypatch.setattr(cli, "_config", fail)
+    assert main(["force", "--config", "run.json"]) == 1
+    assert capsys.readouterr().err == "error: [Errno 13] Permission denied: 'run.json'\n"
 
 
 # Registry fuzzing: numbers of every JSON kind, each table-file failure,
@@ -714,6 +766,82 @@ def test_fuzzed_registry_is_one_error_line_or_finite_output(case):
                 assert _finite_output((tmp / "f.csv").read_text()), registry
             else:
                 assert _finite_output(out.getvalue()), registry
+
+
+# Run-config fuzzing: each number a normal value or, as often, an extreme;
+# grids of at most 3 points; roughness entries of equal weight.
+_EXTREMES = st.sampled_from([0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, -1.0])
+
+
+def _num(*normal):
+    return st.one_of(st.sampled_from(normal), _EXTREMES)
+
+
+def _grid(*normal):
+    return st.lists(_num(*normal), min_size=1, max_size=3)
+
+
+def _some(**keys):
+    return st.fixed_dictionaries({}, optional=keys)
+
+
+_MATERIALS = st.fixed_dictionaries({"pair": st.lists(
+    st.sampled_from(["ideal", "gold_drude", "copper_drude"]), min_size=2, max_size=2)})
+_ROUGHNESS = st.fixed_dictionaries({"entries": _grid(0.0, 2e-9, -2e-9).map(
+    lambda offsets: [[o, 1.0 / len(offsets)] for o in offsets])})
+_Z_GRID = _grid(3e-7, 6e-7, 1e-6)
+_RUN_DOCS = {
+    "force": ({"materials": _MATERIALS, "radius_m": _num(R_SPHERE), "z_grid_m": _Z_GRID},
+              {"quantity": st.sampled_from(["force", "gradient"]), "tol": _num(1e-6),
+               "roughness": _ROUGHNESS}),
+    "pressure": ({"materials": _MATERIALS, "z_grid_m": _Z_GRID},
+                 {"tol": _num(1e-6), "roughness": _ROUGHNESS}),
+    "sweep": ({"materials": _MATERIALS, "radius_m": _num(R_SPHERE), "z_grid_m": _Z_GRID},
+              {"oscillator": _some(kappa_nm_per_rad=_num(8.6e-10), inertia_kg_m2=_num(4.6e-17),
+                                   coupling_per_kg=_num(6.489e8), f0_hz=_num(687.23)),
+               "noise": _some(freq_noise_rms_hz=_num(0.03),
+                              separation_noise_rms_m=_num(3.2e-10)),
+               "integration_time_s": _num(10.0), "tol": _num(1e-6), "roughness": _ROUGHNESS}),
+    "limits": ({"lambda_grid_m": _grid(1e-7, 1e-6), "z_grid_m": _grid(2e-7, 5e-7),
+                "residual_bound": st.fixed_dictionaries({"constant_n": _num(1e-14)})},
+               {"sphere": st.fixed_dictionaries({"core_density_kg_m3": _num(3980.0),
+                                                 "radius_m": _num(R_SPHERE)}),
+                "plate": st.fixed_dictionaries({"core_density_kg_m3": _num(2330.0)})}),
+}
+_RUN_DOC = st.sampled_from(sorted(_RUN_DOCS)).flatmap(lambda command: st.tuples(
+    st.just(command), st.fixed_dictionaries(_RUN_DOCS[command][0],
+                                            optional=_RUN_DOCS[command][1])))
+_SWEEP = {"materials": {"pair": ["ideal", "ideal"]}, "radius_m": R_SPHERE,
+          "z_grid_m": [3e-7]}
+
+
+def _finite_csv(path: Path) -> bool:
+    rows = path.read_text().splitlines()[1:]
+    return bool(rows) and all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_RUN_DOC)
+@example(case=("sweep", {**_SWEEP, "oscillator": {"coupling_per_kg": -1.0}}))
+@example(case=("sweep", {**_SWEEP, "oscillator": {"inertia_kg_m2": -1e-17}}))
+@example(case=("sweep", {**_SWEEP, "oscillator": {"coupling_per_kg": 0.0}}))
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+def test_fuzzed_run_config_is_one_error_line_or_finite_output(case):
+    command, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        cfg = write_json(Path(tmp) / "run.json", {**doc, "out": str(out)})
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run([command, "--config", cfg])
+        assert code in (0, 1, 2, 3)
+        if code:
+            lines = err.getvalue().strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        else:
+            written = sorted(Path(tmp).glob("*.csv"))
+            assert len(written) == (2 if command == "sweep" else 1)
+            assert all(_finite_csv(path) for path in written), doc
 
 
 # A command is offered --seed and --tol only where its config reads the key.

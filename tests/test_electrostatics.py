@@ -269,10 +269,10 @@ class TestTruncationReport:
         cfg = _config()
         u = math.acosh(1.0 + cfg.gap / cfg.geometry.radius)
         pref = 2.0 * math.pi * CODATA.eps0 * 0.3 * 0.3
-        n = np.arange(1.0, 6.0)
+        n = np.arange(1.0, 65.0)
         partial = pref * np.cumsum((n / np.tanh(n * u) - 1.0 / np.tanh(u)) / np.sinh(n * u))
-        report = series_truncation_report(cfg, max_rows=5)
-        assert [n for n, _ in report.terms] == [1, 2, 3, 4, 5, math.inf]
+        report = series_truncation_report(cfg)
+        assert [n for n, _ in report.terms] == [*range(1, 65), math.inf]
         assert [f for _, f in report.terms[:-1]] == pytest.approx(partial, rel=1e-13, abs=0.0)
         assert report.terms[-1][1] == report.force
         assert report.force == pytest.approx(pref * _plain_sums([u])[0][0], rel=1e-13, abs=0.0)
@@ -359,6 +359,14 @@ class TestCalibration:
         with pytest.raises(ValidationError):
             CalibrationFit(k=-1.0, v0=0.0, radius=1e-4, delta0=0.0,
                            covariance=np.eye(4), residual_rms=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["k", "radius", "delta0"])
+    def test_nonfinite_fit_rejected(self, field, bad):
+        values = dict(k=5e4, v0=0.0, radius=1e-4, delta0=0.0,
+                      covariance=np.eye(4), residual_rms=0.0)
+        with pytest.raises(ValidationError, match=f"fitted {field} must be finite"):
+            CalibrationFit(**{**values, field: bad})
 
     def test_estimate_v0_picks_quietest_voltage(self):
         samples = make_calibration_samples(*TRUTH, Z_GRID, (0.3325, 0.6325 + 1e-4, 0.9325))
@@ -461,7 +469,7 @@ class TestCalibration:
         monkeypatch.setattr(electrostatics, "least_squares",
                             lambda fun, x0, **kw: solver(fun, x0, **{**kw, "max_nfev": 3}))
         samples = make_calibration_samples(*TRUTH, Z_GRID, VOLTS, noise_rel=2e-6, seed=5)
-        with pytest.raises(FitError, match="maximum number of function evaluations"):
+        with pytest.raises(FitError, match="did not converge in 3 evaluations"):
             calibrate(samples, GUESS)
 
     def test_fit_stops_at_the_noise(self, monkeypatch):
@@ -598,7 +606,6 @@ class TestLeastSquares:
                             xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=5)
         assert not res.success
         assert res.nfev == 5
-        assert res.message == "The maximum number of function evaluations is exceeded."
 
     def test_zero_residual_start_stops_on_gradient(self):
         res = least_squares(lambda x: x - 2.0, [2.0, 2.0], jac=lambda x: np.eye(2),

@@ -246,6 +246,20 @@ class TestContracts:
         with pytest.raises(DomainError, match="separation must be finite and > 0"):
             SpherePlaneGeometry(radius=1e-4, separation=bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_arguments_rejected(self, ideal, bad):
+        # An infinite radius or separation gave -inf, inf or -0.0.
+        pressure = pressure_plane_plane(1e-6, ideal, ideal)
+        for call, name in [
+            (lambda: force_sphere_plane(1e-6, bad, ideal, ideal), "radius"),
+            (lambda: ideal_force_sphere_plane(1e-6, bad), "radius"),
+            (lambda: gradient_from_pressure(pressure, bad), "radius"),
+            (lambda: ideal_pressure_plane_plane(bad), "separation"),
+            (lambda: ideal_force_sphere_plane(bad, 1e-4), "separation"),
+        ]:
+            with pytest.raises(DomainError, match=f"{name} must be finite and > 0"):
+                call()
+
     def test_result_evaluation_count(self, ideal):
         res = pressure_plane_plane(1e-6, ideal, ideal, tol=1e-6)
         assert res.evaluations > 1000

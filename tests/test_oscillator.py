@@ -58,22 +58,29 @@ class TestParams:
     def test_measured_set_is_internally_consistent(self):
         par = measured_params()
         assert math.sqrt(par.kappa / par.inertia) == pytest.approx(par.omega0, rel=0.01)
-        assert par.lever_b**2 / (2 * par.inertia) == pytest.approx(par.coupling, rel=1e-12)
-
-    def test_derivation_when_omitted(self):
-        par = OscillatorParams(kappa=8.6e-10, inertia=4.6e-17, lever_b=2.44e-4)
-        assert par.omega0 == pytest.approx(math.sqrt(8.6e-10 / 4.6e-17), rel=1e-12)
-        assert par.coupling == pytest.approx(2.44e-4**2 / (2 * 4.6e-17), rel=1e-12)
+        assert par == OscillatorParams(8.6e-10, 4.6e-17, 6.489e8, 2 * math.pi * 687.23)
 
     def test_inconsistent_omega0_rejected(self):
-        with pytest.raises(ValidationError):
-            OscillatorParams(kappa=8.6e-10, inertia=4.6e-17, lever_b=2.44e-4,
+        with pytest.raises(ValidationError, match="deviates"):
+            OscillatorParams(kappa=8.6e-10, inertia=4.6e-17, coupling=6.489e8,
                              omega0=1.1 * math.sqrt(8.6e-10 / 4.6e-17))
 
-    def test_inconsistent_coupling_rejected(self):
-        with pytest.raises(ValidationError):
-            OscillatorParams(kappa=8.6e-10, inertia=4.6e-17, lever_b=2.44e-4,
-                             coupling=1e9)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("field", OscillatorParams._fields)
+    def test_each_constant_finite_and_positive(self, field, bad):
+        values = dict(zip(OscillatorParams._fields, (8.6e-10, 4.6e-17, 6.489e8, 4318.0)))
+        with pytest.raises(ValidationError, match=f"^{field} must be finite and > 0$"):
+            OscillatorParams(**{**values, field: bad})
+
+    @pytest.mark.parametrize("kappa, inertia", [(1e300, 1e-300), (5e-324, 1e300)])
+    def test_root_out_of_range_rejected(self, kappa, inertia):
+        with pytest.raises(ValidationError, match="sqrt"):
+            OscillatorParams(kappa, inertia, 6.489e8, 4318.0)
+
+    def test_squared_resonance_overflow_rejected(self):
+        # omega0 lies within 2% of the finite root, but its square overflows.
+        with pytest.raises(ValidationError, match="overflows"):
+            OscillatorParams(1.79e308, 1.0, 1.0, 1.36e154)
 
 
 class TestFrequencyMap:
@@ -92,6 +99,11 @@ class TestFrequencyMap:
     def test_negative_gradient_stiffens(self):
         par = measured_params()
         assert resonant_frequency(par, -1e-6) > par.omega0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_detectability_needs_finite_resolution(self, bad):
+        with pytest.raises(DomainError, match="resolution must be finite and > 0"):
+            min_detectable_gradient(measured_params(), bad)
 
     def test_detectability_threshold(self):
         par = measured_params()
@@ -225,7 +237,7 @@ class TestSweep:
             simulate_sweep(cfg, par, radius, m, m, dist, seed=1, delta0=-1e-9)
         # Every point is checked before the one stacked integral.
         cfg, *_ = self._setup([0.3e-6, 2.5e-8])
-        with pytest.raises(DomainError, match="point #1"):
+        with pytest.raises(DomainError, match="separation #1 "):
             simulate_sweep(cfg, par, radius, m, m, dist, seed=1)
 
     def test_sweep_is_one_integral(self, monkeypatch, gold_drude, copper_drude):
@@ -251,6 +263,20 @@ class TestSweep:
     def test_amplitude_schedule_endpoints(self):
         assert default_amplitude_schedule(0.2e-6) == pytest.approx(3e-9, rel=1e-12)
         assert default_amplitude_schedule(1.2e-6) == pytest.approx(35e-9, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_nonfinite_separation_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="^sweep separations must be finite and > 0$"):
+            SweepConfig(z_grid=np.array([3e-7, bad]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_geometry_rejected(self, bad):
+        cfg, par, radius, dist = self._setup([0.3e-6])
+        m = object()
+        with pytest.raises(DomainError, match="radius must be finite and > 0"):
+            simulate_sweep(cfg, par, bad, m, m, dist, seed=1)
+        with pytest.raises(DomainError, match="delta0 must be finite and >= 0"):
+            simulate_sweep(cfg, par, radius, m, m, dist, seed=1, delta0=bad)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError):

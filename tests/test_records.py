@@ -65,12 +65,11 @@ SAMPLES = {
                    ("eps2", np.array([3.0]))),
     RoughnessDistribution: (dict(offsets=np.array([0.0]), weights=np.array([1.0])),
                             ("offsets", np.array([1e-9]))),
-    HeightMap: (dict(grid=np.zeros((2, 2)), pixel_pitch=1e-7), ("pixel_pitch", 2e-7)),
+    HeightMap: (dict(grid=np.zeros((1, 1))), ("grid", np.ones((1, 1)))),
     SerpentineSpring: (dict(width=2e-6, thickness=2e-6, length=5e-4, youngs_modulus=1.8e11),
                        ("length", 1e-3)),
-    OscillatorParams: (dict(kappa=8.6e-10, inertia=4.6e-17, lever_b=2.44e-4,
-                            omega0=None, coupling=None),
-                       ("lever_b", 2.45e-4)),
+    OscillatorParams: (dict(kappa=8.6e-10, inertia=4.6e-17, coupling=6.489e8, omega0=4318.0),
+                       ("coupling", 6.5e8)),
     SweepNoise: (dict(freq_noise_rms_hz=0.03, separation_noise_rms_m=3.2e-10),
                  ("freq_noise_rms_hz", 0.0)),
     SweepConfig: (dict(z_grid=np.array([3e-7, 5e-7]), integration_time_s=10.0,
@@ -87,7 +86,7 @@ SAMPLES = {
                           covariance=np.eye(4), residual_rms=1e-14),
                      ("k", 6e4)),
     LeastSquaresResult: (dict(x=np.ones(4), cost=0.5, fun=np.ones(2), jac=np.ones((2, 4)),
-                              nfev=6, success=True, message="converged"),
+                              nfev=6, success=True),
                          ("nfev", 7)),
     YukawaParams: (dict(alpha=1e13, lam=1e-7), ("alpha", -1e13)),
     Layer: (dict(thickness=2e-7, density=19300.0), ("density", 8960.0)),

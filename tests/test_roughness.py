@@ -74,57 +74,50 @@ class TestDistributionInvariants:
         assert np.dot(d.weights, d.offsets) == 0.0
 
 
-class TestHeightMap:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_nonfinite_pixel_pitch_rejected(self, bad):
-        with pytest.raises(ValidationError, match="pixel pitch must be finite and > 0"):
-            HeightMap(np.zeros((2, 2)), bad)
-
-
 class TestWeightsFromHeightmaps:
     def test_flat_maps_give_delta(self):
-        flat = HeightMap(np.zeros((4, 4)), 1e-7)
+        flat = HeightMap(np.zeros((4, 4)))
         d = weights_from_heightmaps(flat, flat)
         assert d.n_entries == 1
         assert d.offsets[0] == 0.0
         assert d.weights[0] == 1.0
 
     def test_two_level_vs_flat(self):
-        two = HeightMap(np.array([[-5e-9, 5e-9], [5e-9, -5e-9]]), 1e-7)
-        flat = HeightMap(np.zeros((2, 2)), 1e-7)
+        two = HeightMap(np.array([[-5e-9, 5e-9], [5e-9, -5e-9]]))
+        flat = HeightMap(np.zeros((2, 2)))
         d = weights_from_heightmaps(two, flat)
         np.testing.assert_allclose(d.offsets, [-5e-9, 5e-9])
         np.testing.assert_allclose(d.weights, [0.5, 0.5])
 
     def test_two_independent_two_level_surfaces_convolve(self):
-        two = HeightMap(np.array([[-5e-9, 5e-9], [5e-9, -5e-9]]), 1e-7)
+        two = HeightMap(np.array([[-5e-9, 5e-9], [5e-9, -5e-9]]))
         d = weights_from_heightmaps(two, two)
         np.testing.assert_allclose(d.offsets, [-1e-8, 0.0, 1e-8])
         np.testing.assert_allclose(d.weights, [0.25, 0.5, 0.25])
 
     def test_single_combined_profile_path(self):
-        two = HeightMap(np.array([[-5e-9, 5e-9]]), 1e-7)
+        two = HeightMap(np.array([[-5e-9, 5e-9]]))
         d = weights_from_heightmaps(two, None)
         np.testing.assert_allclose(d.offsets, [-5e-9, 5e-9])
         np.testing.assert_allclose(d.weights, [0.5, 0.5])
 
     def test_zero_mean_after_binning(self, rng):
-        m1 = HeightMap(rng.normal(2e-9, 3e-9, (48, 48)), 1e-7)
-        m2 = HeightMap(rng.normal(-1e-9, 2e-9, (32, 32)), 1e-7)
+        m1 = HeightMap(rng.normal(2e-9, 3e-9, (48, 48)))
+        m2 = HeightMap(rng.normal(-1e-9, 2e-9, (32, 32)))
         d = weights_from_heightmaps(m1, m2, bins=21)
         assert d.n_entries <= 21
         assert abs(np.dot(d.weights, d.offsets)) < 1e-22
         assert abs(d.weights.sum() - 1.0) <= 1e-12
 
     def test_histogram_path_for_large_maps(self, rng):
-        m1 = HeightMap(rng.normal(0, 3e-9, (64, 64)), 1e-7)
-        m2 = HeightMap(rng.normal(0, 3e-9, (64, 64)), 1e-7)
+        m1 = HeightMap(rng.normal(0, 3e-9, (64, 64)))
+        m2 = HeightMap(rng.normal(0, 3e-9, (64, 64)))
         d = weights_from_heightmaps(m1, m2, bins=15)
         assert d.n_entries <= 15
         assert abs(np.dot(d.weights, d.offsets)) < 1e-22
 
     def test_bins_validated(self):
-        flat = HeightMap(np.zeros((2, 2)), 1e-7)
+        flat = HeightMap(np.zeros((2, 2)))
         with pytest.raises(DomainError):
             weights_from_heightmaps(flat, flat, bins=0)
 
@@ -132,8 +125,8 @@ class TestWeightsFromHeightmaps:
     @settings(max_examples=20, deadline=None)
     def test_normalization_preserved(self, bins):
         rng = np.random.default_rng(bins)
-        m1 = HeightMap(rng.normal(0, 2e-9, (16, 16)), 1e-7)
-        m2 = HeightMap(rng.normal(0, 4e-9, (16, 16)), 1e-7)
+        m1 = HeightMap(rng.normal(0, 2e-9, (16, 16)))
+        m2 = HeightMap(rng.normal(0, 4e-9, (16, 16)))
         d = weights_from_heightmaps(m1, m2, bins=bins)
         assert abs(d.weights.sum() - 1.0) <= 1e-12
 
@@ -236,10 +229,16 @@ class TestAveraging:
         with pytest.raises(DomainError, match="entry 0"):
             averaged_pressure(1e-6, d, ideal, ideal)
 
+    def test_offending_separation_named(self, ideal):
+        d = RoughnessDistribution(np.array([-3e-8, 3e-8]), np.array([0.5, 0.5]))
+        with pytest.raises(DomainError, match=r"^separation #1 \(2\.500e-08 m\): entry 0 "
+                           r"\(offset -3\.000e-08 m\) shifts it to -5\.000e-09 m <= 0$"):
+            averaged_pressure(np.array([3e-7, 2.5e-8]), d, ideal, ideal)
+
     def test_bin_count_stability(self, ideal, rng):
         from scipy.ndimage import gaussian_filter
 
-        smooth = HeightMap(gaussian_filter(rng.normal(0, 3e-9, (64, 64)), 4), 1e-7)
+        smooth = HeightMap(gaussian_filter(rng.normal(0, 3e-9, (64, 64)), 4))
         d21 = weights_from_heightmaps(smooth, smooth, bins=21)
         d42 = weights_from_heightmaps(smooth, smooth, bins=42)
         a = averaged_force(1e-6, R_SPHERE, d21, ideal, ideal, tol=1e-6)
@@ -254,14 +253,17 @@ class TestHeightMapIO:
             "# AFM export\n# pixel_pitch_m = 2.0e-7\n1e-9 2e-9\n-1e-9 0.0\n"
         )
         hm = load_heightmap(path)
-        assert hm.pixel_pitch == 2.0e-7
-        assert hm.grid.shape == (2, 2)
+        assert hm.grid.tolist() == [[1e-9, 2e-9], [-1e-9, 0.0]]
 
-    def test_missing_pitch(self, tmp_path):
-        path = tmp_path / "scan.txt"
-        path.write_text("1e-9 2e-9\n")
-        with pytest.raises(ParseError):
-            load_heightmap(path)
+    def test_every_hash_line_is_a_comment(self, tmp_path):
+        # No header is required, and none is parsed: the same rows load to
+        # the same grid with or without one, whatever it says.
+        grids = []
+        for header in ("", "# pixel_pitch_m = oops\n", "# pixel_pitch_m = nan\n"):
+            path = tmp_path / "scan.txt"
+            path.write_text(header + "1e-9 2e-9\n# note = 3\n-1e-9 0.0\n")
+            grids.append(load_heightmap(path).grid.tolist())
+        assert grids == [[[1e-9, 2e-9], [-1e-9, 0.0]]] * 3
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "scan.txt"
@@ -279,6 +281,6 @@ class TestHeightMapIO:
 
     def test_heightmap_invariants(self):
         with pytest.raises(ValidationError):
-            HeightMap(np.array([[np.nan]]), 1e-7)
+            HeightMap(np.array([[np.nan]]))
         with pytest.raises(ValidationError):
-            HeightMap(np.zeros((2, 2)), 0.0)
+            HeightMap(np.zeros((0, 2)))
