@@ -267,9 +267,8 @@ def cmd_calibrate(args) -> int:
 
 
 # Config keys of the optional sweep objects; defaults live in measured_params
-# and SweepNoise.
-_OSCILLATOR_ARGS = {"kappa_nm_per_rad": "kappa", "inertia_kg_m2": "inertia",
-                    "coupling_per_kg": "coupling", "f0_hz": "f0_hz"}
+# and SweepNoise, whose arguments they are.
+_OSCILLATOR_KEYS = ("kappa_nm_per_rad", "inertia_kg_m2", "coupling_per_kg", "f0_hz")
 _NOISE_KEYS = ("freq_noise_rms_hz", "separation_noise_rms_m")
 
 
@@ -295,8 +294,7 @@ def cmd_sweep(args) -> int:
     out = cfg.take_path("out")
     cfg.close()
 
-    osc = _optional_floats(osc_spec, "oscillator", _OSCILLATOR_ARGS)
-    params = measured_params(**{_OSCILLATOR_ARGS[key]: val for key, val in osc.items()})
+    params = measured_params(**_optional_floats(osc_spec, "oscillator", _OSCILLATOR_KEYS))
     noise = SweepNoise(**_optional_floats(noise_spec, "noise", _NOISE_KEYS))
 
     sweep_cfg = SweepConfig(

@@ -110,20 +110,26 @@ class LifshitzResult(Record):
     evaluations: int
 
 
+def _power(z, p: int) -> np.ndarray:
+    """z^p of separations ``z``; DomainError unless all are > 0 with z^p and z^-p finite."""
+    z = np.asarray(z, dtype=float)
+    with np.errstate(over="ignore", divide="ignore"):
+        zp = z**p
+        if not (z.size and np.all((z > 0) & np.isfinite(zp) & np.isfinite(1.0 / zp))):
+            raise DomainError(f"separation must be > 0, with z^{p} and z^-{p} finite")
+    return zp
+
+
 def ideal_pressure_plane_plane(z: float) -> float:
     """Ideal-metal pressure between two planes: -pi^2 hbar c / 240 z^4."""
-    if not 0 < z < math.inf:
-        raise DomainError("separation must be finite and > 0")
-    return -(math.pi**2) * CODATA.hbar * CODATA.c / (240.0 * z**4)
+    return float(-(math.pi**2) * CODATA.hbar * CODATA.c / (240.0 * _power(z, 4)))
 
 
 def ideal_force_sphere_plane(z: float, radius: float) -> float:
     """Ideal-metal sphere-plane force: -pi^3 hbar c R / 360 z^3."""
-    if not 0 < z < math.inf:
-        raise DomainError("separation must be finite and > 0")
     if not 0 < radius < math.inf:
         raise DomainError("sphere radius must be finite and > 0")
-    return -(math.pi**3) * CODATA.hbar * CODATA.c * radius / (360.0 * z**3)
+    return float(-(math.pi**3) * CODATA.hbar * CODATA.c * radius / (360.0 * _power(z, 3)))
 
 
 def _surface_eps(model) -> object:
@@ -203,40 +209,39 @@ def _truncation(t_lo: float, t_hi: float, level: int) -> float:
     return 8.0 * _ZETA3 * x_lo + 2.0 * (beyond + first * at)
 
 
-def _reflection_factors(e, u, v):
-    """Reflection factors (TE, TM) of one surface at p = v/u.
-
-    With k = u sqrt(e - 1 + p^2), the cancellation-free forms
-    (k - v)(k + v) = (e-1) u^2 and (e v - k)(e v + k) = (e-1)((e+1) v^2 - u^2)
-    stay finite as u -> 0.
-    """
-    k = np.sqrt((e - 1.0) * u * u + v * v)
-    fte = (e - 1.0) * u * u / ((k + v) ** 2)
-    ftm = (e - 1.0) * ((e + 1.0) * v * v - u * u) / ((e * v + k) ** 2)
-    return fte, ftm
+def _reflection_factors(e, u, v, v2):
+    """Reflection factors (TE, TM) of one surface at p = v/u, with v2 = v*v:
+    TE = a/(k + v)^2 and TM = (b v^2 - a)/(e v + k)^2, from the products
+    (k - v)(k + v) = a and (e v - k)(e v + k) = b v^2 - a, where
+    k = u sqrt(e - 1 + p^2) and the row values a = (e-1) u^2 and
+    b = (e-1)(e+1) (e^2 - 1 would lose e - 1 as e -> 1). Both are free of
+    cancellation and finite as u -> 0: (e+1) v^2 >= 2 u^2, so b v^2 - a >= b v^2/2."""
+    a = (e - 1.0) * (u * u)
+    k = np.sqrt(a + v2)
+    return a / (k + v) ** 2, ((e - 1.0) * (e + 1.0) * v2 - a) / (e * v + k) ** 2
 
 
 def _integrand(kind: str, u, s, e1, e2):
     """(u+s)^2 sum_pol Q w/(1 - Q w) for pressure, (u+s) sum_pol log(1 - Q w)
-    for force, with w = exp(-(u+s)).
-
-    ``u``, ``e1`` and ``e2`` broadcast against ``s``; an eps of None marks
-    a perfect conductor (both factors exactly 1). Q <= 1 analytically;
-    log Q is capped at 0 where huge eps rounds the product above 1.
+    for force, with w = exp(-(u+s)) and ``u``, ``e1``, ``e2`` broadcast
+    against ``s``. An eps of None marks a perfect conductor (factors 1; a
+    pair of them sums one polarization twice). With v = u + s,
+    Q w/(1 - Q w) = 1/expm1(v - log Q), 0 where expm1 overflows, and the
+    force takes one log of the product of the two 1 - Q w = -expm1(log Q - v).
     """
     v = u + s
-    qte = qtm = 1.0
-    for e in (e1, e2):
-        if e is not None:
-            fte, ftm = _reflection_factors(e, u, v)
-            qte, qtm = qte * fte, qtm * ftm
-    g = 0.0
-    with np.errstate(divide="ignore"):
-        for q in (qte, qtm):
-            a = np.minimum(np.log(q), 0.0) - v  # log(Q w), -inf where Q = 0
-            omq = -np.expm1(a)  # 1 - Q w without cancellation
-            g = g + (np.exp(a) / omq if kind == "pressure" else np.log(omq))
-    return v * v * g if kind == "pressure" else v * g
+    v2 = v * v
+    q = [_reflection_factors(e, u, v, v2) for e in (e1, e2) if e is not None]
+    q = q[0] if len(q) == 1 else [a * b for a, b in zip(*q)]  # [] for two ideal surfaces
+    with np.errstate(divide="ignore", over="ignore"):
+        for x in q:  # log Q in place, capped at 0 where huge eps rounds Q above 1
+            np.minimum(np.log(x, out=x), 0.0, out=x)
+        lq = q or [0.0]
+        if kind == "pressure":
+            g = [1.0 / np.expm1(v - x) for x in lq]
+            return v2 * (g[0] + g[1] if q else 2.0 * g[0])
+        m = [np.expm1(x - v) for x in lq]
+        return v * (np.log(m[0] * m[1]) if q else 2.0 * np.log(-m[0]))
 
 
 def _row_dot(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -354,12 +359,8 @@ def _lifshitz(kind: str, z, coeff: float, m1, m2, tol: float) -> LifshitzResult:
     result attached (the finest level for the entries that did not get
     there) when some entry does not meet ``tol`` by _MAX_LEVEL.
     """
-    p = 4 if kind == "pressure" else 3
     z = np.asarray(z, dtype=float)
-    with np.errstate(over="ignore", divide="ignore"):
-        zp = z**p
-        if not (z.size and np.all((z > 0) & np.isfinite(zp) & np.isfinite(1.0 / zp))):
-            raise DomainError(f"separation must be > 0, with z^{p} and z^-{p} finite")
+    zp = _power(z, 4 if kind == "pressure" else 3)
     if not TOL_MIN <= tol <= TOL_MAX:
         raise DomainError(f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}]")
     t_lo, t_hi = _t_range(kind, tol)
@@ -384,11 +385,10 @@ def pressure_plane_plane(z, m1, m2, tol: float = 1e-6) -> LifshitzResult:
 
     Negative (attractive). ``m1``/``m2`` are DielectricModel instances (any
     other object raises DomainError); the result is symmetric under their
-    exchange.
-    An array ``z`` gives one pressure per separation from one stacked rule
-    (see LifshitzResult).
-    Raises ConvergenceError (with the partial LifshitzResult attached) if
-    the quadrature budget is exhausted before reaching ``tol``.
+    exchange. An array ``z`` gives one pressure per separation from one
+    stacked rule (see LifshitzResult). Raises ConvergenceError (with the
+    partial LifshitzResult attached) if the quadrature budget is exhausted
+    before reaching ``tol``.
     """
     return _lifshitz("pressure", z, -CODATA.hbar * CODATA.c / (32.0 * math.pi**2), m1, m2, tol)
 

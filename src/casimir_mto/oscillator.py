@@ -29,6 +29,13 @@ LINEAR_DOMAIN_LIMIT = 0.1      # max |fractional frequency shift|
 CONSISTENCY_TOL = 0.02         # omega0 vs sqrt(kappa/I)
 
 
+def _check_positive(values: dict) -> None:
+    """ValidationError naming the first of ``values`` that is not finite and > 0."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ValidationError(f"{name} must be finite and > 0")
+
+
 class SerpentineSpring(Record):
     """Meandered suspension beam; all lengths m, modulus Pa."""
 
@@ -38,9 +45,7 @@ class SerpentineSpring(Record):
     youngs_modulus: float
 
     def __post_init__(self):
-        for name in ("width", "thickness", "length", "youngs_modulus"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValidationError(f"{name} must be finite and > 0")
+        _check_positive({name: getattr(self, name) for name in self._fields})
 
 
 def spring_constant(s: SerpentineSpring) -> float:
@@ -62,9 +67,7 @@ class OscillatorParams(Record):
     omega0: float    # rad/s
 
     def __post_init__(self):
-        for name in ("kappa", "inertia", "coupling", "omega0"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValidationError(f"{name} must be finite and > 0")
+        _check_positive({name: getattr(self, name) for name in self._fields})
         w_derived = math.sqrt(self.kappa / self.inertia)
         # A root that overflows or vanishes would make the check below
         # compare NaN or divide by zero.
@@ -86,14 +89,19 @@ class OscillatorParams(Record):
 
 
 def measured_params(
-    kappa: float = 8.6e-10,
-    inertia: float = 4.6e-17,
-    coupling: float = 6.489e8,
+    kappa_nm_per_rad: float = 8.6e-10,
+    inertia_kg_m2: float = 4.6e-17,
+    coupling_per_kg: float = 6.489e8,
     f0_hz: float = 687.23,
 ) -> OscillatorParams:
     """Oscillator constants as calibrated on the physical device, with the
-    resonance given in Hz."""
-    return OscillatorParams(kappa, inertia, coupling, 2.0 * math.pi * f0_hz)
+    resonance given in Hz; the names are the keys of a ``sweep`` config's
+    ``oscillator`` object, and a value that is not finite and > 0 is
+    reported under its own."""
+    _check_positive({"kappa_nm_per_rad": kappa_nm_per_rad, "inertia_kg_m2": inertia_kg_m2,
+                     "coupling_per_kg": coupling_per_kg, "f0_hz": f0_hz})
+    return OscillatorParams(kappa_nm_per_rad, inertia_kg_m2, coupling_per_kg,
+                            2.0 * math.pi * f0_hz)
 
 
 def _fractional_shift(params: OscillatorParams, grad: float) -> float:

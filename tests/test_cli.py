@@ -624,6 +624,9 @@ def _heightmap_force(tmp_path, body: bytes, **roughness):
     (lambda t: _force(t, out=str(t)), 1),
     (lambda t: _sweep(t, oscillator={"kappa_nm_per_rad": 1.79e308, "inertia_kg_m2": 1.0,
                                      "coupling_per_kg": 1.0, "f0_hz": 2.1645e153}), 2),
+    (lambda t: _sweep(t, oscillator={"f0_hz": 0}), 2),
+    (lambda t: _sweep(t, oscillator={"kappa_nm_per_rad": 0}), 2),
+    (lambda t: _sweep(t, oscillator={"inertia_kg_m2": math.nan}), 2),
 ], ids=["radius_m", "grid_list", "roughness_entries", "grid_points_fraction",
         "grid_points_bool", "bound_file_text",
         "bound_file_one_column", "bound_file_decreasing", "layer_row",
@@ -645,7 +648,8 @@ def _heightmap_force(tmp_path, body: bytes, **roughness):
         "registry_numeric_text", "grid_log_zero_start", "grid_log_negative_stop",
         "oscillator_quality_q", "oscillator_negative_coupling",
         "oscillator_negative_inertia", "oscillator_zero_coupling", "out_is_directory",
-        "oscillator_omega0_squared_overflow"])
+        "oscillator_omega0_squared_overflow", "oscillator_zero_f0", "oscillator_zero_kappa",
+        "oscillator_nan_inertia"])
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_bad_input_is_one_error_line(tmp_path, capsys, make, code):
     command, doc = make(tmp_path)
@@ -660,9 +664,12 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, make, code):
 
 
 def test_oscillator_error_names_the_constant_set(tmp_path, capsys):
-    command, doc = _sweep(tmp_path, oscillator={"coupling_per_kg": 0})
-    assert run([command, "--config", write_json(tmp_path / "run.json", doc)]) == 2
-    assert capsys.readouterr().err == "error: coupling must be finite and > 0\n"
+    # The message names the config key, not the field of OscillatorParams.
+    for key in ("kappa_nm_per_rad", "inertia_kg_m2", "coupling_per_kg", "f0_hz"):
+        for bad in (0, -1.0):
+            command, doc = _sweep(tmp_path, oscillator={key: bad})
+            assert run([command, "--config", write_json(tmp_path / "run.json", doc)]) == 2
+            assert capsys.readouterr().err == f"error: {key} must be finite and > 0\n"
 
 
 # The exit-code table of the README: every package error class carries its code.

@@ -5,15 +5,18 @@ integral_0^inf (u+s)^n sum_pol ... ds, which is u^(n+1) times the
 integral over p in [1, inf) with p = 1 + s/u.
 """
 
+import itertools
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from casimir_mto.lifshitz import _T_HI, _T_LO, _exp_sinh, _rule_sum
+from casimir_mto.lifshitz import _T_HI, _T_LO, _exp_sinh, _integrand, _rule_sum
 
 LEVEL = 4
 
@@ -127,3 +130,51 @@ def test_stronger_dielectric_reflects_more(u, e1, e2, boost):
     fm = force_inner(u, e1 * boost, e2)
     assert abs(fm) >= abs(fb) * (1 - 1e-9)
 
+
+# Single (u, s) nodes of the integrand against the textbook reflection
+# coefficients r_TE = (s_j - p)/(s_j + p) and r_TM = (e p - s_j)/(e p + s_j),
+# Q = r_1 r_2 per polarization (1 for a perfect conductor), in 30 digits.
+NODE_EPS = [1.0, 1.0 + 2.0**-52, 1.0 + 1e-8, 7.0, 1e6, 1e15, 1e150]
+NODE_US = [1e-12, 1e-3, 1.0, 30.0, 400.0]
+
+
+def _textbook_node(kind, u, v, e1, e2):
+    """The integrand at (u, v = u + s) and its ideal-metal bound, in mpmath."""
+    with mpmath.workdps(30):
+        u, v = mpmath.mpf(u), mpmath.mpf(v)
+        p = v / u
+
+        def r(e):
+            if e is None:
+                return 1, 1
+            e = mpmath.mpf(e)
+            sj = mpmath.sqrt(e - 1 + p * p)
+            return (sj - p) / (sj + p), (e * p - sj) / (e * p + sj)
+
+        w = mpmath.exp(-v)
+        qw = [a * b * w for a, b in zip(r(e1), r(e2))]
+        if kind == "pressure":
+            return v * v * sum(x / (1 - x) for x in qw), 2 * v * v * w / (1 - w)
+        return v * sum(mpmath.log1p(-x) for x in qw), -2 * v * mpmath.log1p(-w)
+
+
+@pytest.mark.parametrize("kind", ["pressure", "force"])
+@pytest.mark.parametrize("pair", ["real/real", "real/ideal", "ideal/ideal"])
+def test_integrand_nodes_vs_textbook(kind, pair):
+    """Error at most 1e-14 of the node's ideal-metal bound, plus a few units
+    of 2^-52 times max(1, v): below that, Q w and 1 - Q w are not resolved
+    in doubles (Q within rounding of 1 as v -> 0, or w below 2^-52 at large
+    v, where log(1 - Q w) rounds to 0). The oracle takes v = u + s as
+    rounded to a double, as the rule's nodes are."""
+    eps = {"real/real": list(itertools.product(NODE_EPS, NODE_EPS)),
+           "real/ideal": [(e, None) for e in NODE_EPS],
+           "ideal/ideal": [(None, None)]}[pair]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for (e1, e2), u, s in itertools.product(eps, NODE_US, NODE_US):
+            got = _integrand(kind, np.array([[u]]), np.array([s]),
+                             *(None if e is None else np.array([[e]]) for e in (e1, e2)))
+            v = u + s
+            want, ideal = _textbook_node(kind, u, v, e1, e2)
+            bound = 1e-14 * ideal + 8 * 2.0**-52 * max(1.0, v)
+            assert abs(got[0, 0] - want) <= bound, (u, s, e1, e2, got[0, 0], want)

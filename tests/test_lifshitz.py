@@ -72,6 +72,12 @@ class TestIdealClosedForms:
             ideal_pressure_plane_plane(0.0)
         with pytest.raises(DomainError):
             ideal_force_sphere_plane(1e-6, 0.0)
+        # z^p or z^-p out of range: the integrals' rule and message.
+        for z in (1e300, 5e-324):
+            with pytest.raises(DomainError, match=r"z\^4 and z\^-4 finite"):
+                ideal_pressure_plane_plane(z)
+            with pytest.raises(DomainError, match=r"z\^3 and z\^-3 finite"):
+                ideal_force_sphere_plane(z, 1e-4)
 
 
 class TestQuadratureAgainstIdealLimit:
@@ -250,14 +256,15 @@ class TestContracts:
     def test_nonfinite_arguments_rejected(self, ideal, bad):
         # An infinite radius or separation gave -inf, inf or -0.0.
         pressure = pressure_plane_plane(1e-6, ideal, ideal)
-        for call, name in [
-            (lambda: force_sphere_plane(1e-6, bad, ideal, ideal), "radius"),
-            (lambda: ideal_force_sphere_plane(1e-6, bad), "radius"),
-            (lambda: gradient_from_pressure(pressure, bad), "radius"),
-            (lambda: ideal_pressure_plane_plane(bad), "separation"),
-            (lambda: ideal_force_sphere_plane(bad, 1e-4), "separation"),
+        radius, separation = "radius must be finite and > 0", r"separation must be > 0, with z\^"
+        for call, message in [
+            (lambda: force_sphere_plane(1e-6, bad, ideal, ideal), radius),
+            (lambda: ideal_force_sphere_plane(1e-6, bad), radius),
+            (lambda: gradient_from_pressure(pressure, bad), radius),
+            (lambda: ideal_pressure_plane_plane(bad), separation),
+            (lambda: ideal_force_sphere_plane(bad, 1e-4), separation),
         ]:
-            with pytest.raises(DomainError, match=f"{name} must be finite and > 0"):
+            with pytest.raises(DomainError, match=message):
                 call()
 
     def test_result_evaluation_count(self, ideal):
