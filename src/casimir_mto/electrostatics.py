@@ -489,8 +489,9 @@ def calibrate(samples, initial_guess: tuple[float, float, float, float]) -> Cali
     Each trial point sums the series once, over the distinct gaps only;
     the same pass gives dS/du for the R and delta0 columns, so a Jacobian
     costs no series work. Requires at least 4 samples spanning at least 2
-    distinct applied voltages; a single-voltage design leaves k and
-    (V - V0)^2 degenerate.
+    distinct applied voltages (one leaves k and (V - V0)^2 degenerate) and
+    3 distinct separations: n gaps fix only V0 and the n amplitudes
+    S(g_i/R)/k, which leave k, R and delta0 open for n < 3.
 
     The covariance is the HC3 sandwich (MacKinnon & White 1985), which
     holds when the residuals do not share one variance, as under the
@@ -515,6 +516,13 @@ def calibrate(samples, initial_guess: tuple[float, float, float, float]) -> Cali
         raise IdentifiabilityError(
             "all samples share one applied voltage; k and V0 are degenerate"
         )
+    # Each sweep repeats its gaps at every voltage: the series is summed once
+    # per distinct gap (the sums are per column, so this is bit-exact).
+    z_gaps, gap_of = np.unique(z, return_inverse=True)
+    if z_gaps.size < 3:
+        raise IdentifiabilityError(
+            f"need at least 3 distinct separations (got {z_gaps.size}); "
+            "k, R and delta0 are degenerate")
 
     x0 = np.asarray(initial_guess, dtype=float)
     if x0.shape != (4,) or not np.all(np.isfinite(x0)):
@@ -523,9 +531,6 @@ def calibrate(samples, initial_guess: tuple[float, float, float, float]) -> Cali
     # Parameters span ~12 orders of magnitude; fit in units of the guess,
     # floored at a natural unit per parameter so zero guesses stay scaled.
     scale = np.maximum(np.abs(x0), [1.0, 1e-2, 1e-6, 1e-9])
-    # Each sweep repeats its gaps at every voltage: sum the series once per
-    # distinct gap (the sums are per column, so this is bit-exact).
-    z_gaps, gap_of = np.unique(z, return_inverse=True)
     last: list = [None, None]  # latest (|R|, |delta0|) and its _series_at rows
 
     def model(y):

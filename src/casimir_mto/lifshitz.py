@@ -285,19 +285,21 @@ def _lookup(eps, xi: np.ndarray, previous) -> np.ndarray | None:
     return e
 
 
-def _levels(kind: str, z: np.ndarray, m1, m2, t_lo: float, t_hi: float):
-    """Yield (sums, nodes) for levels 0.._MAX_LEVEL of the product rule on
-    t in [t_lo, t_hi]: sums_i is the integral over u, s > 0 of the
-    Lifshitz integrand at separation z_i, for an (entry, 1) array ``z``,
-    and nodes the (u, s) nodes of one entry's rule. u node arrays have
-    shape (entry, node). Sending the indices of the entries to keep drops
-    the others from the levels after.
+def _stops(kind: str, z: np.ndarray, m1, m2, tol: float, t_lo: float, t_hi: float):
+    """Integrals over u, s > 0 of the Lifshitz integrand at the separations
+    of a 1-D array ``z``, their estimates and the node count. The step of
+    the product rule on t in [t_lo, t_hi] halves from level to level, and
+    each entry stops at the first level (from 1 on) where the difference to
+    the level before plus the truncation bound is within ``tol`` of its sum,
+    or at _MAX_LEVEL; stopped entries leave the levels after. The count sums
+    each entry's (u, s) nodes at its own level.
     """
-    eps1 = _surface_eps(m1)
-    eps2 = _surface_eps(m2)
-    e_scale = HBARC_EV_M / (2.0 * z)  # photon energy per unit u, eV
-    total = 0.0
-    e1 = e2 = None
+    eps1, eps2 = _surface_eps(m1), _surface_eps(m2)
+    sums, rel = np.empty(z.size), np.empty(z.size)
+    evals = 0
+    live = np.arange(z.size)
+    e_scale = HBARC_EV_M / (2.0 * z[:, None])  # photon energy per unit u, eV
+    total, e1, e2 = 0.0, None, None
     for level in range(_MAX_LEVEL + 1):
         x, w = _exp_sinh(level, t_lo, t_hi)
         xi = x * e_scale
@@ -310,52 +312,31 @@ def _levels(kind: str, z: np.ndarray, m1, m2, t_lo: float, t_hi: float):
 
         def part(nodes, s, ws):
             picked = [None if a is None else a[..., nodes].flatten() for a in (u, e1, e2)]
-            sums = _rule_sum(kind, *picked, s, ws).reshape(len(xi), -1)
-            return _row_dot(sums, w[nodes])
+            return _row_dot(_rule_sum(kind, *picked, s, ws).reshape(len(xi), -1), w[nodes])
 
-        total = 0.25 * total + part(new, x, w) + part(old, x[new], w[new])
-        keep = yield total, x.size * x.size
-        if keep is not None:
-            e_scale, total = e_scale[keep], total[keep]
-            e1, e2 = (None if e is None else e[keep] for e in (e1, e2))
-
-
-def _stops(kind: str, z: np.ndarray, m1, m2, tol: float, t_lo: float, t_hi: float):
-    """Level sums, estimates and the node count of a 1-D array ``z``, each
-    entry's from the first level at which its estimate is within ``tol``
-    (the finest level's if none is): what a call on the entry alone gives.
-    Entries that stop leave the levels after."""
-    sums, rel = np.empty(z.size), np.empty(z.size)
-    evals = 0
-    live = np.arange(z.size)
-    levels = _levels(kind, z.reshape(-1, 1), m1, m2, t_lo, t_hi)
-    total, _ = next(levels)
-    keep = None
-    for level in range(1, _MAX_LEVEL + 1):
         previous = total
-        total, nodes = levels.send(keep)
+        total = 0.25 * total + part(new, x, w) + part(old, x[new], w[new])
+        if not level:
+            continue
         r = (np.abs(total - previous) + _truncation(t_lo, t_hi, level)) / np.maximum(
             np.abs(total), 1e-300)
         stop = (r <= tol) | (level == _MAX_LEVEL)
         sums[live[stop]], rel[live[stop]] = total[stop], r[stop]
-        evals += nodes * int(stop.sum())
+        evals += x.size * x.size * int(stop.sum())
         keep = np.flatnonzero(~stop)
-        live, total = live[keep], total[keep]
-        if not live.size:
+        if not keep.size:
             break
+        live, e_scale, total = live[keep], e_scale[keep], total[keep]
+        e1, e2 = (None if e is None else e[keep] for e in (e1, e2))
     return sums, rel, evals
 
 
 def _lifshitz(kind: str, z, coeff: float, m1, m2, tol: float) -> LifshitzResult:
     """coeff / z_i^p times the integral of the Lifshitz integrand at each
-    separation z_i (see _levels), with p = 4 for pressure and 3 for force,
-    on the t range that ``tol`` allows.
-
-    Halves the step of the exp-sinh product rule until the difference of
-    two successive levels plus the truncation bound is within ``tol`` of
-    the integral. Every entry stops at its own first such level, so its
-    value and estimate are bit for bit those of a call on it alone; the
-    stack runs _STACK entries at a time. Raises ConvergenceError with the
+    separation z_i, with p = 4 for pressure and 3 for force, on the t range
+    that ``tol`` allows. _stops runs the stack _STACK entries at a time, and
+    every entry stops at its own level, so its value and estimate are bit
+    for bit those of a call on it alone. Raises ConvergenceError with the
     result attached (the finest level for the entries that did not get
     there) when some entry does not meet ``tol`` by _MAX_LEVEL.
     """

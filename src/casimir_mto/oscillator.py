@@ -74,14 +74,16 @@ class OscillatorParams(Record):
         if not 0.0 < w_derived < math.inf:
             raise ValidationError(
                 f"sqrt(kappa/inertia) = {w_derived:g} must be finite and > 0")
-        if abs(self.omega0 / w_derived - 1.0) > CONSISTENCY_TOL:
+        # Reported in Hz under f0_hz, the resonance as a sweep config sets it.
+        deviation = abs(self.omega0 / w_derived - 1.0)
+        if deviation > CONSISTENCY_TOL:
             raise ValidationError(
-                f"omega0 {self.omega0:.6g} deviates {abs(self.omega0 / w_derived - 1):.1%} "
-                f"from sqrt(kappa/inertia) = {w_derived:.6g}"
+                f"f0_hz {self.f0_hz:.6g} Hz deviates {100.0 * deviation:.3g}% "
+                f"from sqrt(kappa/inertia) / 2 pi = {w_derived / (2.0 * math.pi):.6g} Hz"
             )
         # The frequency map divides by omega0^2.
         if not self.omega0 * self.omega0 < math.inf:
-            raise ValidationError(f"omega0^2 = ({self.omega0:g})^2 overflows")
+            raise ValidationError(f"f0_hz {self.f0_hz:.6g} Hz overflows as (2 pi f0_hz)^2")
 
     @property
     def f0_hz(self) -> float:
@@ -100,8 +102,10 @@ def measured_params(
     reported under its own."""
     _check_positive({"kappa_nm_per_rad": kappa_nm_per_rad, "inertia_kg_m2": inertia_kg_m2,
                      "coupling_per_kg": coupling_per_kg, "f0_hz": f0_hz})
-    return OscillatorParams(kappa_nm_per_rad, inertia_kg_m2, coupling_per_kg,
-                            2.0 * math.pi * f0_hz)
+    omega0 = 2.0 * math.pi * f0_hz
+    if omega0 == math.inf:
+        raise ValidationError(f"f0_hz {f0_hz:.6g} Hz overflows as 2 pi f0_hz")
+    return OscillatorParams(kappa_nm_per_rad, inertia_kg_m2, coupling_per_kg, omega0)
 
 
 def _fractional_shift(params: OscillatorParams, grad: float) -> float:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from casimir_mto import errors
 from casimir_mto.cli import main
 from casimir_mto.constants import CODATA
+from casimir_mto.electrostatics import make_calibration_samples
 from casimir_mto.lifshitz import ideal_force_sphere_plane
 from casimir_mto.materials import data_dir
 
@@ -290,22 +291,12 @@ class TestCalibrateCommand:
         cfg = write_json(tmp_path / "cal.json", {"data": str(tmp_path / "absent.csv")})
         assert run(["calibrate", "--config", cfg]) == 1
 
-    @staticmethod
-    def _femtometer_rows(tmp_path):
-        data = tmp_path / "cal.csv"
-        rows = ["z_metal_m,v_applied_v,delta_c_f"]
-        for i in range(4):
-            rows.append(f"1e-15,{0.2 + 0.2 * i},1e-14")
-        data.write_text("\n".join(rows) + "\n")
-        return data
-
     def test_nonconvergent_series_exit_3(self, tmp_path, capsys):
         # With the default 30 nm contact offset the gaps stay near 60 nm and
-        # the series converges at every evaluation; on sub-femtometer metal
+        # the series converges at every evaluation; on femtometer metal
         # separations the LM fit uses up its evaluation budget instead.
-        data = self._femtometer_rows(tmp_path)
-        cfg = write_json(tmp_path / "cal.json", {"data": str(data)})
-        assert run(["calibrate", "--config", cfg]) == 3
+        command, doc = _calibrate_rows(tmp_path, _csv_rows(_femtometer(3)))
+        assert run([command, "--config", write_json(tmp_path / "cal.json", doc)]) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: calibration fit did not converge")
 
@@ -536,8 +527,18 @@ def _calibrate_file(tmp_path, body: bytes):
     return "calibrate", {"data": str(data)}
 
 
-def _calibrate_rows(tmp_path, rows):
-    return _calibrate_file(tmp_path, ("z_metal_m,v_applied_v,delta_c_f\n" + rows).encode())
+def _calibrate_rows(tmp_path, rows, **extra):
+    command, doc = _calibrate_file(tmp_path, ("z_metal_m,v_applied_v,delta_c_f\n" + rows).encode())
+    return command, {**doc, **extra}
+
+
+def _csv_rows(rows):
+    return "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def _femtometer(gaps):
+    """Four calibration rows at four voltages on ``gaps`` distinct femtometer gaps."""
+    return [(float(f"{1 + i % gaps}e-15"), 0.2 + 0.2 * i, 1e-14) for i in range(4)]
 
 
 def _heightmap_force(tmp_path, body: bytes, **roughness):
@@ -627,6 +628,11 @@ def _heightmap_force(tmp_path, body: bytes, **roughness):
     (lambda t: _sweep(t, oscillator={"f0_hz": 0}), 2),
     (lambda t: _sweep(t, oscillator={"kappa_nm_per_rad": 0}), 2),
     (lambda t: _sweep(t, oscillator={"inertia_kg_m2": math.nan}), 2),
+    (lambda t: _calibrate_rows(t, _csv_rows(_femtometer(1))), 2),
+    (lambda t: _calibrate_rows(t, _csv_rows(_femtometer(1)), initial_guess={"delta0_m": 0.0}), 2),
+    (lambda t: _sweep(t, oscillator={"f0_hz": 1e308}), 2),
+    (lambda t: _sweep(t, oscillator={"f0_hz": 800.0}), 2),
+    (lambda t: _sweep(t, oscillator={"f0_hz": 1e200}), 2),
 ], ids=["radius_m", "grid_list", "roughness_entries", "grid_points_fraction",
         "grid_points_bool", "bound_file_text",
         "bound_file_one_column", "bound_file_decreasing", "layer_row",
@@ -649,8 +655,8 @@ def _heightmap_force(tmp_path, body: bytes, **roughness):
         "oscillator_quality_q", "oscillator_negative_coupling",
         "oscillator_negative_inertia", "oscillator_zero_coupling", "out_is_directory",
         "oscillator_omega0_squared_overflow", "oscillator_zero_f0", "oscillator_zero_kappa",
-        "oscillator_nan_inertia"])
-@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+        "oscillator_nan_inertia", "calibration_one_gap", "calibration_one_gap_zero_delta0",
+        "oscillator_f0_overflow", "oscillator_f0_inconsistent", "oscillator_f0_huge"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, make, code):
     command, doc = make(tmp_path)
     cfg = tmp_path / "run.json"
@@ -670,6 +676,14 @@ def test_oscillator_error_names_the_constant_set(tmp_path, capsys):
             command, doc = _sweep(tmp_path, oscillator={key: bad})
             assert run([command, "--config", write_json(tmp_path / "run.json", doc)]) == 2
             assert capsys.readouterr().err == f"error: {key} must be finite and > 0\n"
+    # A resonance out of line with sqrt(kappa/inertia), or one whose 2 pi f0
+    # overflows, is reported in Hz under f0_hz, on one line of bounded width.
+    for f0 in (800.0, 1e200, 1e308):
+        command, doc = _sweep(tmp_path, oscillator={"f0_hz": f0})
+        assert run([command, "--config", write_json(tmp_path / "run.json", doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: f0_hz {f0:g} Hz ") and err.count("\n") == 1, err
+        assert len(err) < 120 and "omega0" not in err, err
 
 
 # The exit-code table of the README: every package error class carries its code.
@@ -750,7 +764,6 @@ def _finite_output(text: str) -> bool:
                ["a", "a"]))
 @example(case=({"a": {"variant": "tabulated", "plasma_ev": 9.0, "relaxation_ev": 1e300,
                       "table": "valid.csv"}}, ["a", "a"]))
-@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_fuzzed_registry_is_one_error_line_or_finite_output(case):
     registry, pair = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -832,7 +845,6 @@ def _finite_csv(path: Path) -> bool:
 @example(case=("sweep", {**_SWEEP, "oscillator": {"coupling_per_kg": -1.0}}))
 @example(case=("sweep", {**_SWEEP, "oscillator": {"inertia_kg_m2": -1e-17}}))
 @example(case=("sweep", {**_SWEEP, "oscillator": {"coupling_per_kg": 0.0}}))
-@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_fuzzed_run_config_is_one_error_line_or_finite_output(case):
     command, doc = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -849,6 +861,50 @@ def test_fuzzed_run_config_is_one_error_line_or_finite_output(case):
             written = sorted(Path(tmp).glob("*.csv"))
             assert len(written) == (2 if command == "sweep" else 1)
             assert all(_finite_csv(path) for path in written), doc
+
+
+# Calibration fuzzing: 0-12 data rows and an initial_guess. A row holds
+# plain values (gaps down to the femtometer designs) or, one time in four,
+# numbers that are as often an extreme, so most drawn designs reach the fit.
+_CAL_VALUES = ((1e-6, 2e-6, 3e-6, 1e-15, 2e-15, 3e-15), (0.1, 0.6, 0.9), (1e-14, 3e-14))
+_CAL_ROW = st.integers(0, 3).flatmap(lambda i: st.tuples(*(
+    _num(*values) if i == 0 else st.sampled_from(values) for values in _CAL_VALUES)))
+_CAL_ROWS = st.lists(_CAL_ROW, max_size=12)
+_CAL_GUESS = _some(k_n_per_f=_num(5e4), v0_v=_num(0.6), radius_m=_num(3e-4),
+                   delta0_m=_num(3e-8))
+
+
+def _finite_json(value) -> bool:
+    if isinstance(value, dict):
+        return all(_finite_json(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite_json(v) for v in value)
+    return math.isfinite(value)
+
+
+# A fit that uses up its evaluations takes about a second: few examples.
+@settings(max_examples=40, deadline=None)
+@given(rows=_CAL_ROWS, guess=_CAL_GUESS)
+@example(rows=_femtometer(1), guess={})
+@example(rows=_femtometer(1), guess={"delta0_m": 0.0})
+@example(rows=_femtometer(3), guess={})
+@example(rows=make_calibration_samples(5.028e4, 0.6325, 294.3e-6, 39.4e-9, (1e-6, 2e-6, 3e-6),
+                                      (0.1, 0.6, 0.9), noise_rel=1e-3, seed=1).tolist(), guess={})
+def test_fuzzed_calibration_is_one_error_line_or_finite_output(rows, guess):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        command, doc = _calibrate_rows(tmp, _csv_rows(rows), initial_guess=guess,
+                                       out=str(tmp / "fit.json"))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([command, "--config", write_json(tmp / "cal.json", doc)])
+        if code:
+            assert code in (1, 2, 3)
+            lines = err.getvalue().strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        else:
+            assert _finite_output(out.getvalue().replace(str(tmp), "")), rows
+            assert _finite_json(json.loads((tmp / "fit.json").read_text())), rows
 
 
 # A command is offered --seed and --tol only where its config reads the key.

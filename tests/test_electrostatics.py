@@ -324,6 +324,17 @@ class TestCalibration:
         with pytest.raises(IdentifiabilityError, match="need at least 4"):
             calibrate([], GUESS)
 
+    def test_two_separations_fail_before_the_fit(self, monkeypatch):
+        # Two gaps fix V0 and two amplitudes S(g_i/R)/k, not k, R and
+        # delta0: the design is refused before a residual is evaluated
+        # (noiseless data used to end the fit as "rank-deficient").
+        samples = make_calibration_samples(*TRUTH, Z_GRID[:2], VOLTS)
+        calls = []
+        monkeypatch.setattr(electrostatics, "_series_at", lambda *a: calls.append(a))
+        with pytest.raises(IdentifiabilityError, match=r"3 distinct separations \(got 2\)"):
+            calibrate(samples, GUESS)
+        assert calls == []
+
     def test_covariance_properties(self):
         samples = make_calibration_samples(*TRUTH, Z_GRID, VOLTS,
                                            noise_rel=2e-6, seed=3)

@@ -364,25 +364,26 @@ class TestTrimmedRule:
 
     @pytest.mark.parametrize("kind", ["pressure", "force"])
     def test_dropped_nodes_stay_within_the_truncation_term(
-            self, kind, gold_drude, copper_drude, ideal):
+            self, kind, gold_drude, copper_drude, ideal, monkeypatch):
         # Full-range minus trimmed rule at the same level, against the term
-        # that est_rel_error adds for that level.
+        # that est_rel_error adds for that level. With _MAX_LEVEL at the
+        # level and tol 0 the level loop returns that level's sum.
         for name, (m1, m2) in _pairs(gold_drude, copper_drude, ideal).items():
             for z0 in (2e-8, 1e-5):
-                z = np.array([[z0]])
+                z = np.array([z0])
                 for tol in (1e-3, 1e-8):
                     t_range = lifshitz._t_range(kind, tol)
-                    levels = (lifshitz._levels(kind, z, m1, m2, *r)
-                              for r in ((lifshitz._T_LO, lifshitz._T_HI), t_range))
-                    for level, ((full, n_full), (trim, n_trim)) in enumerate(zip(*levels)):
-                        if level == 5:
-                            break
+                    for level in range(1, 5):
+                        monkeypatch.setattr(lifshitz, "_MAX_LEVEL", level)
+                        (full, _, n_full), (trim, _, n_trim) = (
+                            lifshitz._stops(kind, z, m1, m2, 0.0, *r)
+                            for r in ((lifshitz._T_LO, lifshitz._T_HI), t_range))
                         assert n_trim < n_full
                         bound = lifshitz._truncation(*t_range, level)
                         assert abs(full[0] - trim[0]) <= bound, (name, z0, tol, level)
 
     def test_an_entry_does_not_depend_on_the_entries_stacked_with_it(
-            self, gold_drude, copper_drude):
+            self, gold_drude, copper_drude, monkeypatch):
         # A rough CLI row stacks the plain separation with the average's
         # entries, so every entry's level sums must come out bit for bit as
         # without it (a BLAS matrix-vector product does not give that).
@@ -390,13 +391,12 @@ class TestTrimmedRule:
             t_range = lifshitz._t_range(kind, 1e-6)
             for z in (2e-7, 1e-6):
                 for k in (1, 2, 3):
-                    alone = (z * (1.0 + 0.05 * np.arange(k))).reshape(-1, 1)
-                    stacked = np.vstack([alone, [[0.97 * z]]])
-                    levels = (lifshitz._levels(kind, zs, gold_drude, copper_drude, *t_range)
-                              for zs in (alone, stacked))
-                    for level, ((a, _), (b, _)) in enumerate(zip(*levels)):
-                        if level == 4:
-                            break
+                    alone = z * (1.0 + 0.05 * np.arange(k))
+                    stacked = np.append(alone, 0.97 * z)
+                    for level in range(1, 4):
+                        monkeypatch.setattr(lifshitz, "_MAX_LEVEL", level)
+                        a, b = (lifshitz._stops(kind, zs, gold_drude, copper_drude, 0.0,
+                                                *t_range)[0] for zs in (alone, stacked))
                         assert np.array_equal(a, b[:-1]), (kind, z, k, level)
 
     def test_a_stacked_entry_is_its_lone_call(self, monkeypatch):
