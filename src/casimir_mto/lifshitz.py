@@ -21,7 +21,11 @@ plus a closed-form bound on the part of the integral the trimmed t range
 drops: for eps >= 1 every reflection factor lies in [0, 1], so the
 ideal-metal integrand bounds the real one pointwise. An array of
 separations is one stacked rule, with a result and an estimate per entry;
-each entry stops at its own level.
+each entry stops at its own level. The entries of each row of a 2-D array
+(say, one separation's roughness offsets) share the eps values and
+reflection factors of the row's smallest separation z0: at z = c z0 the
+substitution u -> c u, s -> c s keeps xi and p, so only the tail
+exp(-(u+s)) and the measure see c.
 Perfect conductors take the ideal limit (reflection products = 1), which
 reproduces the closed forms -pi^2 hbar c / 240 z^4 and
 -pi^3 hbar c R / 360 z^3 exactly; those serve as the quadrature oracle.
@@ -53,6 +57,12 @@ _MAX_LEVEL = 6
 _BLOCK = 1 << 12
 # Entries of a stack integrated together: bounds the memory of a long stack.
 _STACK = 256
+# Widest ratio of separations whose entries share one rule's nodes. Over
+# four pairs, both kinds, tol 1e-3 to 1e-8 and 20 nm to 10 um, entries up
+# to 32 times their row's smallest stopped no later than alone and within
+# their estimates; from 64 times some needed an extra level. The near-strip
+# term of the truncation bound grows with the ratio (see _truncation).
+_SPREAD = 16.0
 
 # The t range of a call is trimmed so that its truncation bound, less the
 # first dropped node's share (which shrinks with the step), is at most
@@ -101,8 +111,15 @@ class LifshitzResult(Record):
     trimmed t range; ``evaluations`` counts the (u, s) nodes of the product
     rule. For an array of separations ``value`` and ``est_rel_error`` are
     arrays, one entry per separation, each from the level at which that
-    entry alone meets tol (bit for bit a call on it alone), and
-    ``evaluations`` sums every entry's nodes at its own level.
+    entry alone meets tol, and ``evaluations`` sums every entry's nodes at
+    its own level. An entry of a scalar or 1-D array is bit for bit a call
+    on it alone. The entries of a row along the last axis of a 2-D array
+    are integrated on the nodes of the row's smallest separation z0 (a row
+    wider than a factor _SPREAD = 16 splits into runs, each with its own
+    z0): an entry at z = c z0 takes z0's eps and reflection factors, its v
+    scaled by c and its sum by c^2, and a truncation bound for nodes scaled
+    by c. Its value and estimate are bit for bit those of its row alone,
+    and the row's smallest entry is its call alone.
     """
 
     value: float | np.ndarray
@@ -189,24 +206,28 @@ def _t_range(kind: str, tol: float) -> tuple[float, float]:
     return t_lo, min(_T_HI, _t(a))
 
 
-def _truncation(t_lo: float, t_hi: float, level: int) -> float:
+def _truncation(t_lo: float, t_hi: float, level: int, c=1.0):
     """Bound on the part of the integral that the level's rule on
-    [t_lo, t_hi] drops.
+    [t_lo, t_hi] drops, for an entry whose nodes are those of the rule
+    scaled by ``c`` >= 1 (a float, or an array of one per entry).
 
     With eps >= 1 every reflection factor lies in [0, 1], so the pressure
     integrand is at most g(v) = 2 v^2/(e^v - 1) and the force integrand's
     magnitude at most h(v) = -2 v log(1 - e^-v), with h <= g for v >= 1
     and both integrating to at most 4 zeta(3) over v > 0. A strip of width
-    d along either axis thus holds at most 4 zeta(3) d: x < x_lo on u and
-    on s. Beyond a = x(t_hi), either axis holds at most
-    _tails(a)[0]. The nodes dropped past t_hi sum to no more than that
-    plus the first one's weight, at most the step times x'(t_hi), times
-    the bound's u integral at s = a (the integrand falls in t there).
+    d along either axis thus holds at most 4 zeta(3) d: x < c x_lo on u and
+    on s. Beyond c a, with a = x(t_hi), either axis holds at most
+    _tails(c a)[0]. The nodes dropped past t_hi sum to no more than that
+    plus the first one's weight, at most c times the step times x'(t_hi),
+    times the bound's u integral at s = c a (the integrand falls in t there).
     """
     x_lo, a = float(_x(t_lo)), float(_x(t_hi))
-    beyond, at = _tails(a)
+    if isinstance(c, np.ndarray):
+        beyond, at = np.array([_tails(x) for x in (c * a).tolist()]).T
+    else:
+        beyond, at = _tails(c * a)
     first = 0.5 ** (level + 1) * 0.5 * math.pi * math.cosh(t_hi) * a
-    return 8.0 * _ZETA3 * x_lo + 2.0 * (beyond + first * at)
+    return 8.0 * _ZETA3 * (c * x_lo) + 2.0 * (beyond + c * first * at)
 
 
 def _reflection_factors(e, u, v, v2):
@@ -221,27 +242,18 @@ def _reflection_factors(e, u, v, v2):
     return a / (k + v) ** 2, ((e - 1.0) * (e + 1.0) * v2 - a) / (e * v + k) ** 2
 
 
-def _integrand(kind: str, u, s, e1, e2):
-    """(u+s)^2 sum_pol Q w/(1 - Q w) for pressure, (u+s) sum_pol log(1 - Q w)
-    for force, with w = exp(-(u+s)) and ``u``, ``e1``, ``e2`` broadcast
-    against ``s``. An eps of None marks a perfect conductor (factors 1; a
-    pair of them sums one polarization twice). With v = u + s,
-    Q w/(1 - Q w) = 1/expm1(v - log Q), 0 where expm1 overflows, and the
-    force takes one log of the product of the two 1 - Q w = -expm1(log Q - v).
-    """
-    v = u + s
-    v2 = v * v
-    q = [_reflection_factors(e, u, v, v2) for e in (e1, e2) if e is not None]
-    q = q[0] if len(q) == 1 else [a * b for a, b in zip(*q)]  # [] for two ideal surfaces
-    with np.errstate(divide="ignore", over="ignore"):
-        for x in q:  # log Q in place, capped at 0 where huge eps rounds Q above 1
-            np.minimum(np.log(x, out=x), 0.0, out=x)
-        lq = q or [0.0]
-        if kind == "pressure":
-            g = [1.0 / np.expm1(v - x) for x in lq]
-            return v2 * (g[0] + g[1] if q else 2.0 * g[0])
-        m = [np.expm1(x - v) for x in lq]
-        return v * (np.log(m[0] * m[1]) if q else 2.0 * np.log(-m[0]))
+def _tail(kind: str, v, v2, lq):
+    """v^2 sum_pol Q w/(1 - Q w) for pressure, v sum_pol log(1 - Q w) for
+    force, with w = exp(-v), from the polarizations' log Q ``lq`` (empty
+    for two perfect conductors, whose polarizations are equal and summed as
+    one doubled) and v2 = v*v or None. Q w/(1 - Q w) = 1/expm1(v - log Q),
+    0 where expm1 overflows, and the force takes one log of the product of
+    the two 1 - Q w = -expm1(log Q - v)."""
+    if kind == "pressure":
+        g = [1.0 / np.expm1(v - x) for x in lq or [0.0]]
+        return (v * v if v2 is None else v2) * (g[0] + g[1] if lq else 2.0 * g[0])
+    m = [np.expm1(x - v) for x in lq or [0.0]]
+    return v * (np.log(m[0] * m[1]) if lq else 2.0 * np.log(-m[0]))
 
 
 def _row_dot(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -250,19 +262,36 @@ def _row_dot(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], v)[:, 0]
 
 
-def _rule_sum(kind: str, u, e1, e2, s, ws) -> np.ndarray:
-    """sum_j ws_j f(u_i, s_j) for every row i, a block of u rows at a time.
+def _rule_sum(kind: str, u, e1, e2, s, ws, scales=None) -> np.ndarray:
+    """sum_j ws_j f(u_i, s_j) for every row i, a block of u rows at a time,
+    where f is (u+s)^2 sum_pol Q w/(1 - Q w) for pressure and
+    (u+s) sum_pol log(1 - Q w) for force, with w = exp(-(u+s)) (see _tail).
 
     ``e1``/``e2`` hold each row's permittivity, or None for a perfect
-    conductor.
+    conductor. With ``scales``, one row of sums per entry: f at v = u + s
+    scaled by c (None for 1, or an array of one c per row) on the same Q,
+    which depends on u and v only through p = v/u. That is the node
+    (c u, c s) of an entry at c times the separation, whose eps is looked
+    up at the same xi.
     """
     rows = max(1, _BLOCK // s.size)
-    sums = np.empty(u.size)
+    sums = np.empty(u.size if scales is None else (len(scales), u.size))
     for i in range(0, u.size, rows):
         b = slice(i, i + rows)
-        e1b = None if e1 is None else e1[b, None]
-        e2b = None if e2 is None else e2[b, None]
-        sums[b] = _row_dot(_integrand(kind, u[b, None], s, e1b, e2b), ws)
+        ub = u[b, None]
+        v = ub + s
+        v2 = v * v
+        q = [_reflection_factors(e[b, None], ub, v, v2) for e in (e1, e2) if e is not None]
+        q = q[0] if len(q) == 1 else [x * y for x, y in zip(*q)]  # [] for two ideal surfaces
+        with np.errstate(divide="ignore", over="ignore"):
+            for x in q:  # log Q in place, capped at 0 where huge eps rounds Q above 1
+                np.minimum(np.log(x, out=x), 0.0, out=x)
+            if scales is None:
+                sums[b] = _row_dot(_tail(kind, v, v2, q), ws)
+                continue
+            for k, c in enumerate(scales):
+                f = _tail(kind, v, v2, q) if c is None else _tail(kind, c[b, None] * v, None, q)
+                sums[k, b] = _row_dot(f, ws)
     return sums
 
 
@@ -287,58 +316,127 @@ def _lookup(eps, xi: np.ndarray, previous) -> np.ndarray | None:
 
 def _stops(kind: str, z: np.ndarray, m1, m2, tol: float, t_lo: float, t_hi: float):
     """Integrals over u, s > 0 of the Lifshitz integrand at the separations
-    of a 1-D array ``z``, their estimates and the node count. The step of
-    the product rule on t in [t_lo, t_hi] halves from level to level, and
-    each entry stops at the first level (from 1 on) where the difference to
-    the level before plus the truncation bound is within ``tol`` of its sum,
-    or at _MAX_LEVEL; stopped entries leave the levels after. The count sums
-    each entry's (u, s) nodes at its own level.
+    ``z`` and their estimates, one per entry in row-major order, and the
+    node count.
+
+    A 1-D ``z`` is one entry per row. Each row of a 2-D ``z`` (NaN marks no
+    entry) is integrated on the nodes of its smallest separation z0: an
+    entry at z = c z0 keeps z0's eps and reflection factors at every node,
+    with v scaled by c and its sum by c^2, so a row looks eps up once. The
+    step of the product rule on t in [t_lo, t_hi] halves from level to level,
+    and each entry stops at the first level (from 1 on, from 2 on for c != 1)
+    where the difference to the level before plus its truncation bound is
+    within ``tol`` of its sum, or at _MAX_LEVEL; a row leaves the levels
+    after once all its entries have stopped. The count sums each entry's
+    (u, s) nodes at its own level.
     """
+    rows = z.reshape(len(z), -1)
+    wide = rows.shape[1] > 1
+    if wide:
+        has = ~np.isnan(rows)
+        row, center = np.nonzero(has)[0], np.fmin.reduce(rows, axis=1)
+        c = rows[has] / center[row]
+        c2, scaled = c * c, bool(np.any(c != 1.0))
+    else:
+        row, center, scaled = np.arange(len(rows)), rows[:, 0], False
     eps1, eps2 = _surface_eps(m1), _surface_eps(m2)
-    sums, rel = np.empty(z.size), np.empty(z.size)
+    sums, rel = np.empty(row.size), np.empty(row.size)
     evals = 0
-    live = np.arange(z.size)
-    e_scale = HBARC_EV_M / (2.0 * z[:, None])  # photon energy per unit u, eV
+    live, live_rows = np.arange(row.size), np.arange(len(rows))
+    e_scale = HBARC_EV_M / (2.0 * center[:, None])  # photon energy per unit u, eV
     total, e1, e2 = 0.0, None, None
     for level in range(_MAX_LEVEL + 1):
         x, w = _exp_sinh(level, t_lo, t_hi)
         xi = x * e_scale
         u = np.broadcast_to(x, xi.shape)
         e1, e2 = _lookup(eps1, xi, e1), _lookup(eps2, xi, e2)
+        if wide:
+            # Each live entry takes slot k of live row r. A slot's scale is
+            # None where it is 1 in every row, and 1 where a row leaves the
+            # slot empty.
+            r = np.searchsorted(live_rows, row[live])
+            k = np.arange(live.size) - np.searchsorted(r, r)
+            scales = np.ones((len(live_rows), int(k.max()) + 1))
+            scales[r, k] = c[live]
+            cols = [None if np.all(col == 1.0) else col for col in scales.T]
         # Only pairs with a node new at this level (odd index) are evaluated;
         # the other pairs sum to a quarter of the previous level (half the
-        # step twice). Picked rows run entry by entry, and fold back per entry.
+        # step twice). Picked rows run row by row, and fold back per entry.
         new, old = (slice(1, None, 2), slice(0, None, 2)) if level else (slice(None), slice(0))
 
         def part(nodes, s, ws):
             picked = [None if a is None else a[..., nodes].flatten() for a in (u, e1, e2)]
-            return _row_dot(_rule_sum(kind, *picked, s, ws).reshape(len(xi), -1), w[nodes])
+            if not wide:
+                return _row_dot(_rule_sum(kind, *picked, s, ws).reshape(len(xi), -1), w[nodes])
+            per_row = [col if col is None else np.repeat(col, x[nodes].size) for col in cols]
+            row_sums = _rule_sum(kind, *picked, s, ws, per_row)
+            slot_sums = _row_dot(row_sums.reshape(len(cols) * len(xi), -1), w[nodes])
+            return slot_sums.reshape(len(cols), -1)[k, r]
 
         previous = total
         total = 0.25 * total + part(new, x, w) + part(old, x[new], w[new])
         if not level:
             continue
-        r = (np.abs(total - previous) + _truncation(t_lo, t_hi, level)) / np.maximum(
-            np.abs(total), 1e-300)
-        stop = (r <= tol) | (level == _MAX_LEVEL)
-        sums[live[stop]], rel[live[stop]] = total[stop], r[stop]
+        if scaled:
+            value, before = c2[live] * total, c2[live] * previous
+            bound = _truncation(t_lo, t_hi, level, c[live])
+        else:
+            value, before, bound = total, previous, _truncation(t_lo, t_hi, level)
+        est = (np.abs(value - before) + bound) / np.maximum(np.abs(value), 1e-300)
+        met = est <= tol
+        if scaled and level == 1:
+            # Scaled nodes shift the coarse rules' error, which changes sign
+            # with c: levels 0 and 1 can agree by chance while level 1 is far
+            # off. Such entries stop from level 2 on.
+            met &= c[live] == 1.0
+        stop = met | (level == _MAX_LEVEL)
+        sums[live[stop]], rel[live[stop]] = value[stop], est[stop]
         evals += x.size * x.size * int(stop.sum())
         keep = np.flatnonzero(~stop)
         if not keep.size:
             break
-        live, e_scale, total = live[keep], e_scale[keep], total[keep]
-        e1, e2 = (None if e is None else e[keep] for e in (e1, e2))
+        held = np.flatnonzero(np.bincount(r[keep])) if wide else keep  # np.unique loads numpy.ma
+        live, total, live_rows, e_scale = live[keep], total[keep], live_rows[held], e_scale[held]
+        e1, e2 = (None if e is None else e[held] for e in (e1, e2))
     return sums, rel, evals
+
+
+def _runs(z: np.ndarray) -> np.ndarray:
+    """Flat indices of the entries of ``z`` in runs that share one rule's
+    nodes, a run per row (-1 pads): each row along a 2-D ``z``'s last axis
+    by increasing separation, split before an entry more than _SPREAD times
+    its run's first; a scalar or 1-D ``z`` one entry per run."""
+    if z.ndim < 2:
+        return np.arange(z.size)[:, None]
+    width = z.shape[-1]
+    rows = z.reshape(-1, width)
+    order = np.argsort(rows, axis=1, kind="stable") + width * np.arange(len(rows))[:, None]
+    ordered = z.reshape(-1)[order]
+    if np.all(ordered[:, -1] <= _SPREAD * ordered[:, 0]):
+        return order
+    runs = []
+    for index, values in zip(order.tolist(), ordered.tolist()):
+        start = 0
+        for j, value in enumerate(values):
+            if value > _SPREAD * values[start]:
+                runs.append(index[start:j])
+                start = j
+        runs.append(index[start:])
+    width = max(map(len, runs))
+    return np.array([run + [-1] * (width - len(run)) for run in runs])
 
 
 def _lifshitz(kind: str, z, coeff: float, m1, m2, tol: float) -> LifshitzResult:
     """coeff / z_i^p times the integral of the Lifshitz integrand at each
     separation z_i, with p = 4 for pressure and 3 for force, on the t range
-    that ``tol`` allows. _stops runs the stack _STACK entries at a time, and
-    every entry stops at its own level, so its value and estimate are bit
-    for bit those of a call on it alone. Raises ConvergenceError with the
-    result attached (the finest level for the entries that did not get
-    there) when some entry does not meet ``tol`` by _MAX_LEVEL.
+    that ``tol`` allows. The entries of each row along the last axis of a
+    2-D ``z`` share the nodes of their smallest (see _stops, _runs); a
+    scalar or 1-D ``z`` is one entry per row. _stops runs whole runs, about
+    _STACK entries at a time, and every entry stops at its own level, so
+    its value and estimate are bit for bit those of its run alone, and a
+    one-entry run's those of a call on it alone. Raises ConvergenceError
+    with the result attached (the finest level for the entries that did not
+    get there) when some entry does not meet ``tol`` by _MAX_LEVEL.
     """
     z = np.asarray(z, dtype=float)
     zp = _power(z, 4 if kind == "pressure" else 3)
@@ -348,9 +446,13 @@ def _lifshitz(kind: str, z, coeff: float, m1, m2, tol: float) -> LifshitzResult:
     flat = z.reshape(-1)
     total, rel = np.empty(flat.size), np.empty(flat.size)
     evals = 0
-    for i in range(0, flat.size, _STACK):
-        chunk = slice(i, i + _STACK)
-        total[chunk], rel[chunk], nodes = _stops(kind, flat[chunk], m1, m2, tol, t_lo, t_hi)
+    runs = _runs(z)
+    step = max(1, _STACK // runs.shape[1])
+    for i in range(0, len(runs), step):
+        index = runs[i:i + step]
+        has = index >= 0
+        total[index[has]], rel[index[has]], nodes = _stops(
+            kind, np.where(has, flat[index], np.nan), m1, m2, tol, t_lo, t_hi)
         evals += nodes
     value, rel = coeff / zp * total.reshape(z.shape), rel.reshape(z.shape)
     result = LifshitzResult(value, rel, evals) if z.ndim else LifshitzResult(

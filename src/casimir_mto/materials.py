@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Iterable
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -400,7 +399,7 @@ class SampledDielectric(DielectricModel):
 
 def data_dir() -> Path:
     """Directory holding the bundled registry and tables."""
-    return Path(resources.files("casimir_mto").joinpath("data"))
+    return Path(__file__).parent / "data"
 
 
 def default_registry_path() -> Path:

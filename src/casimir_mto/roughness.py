@@ -11,8 +11,13 @@ The distribution is zero-mean by construction; the separate mean contact
 offset delta0 lives in the geometry, matching how calibration reports it.
 Averages are one stacked Lifshitz call over all their separations' entries
 (equal offsets merged), one result per entry, weighted here alone
-(``_stacked_averages``). ``nominal_and_average`` gives a separation's plain
-value from the same call, as the entry at offset zero.
+(``_stacked_averages``). The call takes a (separation, entry) array, whose
+rows share nodes: each entry is integrated on the nodes of its row's
+smallest shifted separation, with its own estimate and level (see
+``lifshitz.LifshitzResult``), so ``evaluations`` sums each entry's nodes
+at its own level. ``nominal_and_average`` gives a separation's plain
+value from the same call, as the entry at offset zero, or from a call of
+its own when no offset is zero.
 """
 
 from __future__ import annotations
@@ -214,14 +219,15 @@ def _stacked_averages(integral, shifted: np.ndarray, weights: np.ndarray):
 
 def nominal_and_average(integral, z, dist: RoughnessDistribution):
     """``integral`` at each separation of the array ``z`` and its average
-    over ``dist``, from one stacked call: z itself is the zero offset's
-    entry, or joins the stack at zero weight. ``evaluations`` of both count
-    the nodes of the whole stack."""
+    over ``dist``. With a zero offset in ``dist`` both come from one stacked
+    call, z itself being that entry; otherwise z is a call of its own, since
+    as a row's smallest entry it would set the nodes the average's entries
+    share. ``evaluations`` counts the nodes of the call each comes from."""
     zs, offsets, weights = _entries(z, dist)
-    if 0.0 not in offsets:
-        offsets, weights = np.append(offsets, 0.0), np.append(weights, 0.0)
-    k = int(np.flatnonzero(offsets == 0.0)[0])
     stacked, average = _stacked_averages(integral, zs + offsets, weights)
+    if 0.0 not in offsets:
+        return integral(zs[:, 0]), average
+    k = int(np.flatnonzero(offsets == 0.0)[0])
     nominal = LifshitzResult(stacked.value[:, k], stacked.est_rel_error[:, k], stacked.evaluations)
     return nominal, average
 

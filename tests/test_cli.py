@@ -123,6 +123,31 @@ class TestForceCommand:
                                   registry["copper_drude"], tol=1e-6)
             assert row[3] == 2.0 * math.pi * R_SPHERE * abs(p.value)
 
+    def test_one_sided_roughness_column_is_averaged_force(self, tmp_path):
+        # With every offset > 0 the row's own separation is not an entry of
+        # its average. It is integrated apart, so it does not become the
+        # smallest separation whose nodes the average's entries share: the
+        # rough column is averaged_force's and the plain columns those of
+        # the grid without roughness, bit for bit.
+        from casimir_mto.materials import load_registry
+        from casimir_mto.roughness import RoughnessDistribution, averaged_force
+
+        entries = [[1e-8, 0.5], [3e-8, 0.5]]
+        grid = [3e-7, 6e-7]
+        pair = {"pair": ["gold", "copper"]}
+        assert run(["force", "--config", self._config(tmp_path, materials=pair,
+                                                      z_grid_m=grid)]) == 0
+        plain = (tmp_path / "force.csv").read_text().splitlines()
+        cfg = self._config(tmp_path, materials=pair, z_grid_m=grid,
+                           roughness={"entries": entries})
+        assert run(["force", "--config", cfg]) == 0
+        rough = [line.split(",") for line in (tmp_path / "force.csv").read_text().splitlines()]
+        assert [",".join(row[:3]) for row in rough] == plain
+        registry = load_registry()
+        want = averaged_force(np.array(grid), R_SPHERE, RoughnessDistribution(*np.array(entries).T),
+                              registry["gold"], registry["copper"], tol=1e-6)
+        assert [float(row[3]) for row in rough[1:]] == want.value.tolist()
+
     def test_rough_row_is_one_integral(self, tmp_path, monkeypatch):
         # With a zero offset in the distribution, the plain column is that
         # entry's: every row of the grid shares one stacked call, with the
@@ -969,12 +994,13 @@ def test_parser_is_built_once(tmp_path):
     assert after.misses == before.misses and after.hits == before.hits + 2
 
 
-def _fresh_python(script: str, cwd) -> str:
-    """Run ``script`` in a new interpreter on this checkout; its last stdout line."""
+def _fresh_python(script: str, cwd, *flags: str) -> str:
+    """Run ``script`` in a new interpreter on this checkout, with ``flags``;
+    its last stdout line."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=cwd,
+    proc = subprocess.run([sys.executable, *flags, "-c", script], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
@@ -999,6 +1025,27 @@ def test_import_leaves_out_unneeded_modules(tmp_path):
         f"print(sorted({unneeded!r} & set(sys.modules)))\n"
     )
     assert _fresh_python(script, tmp_path) == "[]"
+
+
+def test_force_run_loads_no_package_resources(tmp_path):
+    # The bundled data directory is the package's own "data" folder, found
+    # without importlib.resources: a tabulated force run loads neither it
+    # nor the tempfile module it brings. The child skips ``site`` (-S), whose
+    # .pth files may load both, and finds NumPy on an explicit sys.path.
+    cfg = write_json(tmp_path / "f.json", {
+        "materials": {"pair": ["gold", "copper"]},
+        "radius_m": R_SPHERE,
+        "z_grid_m": [5e-7],
+        "out": str(tmp_path / "f.csv"),
+    })
+    script = (
+        "import sys\n"
+        f"sys.path.append({str(Path(np.__file__).resolve().parents[1])!r})\n"
+        "from casimir_mto.cli import main\n"
+        f"assert main(['force', '--config', {str(cfg)!r}]) == 0\n"
+        "print(sorted({'importlib.resources', 'tempfile'} & set(sys.modules)))\n"
+    )
+    assert _fresh_python(script, tmp_path, "-S") == "[]"
 
 
 def test_force_runs_load_no_other_command_layers(tmp_path):
@@ -1056,13 +1103,21 @@ def test_runtime_does_not_import_scipy(tmp_path):
 def test_runtime_does_not_import_numpy_ma(tmp_path):
     # Loading numpy.ma costs 10-15 ms of a process's first fit and nothing
     # here needs it: a calibration with and without v0_v (estimate_v0), a
-    # limits run on a bound file and the registry check must not load it.
+    # limits run on a bound file, the registry check and a sweep whose
+    # roughness rows share nodes must not load it.
     demo = str(data_dir() / "calibration_demo.csv")
     cal_cfg = write_json(tmp_path / "cal.json", {"data": demo})
     guess_cfg = write_json(tmp_path / "guess.json", {
         "data": demo, "initial_guess": {"v0_v": 0.6}})
     command, doc = _limits_bound_file(tmp_path, "z_m,bound_n\n1e-7,1e-14\n1e-6,2e-14\n")
     limits_cfg = write_json(tmp_path / "limits.json", doc)
+    sweep_cfg = write_json(tmp_path / "sweep.json", {
+        "materials": {"pair": ["gold", "copper"]},
+        "radius_m": R_SPHERE,
+        "z_grid_m": [2e-7, 6e-7],
+        "roughness": {"entries": [[-3e-8, 0.25], [0.0, 0.5], [3e-8, 0.25]]},
+        "out": str(tmp_path / "sweep.csv"),
+    })
     script = (
         "import sys\n"
         "from casimir_mto.cli import main\n"
@@ -1070,6 +1125,7 @@ def test_runtime_does_not_import_numpy_ma(tmp_path):
         f"assert main(['calibrate', '--config', {str(guess_cfg)!r}]) == 0\n"
         f"assert main(['{command}', '--config', {str(limits_cfg)!r}]) == 0\n"
         "assert main(['materials', 'validate']) == 0\n"
+        f"assert main(['sweep', '--config', {str(sweep_cfg)!r}]) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     assert _fresh_python(script, tmp_path) == "False"

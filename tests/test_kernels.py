@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from casimir_mto.lifshitz import _T_HI, _T_LO, _exp_sinh, _integrand, _rule_sum
+from casimir_mto.lifshitz import _T_HI, _T_LO, _exp_sinh, _rule_sum
 
 LEVEL = 4
 
@@ -138,10 +138,11 @@ NODE_EPS = [1.0, 1.0 + 2.0**-52, 1.0 + 1e-8, 7.0, 1e6, 1e15, 1e150]
 NODE_US = [1e-12, 1e-3, 1.0, 30.0, 400.0]
 
 
-def _textbook_node(kind, u, v, e1, e2):
-    """The integrand at (u, v = u + s) and its ideal-metal bound, in mpmath."""
+def _textbook_node(kind, u, v, e1, e2, c=1.0):
+    """The integrand at (c u, c v), with v = u + s, and its ideal-metal
+    bound, in mpmath."""
     with mpmath.workdps(30):
-        u, v = mpmath.mpf(u), mpmath.mpf(v)
+        u, v = c * mpmath.mpf(u), c * mpmath.mpf(v)
         p = v / u
 
         def r(e):
@@ -158,6 +159,10 @@ def _textbook_node(kind, u, v, e1, e2):
         return v * sum(mpmath.log1p(-x) for x in qw), -2 * v * mpmath.log1p(-w)
 
 
+# Scales c of entries that share a row's nodes (see lifshitz._stops).
+NODE_SCALES = [None, 1.35, 3.0]
+
+
 @pytest.mark.parametrize("kind", ["pressure", "force"])
 @pytest.mark.parametrize("pair", ["real/real", "real/ideal", "ideal/ideal"])
 def test_integrand_nodes_vs_textbook(kind, pair):
@@ -165,16 +170,23 @@ def test_integrand_nodes_vs_textbook(kind, pair):
     of 2^-52 times max(1, v): below that, Q w and 1 - Q w are not resolved
     in doubles (Q within rounding of 1 as v -> 0, or w below 2^-52 at large
     v, where log(1 - Q w) rounds to 0). The oracle takes v = u + s as
-    rounded to a double, as the rule's nodes are."""
+    rounded to a double, as the rule's nodes are. An entry at scale c on
+    the same node is the textbook integrand at (c u, c v), with the same
+    eps: the node of a separation c times as large at the same xi. Each
+    node is the product rule on one u row and one s node of weight 1."""
     eps = {"real/real": list(itertools.product(NODE_EPS, NODE_EPS)),
            "real/ideal": [(e, None) for e in NODE_EPS],
            "ideal/ideal": [(None, None)]}[pair]
+    scales = [c if c is None else np.array([c]) for c in NODE_SCALES]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for (e1, e2), u, s in itertools.product(eps, NODE_US, NODE_US):
-            got = _integrand(kind, np.array([[u]]), np.array([s]),
-                             *(None if e is None else np.array([[e]]) for e in (e1, e2)))
+            got = _rule_sum(kind, np.array([u]),
+                            *(None if e is None else np.array([e]) for e in (e1, e2)),
+                            np.array([s]), np.array([1.0]), scales)
             v = u + s
-            want, ideal = _textbook_node(kind, u, v, e1, e2)
-            bound = 1e-14 * ideal + 8 * 2.0**-52 * max(1.0, v)
-            assert abs(got[0, 0] - want) <= bound, (u, s, e1, e2, got[0, 0], want)
+            for c, node in zip(NODE_SCALES, got[:, 0]):
+                c = 1.0 if c is None else c
+                want, ideal = _textbook_node(kind, u, v, e1, e2, c)
+                bound = 1e-14 * ideal + 8 * 2.0**-52 * max(1.0, c * v)
+                assert abs(node - want) <= bound, (c, u, s, e1, e2, node, want)

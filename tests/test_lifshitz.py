@@ -3,10 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casimir_mto import lifshitz
 from casimir_mto.constants import CODATA, HBARC_EV_M
-from casimir_mto.errors import DomainError
+from casimir_mto.errors import ConvergenceError, DomainError
 from casimir_mto.lifshitz import (
     SpherePlaneGeometry,
     force_sphere_plane,
@@ -399,6 +401,40 @@ class TestTrimmedRule:
                                                 *t_range)[0] for zs in (alone, stacked))
                         assert np.array_equal(a, b[:-1]), (kind, z, k, level)
 
+    def test_a_row_does_not_depend_on_the_rows_stacked_with_it(self, monkeypatch):
+        # Rows of a 2-D stack share nodes within themselves only: a row's
+        # entries come out bit for bit as in a call on that row alone, in any
+        # order along the row, beside any rows and across chunk boundaries.
+        # The last row is wider than _SPREAD and splits into two runs.
+        registry = load_registry()
+        au, cu = registry["gold"], registry["copper"]
+        offsets = np.array([-3e-8, 0.0, 1e-8, 3e-8])
+        zs = np.array([2e-7, 6e-7, 1.1e-6])[:, None] + offsets
+        zs = np.vstack([zs, 1e-7 * np.array([1.0, 3.0, 20.0, 40.0])])
+        for kind in ("pressure", "force"):
+            alone = [_integral(kind, row[None, :], au, cu, 1e-6) for row in zs]
+            flipped = _integral(kind, zs[-1:, ::-1], au, cu, 1e-6)
+            assert np.array_equal(flipped.value[0, ::-1], alone[-1].value[0])
+            for stack in (lifshitz._STACK, 8, 1):
+                monkeypatch.setattr(lifshitz, "_STACK", stack)
+                res = _integral(kind, zs, au, cu, 1e-6)
+                assert np.array_equal(res.value, np.vstack([a.value for a in alone]))
+                assert np.array_equal(res.est_rel_error,
+                                      np.vstack([a.est_rel_error for a in alone]))
+                assert res.evaluations == sum(a.evaluations for a in alone)
+
+    def test_a_rows_smallest_entry_is_its_lone_call(self):
+        # The entry whose nodes a row shares has scale 1: its value and
+        # estimate are those of a call on it alone.
+        registry = load_registry()
+        au, cu = registry["gold"], registry["copper"]
+        zs = np.array([3e-7, 1e-6])[:, None] * np.array([1.2, 1.0, 1.5])
+        for kind in ("pressure", "force"):
+            res = _integral(kind, zs, au, cu, 1e-6)
+            lone = _integral(kind, zs[:, 1], au, cu, 1e-6)
+            assert np.array_equal(res.value[:, 1], lone.value)
+            assert np.array_equal(res.est_rel_error[:, 1], lone.est_rel_error)
+
     def test_a_stacked_entry_is_its_lone_call(self, monkeypatch):
         # Alone, the 1.1 um Au/Cu force stops a level before its neighbours;
         # stacked, it must still stop there, also across a chunk boundary.
@@ -452,3 +488,63 @@ class TestTrimmedRule:
     def test_eps_below_one_is_a_domain_error(self, eps, ideal):
         with pytest.raises(DomainError, match=">= 1"):
             pressure_plane_plane(1e-6, ArrayEps(eps), ideal, tol=1e-6)
+
+
+def _reference(name, kind, z, m1, m2):
+    """Each entry of ``z`` alone at tol 1e-8 (the closed form for the ideal
+    pair), and its estimate."""
+    if name == "ideal":
+        exact = (ideal_pressure_plane_plane(1.0) * z**-4.0 if kind == "pressure"
+                 else ideal_force_sphere_plane(1.0, R_SPHERE) * z**-3.0)
+        return exact, 0.0
+    tight = _integral(kind, z, m1, m2, 1e-8)
+    return tight.value, tight.est_rel_error
+
+
+class TestSharedRows:
+    """The entries of a row of a 2-D stack share the eps values and
+    reflection factors of its smallest; each still bounds its own error and
+    converges where it would alone."""
+
+    SCALES = np.array([1.0, 1.05, 1.5, 4.0, lifshitz._SPREAD])
+
+    @pytest.mark.parametrize("kind", ["pressure", "force"])
+    def test_every_entry_is_within_its_estimate(self, kind, gold_drude, copper_drude, ideal):
+        zs = np.array([2e-8, 1e-7, 5e-7, 2e-6])[:, None] * self.SCALES
+        for name, (m1, m2) in _pairs(gold_drude, copper_drude, ideal).items():
+            if name == "mixed":
+                continue
+            ref, ref_est = _reference(name, kind, zs, m1, m2)
+            for tol in (1e-3, 1e-4, 1e-6):
+                res = _integral(kind, zs, m1, m2, tol)
+                assert np.all(res.est_rel_error <= tol)
+                true = np.abs(res.value / ref - 1.0)
+                assert np.all(true <= res.est_rel_error + ref_est), (name, tol)
+
+    @given(z_min=st.floats(2e-8, 1e-5), spread=st.floats(1.0, lifshitz._SPREAD),
+           name=st.sampled_from(["ideal", "drude", "tabulated"]),
+           kind=st.sampled_from(["pressure", "force"]),
+           tol=st.sampled_from([1e-3, 1e-4, 1e-6]))
+    @settings(max_examples=30, deadline=None)
+    def test_a_row_converges_where_its_entries_do(
+            self, z_min, spread, name, kind, tol, gold_drude, copper_drude, ideal):
+        m1, m2 = _pairs(gold_drude, copper_drude, ideal)[name]
+        row = z_min * spread ** np.linspace(0.0, 1.0, 4)
+        try:
+            _integral(kind, row, m1, m2, tol)
+        except ConvergenceError:
+            return
+        res = _integral(kind, row[None, :], m1, m2, tol)
+        ref, ref_est = _reference(name, kind, row, m1, m2)
+        assert np.all(np.abs(res.value[0] / ref - 1.0) <= res.est_rel_error[0] + ref_est)
+
+    def test_scaled_truncation_bound_takes_each_scale(self):
+        # An array of scales gives each scale's float bound, and scale 1 is
+        # the unscaled bound bit for bit.
+        t_range = lifshitz._t_range("force", 1e-6)
+        scales = np.array([1.0, 1.35, 3.0])
+        for level in range(1, 4):
+            bounds = lifshitz._truncation(*t_range, level, scales)
+            assert bounds.tolist() == [lifshitz._truncation(*t_range, level, c)
+                                       for c in scales.tolist()]
+            assert bounds[0] == lifshitz._truncation(*t_range, level)
