@@ -47,12 +47,7 @@ from .inputs import Cfg, read_json_object, read_table
 # oscillator and yukawa are imported inside the handlers that run them.
 from .lifshitz import force_sphere_plane, gradient_from_pressure, pressure_plane_plane
 from .materials import PerfectConductor, Tabulated, load_registry
-from .roughness import (
-    RoughnessDistribution,
-    load_heightmap,
-    nominal_and_average,
-    weights_from_heightmaps,
-)
+from .roughness import RoughnessDistribution, average, load_heightmap, weights_from_heightmaps
 
 
 def _float_array(spec, where: str) -> np.ndarray:
@@ -176,11 +171,10 @@ def cmd_grid(args) -> int:
     """``force`` (F or dF/dz) and ``pressure`` over a separation grid.
 
     Each row holds the plain value and its error estimate, plus the
-    roughness average when a distribution is configured. The whole grid is
-    one stacked Lifshitz call (``roughness.nominal_and_average``) over every
-    row's roughness entries with the row's own separation among them; no
-    roughness is the one-entry distribution. The gradient is 2 pi R |P| of
-    the plain or averaged pressure.
+    roughness average when a distribution is configured. The plain values
+    are one stacked Lifshitz call over the grid, the averages one more over
+    every row's roughness entries (``roughness.average``). The gradient is
+    2 pi R |P| of the plain or averaged pressure.
     """
     cfg = _config(args)
     m1, m2 = _resolve_materials(cfg.take("materials"), "materials")
@@ -206,11 +200,12 @@ def cmd_grid(args) -> int:
     def column(r):
         return gradient_from_pressure(r, radius) if quantity == "gradient" else r
 
-    nominal, average = (column(r) for r in nominal_and_average(integral, grid, dist))
+    # The average first: it checks every shifted separation before any integral.
+    rough = [] if rough_spec is None else [column(average(integral, grid, dist)).value]
+    nominal = column(integral(grid))
     col = _COLUMNS[quantity]
-    header = ["z_m", col, "est_rel_error"] + ([f"{col}_rough"] if rough_spec is not None else [])
-    columns = [grid, nominal.value, nominal.est_rel_error, average.value][:len(header)]
-    _write_csv(out, header, zip(*columns))
+    header = ["z_m", col, "est_rel_error"] + [f"{col}_rough"] * len(rough)
+    _write_csv(out, header, zip(grid, nominal.value, nominal.est_rel_error, *rough))
     print(f"wrote {grid.size} rows to {out}")
     return 0
 

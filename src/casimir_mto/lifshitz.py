@@ -206,10 +206,11 @@ def _t_range(kind: str, tol: float) -> tuple[float, float]:
     return t_lo, min(_T_HI, _t(a))
 
 
-def _truncation(t_lo: float, t_hi: float, level: int, c=1.0):
-    """Bound on the part of the integral that the level's rule on
-    [t_lo, t_hi] drops, for an entry whose nodes are those of the rule
-    scaled by ``c`` >= 1 (a float, or an array of one per entry).
+def _truncation(t_lo: float, t_hi: float, c: np.ndarray) -> np.ndarray:
+    """Bounds on the part of the integral that the rule on [t_lo, t_hi]
+    drops, one row per level and one column per entry, for entries whose
+    nodes are those of the rule scaled by ``c`` >= 1 (1 for the rule's own
+    nodes).
 
     With eps >= 1 every reflection factor lies in [0, 1], so the pressure
     integrand is at most g(v) = 2 v^2/(e^v - 1) and the force integrand's
@@ -220,13 +221,12 @@ def _truncation(t_lo: float, t_hi: float, level: int, c=1.0):
     _tails(c a)[0]. The nodes dropped past t_hi sum to no more than that
     plus the first one's weight, at most c times the step times x'(t_hi),
     times the bound's u integral at s = c a (the integrand falls in t there).
+    _tails runs on floats, so an entry's bound does not depend on the others.
     """
     x_lo, a = float(_x(t_lo)), float(_x(t_hi))
-    if isinstance(c, np.ndarray):
-        beyond, at = np.array([_tails(x) for x in (c * a).tolist()]).T
-    else:
-        beyond, at = _tails(c * a)
-    first = 0.5 ** (level + 1) * 0.5 * math.pi * math.cosh(t_hi) * a
+    beyond, at = np.array([_tails(x) for x in (c * a).tolist()]).T
+    first = np.array([[0.5 ** (level + 1) * 0.5 * math.pi * math.cosh(t_hi) * a]
+                      for level in range(_MAX_LEVEL + 1)])
     return 8.0 * _ZETA3 * (c * x_lo) + 2.0 * (beyond + c * first * at)
 
 
@@ -242,16 +242,16 @@ def _reflection_factors(e, u, v, v2):
     return a / (k + v) ** 2, ((e - 1.0) * (e + 1.0) * v2 - a) / (e * v + k) ** 2
 
 
-def _tail(kind: str, v, v2, lq):
+def _tail(kind: str, v, lq):
     """v^2 sum_pol Q w/(1 - Q w) for pressure, v sum_pol log(1 - Q w) for
     force, with w = exp(-v), from the polarizations' log Q ``lq`` (empty
     for two perfect conductors, whose polarizations are equal and summed as
-    one doubled) and v2 = v*v or None. Q w/(1 - Q w) = 1/expm1(v - log Q),
-    0 where expm1 overflows, and the force takes one log of the product of
-    the two 1 - Q w = -expm1(log Q - v)."""
+    one doubled). Q w/(1 - Q w) = 1/expm1(v - log Q), 0 where expm1
+    overflows, and the force takes one log of the product of the two
+    1 - Q w = -expm1(log Q - v)."""
     if kind == "pressure":
         g = [1.0 / np.expm1(v - x) for x in lq or [0.0]]
-        return (v * v if v2 is None else v2) * (g[0] + g[1] if lq else 2.0 * g[0])
+        return (v * v) * (g[0] + g[1] if lq else 2.0 * g[0])
     m = [np.expm1(x - v) for x in lq or [0.0]]
     return v * (np.log(m[0] * m[1]) if lq else 2.0 * np.log(-m[0]))
 
@@ -262,20 +262,20 @@ def _row_dot(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], v)[:, 0]
 
 
-def _rule_sum(kind: str, u, e1, e2, s, ws, scales=None) -> np.ndarray:
-    """sum_j ws_j f(u_i, s_j) for every row i, a block of u rows at a time,
-    where f is (u+s)^2 sum_pol Q w/(1 - Q w) for pressure and
-    (u+s) sum_pol log(1 - Q w) for force, with w = exp(-(u+s)) (see _tail).
+def _rule_sum(kind: str, u, e1, e2, s, ws, scales) -> np.ndarray:
+    """sum_j ws_j f(c_i u_i, c_i s_j) for every row i and every entry of
+    ``scales``, a block of u rows at a time: one row of sums per entry.
+    f is (u+s)^2 sum_pol Q w/(1 - Q w) for pressure and (u+s) sum_pol
+    log(1 - Q w) for force, with w = exp(-(u+s)) (see _tail).
 
     ``e1``/``e2`` hold each row's permittivity, or None for a perfect
-    conductor. With ``scales``, one row of sums per entry: f at v = u + s
-    scaled by c (None for 1, or an array of one c per row) on the same Q,
-    which depends on u and v only through p = v/u. That is the node
-    (c u, c s) of an entry at c times the separation, whose eps is looked
-    up at the same xi.
+    conductor. An entry of ``scales`` is None for c = 1 or an array of one
+    c per row; Q is the same for every c, since it depends on u and v only
+    through p = v/u. The node (c u, c s) is that of an entry at c times the
+    separation, whose eps is looked up at the same xi.
     """
     rows = max(1, _BLOCK // s.size)
-    sums = np.empty(u.size if scales is None else (len(scales), u.size))
+    sums = np.empty((len(scales), u.size))
     for i in range(0, u.size, rows):
         b = slice(i, i + rows)
         ub = u[b, None]
@@ -286,12 +286,8 @@ def _rule_sum(kind: str, u, e1, e2, s, ws, scales=None) -> np.ndarray:
         with np.errstate(divide="ignore", over="ignore"):
             for x in q:  # log Q in place, capped at 0 where huge eps rounds Q above 1
                 np.minimum(np.log(x, out=x), 0.0, out=x)
-            if scales is None:
-                sums[b] = _row_dot(_tail(kind, v, v2, q), ws)
-                continue
             for k, c in enumerate(scales):
-                f = _tail(kind, v, v2, q) if c is None else _tail(kind, c[b, None] * v, None, q)
-                sums[k, b] = _row_dot(f, ws)
+                sums[k, b] = _row_dot(_tail(kind, v if c is None else c[b, None] * v, q), ws)
     return sums
 
 
@@ -314,51 +310,48 @@ def _lookup(eps, xi: np.ndarray, previous) -> np.ndarray | None:
     return e
 
 
+def _slots(r: np.ndarray, c: np.ndarray):
+    """Slot k of each entry within its row ``r`` (entries grouped by row, in
+    row order) and, per slot, the scales ``c`` of its rows' entries: None
+    where c is 1 in every row, and 1 where a row leaves the slot empty."""
+    k = np.arange(r.size) - np.searchsorted(r, r)
+    scales = np.ones((int(r[-1]) + 1, int(k.max()) + 1))
+    scales[r, k] = c
+    return k, [None if np.all(col == 1.0) else col for col in scales.T]
+
+
 def _stops(kind: str, z: np.ndarray, m1, m2, tol: float, t_lo: float, t_hi: float):
     """Integrals over u, s > 0 of the Lifshitz integrand at the separations
     ``z`` and their estimates, one per entry in row-major order, and the
     node count.
 
-    A 1-D ``z`` is one entry per row. Each row of a 2-D ``z`` (NaN marks no
-    entry) is integrated on the nodes of its smallest separation z0: an
-    entry at z = c z0 keeps z0's eps and reflection factors at every node,
-    with v scaled by c and its sum by c^2, so a row looks eps up once. The
-    step of the product rule on t in [t_lo, t_hi] halves from level to level,
-    and each entry stops at the first level (from 1 on, from 2 on for c != 1)
-    where the difference to the level before plus its truncation bound is
-    within ``tol`` of its sum, or at _MAX_LEVEL; a row leaves the levels
-    after once all its entries have stopped. The count sums each entry's
-    (u, s) nodes at its own level.
+    Each row of the 2-D ``z`` (NaN pads its end) is integrated on the nodes
+    of its first entry z0, its smallest: an entry at z = c z0 keeps z0's eps
+    and reflection factors at every node, with v scaled by c and its sum by
+    c^2, so a row looks eps up once. A one-entry row is z0 alone (c = 1).
+    The step of the product rule on t in [t_lo, t_hi] halves from level to
+    level, and each entry stops at the first level (from 1 on, from 2 on for
+    c != 1) where the difference to the level before plus its truncation
+    bound is within ``tol`` of its sum, or at _MAX_LEVEL; a row leaves the
+    levels after once all its entries have stopped. The count sums each
+    entry's (u, s) nodes at its own level.
     """
-    rows = z.reshape(len(z), -1)
-    wide = rows.shape[1] > 1
-    if wide:
-        has = ~np.isnan(rows)
-        row, center = np.nonzero(has)[0], np.fmin.reduce(rows, axis=1)
-        c = rows[has] / center[row]
-        c2, scaled = c * c, bool(np.any(c != 1.0))
-    else:
-        row, center, scaled = np.arange(len(rows)), rows[:, 0], False
+    has = ~np.isnan(z)
+    row = np.nonzero(has)[0]
+    c = z[has] / z[row, 0]
+    c2, bounds = c * c, _truncation(t_lo, t_hi, c)
     eps1, eps2 = _surface_eps(m1), _surface_eps(m2)
     sums, rel = np.empty(row.size), np.empty(row.size)
     evals = 0
-    live, live_rows = np.arange(row.size), np.arange(len(rows))
-    e_scale = HBARC_EV_M / (2.0 * center[:, None])  # photon energy per unit u, eV
+    live, r = np.arange(row.size), row  # r: each live entry's live row
+    k, cols = _slots(r, c)
+    e_scale = HBARC_EV_M / (2.0 * z[:, :1])  # photon energy per unit u, eV
     total, e1, e2 = 0.0, None, None
     for level in range(_MAX_LEVEL + 1):
         x, w = _exp_sinh(level, t_lo, t_hi)
         xi = x * e_scale
         u = np.broadcast_to(x, xi.shape)
         e1, e2 = _lookup(eps1, xi, e1), _lookup(eps2, xi, e2)
-        if wide:
-            # Each live entry takes slot k of live row r. A slot's scale is
-            # None where it is 1 in every row, and 1 where a row leaves the
-            # slot empty.
-            r = np.searchsorted(live_rows, row[live])
-            k = np.arange(live.size) - np.searchsorted(r, r)
-            scales = np.ones((len(live_rows), int(k.max()) + 1))
-            scales[r, k] = c[live]
-            cols = [None if np.all(col == 1.0) else col for col in scales.T]
         # Only pairs with a node new at this level (odd index) are evaluated;
         # the other pairs sum to a quarter of the previous level (half the
         # step twice). Picked rows run row by row, and fold back per entry.
@@ -366,8 +359,6 @@ def _stops(kind: str, z: np.ndarray, m1, m2, tol: float, t_lo: float, t_hi: floa
 
         def part(nodes, s, ws):
             picked = [None if a is None else a[..., nodes].flatten() for a in (u, e1, e2)]
-            if not wide:
-                return _row_dot(_rule_sum(kind, *picked, s, ws).reshape(len(xi), -1), w[nodes])
             per_row = [col if col is None else np.repeat(col, x[nodes].size) for col in cols]
             row_sums = _rule_sum(kind, *picked, s, ws, per_row)
             slot_sums = _row_dot(row_sums.reshape(len(cols) * len(xi), -1), w[nodes])
@@ -377,14 +368,11 @@ def _stops(kind: str, z: np.ndarray, m1, m2, tol: float, t_lo: float, t_hi: floa
         total = 0.25 * total + part(new, x, w) + part(old, x[new], w[new])
         if not level:
             continue
-        if scaled:
-            value, before = c2[live] * total, c2[live] * previous
-            bound = _truncation(t_lo, t_hi, level, c[live])
-        else:
-            value, before, bound = total, previous, _truncation(t_lo, t_hi, level)
-        est = (np.abs(value - before) + bound) / np.maximum(np.abs(value), 1e-300)
+        value = c2[live] * total
+        est = (np.abs(value - c2[live] * previous) + bounds[level, live]) / np.maximum(
+            np.abs(value), 1e-300)
         met = est <= tol
-        if scaled and level == 1:
+        if level == 1:
             # Scaled nodes shift the coarse rules' error, which changes sign
             # with c: levels 0 and 1 can agree by chance while level 1 is far
             # off. Such entries stop from level 2 on.
@@ -395,9 +383,11 @@ def _stops(kind: str, z: np.ndarray, m1, m2, tol: float, t_lo: float, t_hi: floa
         keep = np.flatnonzero(~stop)
         if not keep.size:
             break
-        held = np.flatnonzero(np.bincount(r[keep])) if wide else keep  # np.unique loads numpy.ma
-        live, total, live_rows, e_scale = live[keep], total[keep], live_rows[held], e_scale[held]
-        e1, e2 = (None if e is None else e[held] for e in (e1, e2))
+        if keep.size < live.size:  # rows and slots change only when an entry stops
+            held = np.flatnonzero(np.bincount(r[keep]))  # np.unique loads numpy.ma
+            live, total, r = live[keep], total[keep], np.searchsorted(held, r[keep])
+            e_scale, e1, e2 = (None if e is None else e[held] for e in (e_scale, e1, e2))
+            k, cols = _slots(r, c[live])
     return sums, rel, evals
 
 

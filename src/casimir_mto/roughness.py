@@ -11,13 +11,13 @@ The distribution is zero-mean by construction; the separate mean contact
 offset delta0 lives in the geometry, matching how calibration reports it.
 Averages are one stacked Lifshitz call over all their separations' entries
 (equal offsets merged), one result per entry, weighted here alone
-(``_stacked_averages``). The call takes a (separation, entry) array, whose
+(``average``). The call takes a (separation, entry) array, whose
 rows share nodes: each entry is integrated on the nodes of its row's
 smallest shifted separation, with its own estimate and level (see
 ``lifshitz.LifshitzResult``), so ``evaluations`` sums each entry's nodes
-at its own level. ``nominal_and_average`` gives a separation's plain
-value from the same call, as the entry at offset zero, or from a call of
-its own when no offset is zero.
+at its own level. A separation's plain value is a call of its own: as
+an entry of a row it would sit on the nodes of the row's smallest
+separation, not its own.
 """
 
 from __future__ import annotations
@@ -204,41 +204,21 @@ def _entries(z, dist: RoughnessDistribution) -> tuple[np.ndarray, np.ndarray, np
     return z, offsets[first][keep], weights[keep]
 
 
-def _stacked_averages(integral, shifted: np.ndarray, weights: np.ndarray):
-    """One ``integral`` call on a (separation, entry) array ``shifted``: the
-    stacked result, and per row sum_i w_i v_i of the entry values v_i,
-    exactly rounded (zero weights leave it unchanged), with estimate
+def average(integral, z, dist: RoughnessDistribution) -> LifshitzResult:
+    """sum_i w_i v_i at each separation of ``z`` (a float for a scalar z),
+    exactly rounded (zero weights leave it unchanged), of the entry values
+    v_i that one call of ``integral`` (separations -> LifshitzResult) gives
+    on the (separation, entry) array, with estimate
     sum_i w_i |v_i| e_i / |sum_i w_i v_i|: eps >= 1 gives every entry one
     sign, so that is the weighted mean of the entries' estimates e_i."""
-    result = integral(shifted)
+    zs, offsets, weights = _entries(z, dist)
+    result = integral(zs + offsets)
     terms = weights * result.value
     value = np.array([math.fsum(row) for row in terms.tolist()])
     est = (np.abs(terms) * result.est_rel_error).sum(axis=1) / np.maximum(np.abs(value), 1e-300)
-    return result, LifshitzResult(value, est, result.evaluations)
-
-
-def nominal_and_average(integral, z, dist: RoughnessDistribution):
-    """``integral`` at each separation of the array ``z`` and its average
-    over ``dist``. With a zero offset in ``dist`` both come from one stacked
-    call, z itself being that entry; otherwise z is a call of its own, since
-    as a row's smallest entry it would set the nodes the average's entries
-    share. ``evaluations`` counts the nodes of the call each comes from."""
-    zs, offsets, weights = _entries(z, dist)
-    stacked, average = _stacked_averages(integral, zs + offsets, weights)
-    if 0.0 not in offsets:
-        return integral(zs[:, 0]), average
-    k = int(np.flatnonzero(offsets == 0.0)[0])
-    nominal = LifshitzResult(stacked.value[:, k], stacked.est_rel_error[:, k], stacked.evaluations)
-    return nominal, average
-
-
-def _average(integral, z, dist: RoughnessDistribution) -> LifshitzResult:
-    zs, offsets, weights = _entries(z, dist)
-    average = _stacked_averages(integral, zs + offsets, weights)[1]
     if np.ndim(z):
-        return average
-    return LifshitzResult(float(average.value[0]), float(average.est_rel_error[0]),
-                          average.evaluations)
+        return LifshitzResult(value, est, result.evaluations)
+    return LifshitzResult(float(value[0]), float(est[0]), result.evaluations)
 
 
 def averaged_pressure(z, dist: RoughnessDistribution, m1, m2,
@@ -249,11 +229,11 @@ def averaged_pressure(z, dist: RoughnessDistribution, m1, m2,
     Lifshitz call over every separation's entries; ``evaluations`` counts
     the nodes of them all.
     """
-    return _average(lambda s: pressure_plane_plane(s, m1, m2, tol=tol), z, dist)
+    return average(lambda s: pressure_plane_plane(s, m1, m2, tol=tol), z, dist)
 
 
 def averaged_force(z, radius: float, dist: RoughnessDistribution,
                    m1, m2, tol: float = 1e-6) -> LifshitzResult:
     """Roughness-averaged sphere-plane force: sum_i w_i F(z + offset_i);
     an array ``z`` as for the pressure."""
-    return _average(lambda s: force_sphere_plane(s, radius, m1, m2, tol=tol), z, dist)
+    return average(lambda s: force_sphere_plane(s, radius, m1, m2, tol=tol), z, dist)

@@ -125,10 +125,10 @@ class TestForceCommand:
 
     def test_one_sided_roughness_column_is_averaged_force(self, tmp_path):
         # With every offset > 0 the row's own separation is not an entry of
-        # its average. It is integrated apart, so it does not become the
-        # smallest separation whose nodes the average's entries share: the
-        # rough column is averaged_force's and the plain columns those of
-        # the grid without roughness, bit for bit.
+        # its average, and does not become the smallest separation whose
+        # nodes the average's entries share: the rough column is
+        # averaged_force's and the plain columns those of the grid without
+        # roughness, bit for bit.
         from casimir_mto.materials import load_registry
         from casimir_mto.roughness import RoughnessDistribution, averaged_force
 
@@ -149,9 +149,10 @@ class TestForceCommand:
         assert [float(row[3]) for row in rough[1:]] == want.value.tolist()
 
     def test_rough_row_is_one_integral(self, tmp_path, monkeypatch):
-        # With a zero offset in the distribution, the plain column is that
-        # entry's: every row of the grid shares one stacked call, with the
-        # nodes of the rows' averages made one by one.
+        # Every row's average comes from one stacked call, with the nodes of
+        # the rows' averages made one by one. The plain column is one more
+        # call, the grid without roughness bit for bit, though the zero
+        # offset is not the smallest of its row.
         from casimir_mto import lifshitz
         from casimir_mto.materials import load_registry
         from casimir_mto.roughness import RoughnessDistribution, averaged_force
@@ -161,6 +162,8 @@ class TestForceCommand:
         registry = load_registry()
         want = [averaged_force(z, R_SPHERE, RoughnessDistribution(*np.array(entries).T),
                                registry["gold"], registry["copper"], tol=1e-6) for z in grid]
+        plain = lifshitz.force_sphere_plane(np.array(grid), R_SPHERE, registry["gold"],
+                                            registry["copper"], tol=1e-6)
         nodes = []
         integral = lifshitz._lifshitz
 
@@ -173,9 +176,11 @@ class TestForceCommand:
         cfg = self._config(tmp_path, materials={"pair": ["gold", "copper"]},
                            roughness={"entries": entries}, z_grid_m=grid)
         assert run(["force", "--config", cfg]) == 0
-        assert nodes == [sum(w.evaluations for w in want)]
+        assert nodes == [sum(w.evaluations for w in want), plain.evaluations]
         rows = np.loadtxt(tmp_path / "force.csv", delimiter=",", skiprows=1)
         assert rows[:, 3].tolist() == [w.value for w in want]
+        assert rows[:, 1].tolist() == plain.value.tolist()
+        assert rows[:, 2].tolist() == plain.est_rel_error.tolist()
 
     def test_one_entry_roughness_is_the_plain_grid(self, tmp_path):
         # A grid without roughness is the one-entry distribution: configuring

@@ -372,7 +372,7 @@ class TestTrimmedRule:
         # level and tol 0 the level loop returns that level's sum.
         for name, (m1, m2) in _pairs(gold_drude, copper_drude, ideal).items():
             for z0 in (2e-8, 1e-5):
-                z = np.array([z0])
+                z = np.array([[z0]])
                 for tol in (1e-3, 1e-8):
                     t_range = lifshitz._t_range(kind, tol)
                     for level in range(1, 5):
@@ -381,14 +381,14 @@ class TestTrimmedRule:
                             lifshitz._stops(kind, z, m1, m2, 0.0, *r)
                             for r in ((lifshitz._T_LO, lifshitz._T_HI), t_range))
                         assert n_trim < n_full
-                        bound = lifshitz._truncation(*t_range, level)
+                        bound = lifshitz._truncation(*t_range, np.ones(1))[level, 0]
                         assert abs(full[0] - trim[0]) <= bound, (name, z0, tol, level)
 
     def test_an_entry_does_not_depend_on_the_entries_stacked_with_it(
             self, gold_drude, copper_drude, monkeypatch):
-        # A rough CLI row stacks the plain separation with the average's
-        # entries, so every entry's level sums must come out bit for bit as
-        # without it (a BLAS matrix-vector product does not give that).
+        # One-entry rows stacked together: every entry's level sums must
+        # come out bit for bit as without the others (a BLAS matrix-vector
+        # product does not give that).
         for kind in ("pressure", "force"):
             t_range = lifshitz._t_range(kind, 1e-6)
             for z in (2e-7, 1e-6):
@@ -397,8 +397,8 @@ class TestTrimmedRule:
                     stacked = np.append(alone, 0.97 * z)
                     for level in range(1, 4):
                         monkeypatch.setattr(lifshitz, "_MAX_LEVEL", level)
-                        a, b = (lifshitz._stops(kind, zs, gold_drude, copper_drude, 0.0,
-                                                *t_range)[0] for zs in (alone, stacked))
+                        a, b = (lifshitz._stops(kind, zs[:, None], gold_drude, copper_drude,
+                                                0.0, *t_range)[0] for zs in (alone, stacked))
                         assert np.array_equal(a, b[:-1]), (kind, z, k, level)
 
     def test_a_row_does_not_depend_on_the_rows_stacked_with_it(self, monkeypatch):
@@ -539,12 +539,17 @@ class TestSharedRows:
         assert np.all(np.abs(res.value[0] / ref - 1.0) <= res.est_rel_error[0] + ref_est)
 
     def test_scaled_truncation_bound_takes_each_scale(self):
-        # An array of scales gives each scale's float bound, and scale 1 is
-        # the unscaled bound bit for bit.
+        # Each entry's bounds are those of its scale alone, and scale 1
+        # gives the closed form of the rule's own nodes at every level.
         t_range = lifshitz._t_range("force", 1e-6)
+        x_lo, a = (float(lifshitz._x(t)) for t in t_range)
+        beyond, at = lifshitz._tails(a)
         scales = np.array([1.0, 1.35, 3.0])
-        for level in range(1, 4):
-            bounds = lifshitz._truncation(*t_range, level, scales)
-            assert bounds.tolist() == [lifshitz._truncation(*t_range, level, c)
-                                       for c in scales.tolist()]
-            assert bounds[0] == lifshitz._truncation(*t_range, level)
+        bounds = lifshitz._truncation(*t_range, scales)
+        assert bounds.shape == (lifshitz._MAX_LEVEL + 1, scales.size)
+        for k, c in enumerate(scales.tolist()):
+            alone = lifshitz._truncation(*t_range, np.array([c]))
+            assert bounds[:, k].tolist() == alone[:, 0].tolist()
+        for level in range(lifshitz._MAX_LEVEL + 1):
+            first = 0.5 ** (level + 1) * 0.5 * math.pi * math.cosh(t_range[1]) * a
+            assert bounds[level, 0] == 8.0 * lifshitz._ZETA3 * x_lo + 2.0 * (beyond + first * at)
