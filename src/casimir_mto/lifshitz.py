@@ -208,9 +208,9 @@ def _t_range(kind: str, tol: float) -> tuple[float, float]:
 
 def _truncation(t_lo: float, t_hi: float, c: np.ndarray) -> np.ndarray:
     """Bounds on the part of the integral that the rule on [t_lo, t_hi]
-    drops, one row per level and one column per entry, for entries whose
-    nodes are those of the rule scaled by ``c`` >= 1 (1 for the rule's own
-    nodes).
+    drops, one per level and entry: an array of the shape of ``c`` per
+    level, for entries whose nodes are those of the rule scaled by ``c`` >= 1
+    (1 for the rule's own nodes).
 
     With eps >= 1 every reflection factor lies in [0, 1], so the pressure
     integrand is at most g(v) = 2 v^2/(e^v - 1) and the force integrand's
@@ -224,9 +224,9 @@ def _truncation(t_lo: float, t_hi: float, c: np.ndarray) -> np.ndarray:
     _tails runs on floats, so an entry's bound does not depend on the others.
     """
     x_lo, a = float(_x(t_lo)), float(_x(t_hi))
-    beyond, at = np.array([_tails(x) for x in (c * a).tolist()]).T
-    first = np.array([[0.5 ** (level + 1) * 0.5 * math.pi * math.cosh(t_hi) * a]
-                      for level in range(_MAX_LEVEL + 1)])
+    beyond, at = np.array([_tails(x) for x in (c * a).ravel().tolist()]).T.reshape(2, *c.shape)
+    first = np.array([0.5 ** (level + 1) * 0.5 * math.pi * math.cosh(t_hi) * a
+                      for level in range(_MAX_LEVEL + 1)]).reshape(-1, *(1,) * c.ndim)
     return 8.0 * _ZETA3 * (c * x_lo) + 2.0 * (beyond + c * first * at)
 
 
@@ -310,20 +310,10 @@ def _lookup(eps, xi: np.ndarray, previous) -> np.ndarray | None:
     return e
 
 
-def _slots(r: np.ndarray, c: np.ndarray):
-    """Slot k of each entry within its row ``r`` (entries grouped by row, in
-    row order) and, per slot, the scales ``c`` of its rows' entries: None
-    where c is 1 in every row, and 1 where a row leaves the slot empty."""
-    k = np.arange(r.size) - np.searchsorted(r, r)
-    scales = np.ones((int(r[-1]) + 1, int(k.max()) + 1))
-    scales[r, k] = c
-    return k, [None if np.all(col == 1.0) else col for col in scales.T]
-
-
 def _stops(kind: str, z: np.ndarray, m1, m2, tol: float, t_lo: float, t_hi: float):
     """Integrals over u, s > 0 of the Lifshitz integrand at the separations
-    ``z`` and their estimates, one per entry in row-major order, and the
-    node count.
+    ``z`` and their estimates, in the (row, slot) shape of ``z`` (NaN where
+    ``z`` is NaN), and the node count.
 
     Each row of the 2-D ``z`` (NaN pads its end) is integrated on the nodes
     of its first entry z0, its smallest: an entry at z = c z0 keeps z0's eps
@@ -332,19 +322,18 @@ def _stops(kind: str, z: np.ndarray, m1, m2, tol: float, t_lo: float, t_hi: floa
     The step of the product rule on t in [t_lo, t_hi] halves from level to
     level, and each entry stops at the first level (from 1 on, from 2 on for
     c != 1) where the difference to the level before plus its truncation
-    bound is within ``tol`` of its sum, or at _MAX_LEVEL; a row leaves the
-    levels after once all its entries have stopped. The count sums each
-    entry's (u, s) nodes at its own level.
+    bound is within ``tol`` of its sum, or at _MAX_LEVEL. The state is one
+    (row, slot) array each for c, the bounds, the level sums and the live
+    entries; once no entry of a row is live, the row leaves them all, its
+    eps values and scales too. The count sums each entry's (u, s) nodes at
+    its own level.
     """
-    has = ~np.isnan(z)
-    row = np.nonzero(has)[0]
-    c = z[has] / z[row, 0]
-    c2, bounds = c * c, _truncation(t_lo, t_hi, c)
+    c = z / z[:, :1]
+    c2, bounds, live = c * c, _truncation(t_lo, t_hi, c), ~np.isnan(z)
     eps1, eps2 = _surface_eps(m1), _surface_eps(m2)
-    sums, rel = np.empty(row.size), np.empty(row.size)
+    sums, rel = np.full(z.shape, np.nan), np.full(z.shape, np.nan)
     evals = 0
-    live, r = np.arange(row.size), row  # r: each live entry's live row
-    k, cols = _slots(r, c)
+    rows = np.arange(len(z))  # the row of z of each row still in the loop
     e_scale = HBARC_EV_M / (2.0 * z[:, :1])  # photon energy per unit u, eV
     total, e1, e2 = 0.0, None, None
     for level in range(_MAX_LEVEL + 1):
@@ -352,42 +341,42 @@ def _stops(kind: str, z: np.ndarray, m1, m2, tol: float, t_lo: float, t_hi: floa
         xi = x * e_scale
         u = np.broadcast_to(x, xi.shape)
         e1, e2 = _lookup(eps1, xi, e1), _lookup(eps2, xi, e2)
+        cols = [None if np.all(col == 1.0) else col for col in c.T]
         # Only pairs with a node new at this level (odd index) are evaluated;
         # the other pairs sum to a quarter of the previous level (half the
-        # step twice). Picked rows run row by row, and fold back per entry.
+        # step twice). Picked rows run row by row, one sum per slot.
         new, old = (slice(1, None, 2), slice(0, None, 2)) if level else (slice(None), slice(0))
 
         def part(nodes, s, ws):
             picked = [None if a is None else a[..., nodes].flatten() for a in (u, e1, e2)]
             per_row = [col if col is None else np.repeat(col, x[nodes].size) for col in cols]
             row_sums = _rule_sum(kind, *picked, s, ws, per_row)
-            slot_sums = _row_dot(row_sums.reshape(len(cols) * len(xi), -1), w[nodes])
-            return slot_sums.reshape(len(cols), -1)[k, r]
+            return _row_dot(row_sums.reshape(len(cols) * len(xi), -1), w[nodes]).reshape(
+                len(cols), -1).T
 
         previous = total
         total = 0.25 * total + part(new, x, w) + part(old, x[new], w[new])
         if not level:
             continue
-        value = c2[live] * total
-        est = (np.abs(value - c2[live] * previous) + bounds[level, live]) / np.maximum(
-            np.abs(value), 1e-300)
+        value = c2 * total
+        est = (np.abs(value - c2 * previous) + bounds[level]) / np.maximum(np.abs(value), 1e-300)
         met = est <= tol
         if level == 1:
             # Scaled nodes shift the coarse rules' error, which changes sign
             # with c: levels 0 and 1 can agree by chance while level 1 is far
             # off. Such entries stop from level 2 on.
-            met &= c[live] == 1.0
-        stop = met | (level == _MAX_LEVEL)
-        sums[live[stop]], rel[live[stop]] = value[stop], est[stop]
+            met &= c == 1.0
+        stop = live & (met | (level == _MAX_LEVEL))
+        sums[rows], rel[rows] = np.where(stop, value, sums[rows]), np.where(stop, est, rel[rows])
         evals += x.size * x.size * int(stop.sum())
-        keep = np.flatnonzero(~stop)
-        if not keep.size:
+        live &= ~stop
+        held = live.any(axis=1)
+        if not held.any():
             break
-        if keep.size < live.size:  # rows and slots change only when an entry stops
-            held = np.flatnonzero(np.bincount(r[keep]))  # np.unique loads numpy.ma
-            live, total, r = live[keep], total[keep], np.searchsorted(held, r[keep])
+        if not held.all():
+            rows, c, c2, total, live = (a[held] for a in (rows, c, c2, total, live))
+            bounds = bounds[:, held]
             e_scale, e1, e2 = (None if e is None else e[held] for e in (e_scale, e1, e2))
-            k, cols = _slots(r, c[live])
     return sums, rel, evals
 
 
@@ -433,18 +422,16 @@ def _lifshitz(kind: str, z, coeff: float, m1, m2, tol: float) -> LifshitzResult:
     if not TOL_MIN <= tol <= TOL_MAX:
         raise DomainError(f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}]")
     t_lo, t_hi = _t_range(kind, tol)
-    flat = z.reshape(-1)
+    flat = np.append(z, np.nan)  # index -1 pads a run and takes its pads' results
     total, rel = np.empty(flat.size), np.empty(flat.size)
     evals = 0
     runs = _runs(z)
     step = max(1, _STACK // runs.shape[1])
     for i in range(0, len(runs), step):
         index = runs[i:i + step]
-        has = index >= 0
-        total[index[has]], rel[index[has]], nodes = _stops(
-            kind, np.where(has, flat[index], np.nan), m1, m2, tol, t_lo, t_hi)
+        total[index], rel[index], nodes = _stops(kind, flat[index], m1, m2, tol, t_lo, t_hi)
         evals += nodes
-    value, rel = coeff / zp * total.reshape(z.shape), rel.reshape(z.shape)
+    value, rel = coeff / zp * total[:-1].reshape(z.shape), rel[:-1].reshape(z.shape)
     result = LifshitzResult(value, rel, evals) if z.ndim else LifshitzResult(
         float(value), float(rel), evals)
     if rel.max() > tol:

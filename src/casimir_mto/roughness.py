@@ -91,7 +91,7 @@ def load_heightmap(path) -> HeightMap:
     """Read a height map: whitespace-separated matrix of meters.
 
     Blank lines and ``#`` comment lines are skipped. A ParseError names the
-    file and its line.
+    file and its line; a file with no height rows is one too.
     """
     path = Path(path)
     rows: list[list[float]] = []
@@ -109,7 +109,7 @@ def load_heightmap(path) -> HeightMap:
             )
         rows.append(row)
     if not rows:
-        raise ValidationError(f"{path}: no height rows")
+        raise ParseError(f"{path}: no height rows")
     return HeightMap(np.array(rows))
 
 

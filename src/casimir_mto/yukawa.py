@@ -20,7 +20,7 @@ exclusion limits scale directly out of residual force bounds.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -174,25 +174,21 @@ def yukawa_force_sphere_plane(p: YukawaParams, sphere: LayeredBody,
     return CODATA.G * p.alpha * total
 
 
-def alpha_limit(residual_bound: Callable[[float], float] | Sequence[float],
-                lam: float, sphere: LayeredBody, plate: LayeredBody,
-                z_grid: Sequence[float]) -> float:
+def alpha_limit(residual_bound: Sequence[float], lam: float, sphere: LayeredBody,
+                plate: LayeredBody, z_grid: Sequence[float]) -> float:
     """Smallest alpha whose Yukawa force would exceed the residual bound.
 
-    ``residual_bound`` maps separation to the experimental force bound (N),
-    or supplies one bound per grid point. The limit is
-    min over z of bound(z) / F(alpha=1, z); alpha-linearity is exact. A
-    force that vanishes at every z bounds nothing (DomainError).
+    ``residual_bound`` holds the experimental force bound (N) at each point
+    of ``z_grid``. The limit is min over z of bound(z) / F(alpha=1, z);
+    alpha-linearity is exact. A force that vanishes at every z bounds
+    nothing (DomainError).
     """
     z_grid = np.atleast_1d(np.asarray(z_grid, dtype=float))
     if z_grid.size == 0:
         raise ConfigurationError("empty separation grid")
-    if callable(residual_bound):
-        bounds = np.array([float(residual_bound(z)) for z in z_grid])
-    else:
-        bounds = np.atleast_1d(np.asarray(residual_bound, dtype=float))
-        if bounds.shape != z_grid.shape:
-            raise ConfigurationError("bound array must match the grid")
+    bounds = np.atleast_1d(np.asarray(residual_bound, dtype=float))
+    if bounds.shape != z_grid.shape:
+        raise ConfigurationError("bound array must match the grid")
     if np.any(bounds <= 0):
         raise DomainError("residual bounds must be positive")
     unit = YukawaParams(alpha=1.0, lam=lam)

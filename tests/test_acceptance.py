@@ -210,8 +210,8 @@ def test_criterion_9_yukawa_oracle_and_limit():
         brute = yukawa_force_brute(p, sphere, plate, 2e-7)
         worst = max(worst, abs(analytic / brute - 1.0))
     z_grid = np.array([1.5e-7, 2e-7, 3e-7])
-    a1 = alpha_limit(lambda z: 1e-14, 2e-7, sphere, plate, z_grid)
-    a2 = alpha_limit(lambda z: 3e-14, 2e-7, sphere, plate, z_grid)
+    a1 = alpha_limit(np.full(z_grid.size, 1e-14), 2e-7, sphere, plate, z_grid)
+    a2 = alpha_limit(np.full(z_grid.size, 3e-14), 2e-7, sphere, plate, z_grid)
     linear = abs(a2 / (3 * a1) - 1.0) < 1e-14
     f13 = yukawa_force_sphere_plane(YukawaParams(1e13, 200e-9), sphere, plate, 2e-7)
     # Order-of-magnitude consistency note: the alpha ~ 1e13 force at the

@@ -663,6 +663,7 @@ def _heightmap_force(tmp_path, body: bytes, **roughness):
     (lambda t: _sweep(t, oscillator={"f0_hz": 1e308}), 2),
     (lambda t: _sweep(t, oscillator={"f0_hz": 800.0}), 2),
     (lambda t: _sweep(t, oscillator={"f0_hz": 1e200}), 2),
+    (lambda t: _heightmap_force(t, b"# pixel_pitch_m = 1e-7\n\n# no rows\n"), 1),
 ], ids=["radius_m", "grid_list", "roughness_entries", "grid_points_fraction",
         "grid_points_bool", "bound_file_text",
         "bound_file_one_column", "bound_file_decreasing", "layer_row",
@@ -686,7 +687,8 @@ def _heightmap_force(tmp_path, body: bytes, **roughness):
         "oscillator_negative_inertia", "oscillator_zero_coupling", "out_is_directory",
         "oscillator_omega0_squared_overflow", "oscillator_zero_f0", "oscillator_zero_kappa",
         "oscillator_nan_inertia", "calibration_one_gap", "calibration_one_gap_zero_delta0",
-        "oscillator_f0_overflow", "oscillator_f0_inconsistent", "oscillator_f0_huge"])
+        "oscillator_f0_overflow", "oscillator_f0_inconsistent", "oscillator_f0_huge",
+        "heightmap_no_rows"])
 def test_bad_input_is_one_error_line(tmp_path, capsys, make, code):
     command, doc = make(tmp_path)
     cfg = tmp_path / "run.json"
@@ -935,6 +937,87 @@ def test_fuzzed_calibration_is_one_error_line_or_finite_output(rows, guess):
         else:
             assert _finite_output(out.getvalue().replace(str(tmp), "")), rows
             assert _finite_json(json.loads((tmp / "fit.json").read_text())), rows
+
+
+def _check_run(command, doc, tmp: Path) -> None:
+    """Run ``command`` on ``doc``: a failure must be one error line and a
+    success must write only finite numbers to ``doc['out']``."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run([command, "--config", write_json(tmp / "run.json", doc)])
+    assert code in (0, 1, 2, 3)
+    if code:
+        lines = err.getvalue().strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert _finite_csv(Path(doc["out"])), doc
+
+
+def _lines(*lines: bytes) -> bytes:
+    return b"".join(line + b"\n" for line in lines)
+
+
+# Bound-file fuzzing: one to five rows at increasing z_m (which cover the z
+# grid [2e-7, 5e-7] now and then), each bound plain or, one time in three,
+# broken or extreme, a header mostly right, and up to two stray lines
+# anywhere (a comment, a second header, a row of the wrong shape).
+_BOUND = st.sampled_from([b"1e-14", b"3e-14"] * 8 + [
+    b"5e-324", b"1e300", b"0", b"-1e-14", b"nan", b"inf", b"abc", b"", b"\xff"])
+_BOUND_ROWS = st.lists(st.sampled_from([1e-7, 2e-7, 3.5e-7, 5e-7, 1e-6]), unique=True,
+                       min_size=1, max_size=5).flatmap(lambda zs: st.tuples(*(
+                           _BOUND.map(lambda b, z=z: repr(z).encode() + b"," + b)
+                           for z in sorted(zs))))
+_STRAY = st.sampled_from([b"", b"# note", b"z_m,bound_n", b"1e-7", b"1e-7,1e-14,1e-14",
+                          b"1e-7;1e-14"])
+_BOUND_FILE = st.tuples(
+    st.sampled_from([b"z_m,bound_n"] * 3 + [b" Z_M , Bound_N ", b"bound_n,z_m"]),
+    _BOUND_ROWS, st.lists(st.tuples(st.integers(0, 5), _STRAY), max_size=2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_BOUND_FILE)
+def test_fuzzed_bound_file_is_one_error_line_or_finite_output(case):
+    header, rows, strays = case
+    lines = [header, *rows]
+    for at, line in strays:
+        lines.insert(at, line)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "bounds.csv").write_bytes(_lines(*lines))
+        command, doc = _limits(tmp, {"file": str(tmp / "bounds.csv")},
+                               z_grid_m=[2e-7, 5e-7])
+        _check_run(command, doc, tmp)
+
+
+# Height-map fuzzing: one or two maps of up to 4 x 4 nanometre heights,
+# and now and then a stray line: blank, a comment, or a row of any length
+# that may hold a broken or extreme height. bins in and out of range, never
+# one that really allocates (the bound is checked first).
+_HEIGHT = st.sampled_from([b"0", b"1e-9", b"-2e-9", b"5e-9", b"-3e-8"])
+_ODD_HEIGHT = st.sampled_from([b"1e-320", b"-1e-6", b"1e300", b"nan", b"inf", b"abc", b"\xff"])
+_HEIGHT_MAP = st.integers(1, 4).flatmap(lambda cols: st.tuples(
+    st.lists(st.lists(_HEIGHT, min_size=cols, max_size=cols).map(b" ".join), max_size=4),
+    st.lists(st.tuples(st.integers(0, 4), st.one_of(
+        st.sampled_from([b"", b"# pixel_pitch_m = 1e-7"]),
+        st.lists(st.one_of(_HEIGHT, _ODD_HEIGHT), min_size=1, max_size=5).map(b"\t".join))),
+        max_size=1)))
+_BINS = st.sampled_from([None, 1, 3, 21, 1000, 0, -1, 1001, 10**9, 2.5, True])
+
+
+@settings(max_examples=80, deadline=None)
+@given(maps=st.lists(_HEIGHT_MAP, min_size=1, max_size=2), bins=_BINS)
+def test_fuzzed_height_maps_are_one_error_line_or_finite_output(maps, bins):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        roughness = {} if bins is None else {"bins": bins}
+        for i, (rows, strays) in enumerate(maps, start=1):
+            lines = list(rows)
+            for at, line in strays:
+                lines.insert(at, line)
+            (tmp / f"map{i}.txt").write_bytes(_lines(*lines))
+            roughness[f"heightmap{i}"] = str(tmp / f"map{i}.txt")
+        command, doc = _force(tmp, roughness=roughness, tol=1e-6)
+        _check_run(command, doc, tmp)
 
 
 # A command is offered --seed and --tol only where its config reads the key.

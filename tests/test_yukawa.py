@@ -148,8 +148,10 @@ class TestAlphaLimit:
     Z_GRID = np.array([1.5e-7, 2e-7, 3e-7, 5e-7])
 
     def test_halved_bound_halves_limit(self):
-        a1 = alpha_limit(lambda z: 2e-14, 2e-7, reference_sphere(), reference_plate(), self.Z_GRID)
-        a2 = alpha_limit(lambda z: 1e-14, 2e-7, reference_sphere(), reference_plate(), self.Z_GRID)
+        a1 = alpha_limit(np.full(self.Z_GRID.size, 2e-14), 2e-7, reference_sphere(),
+                         reference_plate(), self.Z_GRID)
+        a2 = alpha_limit(np.full(self.Z_GRID.size, 1e-14), 2e-7, reference_sphere(),
+                         reference_plate(), self.Z_GRID)
         assert a2 == pytest.approx(0.5 * a1, rel=1e-14)
 
     def test_self_consistency_at_1e13(self):
@@ -161,7 +163,7 @@ class TestAlphaLimit:
             )
             for z in self.Z_GRID
         }
-        limit = alpha_limit(lambda z: forces[float(z)], lam,
+        limit = alpha_limit(np.array([forces[float(z)] for z in self.Z_GRID]), lam,
                             reference_sphere(), reference_plate(), self.Z_GRID)
         assert limit == pytest.approx(1e13, rel=1e-12)
 
@@ -172,16 +174,18 @@ class TestAlphaLimit:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError):
-            alpha_limit(lambda z: 1e-14, 2e-7, reference_sphere(), reference_plate(), [])
+            alpha_limit(np.full(0, 1e-14), 2e-7, reference_sphere(), reference_plate(), [])
 
     def test_nonpositive_bound_rejected(self):
         with pytest.raises(DomainError):
-            alpha_limit(lambda z: 0.0, 2e-7, reference_sphere(), reference_plate(), self.Z_GRID)
+            alpha_limit(np.full(self.Z_GRID.size, 0.0), 2e-7, reference_sphere(),
+                        reference_plate(), self.Z_GRID)
 
     @given(scale=st.floats(0.1, 10.0))
     @settings(max_examples=20, deadline=None)
     def test_limit_linearity_property(self, scale):
-        base = alpha_limit(lambda z: 1e-14, 2e-7, reference_sphere(), reference_plate(), self.Z_GRID)
-        scaled = alpha_limit(lambda z: scale * 1e-14, 2e-7,
+        base = alpha_limit(np.full(self.Z_GRID.size, 1e-14), 2e-7, reference_sphere(),
+                           reference_plate(), self.Z_GRID)
+        scaled = alpha_limit(np.full(self.Z_GRID.size, scale * 1e-14), 2e-7,
                              reference_sphere(), reference_plate(), self.Z_GRID)
         assert scaled == pytest.approx(scale * base, rel=1e-12)
