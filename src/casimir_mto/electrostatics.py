@@ -478,6 +478,15 @@ def least_squares(fun, x0, *, jac, xtol: float, ftol: float,
                               nfev=nfev, success=success)
 
 
+def _full_rank_svd(jac: np.ndarray):
+    """Thin SVD of a calibration Jacobian; IdentifiabilityError above condition 1e12."""
+    u, sv, vt = np.linalg.svd(jac, full_matrices=False)
+    if sv[-1] <= 0 or sv[0] / sv[-1] > 1e12:
+        raise IdentifiabilityError(
+            f"calibration design is rank-deficient (condition {sv[0] / max(sv[-1], 1e-300):.2e})")
+    return u, sv, vt
+
+
 @np.errstate(all="ignore")  # overflow is raised below as DomainError
 def calibrate(samples, initial_guess: tuple[float, float, float, float]) -> CalibrationFit:
     """Least-squares recovery of (k, V0, R, delta0) from voltage sweeps,
@@ -491,7 +500,8 @@ def calibrate(samples, initial_guess: tuple[float, float, float, float]) -> Cali
     costs no series work. Requires at least 4 samples spanning at least 2
     distinct applied voltages (one leaves k and (V - V0)^2 degenerate) and
     3 distinct separations: n gaps fix only V0 and the n amplitudes
-    S(g_i/R)/k, which leave k, R and delta0 open for n < 3.
+    S(g_i/R)/k, which leave k, R and delta0 open for n < 3. A Jacobian of
+    condition above 1e12, at the guess or the fit, raises IdentifiabilityError.
 
     The covariance is the HC3 sandwich (MacKinnon & White 1985), which
     holds when the residuals do not share one variance, as under the
@@ -564,6 +574,8 @@ def calibrate(samples, initial_guess: tuple[float, float, float, float]) -> Cali
             raise DomainError("calibration Jacobian is not finite: a dC derivative overflows")
         return jac_y
 
+    # Before the fit spends its budget; its first residual reuses these series.
+    _full_rank_svd(jacobian(x0 / scale))
     ndof = max(len(rows) - 4, 1)
     res = least_squares(
         residuals,
@@ -577,11 +589,7 @@ def calibrate(samples, initial_guess: tuple[float, float, float, float]) -> Cali
     if not res.success:
         raise FitError(f"calibration fit did not converge in {res.nfev} evaluations")
 
-    u, sv, vt = np.linalg.svd(res.jac, full_matrices=False)
-    if sv[-1] <= 0 or sv[0] / sv[-1] > 1e12:
-        raise IdentifiabilityError(
-            f"calibration design is rank-deficient (condition {sv[0] / max(sv[-1], 1e-300):.2e})"
-        )
+    u, sv, vt = _full_rank_svd(res.jac)
     # HC3: cov = H H^T, H = V S^-1 U^T diag(r_i / (1 - h_i)), h_i = |U_i|^2.
     free = 1.0 - np.einsum("ij,ij->i", u, u)
     if free.min() <= _LEVERAGE_FLOOR:

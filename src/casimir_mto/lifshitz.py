@@ -20,12 +20,11 @@ tolerance. The reported error, est_rel_error, is their difference
 plus a closed-form bound on the part of the integral the trimmed t range
 drops: for eps >= 1 every reflection factor lies in [0, 1], so the
 ideal-metal integrand bounds the real one pointwise. An array of
-separations is one stacked rule, with a result and an estimate per entry;
-each entry stops at its own level. The entries of each row of a 2-D array
-(say, one separation's roughness offsets) share the eps values and
-reflection factors of the row's smallest separation z0: at z = c z0 the
-substitution u -> c u, s -> c s keeps xi and p, so only the tail
-exp(-(u+s)) and the measure see c.
+separations is one stacked rule, with a result and an estimate per entry.
+The entries of each row of a 2-D array (say, one separation's roughness
+offsets) stop at one level and share the eps values and reflection factors
+of the row's smallest separation z0: at z = c z0 the substitution u -> c u,
+s -> c s keeps xi and p, so only the tail exp(-(u+s)) and the measure see c.
 Perfect conductors take the ideal limit (reflection products = 1), which
 reproduces the closed forms -pi^2 hbar c / 240 z^4 and
 -pi^3 hbar c R / 360 z^3 exactly; those serve as the quadrature oracle.
@@ -110,16 +109,15 @@ class LifshitzResult(Record):
     difference of the last two levels plus the truncation bound of the
     trimmed t range; ``evaluations`` counts the (u, s) nodes of the product
     rule. For an array of separations ``value`` and ``est_rel_error`` are
-    arrays, one entry per separation, each from the level at which that
-    entry alone meets tol, and ``evaluations`` sums every entry's nodes at
-    its own level. An entry of a scalar or 1-D array is bit for bit a call
-    on it alone. The entries of a row along the last axis of a 2-D array
-    are integrated on the nodes of the row's smallest separation z0 (a row
-    wider than a factor _SPREAD = 16 splits into runs, each with its own
-    z0): an entry at z = c z0 takes z0's eps and reflection factors, its v
-    scaled by c and its sum by c^2, and a truncation bound for nodes scaled
-    by c. Its value and estimate are bit for bit those of its row alone,
-    and the row's smallest entry is its call alone.
+    arrays, one entry per separation. An entry of a scalar or 1-D array is
+    bit for bit a call on it alone. The entries of a row along the last
+    axis of a 2-D array are integrated on the nodes of the row's smallest
+    separation z0 (a row wider than a factor _SPREAD = 16 splits into runs,
+    each with its own z0): an entry at z = c z0 takes z0's eps and
+    reflection factors, its v scaled by c and its sum by c^2, and a
+    truncation bound for nodes scaled by c. A run stops at the first level
+    at which all its entries meet tol; they are bit for bit those of their
+    row alone, and ``evaluations`` counts their nodes at that level.
     """
 
     value: float | np.ndarray
@@ -320,18 +318,17 @@ def _stops(kind: str, z: np.ndarray, m1, m2, tol: float, t_lo: float, t_hi: floa
     and reflection factors at every node, with v scaled by c and its sum by
     c^2, so a row looks eps up once. A one-entry row is z0 alone (c = 1).
     The step of the product rule on t in [t_lo, t_hi] halves from level to
-    level, and each entry stops at the first level (from 1 on, from 2 on for
-    c != 1) where the difference to the level before plus its truncation
-    bound is within ``tol`` of its sum, or at _MAX_LEVEL. The state is one
-    (row, slot) array each for c, the bounds, the level sums and the live
-    entries; once no entry of a row is live, the row leaves them all, its
-    eps values and scales too. The count sums each entry's (u, s) nodes at
-    its own level.
+    level, and a row stops at the first level (from 1 on, from 2 on for a
+    row with an entry at c != 1) where every entry's difference to the
+    level before plus its truncation bound is within ``tol`` of its sum
+    (NaN pads count as met), or at _MAX_LEVEL. It then writes its entries'
+    sums and estimates and leaves the (row, slot) arrays c, bounds and level
+    sums, and its eps values; the count adds its entries' (u, s) nodes.
     """
     c = z / z[:, :1]
-    c2, bounds, live = c * c, _truncation(t_lo, t_hi, c), ~np.isnan(z)
+    c2, bounds = c * c, _truncation(t_lo, t_hi, c)
     eps1, eps2 = _surface_eps(m1), _surface_eps(m2)
-    sums, rel = np.full(z.shape, np.nan), np.full(z.shape, np.nan)
+    sums, rel = np.empty(z.shape), np.empty(z.shape)
     evals = 0
     rows = np.arange(len(z))  # the row of z of each row still in the loop
     e_scale = HBARC_EV_M / (2.0 * z[:, :1])  # photon energy per unit u, eV
@@ -360,21 +357,20 @@ def _stops(kind: str, z: np.ndarray, m1, m2, tol: float, t_lo: float, t_hi: floa
             continue
         value = c2 * total
         est = (np.abs(value - c2 * previous) + bounds[level]) / np.maximum(np.abs(value), 1e-300)
-        met = est <= tol
+        stop = ~(est > tol).any(axis=1)  # NaN pads count as met
         if level == 1:
             # Scaled nodes shift the coarse rules' error, which changes sign
             # with c: levels 0 and 1 can agree by chance while level 1 is far
-            # off. Such entries stop from level 2 on.
-            met &= c == 1.0
-        stop = live & (met | (level == _MAX_LEVEL))
-        sums[rows], rel[rows] = np.where(stop, value, sums[rows]), np.where(stop, est, rel[rows])
-        evals += x.size * x.size * int(stop.sum())
-        live &= ~stop
-        held = live.any(axis=1)
-        if not held.any():
+            # off. Rows with such entries stop from level 2 on.
+            stop &= ~(c > 1.0).any(axis=1)
+        stop |= level == _MAX_LEVEL
+        sums[rows[stop]], rel[rows[stop]] = value[stop], est[stop]
+        evals += x.size * x.size * int(np.count_nonzero(~np.isnan(c[stop])))
+        if stop.all():
             break
-        if not held.all():
-            rows, c, c2, total, live = (a[held] for a in (rows, c, c2, total, live))
+        if stop.any():
+            held = ~stop
+            rows, c, c2, total = (a[held] for a in (rows, c, c2, total))
             bounds = bounds[:, held]
             e_scale, e1, e2 = (None if e is None else e[held] for e in (e_scale, e1, e2))
     return sums, rel, evals
@@ -385,9 +381,7 @@ def _runs(z: np.ndarray) -> np.ndarray:
     nodes, a run per row (-1 pads): each row along a 2-D ``z``'s last axis
     by increasing separation, split before an entry more than _SPREAD times
     its run's first; a scalar or 1-D ``z`` one entry per run."""
-    if z.ndim < 2:
-        return np.arange(z.size)[:, None]
-    width = z.shape[-1]
+    width = z.shape[-1] if z.ndim > 1 else 1
     rows = z.reshape(-1, width)
     order = np.argsort(rows, axis=1, kind="stable") + width * np.arange(len(rows))[:, None]
     ordered = z.reshape(-1)[order]
@@ -408,14 +402,11 @@ def _runs(z: np.ndarray) -> np.ndarray:
 def _lifshitz(kind: str, z, coeff: float, m1, m2, tol: float) -> LifshitzResult:
     """coeff / z_i^p times the integral of the Lifshitz integrand at each
     separation z_i, with p = 4 for pressure and 3 for force, on the t range
-    that ``tol`` allows. The entries of each row along the last axis of a
-    2-D ``z`` share the nodes of their smallest (see _stops, _runs); a
-    scalar or 1-D ``z`` is one entry per row. _stops runs whole runs, about
-    _STACK entries at a time, and every entry stops at its own level, so
-    its value and estimate are bit for bit those of its run alone, and a
-    one-entry run's those of a call on it alone. Raises ConvergenceError
-    with the result attached (the finest level for the entries that did not
-    get there) when some entry does not meet ``tol`` by _MAX_LEVEL.
+    that ``tol`` allows, run by run (see _runs, LifshitzResult). _stops
+    takes whole runs, about _STACK entries at a time, so an entry does not
+    depend on the other runs. Raises ConvergenceError with the result
+    attached (the finest level for the runs that did not get there) when
+    some entry does not meet ``tol`` by _MAX_LEVEL.
     """
     z = np.asarray(z, dtype=float)
     zp = _power(z, 4 if kind == "pressure" else 3)

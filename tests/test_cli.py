@@ -321,14 +321,33 @@ class TestCalibrateCommand:
         cfg = write_json(tmp_path / "cal.json", {"data": str(tmp_path / "absent.csv")})
         assert run(["calibrate", "--config", cfg]) == 1
 
-    def test_nonconvergent_series_exit_3(self, tmp_path, capsys):
-        # With the default 30 nm contact offset the gaps stay near 60 nm and
-        # the series converges at every evaluation; on femtometer metal
-        # separations the LM fit uses up its evaluation budget instead.
-        command, doc = _calibrate_rows(tmp_path, _csv_rows(_femtometer(3)))
-        assert run([command, "--config", write_json(tmp_path / "cal.json", doc)]) == 3
+    @pytest.mark.parametrize("guess", [{}, {"delta0_m": 0.0}], ids=["default", "delta0_0"])
+    def test_rank_deficient_design_exit_2(self, tmp_path, capsys, monkeypatch, guess):
+        # Femtometer metal separations are nothing beside the contact offset
+        # (or the radius): the gaps cannot tell k, R and delta0 apart. The
+        # Jacobian at the guess shows it before any LM step.
+        from casimir_mto import electrostatics
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the fit ran")
+
+        monkeypatch.setattr(electrostatics, "least_squares", no_fit)
+        command, doc = _calibrate_rows(tmp_path, _csv_rows(_femtometer(3)), initial_guess=guess)
+        assert run([command, "--config", write_json(tmp_path / "cal.json", doc)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: calibration fit did not converge")
+        assert len(err) == 1 and err[0].startswith("error: calibration design is rank-deficient")
+
+    def test_nonconvergent_fit_exit_3(self, tmp_path, capsys, monkeypatch):
+        # A fit that uses up its evaluation budget is a FitError.
+        from casimir_mto import electrostatics
+
+        solver = electrostatics.least_squares
+        monkeypatch.setattr(electrostatics, "least_squares",
+                            lambda fun, x0, **kw: solver(fun, x0, **{**kw, "max_nfev": 3}))
+        cfg = write_json(tmp_path / "cal.json", {"data": str(data_dir() / "calibration_demo.csv")})
+        assert run(["calibrate", "--config", cfg]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: calibration fit did not converge in 3 evaluations"]
 
     @pytest.mark.parametrize("bad,message", [
         ("2e-6,nan,1e-14", "calibration sample fields must be finite"),

@@ -437,8 +437,9 @@ class TestTrimmedRule:
                 assert res.evaluations == sum(a.evaluations for a in alone)
 
     def test_a_rows_smallest_entry_is_its_lone_call(self):
-        # The entry whose nodes a row shares has scale 1: its value and
-        # estimate are those of a call on it alone.
+        # The entry whose nodes a row shares has scale 1: in these rows,
+        # which stop at the level their smallest entry needs alone, its
+        # value and estimate are those of a call on it alone.
         registry = load_registry()
         au, cu = registry["gold"], registry["copper"]
         zs = np.array([3e-7, 1e-6])[:, None] * np.array([1.2, 1.0, 1.5])
@@ -554,24 +555,45 @@ class TestSharedRows:
     @pytest.mark.parametrize("kind,z0,levels", [("force", 1.1e-6, (2, 3, 3, 3)),
                                                 ("pressure", 7e-7, (3, 3, 3, 2))],
                              ids=["force", "pressure"])
-    def test_each_entry_of_a_row_stops_at_its_own_level(self, kind, z0, levels, monkeypatch):
-        # In these Au/Cu rows one entry stops a level before the others: the
-        # smallest force entry and the widest pressure entry. Each takes the
-        # sum of its own level, not the level at which its whole row is done,
-        # and the row counts each entry's nodes at that level.
+    def test_a_row_stops_when_all_its_entries_meet_tol(self, kind, z0, levels, monkeypatch):
+        # In these Au/Cu rows one entry meets tol a level before the others:
+        # the smallest force entry and the widest pressure entry. The row
+        # stops as one at level 3, every entry takes that level's sum and
+        # estimate, and the row counts every entry's nodes at that level.
         registry = load_registry()
         au, cu = registry["gold"], registry["copper"]
         row = z0 * np.array([[1.0, 1.1, 1.5, 2.2]])
         t_range = lifshitz._t_range(kind, 1e-6)
         sums, rel, _ = lifshitz._stops(kind, row, au, cu, 1e-6, *t_range)
-        nodes = 0
-        for j, level in enumerate(levels):
-            monkeypatch.setattr(lifshitz, "_MAX_LEVEL", level)
-            at, at_rel, _ = lifshitz._stops(kind, row, au, cu, 1e-6, *t_range)
-            assert (sums[0, j], rel[0, j]) == (at[0, j], at_rel[0, j]), (j, level)
-            nodes += lifshitz._exp_sinh(level, *t_range)[0].size ** 2
+        monkeypatch.setattr(lifshitz, "_MAX_LEVEL", 2)
+        early = lifshitz._stops(kind, row, au, cu, 1e-6, *t_range)[1]
+        assert (early[0] <= 1e-6).tolist() == [level == 2 for level in levels]
+        monkeypatch.setattr(lifshitz, "_MAX_LEVEL", 3)
+        at, at_rel, _ = lifshitz._stops(kind, row, au, cu, 1e-6, *t_range)
+        assert np.array_equal(sums, at) and np.array_equal(rel, at_rel)
         monkeypatch.undo()
-        assert _integral(kind, row, au, cu, 1e-6).evaluations == nodes
+        nodes = lifshitz._exp_sinh(3, *t_range)[0].size ** 2
+        assert _integral(kind, row, au, cu, 1e-6).evaluations == 4 * nodes == 25_600
+
+    def test_evaluations_count_the_pairs_whose_tail_is_evaluated(self, monkeypatch):
+        # On a 1-D stack (the 1.1 um force stops a level before the others),
+        # on a row whose entries meet tol at different levels and on a rough
+        # stack of several rows, none with pads.
+        registry = load_registry()
+        au, cu = registry["gold"], registry["copper"]
+        tail, pairs = lifshitz._tail, []
+
+        def counting(kind, v, lq):
+            pairs.append(v.size)
+            return tail(kind, v, lq)
+
+        monkeypatch.setattr(lifshitz, "_tail", counting)
+        offsets = np.array([-3e-8, -1e-8, 0.0, 1e-8, 3e-8])
+        for kind, z in (("force", np.array([5e-7, 1.1e-6, 1.5e-6, 2e-7])),
+                        ("force", 1.1e-6 * np.array([[1.0, 1.1, 1.5, 2.2]])),
+                        ("pressure", np.array([[2e-7], [4e-7], [6e-7]]) + offsets)):
+            pairs.clear()
+            assert _integral(kind, z, au, cu, 1e-6).evaluations == sum(pairs), (kind, z)
 
     def test_scaled_truncation_bound_takes_each_scale(self):
         # Each entry's bounds are those of its scale alone, and scale 1

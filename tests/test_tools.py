@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -23,3 +24,33 @@ def test_tool_regenerates_the_bundled_data(tmp_path, tool, files):
     assert sorted(p.name for p in tmp_path.iterdir()) == files
     for name in files:
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+
+
+def test_compare_outputs_finds_this_checkout_identical_to_itself():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "compare_outputs.py"), str(ROOT),
+                           "--seed", "11", "--size", "smoke"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["sweep: 1 of 1 jobs identical",
+                                        "tight_force: 2 of 2 jobs identical",
+                                        "analysis: 3 of 3 jobs identical"]
+
+
+def test_compare_outputs_lists_each_differing_job(tmp_path):
+    spec = importlib.util.spec_from_file_location("compare_outputs",
+                                                  ROOT / "tools" / "compare_outputs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    for d, text in zip(dirs, ("1\n", "2\n")):
+        d.mkdir()
+        (d / "same.csv").write_text("0\n")
+        (d / "moved.csv").write_text(text)
+    (dirs[0] / "gone.csv").write_text("0\n")
+    job_list = [{"name": name, "outputs": outputs} for name, outputs in (
+        ("same", ["same.csv"]), ("bytes", ["same.csv", "moved.csv"]), ("missing", ["gone.csv"]),
+        ("code", []), ("printed", []))]
+    ran = [[{"rc": 0, "stdout": "ok\n"} for _ in job_list] for _ in dirs]
+    ran[1][3]["rc"], ran[1][4]["stdout"] = 3, "ok, twice\n"
+    assert tool.differences(job_list, ran, dirs) == [
+        "bytes: moved.csv", "missing: gone.csv", "code: rc", "printed: stdout"]
