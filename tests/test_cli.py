@@ -1101,11 +1101,11 @@ def test_parser_is_built_once(tmp_path):
     assert after.misses == before.misses and after.hits == before.hits + 2
 
 
-def _fresh_python(script: str, cwd, *flags: str) -> str:
-    """Run ``script`` in a new interpreter on this checkout, with ``flags``;
-    its last stdout line."""
+def _fresh_python(script: str, cwd, *flags: str, env: dict | None = None) -> str:
+    """Run ``script`` in a new interpreter on this checkout, with ``flags``
+    and the variables ``env`` added to the environment; its last stdout line."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, *flags, "-c", script], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
@@ -1122,9 +1122,9 @@ _COMMAND_ONLY = ("casimir_mto.electrostatics", "casimir_mto.oscillator",
 
 def test_import_leaves_out_unneeded_modules(tmp_path):
     # Every CLI process pays for what importing the CLI loads: records
-    # generate no code (no dataclasses), numpy.random (a sweep's seeded
-    # stream) and numpy.ma (nothing) load only when a run needs them, and
-    # so does each command's own layer.
+    # generate no code (no dataclasses), no command draws from numpy.random
+    # (a sweep's substreams are the standard library's), numpy.ma is used
+    # by nothing, and each command's own layer loads only when a run needs it.
     unneeded = {"dataclasses", "numpy.random", "numpy.ma", *_COMMAND_ONLY}
     script = (
         "import sys\n"
@@ -1132,6 +1132,48 @@ def test_import_leaves_out_unneeded_modules(tmp_path):
         f"print(sorted({unneeded!r} & set(sys.modules)))\n"
     )
     assert _fresh_python(script, tmp_path) == "[]"
+
+
+def _noisy_sweep(tmp_path) -> str:
+    """Config of a tabulated Au/Cu sweep with frequency noise, jitter and
+    roughness, writing ``s.csv`` and ``s_gradients.csv`` in ``tmp_path``."""
+    return str(write_json(tmp_path / "sweep.json", {
+        "materials": {"pair": ["gold", "copper"]},
+        "radius_m": R_SPHERE,
+        "z_grid_m": [2e-7, 3e-7, 6e-7],
+        "noise": {"freq_noise_rms_hz": 0.0316, "separation_noise_rms_m": 3.2e-10},
+        "roughness": {"entries": [[-3e-8, 0.25], [0.0, 0.5], [3e-8, 0.25]]},
+        "seed": 2718,
+        "out": str(tmp_path / "s.csv"),
+    }))
+
+
+def test_sweep_run_loads_no_numpy_random(tmp_path):
+    # Importing numpy.random (with secrets, hmac and hashlib) costs about
+    # 10 ms, a quarter of a sweep job: a noisy, rough sweep draws from the
+    # standard library's random instead.
+    script = (
+        "import sys\n"
+        "from casimir_mto.cli import main\n"
+        f"assert main(['sweep', '--config', {_noisy_sweep(tmp_path)!r}]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    assert _fresh_python(script, tmp_path) == "False"
+
+
+def test_sweep_files_do_not_depend_on_hash_seed(tmp_path):
+    # The benchmark compares output bytes across processes: a substream key
+    # that went through hash() would change with PYTHONHASHSEED.
+    script = (
+        "from casimir_mto.cli import main\n"
+        f"print(main(['sweep', '--config', {_noisy_sweep(tmp_path)!r}]))\n"
+    )
+    outputs = []
+    for hash_seed in ("0", "1"):
+        assert _fresh_python(script, tmp_path, env={"PYTHONHASHSEED": hash_seed}) == "0"
+        outputs.append([(tmp_path / name).read_bytes()
+                        for name in ("s.csv", "s_gradients.csv")])
+    assert outputs[0] == outputs[1]
 
 
 def test_force_run_loads_no_package_resources(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from casimir_mto import oscillator
 from casimir_mto.errors import ConfigurationError, DomainError, ValidationError
+from casimir_mto.lifshitz import LifshitzResult
 from casimir_mto.oscillator import (
     OscillatorParams,
     SerpentineSpring,
@@ -227,6 +228,51 @@ class TestSweep:
             freqs.append(pts[0].omega_r / (2 * math.pi))
         sample = np.std(freqs, ddof=1)
         assert sample == pytest.approx(sigma_f, rel=0.10)
+
+    @staticmethod
+    def _fixed_pressure(monkeypatch):
+        """Replace the sweep's averaged pressure by 0.16 Pa at every
+        separation (no integral runs); the shifted separations of each call
+        are appended to the returned list."""
+        shifted = []
+
+        def averaged_pressure(z, *args, **kwargs):
+            shifted.append(np.array(z))
+            return LifshitzResult(np.full(np.shape(z), 0.16), np.zeros(np.shape(z)), 0)
+
+        monkeypatch.setattr(oscillator, "averaged_pressure", averaged_pressure)
+        return shifted
+
+    def test_jitter_statistics(self, monkeypatch):
+        """Spread of the shifted separations over 1000 seeds matches the
+        configured jitter RMS within 10%."""
+        shifted = self._fixed_pressure(monkeypatch)
+        cfg = SweepConfig(z_grid=np.array([0.5e-6]),
+                          noise=SweepNoise(separation_noise_rms_m=3.2e-10))
+        for s in range(1000):
+            simulate_sweep(cfg, measured_params(), 294.3e-6, None, None,
+                           RoughnessDistribution.single(), seed=s)
+        jitter = np.concatenate(shifted) - 0.5e-6
+        assert np.std(jitter, ddof=1) == pytest.approx(3.2e-10, rel=0.10)
+
+    def test_substreams_do_not_alias(self, monkeypatch):
+        # Each (seed, point) has its own stream, also at the ends of the
+        # seed range: point 1 of seed s is not point 0 of seed s + 1.
+        shifted = self._fixed_pressure(monkeypatch)
+        par = measured_params()
+        grid = np.array([3e-7, 4e-7, 5e-7, 6e-7])
+        cfg = SweepConfig(z_grid=grid, noise=SweepNoise(0.0316, 3.2e-10))
+        base = resonant_frequency(par, 2 * math.pi * 294.3e-6 * 0.16)
+        draws = {}
+        for seed in (0, 1, 2**64 - 2, 2**64 - 1):
+            points = simulate_sweep(cfg, par, 294.3e-6, None, None,
+                                    RoughnessDistribution.single(), seed=seed)
+            draws[seed] = list(zip(shifted[-1] - grid, [p.omega_r - base for p in points]))
+        for seed in (0, 2**64 - 1):
+            jitter, freq = zip(*draws[seed])
+            assert len(set(jitter)) == len(set(freq)) == grid.size
+        for seed in (0, 2**64 - 2):
+            assert all(a != b for a, b in zip(draws[seed][1], draws[seed + 1][0]))
 
     def test_bad_geometry_rejected_before_integrals(self):
         cfg, par, radius, dist = self._setup([0.3e-6])
