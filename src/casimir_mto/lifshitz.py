@@ -14,10 +14,11 @@ One double-exponential product rule (Takahasi & Mori 1974) covers both
 axes: u = x and s = x with x = exp(pi/2 sinh t) on an even t grid, and
 eps is looked up at xi = u hbar c / 2z itself, however small, so no
 frequency floor leaves a model error. Each call keeps the t range its
-tolerance needs. The t step halves from level to level, reusing the
-nodes (and eps values) already evaluated, until two levels agree to the
-tolerance. The reported error, est_rel_error, is their difference
-plus a closed-form bound on the part of the integral the trimmed t range
+tolerance needs. One pass over the level-2 grid (t step 1/8) also gives
+level 1, from its even nodes; then the step halves from level to level,
+reusing the nodes (and eps values) already evaluated, until two levels
+agree to the tolerance. The reported error, est_rel_error, is their
+difference plus a closed-form bound on the part of the integral the trimmed t range
 drops: for eps >= 1 every reflection factor lies in [0, 1], so the
 ideal-metal integrand bounds the real one pointwise. An array of
 separations is one stacked rule, with a result and an estimate per entry.
@@ -49,10 +50,10 @@ from .records import Record
 TOL_MIN = 1e-8
 TOL_MAX = 1e-3
 
-# Exp-sinh rule: widest t range of an axis, finest level (step
+# Exp-sinh rule: widest t range of an axis, first and finest level (step
 # 2^-(level+1)) and the tensor entries evaluated at once.
 _T_LO, _T_HI = -4.5, 2.25
-_MAX_LEVEL = 6
+_FIRST, _MAX_LEVEL = 2, 6
 _BLOCK = 1 << 12
 # Entries of a stack integrated together: bounds the memory of a long stack.
 _STACK = 256
@@ -106,18 +107,19 @@ class LifshitzResult(Record):
     ``value`` is in N/m^2 (pressure), N (force) or N/m (gradient);
     ``est_rel_error`` bounds the error of ``value`` relative to the exact
     Lifshitz integral for the given eps (the model is never clamped): the
-    difference of the last two levels plus the truncation bound of the
-    trimmed t range; ``evaluations`` counts the (u, s) nodes of the product
-    rule. For an array of separations ``value`` and ``est_rel_error`` are
-    arrays, one entry per separation. An entry of a scalar or 1-D array is
-    bit for bit a call on it alone. The entries of a row along the last
+    difference of the last two levels (levels 2 and 1 at the earliest)
+    plus the truncation bound of the trimmed t range; ``evaluations`` counts
+    the (u, s) nodes of the product rule at the last level. For an array of
+    separations ``value`` and ``est_rel_error`` are arrays, one entry per
+    separation. An entry of a scalar or 1-D array is bit for bit a call on
+    it alone. The entries of a row along the last
     axis of a 2-D array are integrated on the nodes of the row's smallest
     separation z0 (a row wider than a factor _SPREAD = 16 splits into runs,
     each with its own z0): an entry at z = c z0 takes z0's eps and
     reflection factors, its v scaled by c and its sum by c^2, and a
     truncation bound for nodes scaled by c. A run stops at the first level
-    at which all its entries meet tol; they are bit for bit those of their
-    row alone, and ``evaluations`` counts their nodes at that level.
+    from 2 on at which all its entries meet tol; they are bit for bit those
+    of their row alone, and ``evaluations`` counts their nodes at that level.
     """
 
     value: float | np.ndarray
@@ -172,8 +174,8 @@ def _exp_sinh(level: int, t_lo: float, t_hi: float) -> tuple[np.ndarray, np.ndar
     """Nodes and weights of the exp-sinh rule on (0, inf) at step 2^-(level+1).
 
     x = exp(pi/2 sinh t) at the t = _T_LO + j h in [t_lo, t_hi]; with t_lo
-    on the level-0 grid the nodes of one level are those of the level
-    before plus the ones at odd positions.
+    on the level-1 grid the nodes of one level from 2 on are those of the
+    level before at even positions plus the ones at odd positions.
     """
     h = 0.5 ** (level + 1)
     t = _T_LO + h * np.arange(round((t_lo - _T_LO) / h), math.floor((t_hi - _T_LO) / h) + 1)
@@ -193,11 +195,12 @@ def _t_range(kind: str, tol: float) -> tuple[float, float]:
 
     Each end's share of the truncation bound (see _truncation) is held to
     _TRUNC_SHARE * tol / 2 of the ideal integral. t_lo is snapped down onto
-    the level-0 grid, so every level keeps a subset of the full rule's nodes.
+    the level-1 grid (step 1/4), so every level from 1 on nests in the next
+    and keeps a subset of the full rule's nodes.
     """
     budget = 0.5 * _TRUNC_SHARE * tol * _IDEAL_TOTAL[kind]
     x_lo = budget / (8.0 * _ZETA3)
-    t_lo = max(_T_LO, _T_LO + 0.5 * math.floor(2.0 * (_t(x_lo) - _T_LO)))
+    t_lo = max(_T_LO, _T_LO + 0.25 * math.floor(4.0 * (_t(x_lo) - _T_LO)))
     a = 1.0
     for _ in range(8):  # fixed point of 2 _tails(a)[0] = budget
         a = math.log(4.0 * (a * a + 4.0 * a + 6.0) / (-math.expm1(-a) * budget))
@@ -224,7 +227,8 @@ def _truncation(t_lo: float, t_hi: float, c: np.ndarray) -> np.ndarray:
     x_lo, a = float(_x(t_lo)), float(_x(t_hi))
     beyond, at = np.array([_tails(x) for x in (c * a).ravel().tolist()]).T.reshape(2, *c.shape)
     first = np.array([0.5 ** (level + 1) * 0.5 * math.pi * math.cosh(t_hi) * a
-                      for level in range(_MAX_LEVEL + 1)]).reshape(-1, *(1,) * c.ndim)
+                      for level in range(max(_FIRST, _MAX_LEVEL) + 1)]).reshape(
+                          -1, *(1,) * c.ndim)
     return 8.0 * _ZETA3 * (c * x_lo) + 2.0 * (beyond + c * first * at)
 
 
@@ -261,10 +265,12 @@ def _row_dot(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _rule_sum(kind: str, u, e1, e2, s, ws, scales) -> np.ndarray:
-    """sum_j ws_j f(c_i u_i, c_i s_j) for every row i and every entry of
-    ``scales``, a block of u rows at a time: one row of sums per entry.
-    f is (u+s)^2 sum_pol Q w/(1 - Q w) for pressure and (u+s) sum_pol
-    log(1 - Q w) for force, with w = exp(-(u+s)) (see _tail).
+    """sum_j ws_kj f(c_i u_i, c_i s_j) for every row k of the weights ``ws``,
+    every entry of ``scales`` and every row i, a block of u rows at a time:
+    an array (weight row, entry, row), with no weight-row axis for a 1-D
+    ``ws``. f is (u+s)^2 sum_pol Q w/(1 - Q w) for pressure and (u+s)
+    sum_pol log(1 - Q w) for force, with w = exp(-(u+s)) (see _tail); all
+    rows of ``ws`` weight the same values of f.
 
     ``e1``/``e2`` hold each row's permittivity, or None for a perfect
     conductor. An entry of ``scales`` is None for c = 1 or an array of one
@@ -273,7 +279,7 @@ def _rule_sum(kind: str, u, e1, e2, s, ws, scales) -> np.ndarray:
     separation, whose eps is looked up at the same xi.
     """
     rows = max(1, _BLOCK // s.size)
-    sums = np.empty((len(scales), u.size))
+    sums = np.empty((*ws.shape[:-1], len(scales), u.size))
     for i in range(0, u.size, rows):
         b = slice(i, i + rows)
         ub = u[b, None]
@@ -285,7 +291,8 @@ def _rule_sum(kind: str, u, e1, e2, s, ws, scales) -> np.ndarray:
             for x in q:  # log Q in place, capped at 0 where huge eps rounds Q above 1
                 np.minimum(np.log(x, out=x), 0.0, out=x)
             for k, c in enumerate(scales):
-                sums[k, b] = _row_dot(_tail(kind, v if c is None else c[b, None] * v, q), ws)
+                tail = _tail(kind, v if c is None else c[b, None] * v, q)
+                sums[..., k, b] = _row_dot(tail, ws.T).T
     return sums
 
 
@@ -317,13 +324,16 @@ def _stops(kind: str, z: np.ndarray, m1, m2, tol: float, t_lo: float, t_hi: floa
     of its first entry z0, its smallest: an entry at z = c z0 keeps z0's eps
     and reflection factors at every node, with v scaled by c and its sum by
     c^2, so a row looks eps up once. A one-entry row is z0 alone (c = 1).
-    The step of the product rule on t in [t_lo, t_hi] halves from level to
-    level, and a row stops at the first level (from 1 on, from 2 on for a
-    row with an entry at c != 1) where every entry's difference to the
-    level before plus its truncation bound is within ``tol`` of its sum
-    (NaN pads count as met), or at _MAX_LEVEL. It then writes its entries'
-    sums and estimates and leaves the (row, slot) arrays c, bounds and level
-    sums, and its eps values; the count adds its entries' (u, s) nodes.
+    The product rule on t in [t_lo, t_hi] starts with one pass over the
+    level-_FIRST grid, which also gives the level before it: that level's
+    nodes are the even ones, each weight doubled on each axis. The step
+    then halves from level to level, and a row stops at the first level
+    where every entry's difference to the level before plus its truncation
+    bound is within ``tol`` of its sum (NaN pads count as met), or at
+    _MAX_LEVEL (the first pass, if _MAX_LEVEL is below it). It then writes
+    its entries' sums and estimates and leaves the (row, slot) arrays c,
+    bounds and level sums, and its eps values; the count adds its entries'
+    (u, s) nodes.
     """
     c = z / z[:, :1]
     c2, bounds = c * c, _truncation(t_lo, t_hi, c)
@@ -332,38 +342,39 @@ def _stops(kind: str, z: np.ndarray, m1, m2, tol: float, t_lo: float, t_hi: floa
     evals = 0
     rows = np.arange(len(z))  # the row of z of each row still in the loop
     e_scale = HBARC_EV_M / (2.0 * z[:, :1])  # photon energy per unit u, eV
-    total, e1, e2 = 0.0, None, None
-    for level in range(_MAX_LEVEL + 1):
+    e1, e2 = None, None
+    for level in range(_FIRST, max(_FIRST, _MAX_LEVEL) + 1):
         x, w = _exp_sinh(level, t_lo, t_hi)
         xi = x * e_scale
         u = np.broadcast_to(x, xi.shape)
         e1, e2 = _lookup(eps1, xi, e1), _lookup(eps2, xi, e2)
         cols = [None if np.all(col == 1.0) else col for col in c.T]
-        # Only pairs with a node new at this level (odd index) are evaluated;
-        # the other pairs sum to a quarter of the previous level (half the
-        # step twice). Picked rows run row by row, one sum per slot.
-        new, old = (slice(1, None, 2), slice(0, None, 2)) if level else (slice(None), slice(0))
 
         def part(nodes, s, ws):
+            # Sums (row of ws, row, slot), the u nodes weighted by the same
+            # row of w; picked rows run row by row.
             picked = [None if a is None else a[..., nodes].flatten() for a in (u, e1, e2)]
             per_row = [col if col is None else np.repeat(col, x[nodes].size) for col in cols]
-            row_sums = _rule_sum(kind, *picked, s, ws, per_row)
-            return _row_dot(row_sums.reshape(len(cols) * len(xi), -1), w[nodes]).reshape(
-                len(cols), -1).T
+            row_sums = _rule_sum(kind, *picked, s, ws, per_row).reshape(
+                len(ws), len(cols) * len(xi), -1)
+            dots = [_row_dot(r, wk) for r, wk in zip(row_sums, w[:, nodes])]
+            return np.reshape(dots, (len(ws), len(cols), -1)).transpose(0, 2, 1)
 
-        previous = total
-        total = 0.25 * total + part(new, x, w) + part(old, x[new], w[new])
-        if not level:
-            continue
+        if level == _FIRST:
+            # The level before takes the same tails on the even nodes, each
+            # weight doubled: a second row of weights.
+            w = np.stack([w, np.where(np.arange(x.size) % 2, 0.0, 2.0 * w)])
+            total, previous = part(slice(None), x, w)
+        else:
+            # Only pairs with a node new at this level (odd index) are
+            # evaluated; the other pairs sum to a quarter of the previous
+            # level (half the step twice).
+            new, old, w = slice(1, None, 2), slice(0, None, 2), w[None]
+            previous = total
+            total = 0.25 * total + part(new, x, w)[0] + part(old, x[new], w[:, new])[0]
         value = c2 * total
         est = (np.abs(value - c2 * previous) + bounds[level]) / np.maximum(np.abs(value), 1e-300)
-        stop = ~(est > tol).any(axis=1)  # NaN pads count as met
-        if level == 1:
-            # Scaled nodes shift the coarse rules' error, which changes sign
-            # with c: levels 0 and 1 can agree by chance while level 1 is far
-            # off. Rows with such entries stop from level 2 on.
-            stop &= ~(c > 1.0).any(axis=1)
-        stop |= level == _MAX_LEVEL
+        stop = ~(est > tol).any(axis=1) | (level >= _MAX_LEVEL)  # NaN pads count as met
         sums[rows[stop]], rel[rows[stop]] = value[stop], est[stop]
         evals += x.size * x.size * int(np.count_nonzero(~np.isnan(c[stop])))
         if stop.all():

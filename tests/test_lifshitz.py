@@ -358,7 +358,7 @@ class TestTrimmedRule:
                         tight = _integral(kind, z, m1, m2, 1e-8)
                         ref, ref_est = tight.value, tight.est_rel_error
                     refs.append((ref, ref_est))
-                    for tol in (1e-3, 1e-4, 1e-6, 1e-8):
+                    for tol in (1e-3, 1e-4, 1e-5, 1e-6, 1e-8):
                         res = _integral(kind, z, m1, m2, tol)
                         assert np.all(res.est_rel_error <= tol)
                         true = abs(res.value / ref - 1.0)
@@ -382,13 +382,14 @@ class TestTrimmedRule:
             self, kind, gold_drude, copper_drude, ideal, monkeypatch):
         # Full-range minus trimmed rule at the same level, against the term
         # that est_rel_error adds for that level. With _MAX_LEVEL at the
-        # level and tol 0 the level loop returns that level's sum.
+        # level (from the first pass's, 2, on) and tol 0 the level loop
+        # returns that level's sum.
         for name, (m1, m2) in _pairs(gold_drude, copper_drude, ideal).items():
             for z0 in (2e-8, 1e-5):
                 z = np.array([[z0]])
                 for tol in (1e-3, 1e-8):
                     t_range = lifshitz._t_range(kind, tol)
-                    for level in range(1, 5):
+                    for level in range(2, 5):
                         monkeypatch.setattr(lifshitz, "_MAX_LEVEL", level)
                         (full, _, n_full), (trim, _, n_trim) = (
                             lifshitz._stops(kind, z, m1, m2, 0.0, *r)
@@ -408,7 +409,7 @@ class TestTrimmedRule:
                 for k in (1, 2, 3):
                     alone = z * (1.0 + 0.05 * np.arange(k))
                     stacked = np.append(alone, 0.97 * z)
-                    for level in range(1, 4):
+                    for level in range(2, 5):
                         monkeypatch.setattr(lifshitz, "_MAX_LEVEL", level)
                         a, b = (lifshitz._stops(kind, zs[:, None], gold_drude, copper_drude,
                                                 0.0, *t_range)[0] for zs in (alone, stacked))
@@ -465,9 +466,13 @@ class TestTrimmedRule:
             assert res.evaluations == sum(r.evaluations for r in lone)
 
     def test_trimmed_levels_nest_inside_the_full_rule(self):
-        for tol in (1e-3, 1e-6, 1e-8):
+        # Levels 1 to 5 (level 1 is the even sub-grid of the first pass):
+        # t_lo lies on the level-1 grid, so each level is the next one's even
+        # nodes, all inside the full rule.
+        for tol in (1e-3, 1e-5, 1e-6, 1e-8):
             t_range = lifshitz._t_range("pressure", tol)
-            for level in range(4):
+            assert (4.0 * (t_range[0] - lifshitz._T_LO)).is_integer()
+            for level in range(1, 5):
                 x = lifshitz._exp_sinh(level, *t_range)[0]
                 full = lifshitz._exp_sinh(level, lifshitz._T_LO, lifshitz._T_HI)[0]
                 assert np.isin(x, full).all()
@@ -502,6 +507,75 @@ class TestTrimmedRule:
     def test_eps_below_one_is_a_domain_error(self, eps, ideal):
         with pytest.raises(DomainError, match=">= 1"):
             pressure_plane_plane(1e-6, ArrayEps(eps), ideal, tol=1e-6)
+
+
+class TestLadder:
+    """The ladder starts with one pass over the level-2 grid, whose even
+    nodes with doubled weights give level 1: every row's first stop test
+    is at level 2."""
+
+    @pytest.mark.parametrize("kind", ["pressure", "force"])
+    def test_the_first_pass_gives_the_level_1_rule(self, kind, gold_drude, copper_drude,
+                                                   monkeypatch):
+        # With no truncation term, tol 0 and _MAX_LEVEL 2, a one-entry row's
+        # estimate is |L2 - L1| / |L2|. The fused pass's L1 must be the
+        # level-1 rule summed on its own nodes to a few ulps of L2.
+        registry = load_registry()
+        monkeypatch.setattr(lifshitz, "_MAX_LEVEL", 2)
+        monkeypatch.setattr(lifshitz, "_truncation",
+                            lambda t_lo, t_hi, c: np.zeros((3, *c.shape)))
+        t_range = lifshitz._t_range(kind, 1e-6)
+        x, w = lifshitz._exp_sinh(1, *t_range)
+        for m1, m2 in ((gold_drude, copper_drude), (registry["gold"], registry["copper"])):
+            for z in (2e-8, 3e-7, 1e-5):
+                (l2,), (rel,), _ = lifshitz._stops(kind, np.array([[z]]), m1, m2, 0.0, *t_range)
+                e1, e2 = (lifshitz._surface_eps(m)(x * HBARC_EV_M / (2.0 * z)) for m in (m1, m2))
+                l1 = lifshitz._rule_sum(kind, x, e1, e2, x, w, [None])[0] @ w
+                assert abs(rel - abs(l2 - l1) / abs(l2)) <= 4 * np.finfo(float).eps, (z, rel)
+
+    def test_no_row_stops_before_level_2(self, gold_drude, copper_drude, ideal, monkeypatch):
+        # At the loosest tol, lone entries and two-entry rows of every pair:
+        # the first rule built is level 2's, and each entry counts the nodes
+        # of a level from 2 on.
+        exp_sinh, levels = lifshitz._exp_sinh, []
+
+        def recording(level, t_lo, t_hi):
+            levels.append(level)
+            return exp_sinh(level, t_lo, t_hi)
+
+        monkeypatch.setattr(lifshitz, "_exp_sinh", recording)
+        for name, (m1, m2) in _pairs(gold_drude, copper_drude, ideal).items():
+            for kind in ("pressure", "force"):
+                t_range = lifshitz._t_range(kind, 1e-3)
+                counts = [exp_sinh(level, *t_range)[0].size ** 2
+                          for level in range(2, lifshitz._MAX_LEVEL + 1)]
+                for z in (2e-8, 1e-7, 1e-6, 1e-5):
+                    for zs, entries in ((z, 1), (z * np.array([[1.0, 1.3]]), 2)):
+                        levels.clear()
+                        res = _integral(kind, zs, m1, m2, 1e-3)
+                        assert min(levels) == levels[0] == 2, (name, kind, z)
+                        assert res.evaluations in [entries * n for n in counts], (name, kind, z)
+
+    def test_the_first_pass_can_be_the_last_level(self, monkeypatch):
+        # With _MAX_LEVEL at the first pass's level, or below it, every row
+        # (padded or not) writes the first pass's sums and estimates: those
+        # of rows that meet a loose tol there.
+        registry = load_registry()
+        au, cu = registry["gold"], registry["copper"]
+        nan = np.nan
+        zs = np.array([[2e-7, 2.1e-7, nan], [5e-7, nan, nan], [1e-6, 1.2e-6, 1.5e-6]])
+        for kind in ("pressure", "force"):
+            t_range = lifshitz._t_range(kind, 1e-6)
+            n2 = lifshitz._exp_sinh(2, *t_range)[0].size ** 2
+            loose = lifshitz._stops(kind, zs, au, cu, 1.0, *t_range)
+            for level in (2, 1, 0):
+                monkeypatch.setattr(lifshitz, "_MAX_LEVEL", level)
+                sums, rel, nodes = lifshitz._stops(kind, zs, au, cu, 0.0, *t_range)
+                assert np.array_equal(np.isnan(sums), np.isnan(zs)), (kind, level)
+                assert np.all(np.isfinite(sums[~np.isnan(zs)]) & (rel[~np.isnan(zs)] > 0.0))
+                assert np.array_equal(sums, loose[0], equal_nan=True), (kind, level)
+                assert np.array_equal(rel, loose[1], equal_nan=True), (kind, level)
+                assert nodes == loose[2] == 6 * n2
 
 
 def _reference(name, kind, z, m1, m2):
@@ -573,7 +647,7 @@ class TestSharedRows:
         assert np.array_equal(sums, at) and np.array_equal(rel, at_rel)
         monkeypatch.undo()
         nodes = lifshitz._exp_sinh(3, *t_range)[0].size ** 2
-        assert _integral(kind, row, au, cu, 1e-6).evaluations == 4 * nodes == 25_600
+        assert _integral(kind, row, au, cu, 1e-6).evaluations == 4 * nodes == 23_104
 
     def test_evaluations_count_the_pairs_whose_tail_is_evaluated(self, monkeypatch):
         # On a 1-D stack (the 1.1 um force stops a level before the others),

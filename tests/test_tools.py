@@ -37,20 +37,31 @@ def test_compare_outputs_finds_this_checkout_identical_to_itself():
 
 
 def test_compare_outputs_lists_each_differing_job(tmp_path):
+    # Each differing CSV with the same header and rows on both sides also
+    # gets its columns' worst relative changes, and over est_rel_error where
+    # the file has that column; a text column and a header-only file get none.
     spec = importlib.util.spec_from_file_location("compare_outputs",
                                                   ROOT / "tools" / "compare_outputs.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     dirs = [tmp_path / "a", tmp_path / "b"]
-    for d, text in zip(dirs, ("1\n", "2\n")):
+    grids = ("z_m,f_n,est_rel_error,label\n1e-07,-2.0,1e-06,x\n2e-07,-1.0,2e-06,y\n",
+             "z_m,f_n,est_rel_error,label\n1e-07,-2.000001,1e-06,x\n2e-07,-1.0,4e-06,y\n")
+    for d, text, grid, slope in zip(dirs, ("1\n", "2\n"), grids, ("4", "5")):
         d.mkdir()
         (d / "same.csv").write_text("0\n")
         (d / "moved.csv").write_text(text)
+        (d / "grid.csv").write_text(grid)
+        (d / "slope.csv").write_text(f"z_m,g\n1,{slope}\n")
     (dirs[0] / "gone.csv").write_text("0\n")
     job_list = [{"name": name, "outputs": outputs} for name, outputs in (
         ("same", ["same.csv"]), ("bytes", ["same.csv", "moved.csv"]), ("missing", ["gone.csv"]),
-        ("code", []), ("printed", []))]
+        ("code", []), ("printed", []), ("values", ["grid.csv", "slope.csv"]))]
     ran = [[{"rc": 0, "stdout": "ok\n"} for _ in job_list] for _ in dirs]
     ran[1][3]["rc"], ran[1][4]["stdout"] = 3, "ok, twice\n"
     assert tool.differences(job_list, ran, dirs) == [
-        "bytes: moved.csv", "missing: gone.csv", "code: rc", "printed: stdout"]
+        "bytes: moved.csv", "missing: gone.csv", "code: rc", "printed: stdout",
+        "values: grid.csv, slope.csv",
+        "values: grid.csv: worst relative change z_m 0, f_n 5e-07, est_rel_error 1; "
+        "over est_rel_error z_m 0, f_n 0.5",
+        "values: slope.csv: worst relative change z_m 0, g 0.25"]

@@ -4,14 +4,19 @@ For each workload in ``perfbench/jobs.py`` the job plan for ``--seed`` is
 written once. Each checkout's ``casimir_mto.cli.main`` then runs that plan
 in a fresh interpreter, on the checkout's own ``src/``, as one benchmark
 round (``perfbench/child.py``). Every job whose exit code, stdout or output
-bytes differ between the two is listed; the exit status is 1 if any do,
-2 if a round could not run, else 0.
+bytes differ between the two is listed; under it, each differing CSV with
+the same header and row count on both sides gets the worst relative change
+of each numeric column and, where the file has an ``est_rel_error`` column,
+of each other column divided by the larger of the row's two estimates.
+The exit status is 1 if any job differs, 2 if a round could not run, else 0.
 
 Run from anywhere:  python tools/compare_outputs.py OTHER_CHECKOUT --seed N [--size smoke|full]
 """
 
 import argparse
+import csv
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -49,16 +54,66 @@ def _bytes(path: Path) -> bytes | None:
     return path.read_bytes() if path.exists() else None
 
 
+def _rows(path: Path) -> list[list[str]]:
+    with path.open(newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def _ratio(d: float, e: float) -> float:
+    return d / e if e else math.inf if d else 0.0
+
+
+def _change(a: str, b: str) -> float:
+    """|b/a - 1| of two CSV fields, 0 where they are equal; ValueError
+    unless both are numbers."""
+    x, y = float(a), float(b)
+    return 0.0 if a == b else _ratio(abs(y - x), abs(x))
+
+
+def column_changes(a: Path, b: Path) -> str | None:
+    """Per numeric column of two CSV files, its worst relative change and,
+    with an ``est_rel_error`` column, its worst change over the larger of
+    the row's two estimates; None unless both have the same header, the
+    same number of rows (at least one) and every row as wide as the header."""
+    if a.suffix != ".csv" or _bytes(a) is None or _bytes(b) is None:
+        return None
+    (head, *rows_a), (head_b, *rows_b) = _rows(a), _rows(b)
+    if (head != head_b or not rows_a or len(rows_a) != len(rows_b)
+            or any(len(r) != len(head) for r in rows_a + rows_b)):
+        return None
+    est = head.index("est_rel_error") if "est_rel_error" in head else None
+    worst, over = {}, {}
+    for j, name in enumerate(head):
+        try:
+            changes = [_change(ra[j], rb[j]) for ra, rb in zip(rows_a, rows_b)]
+            if est is not None and j != est:
+                over[name] = max(over.get(name, 0.0), *(
+                    _ratio(d, max(float(ra[est]), float(rb[est])))
+                    for d, ra, rb in zip(changes, rows_a, rows_b)))
+        except ValueError:
+            continue  # not a numeric column
+        worst[name] = max(worst.get(name, 0.0), *changes)
+    line = "worst relative change " + ", ".join(f"{k} {v:.3g}" for k, v in worst.items())
+    if over:
+        line += "; over est_rel_error " + ", ".join(f"{k} {v:.3g}" for k, v in over.items())
+    return line
+
+
 def differences(job_list: list[dict], ran: list[list[dict]], dirs: list[Path]) -> list[str]:
     """A line "job: what differs" for every job whose exit code, stdout or
-    output files differ between the two rounds ``ran``, outputs in ``dirs``."""
+    output files differ between the two rounds ``ran``, outputs in ``dirs``,
+    then a line "job: file: ..." per differing CSV (see column_changes)."""
     found = []
     for job, a, b in zip(job_list, *ran):
         what = [field for field in ("rc", "stdout") if a[field] != b[field]]
-        what += [name for name in job["outputs"]
+        files = [name for name in job["outputs"]
                  if _bytes(dirs[0] / name) != _bytes(dirs[1] / name)]
-        if what:
-            found.append(f"{job['name']}: {', '.join(what)}")
+        if what + files:
+            found.append(f"{job['name']}: {', '.join(what + files)}")
+        for name in files:
+            line = column_changes(dirs[0] / name, dirs[1] / name)
+            if line:
+                found.append(f"{job['name']}: {name}: {line}")
     return found
 
 
@@ -85,7 +140,8 @@ def main(argv=None) -> int:
             found = differences(job_list, ran, dirs)
             for line in found:
                 print(f"{workload}/{line}")
-            print(f"{workload}: {len(job_list) - len(found)} of {len(job_list)} jobs identical")
+            same = len(job_list) - len({line.split(": ", 1)[0] for line in found})
+            print(f"{workload}: {same} of {len(job_list)} jobs identical")
             differ = differ or bool(found)
     return 1 if differ else 0
 
