@@ -112,14 +112,15 @@ class LifshitzResult(Record):
     the (u, s) nodes of the product rule at the last level. For an array of
     separations ``value`` and ``est_rel_error`` are arrays, one entry per
     separation. An entry of a scalar or 1-D array is bit for bit a call on
-    it alone. The entries of a row along the last
-    axis of a 2-D array are integrated on the nodes of the row's smallest
-    separation z0 (a row wider than a factor _SPREAD = 16 splits into runs,
-    each with its own z0): an entry at z = c z0 takes z0's eps and
-    reflection factors, its v scaled by c and its sum by c^2, and a
-    truncation bound for nodes scaled by c. A run stops at the first level
-    from 2 on at which all its entries meet tol; they are bit for bit those
-    of their row alone, and ``evaluations`` counts their nodes at that level.
+    it alone. The entries of a row along the last axis of a 2-D array are
+    integrated on the nodes of the row's smallest separation z0 (a row
+    wider than a factor _SPREAD = 16 splits into runs, each with its own
+    z0): an entry at z = c z0 takes z0's eps and reflection factors, its v
+    scaled by c and its sum by c^2, and a truncation bound for nodes scaled
+    by c. A run stops at the first level from 2 on at which all its entries
+    meet tol; they are bit for bit those of their row alone, and
+    ``evaluations`` counts their nodes at that level, the (u, s) pairs at
+    which the integrand is evaluated.
     """
 
     value: float | np.ndarray
@@ -227,8 +228,7 @@ def _truncation(t_lo: float, t_hi: float, c: np.ndarray) -> np.ndarray:
     x_lo, a = float(_x(t_lo)), float(_x(t_hi))
     beyond, at = np.array([_tails(x) for x in (c * a).ravel().tolist()]).T.reshape(2, *c.shape)
     first = np.array([0.5 ** (level + 1) * 0.5 * math.pi * math.cosh(t_hi) * a
-                      for level in range(max(_FIRST, _MAX_LEVEL) + 1)]).reshape(
-                          -1, *(1,) * c.ndim)
+                      for level in range(_MAX_LEVEL + 1)]).reshape(-1, *(1,) * c.ndim)
     return 8.0 * _ZETA3 * (c * x_lo) + 2.0 * (beyond + c * first * at)
 
 
@@ -317,23 +317,21 @@ def _lookup(eps, xi: np.ndarray, previous) -> np.ndarray | None:
 
 def _stops(kind: str, z: np.ndarray, m1, m2, tol: float, t_lo: float, t_hi: float):
     """Integrals over u, s > 0 of the Lifshitz integrand at the separations
-    ``z`` and their estimates, in the (row, slot) shape of ``z`` (NaN where
-    ``z`` is NaN), and the node count.
+    ``z`` and their estimates, in the (row, slot) shape of ``z``, and the
+    node count.
 
-    Each row of the 2-D ``z`` (NaN pads its end) is integrated on the nodes
-    of its first entry z0, its smallest: an entry at z = c z0 keeps z0's eps
-    and reflection factors at every node, with v scaled by c and its sum by
-    c^2, so a row looks eps up once. A one-entry row is z0 alone (c = 1).
-    The product rule on t in [t_lo, t_hi] starts with one pass over the
-    level-_FIRST grid, which also gives the level before it: that level's
-    nodes are the even ones, each weight doubled on each axis. The step
-    then halves from level to level, and a row stops at the first level
-    where every entry's difference to the level before plus its truncation
-    bound is within ``tol`` of its sum (NaN pads count as met), or at
-    _MAX_LEVEL (the first pass, if _MAX_LEVEL is below it). It then writes
-    its entries' sums and estimates and leaves the (row, slot) arrays c,
-    bounds and level sums, and its eps values; the count adds its entries'
-    (u, s) nodes.
+    Each row of the 2-D ``z`` is integrated on the nodes of its first entry
+    z0, its smallest: an entry at z = c z0 keeps z0's eps and reflection
+    factors at every node, with v scaled by c and its sum by c^2, so a row
+    looks eps up once. A one-entry row is z0 alone (c = 1). The product
+    rule on t in [t_lo, t_hi] starts with one pass over the level-_FIRST
+    grid, which also gives the level before it: that level's nodes are the
+    even ones, each weight doubled on each axis. The step then halves from
+    level to level, and a row stops at the first level where every entry's
+    difference to the level before plus its truncation bound is within
+    ``tol`` of its sum, or at _MAX_LEVEL. It then writes its entries' sums
+    and estimates and leaves the (row, slot) arrays c, bounds and level
+    sums, and its eps values; the count adds its entries' (u, s) nodes.
     """
     c = z / z[:, :1]
     c2, bounds = c * c, _truncation(t_lo, t_hi, c)
@@ -343,7 +341,7 @@ def _stops(kind: str, z: np.ndarray, m1, m2, tol: float, t_lo: float, t_hi: floa
     rows = np.arange(len(z))  # the row of z of each row still in the loop
     e_scale = HBARC_EV_M / (2.0 * z[:, :1])  # photon energy per unit u, eV
     e1, e2 = None, None
-    for level in range(_FIRST, max(_FIRST, _MAX_LEVEL) + 1):
+    for level in range(_FIRST, _MAX_LEVEL + 1):
         x, w = _exp_sinh(level, t_lo, t_hi)
         xi = x * e_scale
         u = np.broadcast_to(x, xi.shape)
@@ -374,9 +372,9 @@ def _stops(kind: str, z: np.ndarray, m1, m2, tol: float, t_lo: float, t_hi: floa
             total = 0.25 * total + part(new, x, w)[0] + part(old, x[new], w[:, new])[0]
         value = c2 * total
         est = (np.abs(value - c2 * previous) + bounds[level]) / np.maximum(np.abs(value), 1e-300)
-        stop = ~(est > tol).any(axis=1) | (level >= _MAX_LEVEL)  # NaN pads count as met
+        stop = (est <= tol).all(axis=1) | (level >= _MAX_LEVEL)
         sums[rows[stop]], rel[rows[stop]] = value[stop], est[stop]
-        evals += x.size * x.size * int(np.count_nonzero(~np.isnan(c[stop])))
+        evals += x.size * x.size * c[stop].size
         if stop.all():
             break
         if stop.any():
@@ -387,53 +385,53 @@ def _stops(kind: str, z: np.ndarray, m1, m2, tol: float, t_lo: float, t_hi: floa
     return sums, rel, evals
 
 
-def _runs(z: np.ndarray) -> np.ndarray:
+def _runs(z: np.ndarray) -> list[np.ndarray]:
     """Flat indices of the entries of ``z`` in runs that share one rule's
-    nodes, a run per row (-1 pads): each row along a 2-D ``z``'s last axis
-    by increasing separation, split before an entry more than _SPREAD times
-    its run's first; a scalar or 1-D ``z`` one entry per run."""
+    nodes, one (run, slot) array per run width: each row along a 2-D
+    ``z``'s last axis by increasing separation, split before an entry more
+    than _SPREAD times its run's first; a scalar or 1-D ``z`` one entry per
+    run."""
     width = z.shape[-1] if z.ndim > 1 else 1
     rows = z.reshape(-1, width)
     order = np.argsort(rows, axis=1, kind="stable") + width * np.arange(len(rows))[:, None]
     ordered = z.reshape(-1)[order]
     if np.all(ordered[:, -1] <= _SPREAD * ordered[:, 0]):
-        return order
-    runs = []
+        return [order]
+    runs = {}
     for index, values in zip(order.tolist(), ordered.tolist()):
         start = 0
         for j, value in enumerate(values):
             if value > _SPREAD * values[start]:
-                runs.append(index[start:j])
+                runs.setdefault(j - start, []).append(index[start:j])
                 start = j
-        runs.append(index[start:])
-    width = max(map(len, runs))
-    return np.array([run + [-1] * (width - len(run)) for run in runs])
+        runs.setdefault(width - start, []).append(index[start:])
+    return [np.array(group) for group in runs.values()]
 
 
 def _lifshitz(kind: str, z, coeff: float, m1, m2, tol: float) -> LifshitzResult:
     """coeff / z_i^p times the integral of the Lifshitz integrand at each
     separation z_i, with p = 4 for pressure and 3 for force, on the t range
     that ``tol`` allows, run by run (see _runs, LifshitzResult). _stops
-    takes whole runs, about _STACK entries at a time, so an entry does not
-    depend on the other runs. Raises ConvergenceError with the result
-    attached (the finest level for the runs that did not get there) when
-    some entry does not meet ``tol`` by _MAX_LEVEL.
+    takes whole runs of one width, about _STACK entries at a time, so an
+    entry does not depend on the other runs. Raises ConvergenceError with
+    the result attached (the finest level for the runs that did not get
+    there) when some entry does not meet ``tol`` by _MAX_LEVEL.
     """
     z = np.asarray(z, dtype=float)
     zp = _power(z, 4 if kind == "pressure" else 3)
     if not TOL_MIN <= tol <= TOL_MAX:
         raise DomainError(f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}]")
     t_lo, t_hi = _t_range(kind, tol)
-    flat = np.append(z, np.nan)  # index -1 pads a run and takes its pads' results
+    flat = z.reshape(-1)
     total, rel = np.empty(flat.size), np.empty(flat.size)
     evals = 0
-    runs = _runs(z)
-    step = max(1, _STACK // runs.shape[1])
-    for i in range(0, len(runs), step):
-        index = runs[i:i + step]
-        total[index], rel[index], nodes = _stops(kind, flat[index], m1, m2, tol, t_lo, t_hi)
-        evals += nodes
-    value, rel = coeff / zp * total[:-1].reshape(z.shape), rel[:-1].reshape(z.shape)
+    for runs in _runs(z):
+        step = max(1, _STACK // runs.shape[1])
+        for i in range(0, len(runs), step):
+            index = runs[i:i + step]
+            total[index], rel[index], nodes = _stops(kind, flat[index], m1, m2, tol, t_lo, t_hi)
+            evals += nodes
+    value, rel = coeff / zp * total.reshape(z.shape), rel.reshape(z.shape)
     result = LifshitzResult(value, rel, evals) if z.ndim else LifshitzResult(
         float(value), float(rel), evals)
     if rel.max() > tol:

@@ -377,6 +377,20 @@ class TestTrimmedRule:
         ref = CODATA.hbar * CODATA.c * 1e-4 / (16.0 * math.pi) / z**3 * full
         assert abs(res.value / ref - 1.0) <= res.est_rel_error
 
+    @pytest.mark.xfail(strict=True, reason="known under-report: the estimate takes 2.2e-9 "
+                       "for a true error of 7.0e-9 (ROADMAP, direction 1)")
+    def test_estimate_bounds_gold_on_copper_at_tol_1e_8(self):
+        # Tabulated Au against tabulated Cu, which stops at level 2: the
+        # reference is the rule on the full t range at the finest level.
+        z = 1.1538358966377532e-06
+        registry = load_registry()
+        au, cu = registry["gold"], registry["copper"]
+        res = force_sphere_plane(z, 1e-4, au, cu, tol=1e-8)
+        full = lifshitz._stops("force", np.array([[z]]), au, cu, 0.0,
+                               lifshitz._T_LO, lifshitz._T_HI)[0][0, 0]
+        ref = CODATA.hbar * CODATA.c * 1e-4 / (16.0 * math.pi) / z**3 * full
+        assert abs(res.value / ref - 1.0) <= res.est_rel_error
+
     @pytest.mark.parametrize("kind", ["pressure", "force"])
     def test_dropped_nodes_stay_within_the_truncation_term(
             self, kind, gold_drude, copper_drude, ideal, monkeypatch):
@@ -419,12 +433,13 @@ class TestTrimmedRule:
         # Rows of a 2-D stack share nodes within themselves only: a row's
         # entries come out bit for bit as in a call on that row alone, in any
         # order along the row, beside any rows and across chunk boundaries.
-        # The last row is wider than _SPREAD and splits into two runs.
+        # The last row is wider than _SPREAD and splits into runs of three
+        # entries and one.
         registry = load_registry()
         au, cu = registry["gold"], registry["copper"]
         offsets = np.array([-3e-8, 0.0, 1e-8, 3e-8])
         zs = np.array([2e-7, 6e-7, 1.1e-6])[:, None] + offsets
-        zs = np.vstack([zs, 1e-7 * np.array([1.0, 3.0, 20.0, 40.0])])
+        zs = np.vstack([zs, 1e-7 * np.array([1.0, 3.0, 5.0, 40.0])])
         for kind in ("pressure", "force"):
             alone = [_integral(kind, row[None, :], au, cu, 1e-6) for row in zs]
             flipped = _integral(kind, zs[-1:, ::-1], au, cu, 1e-6)
@@ -557,25 +572,23 @@ class TestLadder:
                         assert res.evaluations in [entries * n for n in counts], (name, kind, z)
 
     def test_the_first_pass_can_be_the_last_level(self, monkeypatch):
-        # With _MAX_LEVEL at the first pass's level, or below it, every row
-        # (padded or not) writes the first pass's sums and estimates: those
-        # of rows that meet a loose tol there.
+        # With _MAX_LEVEL at the first pass's level, every row writes the
+        # first pass's sums and estimates: those of rows that meet a loose
+        # tol there.
         registry = load_registry()
         au, cu = registry["gold"], registry["copper"]
-        nan = np.nan
-        zs = np.array([[2e-7, 2.1e-7, nan], [5e-7, nan, nan], [1e-6, 1.2e-6, 1.5e-6]])
+        zs = np.array([[2e-7, 2.1e-7], [5e-7, 5.5e-7], [1e-6, 1.2e-6]])
         for kind in ("pressure", "force"):
             t_range = lifshitz._t_range(kind, 1e-6)
             n2 = lifshitz._exp_sinh(2, *t_range)[0].size ** 2
             loose = lifshitz._stops(kind, zs, au, cu, 1.0, *t_range)
-            for level in (2, 1, 0):
-                monkeypatch.setattr(lifshitz, "_MAX_LEVEL", level)
-                sums, rel, nodes = lifshitz._stops(kind, zs, au, cu, 0.0, *t_range)
-                assert np.array_equal(np.isnan(sums), np.isnan(zs)), (kind, level)
-                assert np.all(np.isfinite(sums[~np.isnan(zs)]) & (rel[~np.isnan(zs)] > 0.0))
-                assert np.array_equal(sums, loose[0], equal_nan=True), (kind, level)
-                assert np.array_equal(rel, loose[1], equal_nan=True), (kind, level)
-                assert nodes == loose[2] == 6 * n2
+            monkeypatch.setattr(lifshitz, "_MAX_LEVEL", 2)
+            sums, rel, nodes = lifshitz._stops(kind, zs, au, cu, 0.0, *t_range)
+            monkeypatch.undo()
+            assert np.all(np.isfinite(sums) & (rel > 0.0))
+            assert np.array_equal(sums, loose[0]), kind
+            assert np.array_equal(rel, loose[1]), kind
+            assert nodes == loose[2] == 6 * n2
 
 
 def _reference(name, kind, z, m1, m2):
@@ -651,8 +664,9 @@ class TestSharedRows:
 
     def test_evaluations_count_the_pairs_whose_tail_is_evaluated(self, monkeypatch):
         # On a 1-D stack (the 1.1 um force stops a level before the others),
-        # on a row whose entries meet tol at different levels and on a rough
-        # stack of several rows, none with pads.
+        # on a row whose entries meet tol at different levels, on a rough
+        # stack of several rows and on a row that splits at _SPREAD into
+        # runs of 16 and 4 entries.
         registry = load_registry()
         au, cu = registry["gold"], registry["copper"]
         tail, pairs = lifshitz._tail, []
@@ -665,7 +679,8 @@ class TestSharedRows:
         offsets = np.array([-3e-8, -1e-8, 0.0, 1e-8, 3e-8])
         for kind, z in (("force", np.array([5e-7, 1.1e-6, 1.5e-6, 2e-7])),
                         ("force", 1.1e-6 * np.array([[1.0, 1.1, 1.5, 2.2]])),
-                        ("pressure", np.array([[2e-7], [4e-7], [6e-7]]) + offsets)):
+                        ("pressure", np.array([[2e-7], [4e-7], [6e-7]]) + offsets),
+                        ("force", np.geomspace(1e-7, 2.8e-6, 20)[None, :])):
             pairs.clear()
             assert _integral(kind, z, au, cu, 1e-6).evaluations == sum(pairs), (kind, z)
 
