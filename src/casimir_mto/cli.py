@@ -252,11 +252,8 @@ def cmd_calibrate(args) -> int:
     for key, val in report.items():
         print(f"{key}: {val:.10e}" if isinstance(val, float) else f"{key}: {val}")
     if out:
-        payload = dict(report)
-        payload["covariance"] = fit.covariance.tolist()
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        payload = {**report, "covariance": fit.covariance.tolist()}
+        Path(out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         print(f"wrote {out}")
     return 0
 
@@ -374,10 +371,9 @@ def cmd_limits(args) -> int:
     else:
         bounds = _interp_bound_file(bound_file, z_grid)
 
-    rows = [(lam, alpha_limit(bounds, float(lam), sphere, plate, z_grid))
-            for lam in lam_grid]
-    _write_csv(out, ["lambda_m", "alpha_limit"], rows)
-    print(f"wrote {len(rows)} rows to {out}")
+    limits = alpha_limit(bounds, lam_grid, sphere, plate, z_grid)
+    _write_csv(out, ["lambda_m", "alpha_limit"], zip(lam_grid, limits))
+    print(f"wrote {lam_grid.size} rows to {out}")
     return 0
 
 

@@ -354,6 +354,11 @@ class LeastSquaresResult(Record):
     success: bool        # False: stopped at max_nfev
 
 
+def _norm(x: np.ndarray) -> float:
+    """|x| of a 1-D float array: sqrt(x @ x), as np.linalg.norm computes it."""
+    return math.sqrt(x @ x)
+
+
 def _lm_parameter(sv: np.ndarray, g: np.ndarray, delta: float, par: float):
     """MINPACK ``lmpar`` on the SVD J D^-1 = U diag(sv) V^T, g = U^T f.
 
@@ -366,7 +371,7 @@ def _lm_parameter(sv: np.ndarray, g: np.ndarray, delta: float, par: float):
     nonsing = sv > 0
     w = np.zeros_like(g)
     w[nonsing] = g[nonsing] / sv[nonsing]
-    dxnorm = np.linalg.norm(w)
+    dxnorm = _norm(w)
     fp = dxnorm - delta
     if fp <= 0.1 * delta:
         return 0.0, w
@@ -374,7 +379,7 @@ def _lm_parameter(sv: np.ndarray, g: np.ndarray, delta: float, par: float):
     parl = 0.0
     if nonsing.all():
         parl = fp / (delta * np.sum(w * w / sv2) / dxnorm**2)
-    gnorm = np.linalg.norm(sv * g)
+    gnorm = _norm(sv * g)
     paru = gnorm / delta
     par = min(max(par, parl), paru)
     if par == 0:
@@ -383,7 +388,7 @@ def _lm_parameter(sv: np.ndarray, g: np.ndarray, delta: float, par: float):
         if par == 0:
             par = max(_TINY, 1e-3 * paru)
         w = sv * g / (sv2 + par)
-        dxnorm = np.linalg.norm(w)
+        dxnorm = _norm(w)
         prev, fp = fp, dxnorm - delta
         if abs(fp) <= 0.1 * delta or (parl == 0 and fp <= prev < 0) or it == 10:
             break
@@ -415,14 +420,14 @@ def least_squares(fun, x0, *, jac, xtol: float, ftol: float,
     ftol, xtol, gtol = (max(t, _EPS) for t in (ftol, xtol, gtol))
     x = np.array(x0, dtype=float)
     f = np.asarray(fun(x), dtype=float)
-    nfev, fnorm, par, diag = 1, np.linalg.norm(f), 0.0, None
+    nfev, fnorm, par, diag = 1, _norm(f), 0.0, None
     done = success = False
     while not done:
         jac_x = np.asarray(jac(x), dtype=float)
         colnorm = np.linalg.norm(jac_x, axis=0)
         if diag is None:
             diag = np.where(colnorm == 0, 1.0, colnorm)
-            xnorm = np.linalg.norm(diag * x)
+            xnorm = _norm(diag * x)
             delta = 100.0 * xnorm or 100.0
             first = True
         live = colnorm != 0
@@ -438,15 +443,15 @@ def least_squares(fun, x0, *, jac, xtol: float, ftol: float,
         while True:
             par, w = _lm_parameter(sv, g, delta, par)
             step = -(vt.T @ w) / diag
-            pnorm = np.linalg.norm(w)
+            pnorm = _norm(w)
             if first:
                 delta = min(delta, pnorm)
             x_new = x + step
             f_new = np.asarray(fun(x_new), dtype=float)
             nfev += 1
-            fnorm_new = np.linalg.norm(f_new)
+            fnorm_new = _norm(f_new)
             actred = 1.0 - (fnorm_new / fnorm) ** 2 if 0.1 * fnorm_new < fnorm else -1.0
-            temp1 = np.linalg.norm(sv * w) / fnorm
+            temp1 = _norm(sv * w) / fnorm
             temp2 = math.sqrt(par) * pnorm / fnorm
             prered = temp1**2 + 2.0 * temp2**2
             dirder = -(temp1**2 + temp2**2)
@@ -463,7 +468,7 @@ def least_squares(fun, x0, *, jac, xtol: float, ftol: float,
             accepted = ratio >= 1e-4
             if accepted:
                 x, f, fnorm, first = x_new, f_new, fnorm_new, False
-                xnorm = np.linalg.norm(diag * x)
+                xnorm = _norm(diag * x)
             f_conv = abs(actred) <= ftol and prered <= ftol and 0.5 * ratio <= 1
             x_conv = delta <= xtol * xnorm
             success = bool(f_conv or x_conv)
@@ -495,11 +500,11 @@ def calibrate(samples, initial_guess: tuple[float, float, float, float]) -> Cali
     Minimizes sum [dC_i - F(z_i, V_i; V0, R, delta0) / k]^2 in units of
     the initial guess with ``least_squares`` (Levenberg-Marquardt with the
     analytic Jacobian, at most 4,000 residual evaluations, else FitError).
-    Each trial point sums the series once, over the distinct gaps only;
-    the same pass gives dS/du for the R and delta0 columns, so a Jacobian
-    costs no series work. Requires at least 4 samples spanning at least 2
-    distinct applied voltages (one leaves k and (V - V0)^2 degenerate) and
-    3 distinct separations: n gaps fix only V0 and the n amplitudes
+    Each trial point builds one model, summing S and dS/du once over the distinct
+    gaps; its residuals and Jacobian share it, and the rank test's Jacobian at
+    the guess is the solver's first. Requires at least 4 samples spanning at
+    least 2 distinct applied voltages (one leaves k and (V - V0)^2 degenerate)
+    and 3 distinct separations: n gaps fix only V0 and the n amplitudes
     S(g_i/R)/k, which leave k, R and delta0 open for n < 3. A Jacobian of
     condition above 1e12, at the guess or the fit, raises IdentifiabilityError.
 
@@ -541,21 +546,21 @@ def calibrate(samples, initial_guess: tuple[float, float, float, float]) -> Cali
     # Parameters span ~12 orders of magnitude; fit in units of the guess,
     # floored at a natural unit per parameter so zero guesses stay scaled.
     scale = np.maximum(np.abs(x0), [1.0, 1e-2, 1e-6, 1e-9])
-    last: list = [None, None]  # latest (|R|, |delta0|) and its _series_at rows
+    latest: list = [None, None, None]  # the latest y (as bytes), its model and Jacobian
 
     def model(y):
-        """|k|, V0 and the sample rows (F, dF/dR, dF/ddelta0) at scaled y.
+        """|k|, V0, the sample rows (F, dF/dR, dF/ddelta0) and S at scaled y.
         Exploratory steps may go unphysical; they are folded back smoothly."""
-        k, v0, radius, delta0 = y * scale
-        geom = (max(abs(radius), 1e-30), abs(delta0))
-        if geom != last[0]:
-            last[:] = geom, _series_at(z_gaps, *geom)
-        return max(abs(k), 1e-30), v0, _force_model(v, v0, last[1][:, gap_of])
+        if latest[0] != (key := y.tobytes()):
+            k, v0, radius, delta0 = y * scale
+            rows = _series_at(z_gaps, max(abs(radius), 1e-30), abs(delta0))[:, gap_of]
+            latest[:] = key, (max(abs(k), 1e-30), v0, _force_model(v, v0, rows), rows[0]), None
+        return latest[1]
 
     def residuals(y):
         # Residuals live in measurement (dC) space: the force-space form
         # k*dC - F has a spurious exact minimum at k = R = 0.
-        k, _, forces = model(y)
+        k, _, forces, _ = model(y)
         r = dc - forces[0] / k
         if not math.isfinite(r @ r):
             raise DomainError("calibration cost is not finite: a dC residual "
@@ -563,18 +568,18 @@ def calibrate(samples, initial_guess: tuple[float, float, float, float]) -> Cali
         return r
 
     def jacobian(y):
-        k, v0, forces = model(y)
-        # The folds |k|, |R| and |delta0| contribute sign(x), +1 at x = 0.
-        sign = np.where((y < 0) & _FOLDED, -1.0, 1.0)
-        s = last[1][0, gap_of]
-        cols = (forces[0] / k**2, 4.0 * math.pi * CODATA.eps0 * (v - v0) * s / k,
-                -forces[1] / k, -forces[2] / k)
-        jac_y = np.column_stack(cols) * (sign * scale)
-        if not np.isfinite(jac_y).all():
-            raise DomainError("calibration Jacobian is not finite: a dC derivative overflows")
-        return jac_y
+        k, v0, forces, s = model(y)
+        if latest[2] is None:  # the folds |k|, |R| and |delta0| contribute sign(x), +1 at 0
+            sign = np.where((y < 0) & _FOLDED, -1.0, 1.0)
+            cols = (forces[0] / k**2, 4.0 * math.pi * CODATA.eps0 * (v - v0) * s / k,
+                    -forces[1] / k, -forces[2] / k)
+            jac_y = np.column_stack(cols) * (sign * scale)
+            if not np.isfinite(jac_y).all():
+                raise DomainError("calibration Jacobian is not finite: a dC derivative overflows")
+            latest[2] = jac_y
+        return latest[2]
 
-    # Before the fit spends its budget; its first residual reuses these series.
+    # Before the fit spends its budget; its first residual and Jacobian reuse these.
     _full_rank_svd(jacobian(x0 / scale))
     ndof = max(len(rows) - 4, 1)
     res = least_squares(

@@ -117,32 +117,30 @@ def read_table(path, header: tuple[str, ...]) -> tuple[np.ndarray, list[int]]:
     """Rows of the headed CSV table ``path``, with the file line of each row.
 
     ``header`` lists the column names in lower case. Returns an
-    (n_rows, len(header)) float array, n_rows >= 1.
+    (n_rows, len(header)) float array, n_rows >= 1. Of the rows that break
+    a rule, the first in file order is reported.
     """
-    want = ",".join(header)
-    rows: list[list[float]] = []
-    lines: list[int] = []
-    header_line = None
-    for lineno, raw in enumerate(open_text(path), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    lines = map(str.strip, open_text(path).read().split("\n"))
+    kept = [(lineno, line) for lineno, line in enumerate(lines, 1) if line and line[0] != "#"]
+    if not kept:
+        raise ParseError(f"{path}: missing header {','.join(header)!r}")
+    (header_line, text), *rows = kept
+    if [p.strip().lower() for p in text.split(",")] != list(header):
+        raise ParseError(f"{path}: expected header {','.join(header)!r}", line=header_line)
+    if not rows:
+        raise ParseError(f"{path}: no data rows", line=header_line)
+    linenos, texts = zip(*rows)
+    try:
+        if {t.count(",") for t in texts} == {len(header) - 1}:
+            values = list(map(float, ",".join(texts).split(",")))
+            return np.array(values).reshape(-1, len(header)), list(linenos)
+    except ValueError:
+        pass
+    for lineno, line in rows:  # some row is bad: report the first in file order
         parts = line.split(",")
-        if header_line is None:
-            if [p.strip().lower() for p in parts] != list(header):
-                raise ParseError(f"{path}: expected header {want!r}", line=lineno)
-            header_line = lineno
-            continue
         if len(parts) != len(header):
-            raise ParseError(
-                f"{path}: expected {len(header)} fields, got {len(parts)}", line=lineno
-            )
+            raise ParseError(f"{path}: expected {len(header)} fields, got {len(parts)}", line=lineno)
         try:
-            rows.append([float(p) for p in parts])
+            list(map(float, parts))
         except ValueError:
             raise ParseError(f"{path}: non-numeric field in {line!r}", line=lineno) from None
-        lines.append(lineno)
-    if not rows:
-        what = "no data rows" if header_line else f"missing header {want!r}"
-        raise ParseError(f"{path}: {what}", line=header_line)
-    return np.array(rows), lines

@@ -136,33 +136,27 @@ _Y_MINUS_TANH = (1 / 3, -2 / 15, 17 / 315, -62 / 2835, 1382 / 155925,
                  -21844 / 6081075, 929569 / 638512875)
 
 
-def _unit_force(gap: float, radius: float, lam: float) -> float:
-    """Closed-form sphere/half-space force per (G alpha rho_s rho_p).
+@np.errstate(over="ignore")  # the series at large y, which np.where discards
+def _unit_force(gap, radius: float, lam):
+    """Closed-form sphere/half-space force per (G alpha rho_s rho_p); gap, lam broadcast.
 
     The bracket (R - lam) + (R + lam) e^(-2y), y = R/lam, cancels to about
-    (2/3) R y^2 once lam >> R. For 2y < 1 it is taken as
-    lam (1 + e^(-2y)) (y - tanh y), the same quantity, with y - tanh y
-    from its odd series below y = 0.1.
+    (2/3) R y^2 once lam >> R. It is taken as lam (1 + e^(-2y)) (y - tanh y),
+    the same quantity, in two branches: y - tanh y from its odd series below
+    y = 0.1, where it cancels, and from tanh above.
     """
-    y = radius / lam
-    if 2.0 * y < 1.0:
-        if y < 0.1:
-            d = 0.0
-            for c in reversed(_Y_MINUS_TANH):
-                d = d * (y * y) + c
-            d *= y**3
-        else:
-            d = y - math.tanh(y)
-        bracket = lam * (1.0 + math.exp(-2.0 * y)) * d
-    else:
-        bracket = (radius - lam) + (radius + lam) * math.exp(-2.0 * radius / lam)
-    return 4.0 * math.pi**2 * lam**3 * math.exp(-gap / lam) * bracket
+    y = radius / np.asarray(lam, dtype=float)
+    d = _Y_MINUS_TANH[-1]
+    for c in reversed(_Y_MINUS_TANH[:-1]):
+        d = d * (y * y) + c
+    d = np.where(y < 0.1, d * y**3, y - np.tanh(y))
+    bracket = lam * (1.0 + np.exp(-2.0 * y)) * d
+    return 4.0 * math.pi**2 * lam**3 * np.exp(-gap / lam) * bracket
 
 
-def yukawa_force_sphere_plane(p: YukawaParams, sphere: LayeredBody,
-                              plate: LayeredBody, z: float) -> float:
-    """Attraction magnitude (N) between the coated sphere and plate at gap z."""
-    if not z > 0:
+def _pair_force(sphere: LayeredBody, plate: LayeredBody, lam, z):
+    """Force per (G alpha) of the coated pair over its density steps; lam, z broadcast."""
+    if not np.all(np.asarray(z) > 0):
         raise DomainError("separation must be > 0")
     if sphere.shape != "sphere" or plate.shape != "half_space":
         raise DomainError("expected a sphere over a half-space")
@@ -170,18 +164,25 @@ def yukawa_force_sphere_plane(p: YukawaParams, sphere: LayeredBody,
     for d_s, drho_s in sphere.density_steps():
         r_i = sphere.radius - d_s
         for d_p, drho_p in plate.density_steps():
-            total += drho_s * drho_p * _unit_force(z + d_s + d_p, r_i, p.lam)
-    return CODATA.G * p.alpha * total
+            total = total + drho_s * drho_p * _unit_force(z + d_s + d_p, r_i, lam)
+    return total
 
 
-def alpha_limit(residual_bound: Sequence[float], lam: float, sphere: LayeredBody,
-                plate: LayeredBody, z_grid: Sequence[float]) -> float:
+def yukawa_force_sphere_plane(p: YukawaParams, sphere: LayeredBody,
+                              plate: LayeredBody, z: float) -> float:
+    """Attraction magnitude (N) between the coated sphere and plate at gap z."""
+    return float(CODATA.G * p.alpha * _pair_force(sphere, plate, p.lam, z))
+
+
+def alpha_limit(residual_bound: Sequence[float], lam: float | np.ndarray, sphere: LayeredBody,
+                plate: LayeredBody, z_grid: Sequence[float]) -> float | np.ndarray:
     """Smallest alpha whose Yukawa force would exceed the residual bound.
 
     ``residual_bound`` holds the experimental force bound (N) at each point
     of ``z_grid``. The limit is min over z of bound(z) / F(alpha=1, z);
-    alpha-linearity is exact. A force that vanishes at every z bounds
-    nothing (DomainError).
+    alpha-linearity is exact. ``lam`` is a range or an array of ranges, one
+    limit each; each range in turn is checked as ``YukawaParams`` does, and
+    a force that vanishes at every z bounds nothing (DomainError).
     """
     z_grid = np.atleast_1d(np.asarray(z_grid, dtype=float))
     if z_grid.size == 0:
@@ -191,13 +192,13 @@ def alpha_limit(residual_bound: Sequence[float], lam: float, sphere: LayeredBody
         raise ConfigurationError("bound array must match the grid")
     if np.any(bounds <= 0):
         raise DomainError("residual bounds must be positive")
-    unit = YukawaParams(alpha=1.0, lam=lam)
-    forces = np.array([
-        yukawa_force_sphere_plane(unit, sphere, plate, float(z)) for z in z_grid
-    ])
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        limit = float(np.min(bounds / forces))
-    if not math.isfinite(limit):
-        raise DomainError(f"Yukawa force at lambda = {lam:.3e} m is zero or not finite "
-                          "on the whole separation grid; no alpha limit")
-    return limit
+    lams = np.asarray(lam, dtype=float)
+    with np.errstate(all="ignore"):  # a failing range is raised below
+        forces = CODATA.G * _pair_force(sphere, plate, lams.reshape(-1, 1), z_grid)
+        limits = np.min(bounds / forces, axis=1)
+    for lam_i, limit in zip(lams.reshape(-1).tolist(), limits.tolist()):
+        YukawaParams(alpha=1.0, lam=lam_i)
+        if not math.isfinite(limit):
+            raise DomainError(f"Yukawa force at lambda = {lam_i:.3e} m is zero or not finite "
+                              "on the whole separation grid; no alpha limit")
+    return limits.reshape(lams.shape) if lams.ndim else float(limits[0])

@@ -405,6 +405,42 @@ class TestCalibration:
         assert 0 < len(columns) <= trials[0] + 1
         assert columns == [Z_GRID.size] * len(columns) and Z_GRID.size < len(samples)
 
+    def test_fit_builds_one_model_per_trial_point(self, monkeypatch):
+        # Residuals and Jacobian at one point share its model, and the rank
+        # test's Jacobian at the guess is the solver's first, not a rebuild.
+        models, ranked, solved, points = [], [], [], set()
+        force_model = electrostatics._force_model
+        rank, solver = electrostatics._full_rank_svd, electrostatics.least_squares
+
+        def counting_model(*args):
+            models.append(args)
+            return force_model(*args)
+
+        def recording_rank(jac):
+            ranked.append(jac)
+            return rank(jac)
+
+        def recording_solver(fun, x0, *, jac, **kwargs):
+            def at(y):
+                points.add(y.tobytes())
+                return y
+
+            def recording_jac(y):
+                solved.append(jac(at(y)))
+                return solved[-1]
+
+            return solver(lambda y: fun(at(y)), x0, jac=recording_jac, **kwargs)
+
+        samples = make_calibration_samples(*TRUTH, Z_GRID, VOLTS, noise_rel=2e-6, seed=5)
+        monkeypatch.setattr(electrostatics, "_force_model", counting_model)
+        monkeypatch.setattr(electrostatics, "_full_rank_svd", recording_rank)
+        monkeypatch.setattr(electrostatics, "least_squares", recording_solver)
+        calibrate(samples, GUESS)
+        assert len(models) == len(points) > 1
+        assert ranked[0] is solved[0] and ranked[-1] is solved[-1]
+        # Every Jacobian handed out was built once: none besides the solver's.
+        assert len({id(j) for j in ranked + solved}) == len(solved) > 1
+
     def test_covariance_from_the_svd(self, monkeypatch):
         # Ill-conditioned design (cond(J) ~ 5e6): (J^T J)^-1 squares the
         # condition number and loses ~5e-4 relative; the SVD form of the

@@ -67,6 +67,19 @@ def test_bad_row_reports_its_file_line(table, bad):
     assert exc_info.value.line == 5
 
 
+@pytest.mark.parametrize("order", ["non_numeric_first", "field_count_first"])
+def test_first_bad_row_in_file_order_is_reported(table, order):
+    # Whatever kind of error each row has, the earlier row is the one named.
+    read, header, rows = table
+    bad = [rows[1][:rows[1].rindex(",")] + ",oops", rows[1] + ",1.0"]
+    if order == "field_count_first":
+        bad.reverse()
+    with pytest.raises(ParseError) as exc_info:
+        read([header, rows[0], bad[0], "# note", bad[1]])
+    assert exc_info.value.line == 3
+    assert ("non-numeric" in str(exc_info.value)) == (order == "non_numeric_first")
+
+
 def test_header_only_is_a_parse_error(table):
     read, header, _ = table
     with pytest.raises(ParseError):
@@ -86,6 +99,22 @@ def test_read_table_returns_rows_and_file_lines(tmp_path):
     rows, lines = read_table(path, ("a", "b"))
     assert rows.tolist() == [[1.0, 2.0], [3.0, 4.0]]
     assert lines == [3, 5]
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_bare_cr_files_read_as_lf_files(tmp_path, newline):
+    lines = ["# c", "a,b", "1,2", "", "  ", "3,4", "# end", "5,6"]
+    path = tmp_path / "t.csv"
+    path.write_bytes("\n".join(lines).encode() + b"\n")
+    want_rows, want_lines = read_table(path, ("a", "b"))
+    path.write_bytes(newline.join(lines).encode() + newline.encode())
+    rows, got_lines = read_table(path, ("a", "b"))
+    assert rows.tolist() == want_rows.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+    assert got_lines == want_lines == [3, 6, 8]
+    path.write_bytes(newline.join([*lines[:5], "3,x", *lines[6:]]).encode())
+    with pytest.raises(ParseError) as exc_info:
+        read_table(path, ("a", "b"))
+    assert exc_info.value.line == 6
 
 
 def test_empty_table_is_a_parse_error(tmp_path):

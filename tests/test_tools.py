@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -40,6 +41,8 @@ def test_compare_outputs_lists_each_differing_job(tmp_path):
     # Each differing CSV with the same header and rows on both sides also
     # gets its columns' worst relative changes, and over est_rel_error where
     # the file has that column; a text column and a header-only file get none.
+    # A differing JSON object with the same keys gets each numeric key's worst
+    # relative change, and each fitted value's change over its own sigma.
     spec = importlib.util.spec_from_file_location("compare_outputs",
                                                   ROOT / "tools" / "compare_outputs.py")
     tool = importlib.util.module_from_spec(spec)
@@ -54,9 +57,17 @@ def test_compare_outputs_lists_each_differing_job(tmp_path):
         (d / "grid.csv").write_text(grid)
         (d / "slope.csv").write_text(f"z_m,g\n1,{slope}\n")
     (dirs[0] / "gone.csv").write_text("0\n")
+    fit = {"k_n_per_f": 5e4, "k_sigma": 10.0, "v0_v": 0.6, "v0_sigma": 1e-3, "label": "x",
+           "n_samples": 96, "covariance": [[1.0, 2.0], [2.0, 4.0]]}
+    moved = {**fit, "k_n_per_f": 50001.0, "v0_sigma": 2e-3, "covariance": [[1.0, 2.0], [2.0, 5.0]]}
+    for d, doc, keyed, broken in zip(dirs, (fit, moved), ({"a": 1}, {"b": 1}), ("{", "[")):
+        (d / "fit.json").write_text(json.dumps(doc))
+        (d / "keys.json").write_text(json.dumps(keyed))
+        (d / "broken.json").write_text(broken)
     job_list = [{"name": name, "outputs": outputs} for name, outputs in (
         ("same", ["same.csv"]), ("bytes", ["same.csv", "moved.csv"]), ("missing", ["gone.csv"]),
-        ("code", []), ("printed", []), ("values", ["grid.csv", "slope.csv"]))]
+        ("code", []), ("printed", []), ("values", ["grid.csv", "slope.csv"]),
+        ("report", ["fit.json", "keys.json", "broken.json"]))]
     ran = [[{"rc": 0, "stdout": "ok\n"} for _ in job_list] for _ in dirs]
     ran[1][3]["rc"], ran[1][4]["stdout"] = 3, "ok, twice\n"
     assert tool.differences(job_list, ran, dirs) == [
@@ -64,4 +75,7 @@ def test_compare_outputs_lists_each_differing_job(tmp_path):
         "values: grid.csv, slope.csv",
         "values: grid.csv: worst relative change z_m 0, f_n 5e-07, est_rel_error 1; "
         "over est_rel_error z_m 0, f_n 0.5",
-        "values: slope.csv: worst relative change z_m 0, g 0.25"]
+        "values: slope.csv: worst relative change z_m 0, g 0.25",
+        "report: fit.json, keys.json, broken.json",
+        "report: fit.json: worst relative change k_n_per_f 2e-05, k_sigma 0, v0_v 0, "
+        "v0_sigma 1, n_samples 0, covariance 0.25; over sigma k_n_per_f 0.1, v0_v 0"]

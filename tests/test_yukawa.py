@@ -189,3 +189,33 @@ class TestAlphaLimit:
         scaled = alpha_limit(np.full(self.Z_GRID.size, scale * 1e-14), 2e-7,
                              reference_sphere(), reference_plate(), self.Z_GRID)
         assert scaled == pytest.approx(scale * base, rel=1e-12)
+
+    def test_lambda_array_equals_scalar_calls(self):
+        # 1e-9 to 1e4 m spans both branches of the bracket: y = R/lambda < 0.1
+        # (its series), 0.1 <= y < 0.5 and y >= 0.5 (tanh), R = 294.3 um.
+        lams = np.geomspace(1e-9, 1e4, 261)
+        y = reference_sphere().radius / lams
+        assert (y < 0.1).any() and ((0.1 <= y) & (y < 0.5)).any() and (y >= 0.5).any()
+        bounds = np.full(self.Z_GRID.size, 1e-14)
+        limits = alpha_limit(bounds, lams, reference_sphere(), reference_plate(), self.Z_GRID)
+        scalar = [alpha_limit(bounds, float(lam), reference_sphere(), reference_plate(),
+                              self.Z_GRID) for lam in lams]
+        assert limits.shape == lams.shape
+        assert np.array_equal(limits, scalar)
+
+    @pytest.mark.parametrize("lams, error", [
+        ([2e-7, -1e-7, 3e-7], ValidationError),
+        ([2e-7, 0.0, 3e-7], ValidationError),
+        ([2e-7, math.nan, 3e-7], ValidationError),
+        ([2e-7, 1e103, 3e-7], ValidationError),    # lambda^3 overflows
+        ([2e-7, 1e-300, 1e103], DomainError),      # zero force, before the bad range
+        ([2e-7, 1e103, 1e-300], ValidationError),
+    ])
+    def test_first_bad_lambda_raises_as_its_scalar_call(self, lams, error):
+        bounds = np.full(self.Z_GRID.size, 1e-14)
+        bad = next(lam for lam in lams if lam != 2e-7)
+        with pytest.raises(error) as scalar:
+            alpha_limit(bounds, bad, reference_sphere(), reference_plate(), self.Z_GRID)
+        with pytest.raises(error) as array:
+            alpha_limit(bounds, np.array(lams), reference_sphere(), reference_plate(), self.Z_GRID)
+        assert str(array.value) == str(scalar.value)

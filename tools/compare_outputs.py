@@ -8,6 +8,10 @@ bytes differ between the two is listed; under it, each differing CSV with
 the same header and row count on both sides gets the worst relative change
 of each numeric column and, where the file has an ``est_rel_error`` column,
 of each other column divided by the larger of the row's two estimates.
+Each differing JSON object with the same keys on both sides (the
+``calibrate`` reports) gets the worst relative change of each numeric key
+and, for a fitted value with a ``<name>_sigma`` key (``k_n_per_f`` and
+``k_sigma``), its change divided by the larger of its two sigmas.
 The exit status is 1 if any job differs, 2 if a round could not run, else 0.
 
 Run from anywhere:  python tools/compare_outputs.py OTHER_CHECKOUT --seed N [--size smoke|full]
@@ -93,16 +97,56 @@ def column_changes(a: Path, b: Path) -> str | None:
         except ValueError:
             continue  # not a numeric column
         worst[name] = max(worst.get(name, 0.0), *changes)
+    return _report(worst, over, "est_rel_error")
+
+
+def _leaves(value) -> list:
+    """The scalars of a JSON value, nested lists flattened in order."""
+    return [x for v in value for x in _leaves(v)] if isinstance(value, list) else [value]
+
+
+def key_changes(a: Path, b: Path) -> str | None:
+    """Per numeric key of two JSON objects, its worst relative change over
+    all its numbers and, where a ``<name>_sigma`` key exists for the key's
+    first ``_``-separated word, its change over the larger of the two sigmas;
+    None unless both parse as objects with the same keys."""
+    if a.suffix != ".json" or _bytes(a) is None or _bytes(b) is None:
+        return None
+    try:
+        doc_a, doc_b = (json.loads(p.read_text(encoding="utf-8")) for p in (a, b))
+    except ValueError:
+        return None
+    if not (isinstance(doc_a, dict) and isinstance(doc_b, dict)) or doc_a.keys() != doc_b.keys():
+        return None
+    worst, over = {}, {}
+    for key in doc_a:
+        leaves_a, leaves_b = _leaves(doc_a[key]), _leaves(doc_b[key])
+        if len(leaves_a) != len(leaves_b):
+            continue
+        try:
+            worst[key] = max(_change(x, y) for x, y in zip(leaves_a, leaves_b))
+        except (TypeError, ValueError):
+            continue  # not a numeric key
+        sigma = key.split("_")[0] + "_sigma"
+        if sigma in doc_a and sigma != key and len(leaves_a) == 1:
+            over[key] = _ratio(abs(float(leaves_b[0]) - float(leaves_a[0])),
+                               max(abs(float(doc_a[sigma])), abs(float(doc_b[sigma]))))
+    return _report(worst, over, "sigma")
+
+
+def _report(worst: dict, over: dict, unit: str) -> str:
+    """The line of worst relative changes, then of changes over ``unit``."""
     line = "worst relative change " + ", ".join(f"{k} {v:.3g}" for k, v in worst.items())
     if over:
-        line += "; over est_rel_error " + ", ".join(f"{k} {v:.3g}" for k, v in over.items())
+        line += f"; over {unit} " + ", ".join(f"{k} {v:.3g}" for k, v in over.items())
     return line
 
 
 def differences(job_list: list[dict], ran: list[list[dict]], dirs: list[Path]) -> list[str]:
     """A line "job: what differs" for every job whose exit code, stdout or
     output files differ between the two rounds ``ran``, outputs in ``dirs``,
-    then a line "job: file: ..." per differing CSV (see column_changes)."""
+    then a line "job: file: ..." per differing CSV or JSON object (see
+    column_changes and key_changes)."""
     found = []
     for job, a, b in zip(job_list, *ran):
         what = [field for field in ("rc", "stdout") if a[field] != b[field]]
@@ -111,7 +155,8 @@ def differences(job_list: list[dict], ran: list[list[dict]], dirs: list[Path]) -
         if what + files:
             found.append(f"{job['name']}: {', '.join(what + files)}")
         for name in files:
-            line = column_changes(dirs[0] / name, dirs[1] / name)
+            pair = dirs[0] / name, dirs[1] / name
+            line = column_changes(*pair) or key_changes(*pair)
             if line:
                 found.append(f"{job['name']}: {name}: {line}")
     return found
