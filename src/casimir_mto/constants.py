@@ -24,3 +24,8 @@ CODATA = PhysicalConstants()
 # hbar * c in eV m, used to map the dimensionless Lifshitz frequency
 # variable back to a photon energy at a given separation.
 HBARC_EV_M = CODATA.hbar * CODATA.c / CODATA.ev
+
+# Elements (float64) per chunk of an array pass taken a chunk at a time:
+# 64 KiB temporaries stay below glibc's 128 KiB mmap threshold, so they are
+# reused from the heap instead of being mapped and faulted in afresh.
+BLOCK = 1 << 13

@@ -52,6 +52,7 @@ from .records import Record
 _N0 = 16
 _BERNOULLI = (-1 / 2, 1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
               -691 / 1307674368000)
+_N = np.arange(1.0, _N0 + 1.0)[:, None]  # the direct terms' n, as a column
 
 # Small-gap expansion of the series, rho = d/R:
 #   F = (pi eps0 V^2 R / d) * [1 + rho ((1/3) ln rho + C1) + O(rho^2 ln^2 rho)]
@@ -118,12 +119,12 @@ def _tables():
     weight = dict(zip((0, *range(1, size - 3, 2)), _BERNOULLI))  # j = m - 1 -> b_m
     langevin = np.zeros(size - 3)  # b_m 2^m at u^(m-1), m = 2, 4, .., 12
     langevin[1::2] = np.array(_BERNOULLI[1:]) * 2.0 ** np.arange(2, size - 2, 2)
-    gh = np.zeros((2, size, size, size))  # (g, h), then (g^(j), h^(j))
+    gh = np.zeros((2, size, size, 1))  # (g, h), then (g^(j), h^(j)), at u^0
     gh[0, 1, 1, 0] = gh[1, 0, 1, 0] = 1.0
-    poly = np.zeros_like(gh)
-    for j in range(size - 3):  # rolling the u axis by j multiplies by u^j
+    poly = np.zeros((2, size, size, size))
+    for j in range(size - 3):  # the j-th derivatives go to u^j
         g_j = (_N0 * weight.get(j, 0.0) + (j + 1) * weight.get(j + 1, 0.0)) * gh[0]
-        poly += np.roll((g_j, weight.get(j, 0.0) * gh[1]), j, axis=-1)
+        poly[..., j:j + 1] += g_j, weight.get(j, 0.0) * gh[1]
         gh = d_dx(gh)
     poly = np.concatenate((poly, _N0 * d_dx(poly)))
     poly[2:, ..., :-1] += (i * poly[:2])[..., 1:]
@@ -144,20 +145,25 @@ def _series_sums(u: np.ndarray) -> np.ndarray:
         d/du [(n c_n - c_1) s_n] = s_n [s_1^2 - n^2 s_n^2 - n c_n (n c_n - c_1)].
     """
     u = np.asarray(u, dtype=float).reshape(-1)
-    if np.any(u <= 0):
+    if (u <= 0).any():
         raise DomainError("gap parameter u must be > 0")
     pa, pb, poly, langevin = _tables()
-    n = np.arange(1.0, _N0 + 1.0)[:, None]
-    c, s = _coth_csch(n * u)  # rows n = 1.._N0
+    c, s = _coth_csch(_N * u)  # rows n = 1.._N0
     c1, s1, ca, sa = c[0], s[0], c[-1], s[-1]
-    dn = n * c - c1
-    out = np.stack((dn * s, s * (s1 * s1 - (n * s) ** 2 - (dn + c1) * dn)))[:, :-1].sum(axis=1)
+    dn = _N * c - c1
+    terms = np.empty((2, _N0, u.size))
+    np.multiply(dn, s, out=terms[0])
+    np.multiply(s, s1 * s1 - (_N * s) ** 2 - (dn + c1) * dn, out=terms[1])
+    out = terms[:, :-1].sum(axis=1)
 
-    powers = np.empty((2 * len(_BERNOULLI) + 1, 3, u.size))  # c^k, s^k, u^k
-    powers[0], powers[1:] = 1.0, (ca, sa, u)
-    np.cumprod(powers, axis=0, out=powers)
-    u_pow = powers[:langevin.size, 2]
-    p0, p1, p2, p3 = ((poly @ (powers[pa, 0] * powers[pb, 1])).reshape(4, -1, u.size)
+    powers = np.empty((3, 2 * len(_BERNOULLI) + 1, u.size))  # c^k, s^k, u^k
+    powers[:, 0] = 1.0
+    powers[0, 1:] = ca
+    powers[1, 1:] = sa
+    powers[2, 1:] = u
+    np.multiply.accumulate(powers, axis=1, out=powers)
+    u_pow = powers[2, :langevin.size]
+    p0, p1, p2, p3 = ((poly @ (powers[0, pa] * powers[1, pb])).reshape(4, -1, u.size)
                       * u_pow).sum(axis=1)
     out[0] -= p0 - c1 * p1
     out[1] -= p2 + s1 * s1 * p1 - c1 * p3
@@ -179,10 +185,10 @@ def _gap_u(gap, radius: float):
     no rounding of rho against 1 (which costs up to 1.1e-16/rho relative). A
     gap with 1 + rho == 1 is rejected all the same: such gaps stay out of domain."""
     gap = np.asarray(gap, dtype=float)
-    if not (np.all(gap > 0) and radius > 0):
+    if not ((gap > 0).all() and radius > 0):
         raise DomainError("electrostatic gap and sphere radius must be > 0")
     rho = gap / radius
-    if np.any(1.0 + rho == 1.0):
+    if (1.0 + rho == 1.0).any():
         raise DomainError("electrostatic gap is below the resolution of 1 + gap/R")
     return rho, 2.0 * np.arcsinh(np.sqrt(0.5 * rho))
 
@@ -198,7 +204,11 @@ def _series_at(z_metal: np.ndarray, radius: float, delta0: float) -> np.ndarray:
     rho, u = _gap_u(z_metal + 2.0 * delta0, radius)
     s, ds_du = _series_sums(u)
     ds_dg = ds_du / (radius * np.sqrt(rho * (2.0 + rho)))  # sinh u = sqrt(rho (2 + rho))
-    return np.stack((s, -rho * ds_dg, 2.0 * ds_dg))
+    out = np.empty((3, u.size))
+    out[0] = s
+    np.multiply(-rho, ds_dg, out=out[1])
+    np.multiply(2.0, ds_dg, out=out[2])
+    return out
 
 
 def _force_model(v_applied: np.ndarray, v0: float, s: np.ndarray) -> np.ndarray:
@@ -369,8 +379,7 @@ def _lm_parameter(sv: np.ndarray, g: np.ndarray, delta: float, par: float):
     """
     sv2 = sv * sv
     nonsing = sv > 0
-    w = np.zeros_like(g)
-    w[nonsing] = g[nonsing] / sv[nonsing]
+    w = np.divide(g, sv, out=np.zeros(g.shape), where=nonsing)
     dxnorm = _norm(w)
     fp = dxnorm - delta
     if fp <= 0.1 * delta:
@@ -378,7 +387,7 @@ def _lm_parameter(sv: np.ndarray, g: np.ndarray, delta: float, par: float):
     # d|w|/dpar = -sum(w^2 / (sv^2 + par)) / |w|: Newton bounds and steps.
     parl = 0.0
     if nonsing.all():
-        parl = fp / (delta * np.sum(w * w / sv2) / dxnorm**2)
+        parl = fp / (delta * (w * w / sv2).sum() / dxnorm**2)
     gnorm = _norm(sv * g)
     paru = gnorm / delta
     par = min(max(par, parl), paru)
@@ -392,7 +401,7 @@ def _lm_parameter(sv: np.ndarray, g: np.ndarray, delta: float, par: float):
         prev, fp = fp, dxnorm - delta
         if abs(fp) <= 0.1 * delta or (parl == 0 and fp <= prev < 0) or it == 10:
             break
-        parc = fp / (delta * np.sum(w * w / (sv2 + par)) / dxnorm**2)
+        parc = fp / (delta * (w * w / (sv2 + par)).sum() / dxnorm**2)
         if fp > 0:
             parl = max(parl, par)
         elif fp < 0:
@@ -424,16 +433,16 @@ def least_squares(fun, x0, *, jac, xtol: float, ftol: float,
     done = success = False
     while not done:
         jac_x = np.asarray(jac(x), dtype=float)
-        colnorm = np.linalg.norm(jac_x, axis=0)
+        colnorm = np.sqrt(np.add.reduce(jac_x * jac_x, axis=0))  # as np.linalg.norm(axis=0)
         if diag is None:
             diag = np.where(colnorm == 0, 1.0, colnorm)
             xnorm = _norm(diag * x)
             delta = 100.0 * xnorm or 100.0
             first = True
-        live = colnorm != 0
         gnorm = 0.0
-        if fnorm and live.any():
-            gnorm = float(np.max(np.abs(jac_x.T @ f)[live] / colnorm[live])) / fnorm
+        if fnorm:  # zero columns count as 0
+            gnorm = float(np.divide(np.abs(jac_x.T @ f), colnorm, out=np.zeros(colnorm.shape),
+                                    where=colnorm != 0).max()) / fnorm
         if gnorm <= gtol:
             success = True
             break
@@ -571,9 +580,11 @@ def calibrate(samples, initial_guess: tuple[float, float, float, float]) -> Cali
         k, v0, forces, s = model(y)
         if latest[2] is None:  # the folds |k|, |R| and |delta0| contribute sign(x), +1 at 0
             sign = np.where((y < 0) & _FOLDED, -1.0, 1.0)
-            cols = (forces[0] / k**2, 4.0 * math.pi * CODATA.eps0 * (v - v0) * s / k,
-                    -forces[1] / k, -forces[2] / k)
-            jac_y = np.column_stack(cols) * (sign * scale)
+            jac_y = np.empty((v.size, 4))
+            jac_y[:, 0] = forces[0] / k**2
+            jac_y[:, 1] = 4.0 * math.pi * CODATA.eps0 * (v - v0) * s / k
+            jac_y[:, 2:] = -forces[1:].T / k
+            jac_y *= sign * scale
             if not np.isfinite(jac_y).all():
                 raise DomainError("calibration Jacobian is not finite: a dC derivative overflows")
             latest[2] = jac_y

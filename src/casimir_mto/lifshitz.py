@@ -42,7 +42,7 @@ import warnings
 
 import numpy as np
 
-from .constants import CODATA, HBARC_EV_M
+from .constants import BLOCK, CODATA, HBARC_EV_M
 from .errors import ConvergenceError, DomainError
 from .materials import DielectricModel, PerfectConductor, Tabulated
 from .records import Record
@@ -50,11 +50,10 @@ from .records import Record
 TOL_MIN = 1e-8
 TOL_MAX = 1e-3
 
-# Exp-sinh rule: widest t range of an axis, first and finest level (step
-# 2^-(level+1)) and the tensor entries evaluated at once.
+# Exp-sinh rule: the widest t range of an axis, and the first and finest
+# level (step 2^-(level+1)).
 _T_LO, _T_HI = -4.5, 2.25
 _FIRST, _MAX_LEVEL = 2, 6
-_BLOCK = 1 << 12
 # Entries of a stack integrated together: bounds the memory of a long stack.
 _STACK = 256
 # Widest ratio of separations whose entries share one rule's nodes. Over
@@ -266,11 +265,12 @@ def _row_dot(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _rule_sum(kind: str, u, e1, e2, s, ws, scales) -> np.ndarray:
     """sum_j ws_kj f(c_i u_i, c_i s_j) for every row k of the weights ``ws``,
-    every entry of ``scales`` and every row i, a block of u rows at a time:
-    an array (weight row, entry, row), with no weight-row axis for a 1-D
-    ``ws``. f is (u+s)^2 sum_pol Q w/(1 - Q w) for pressure and (u+s)
-    sum_pol log(1 - Q w) for force, with w = exp(-(u+s)) (see _tail); all
-    rows of ``ws`` weight the same values of f.
+    every entry of ``scales`` and every row i: an array (weight row, entry,
+    row), with no weight-row axis for a 1-D ``ws``. f is (u+s)^2 sum_pol
+    Q w/(1 - Q w) for pressure and (u+s) sum_pol log(1 - Q w) for force,
+    with w = exp(-(u+s)) (see _tail); all rows of ``ws`` weight the same
+    values of f. The rows are taken ``BLOCK // s.size`` at a time (at least
+    one), so that each (u, s) block of temporaries stays within ``BLOCK``.
 
     ``e1``/``e2`` hold each row's permittivity, or None for a perfect
     conductor. An entry of ``scales`` is None for c = 1 or an array of one
@@ -278,7 +278,7 @@ def _rule_sum(kind: str, u, e1, e2, s, ws, scales) -> np.ndarray:
     through p = v/u. The node (c u, c s) is that of an entry at c times the
     separation, whose eps is looked up at the same xi.
     """
-    rows = max(1, _BLOCK // s.size)
+    rows = max(1, BLOCK // s.size)
     sums = np.empty((*ws.shape[:-1], len(scales), u.size))
     for i in range(0, u.size, rows):
         b = slice(i, i + rows)

@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .constants import BLOCK
 from .errors import ConfigurationError, DomainError, ValidationError
 from .inputs import Cfg, read_json_object, read_table
 from .records import Record
@@ -152,15 +153,12 @@ def _dispersion_tail(a3: float, xi: np.ndarray, hi: float) -> np.ndarray:
     return out
 
 
-_TABLE_CHUNK = 64          # xi values per block of the table row sums
-
-
 def _dispersion_table(table: OpticalTable, xi: np.ndarray, splice_ev: float) -> np.ndarray:
     """Trapezoid of the tabulated loss against the KK kernel, from the splice up.
 
     Each xi is one row sum of w e eps''(e) / (e^2 + xi^2) over the energies e
-    with trapezoid weights w, taken a block of xi values at a time so that
-    the (xi, e) block stays small.
+    with trapezoid weights w, taken ``BLOCK // e.size`` xi values (at least
+    one) at a time so that each (xi, e) block stays within ``BLOCK``.
     """
     e = table.energy_ev
     y = table.eps2
@@ -174,9 +172,10 @@ def _dispersion_table(table: OpticalTable, xi: np.ndarray, splice_ev: float) -> 
     wey = w * e * y
     e2 = e * e
     out = np.empty_like(xi)
-    for k in range(0, xi.size, _TABLE_CHUNK):
-        x = xi[k:k + _TABLE_CHUNK, None]
-        out[k:k + _TABLE_CHUNK] = np.sum(wey / (e2 + x * x), axis=-1)
+    rows = max(1, BLOCK // e.size)
+    for k in range(0, xi.size, rows):
+        x = xi[k:k + rows, None]
+        out[k:k + rows] = np.sum(wey / (e2 + x * x), axis=-1)
     return out
 
 

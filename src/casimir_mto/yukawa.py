@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import CODATA
+from .constants import BLOCK, CODATA
 from .errors import ConfigurationError, DomainError, ValidationError
 from .records import Record
 
@@ -182,7 +182,10 @@ def alpha_limit(residual_bound: Sequence[float], lam: float | np.ndarray, sphere
     of ``z_grid``. The limit is min over z of bound(z) / F(alpha=1, z);
     alpha-linearity is exact. ``lam`` is a range or an array of ranges, one
     limit each; each range in turn is checked as ``YukawaParams`` does, and
-    a force that vanishes at every z bounds nothing (DomainError).
+    a force that vanishes at every z bounds nothing (DomainError). The
+    ranges are taken ``BLOCK // z_grid.size`` at a time (at least one), so
+    the (lambda, z) temporaries of any grid stay within ``BLOCK`` elements,
+    or one range where ``z_grid`` is longer.
     """
     z_grid = np.atleast_1d(np.asarray(z_grid, dtype=float))
     if z_grid.size == 0:
@@ -193,9 +196,13 @@ def alpha_limit(residual_bound: Sequence[float], lam: float | np.ndarray, sphere
     if np.any(bounds <= 0):
         raise DomainError("residual bounds must be positive")
     lams = np.asarray(lam, dtype=float)
+    column = lams.reshape(-1, 1)
+    limits = np.empty(column.shape[0])
+    rows = max(1, BLOCK // z_grid.size)
     with np.errstate(all="ignore"):  # a failing range is raised below
-        forces = CODATA.G * _pair_force(sphere, plate, lams.reshape(-1, 1), z_grid)
-        limits = np.min(bounds / forces, axis=1)
+        for i in range(0, limits.size, rows):
+            forces = CODATA.G * _pair_force(sphere, plate, column[i:i + rows], z_grid)
+            limits[i:i + rows] = np.min(bounds / forces, axis=1)
     for lam_i, limit in zip(lams.reshape(-1).tolist(), limits.tolist()):
         YukawaParams(alpha=1.0, lam=lam_i)
         if not math.isfinite(limit):

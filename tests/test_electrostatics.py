@@ -18,6 +18,7 @@ from casimir_mto.electrostatics import (
     CalibrationFit,
     ElectrostaticConfig,
     TruncationReport,
+    _lm_parameter,
     calibrate,
     calibration_rows,
     electrostatic_force,
@@ -625,7 +626,12 @@ class TestLeastSquares:
          lambda x: np.array([[1e4 * x[1], 1e4 * x[0]],
                              [-np.exp(-x[0]), -np.exp(-x[1])]]),
          [0.0, 1.0]),
-    ], ids=["rosenbrock", "freudenstein_roth", "box_3d", "powell_badly_scaled"])
+        # An idle third variable: a zero Jacobian column and singular value.
+        (lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0], 0.0]),
+         lambda x: np.array([[-20.0 * x[0], 10.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+         [-1.2, 1.0, 5.0]),
+    ], ids=["rosenbrock", "freudenstein_roth", "box_3d", "powell_badly_scaled",
+            "rosenbrock_zero_column"])
     def test_follows_minpack_path(self, fun, jac, x0):
         # Moré-Garbow-Hillstrom problems with analytic Jacobians: the same
         # trial points, the same number of them and the same solution as
@@ -647,6 +653,24 @@ class TestLeastSquares:
         # trial before a run whose point is an ulp off and stops on xtol.
         assert res.nfev == ref.nfev or (res.cost == 0.0 and res.nfev == ref.nfev - 1)
         assert res.x == pytest.approx(ref.x, rel=1e-6)
+
+    def test_zero_singular_value_takes_no_step(self):
+        # w = sv g / (sv^2 + par) is 0 where sv = 0, also at par = 0.
+        sv, g = np.array([2.0, 0.0]), np.array([1.0, 3.0])
+        par, w = _lm_parameter(sv, g, 10.0, 0.0)
+        assert par == 0.0 and w.tolist() == [0.5, 0.0]
+        par, w = _lm_parameter(sv, g, 0.1, 0.0)
+        assert par > 0 and w[1] == 0.0
+        assert abs(math.sqrt(w @ w) - 0.1) <= 0.01
+
+    def test_zero_jacobian_column_is_left_out_of_the_gradient_test(self):
+        # The second variable is idle: its zero column divides nothing, so a
+        # start where the first column is orthogonal to f stops there.
+        res = least_squares(lambda x: np.array([x[0] - 2.0, 1.0]), [2.0, 5.0],
+                            jac=lambda x: np.array([[1.0, 0.0], [0.0, 0.0]]),
+                            xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=10)
+        assert res.success and res.nfev == 1
+        assert res.x.tolist() == [2.0, 5.0]
 
     def test_budget_counts_calls_outside_the_jacobian(self):
         res = least_squares(self._rosenbrock([]), [-1.2, 1.0], jac=_rosenbrock_jac,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimir_mto import lifshitz
+from casimir_mto import lifshitz, materials, yukawa
 from casimir_mto.constants import CODATA, HBARC_EV_M
 from casimir_mto.errors import ConvergenceError, DomainError
 from casimir_mto.lifshitz import (
@@ -699,3 +699,31 @@ class TestSharedRows:
         for level in range(lifshitz._MAX_LEVEL + 1):
             first = 0.5 ** (level + 1) * 0.5 * math.pi * math.cosh(t_range[1]) * a
             assert bounds[level, 0] == 8.0 * lifshitz._ZETA3 * x_lo + 2.0 * (beyond + first * at)
+
+
+class TestBlockBudget:
+    """The passes taken ``BLOCK`` elements at a time (u rows of the Lifshitz
+    rule, xi rows of the dispersion table, Yukawa ranges) compute each row
+    whole, so no budget moves a bit, down to one row per chunk."""
+
+    @staticmethod
+    def _passes():
+        registry = load_registry()
+        au, cu = registry["gold"], registry["copper"]
+        xi = np.geomspace(1e-3, 1e3, 37)
+        tables = [materials._dispersion_table(au.table, xi, splice)
+                  for splice in (au.splice_ev, float(np.mean(au.table.energy_range)))]
+        stack = force_sphere_plane(np.array([2e-7, 1e-6])[:, None] * np.array([1.0, 1.1, 1.3]),
+                                   R_SPHERE, au, cu, tol=1e-6)
+        limits = yukawa.alpha_limit(np.full(3, 1e-14), np.geomspace(1e-8, 1e-5, 5),
+                                    yukawa.reference_sphere(), yukawa.reference_plate(),
+                                    [2e-7, 3e-7, 5e-7])
+        return [*tables, stack.value, stack.est_rel_error, limits]
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 30])
+    def test_results_do_not_depend_on_the_budget(self, block, monkeypatch):
+        want = self._passes()
+        for module in (lifshitz, materials, yukawa):
+            monkeypatch.setattr(module, "BLOCK", block)
+        got = self._passes()
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,21 @@ class TestAlphaLimit:
                               self.Z_GRID) for lam in lams]
         assert limits.shape == lams.shape
         assert np.array_equal(limits, scalar)
+
+    def test_a_large_grid_is_taken_in_blocks(self):
+        # Whole, the (lambda, z) temporaries of 2,000 ranges by 2,000
+        # separations take about 100 MB; in blocks they stay small.
+        lams = np.geomspace(1e-9, 1e-4, 2000)
+        z = np.linspace(2e-7, 6e-7, 2000)
+        tracemalloc.start()
+        try:
+            limits = alpha_limit(np.full(z.size, 1e-14), lams, reference_sphere(),
+                                 reference_plate(), z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert limits.shape == lams.shape and np.isfinite(limits).all()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("lams, error", [
         ([2e-7, -1e-7, 3e-7], ValidationError),
