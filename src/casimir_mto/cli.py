@@ -11,7 +11,9 @@ One binary with subcommands::
 
 Configuration lives in a JSON document; ``--out`` (every run command),
 ``--tol`` (force, pressure, sweep) and ``--seed`` (sweep) override the
-matching config keys.
+matching config keys. One command table holds every command's flags and
+prints its ``-h``: a flag is read as ``--flag value``, ``--flag=value`` or
+a unique prefix such as ``--conf``, and the last of a repeated flag wins.
 Unknown config keys are rejected. Every input document (config,
 registry, optical table, calibration or bound CSV) is read by
 ``casimir_mto.inputs`` under one set of rules. Numeric output is
@@ -29,12 +31,11 @@ not UTF-8 included), 2 domain/validation/configuration/identifiability,
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -61,8 +62,10 @@ def _float_array(spec, where: str) -> np.ndarray:
 
 
 # A start/stop/points grid holds at most this many points: far more than a
-# run can integrate, and an array NumPy can allocate.
+# run can integrate, and an array NumPy can allocate. A limits run's lambda x z
+# points are capped too: alpha_limit takes about 65 ns a point (6.5 s at the cap).
 _MAX_GRID_POINTS = 1_000_000
+_MAX_LIMIT_POINTS = 100_000_000
 
 
 def _parse_grid(spec, where: str) -> np.ndarray:
@@ -352,6 +355,9 @@ def cmd_limits(args) -> int:
     cfg = _config(args)
     lam_grid = _parse_grid(cfg.take("lambda_grid_m"), "lambda_grid_m")
     z_grid = _parse_grid(cfg.take("z_grid_m"), "z_grid_m")
+    if lam_grid.size * z_grid.size > _MAX_LIMIT_POINTS:
+        raise ConfigurationError(f"lambda_grid_m x z_grid_m: {lam_grid.size} x {z_grid.size} "
+                                 f"points, over the cap of {_MAX_LIMIT_POINTS}")
     sphere = _parse_body(cfg.take("sphere", None), "sphere", reference_sphere())
     plate = _parse_body(cfg.take("plate", None), "plate", reference_plate())
     bound_spec = cfg.take("residual_bound")
@@ -404,55 +410,74 @@ def cmd_materials_validate(args) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors raise ConfigurationError (one ``error:`` line, exit 2)
-    instead of exiting; --help and --version still print and exit."""
+# The command table, read by _parse and _help alike: each command's handler and
+# flags, flag -> (type, help); an action (type None) prints and exits.
+_RUN = {"--config": (str, "JSON run configuration"),
+        "--out": (str, "output path (overrides config)")}
+_TOL = {"--tol": (float, "quadrature tolerance (overrides config)")}
+_COMMANDS = {
+    "force": (cmd_grid, {**_RUN, **_TOL}),
+    "pressure": (cmd_grid, {**_RUN, **_TOL}),
+    "calibrate": (cmd_calibrate, _RUN),
+    "sweep": (cmd_sweep, {**_RUN, "--seed": (int, "RNG seed, unsigned 64-bit (overrides config)"),
+                          **_TOL}),
+    "limits": (cmd_limits, _RUN),
+    "materials validate": (cmd_materials_validate,
+                           {"--config": (str, "registry path (default: bundled registry)")}),
+}
+_HELP = {"--help": (None, "show this help message and exit")}
+_VERSION = {"--version": (None, "show program's version number and exit")}  # top level only
 
-    def error(self, message):
-        raise ConfigurationError(f"{self.prog}: {message}")
+
+def _help(prog: str, flags: dict, subs: list[str]) -> str:
+    rows = [(("-h, " if f == "--help" else "") + f + (f" {f[2:].upper()}" if kind else ""), text)
+            for f, (kind, text) in flags.items()]
+    width = max(len(left) for left, _ in rows) + 2
+    return "\n".join([
+        " ".join(["usage:", prog, *(f"[{left.split(', ')[0]}]" for left, _ in rows),
+                  *([f"{{{','.join(subs)}}} ..."] if subs else [])]),
+        "", "options:", *(f"  {left:<{width}}{text}" for left, text in rows)])
 
 
-# Built once per process (~1 ms a build): in-process callers run many jobs
-# through main(), and parse_args returns a fresh namespace each call.
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="casimir-mto",
-        description="Casimir sphere-plane pipeline: forces, calibration, "
-        "sweep simulation and Yukawa limits.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    # Each command is offered only the overrides of keys its config reads.
-    seed = ("--seed", int, "RNG seed, unsigned 64-bit (overrides config)")
-    tol = ("--tol", float, "quadrature tolerance (overrides config)")
-    for name, fn, flags in (
-        ("force", cmd_grid, [tol]),
-        ("pressure", cmd_grid, [tol]),
-        ("calibrate", cmd_calibrate, []),
-        ("sweep", cmd_sweep, [seed, tol]),
-        ("limits", cmd_limits, []),
-    ):
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON run configuration")
-        p.add_argument("--out", help="output path (overrides config)")
-        for flag, kind, text in flags:
-            p.add_argument(flag, type=kind, help=text)
-        p.set_defaults(handler=fn)
-
-    mats = sub.add_parser("materials")
-    mats_sub = mats.add_subparsers(dest="materials_command", required=True)
-    val = mats_sub.add_parser("validate")
-    val.add_argument("--config", help="registry path (default: bundled registry)")
-    val.set_defaults(handler=cmd_materials_validate)
-    return parser
+def _parse(argv: list[str]):
+    """The handler of ``argv``'s command and a namespace of its flag values; a
+    usage error is a ConfigurationError that names the command."""
+    words, rest = [], list(argv)
+    values = dict.fromkeys(f[2:] for _, flags in _COMMANDS.values() for f in flags)
+    while (name := " ".join(words)) not in _COMMANDS or rest:
+        prog = " ".join(["casimir-mto", *words])
+        flags = {**_HELP, **_COMMANDS.get(name, (None, _VERSION if not words else {}))[1]}
+        subs = [k.split()[len(words)] for k in _COMMANDS if k.startswith(name) and k != name]
+        if (tok := rest.pop(0) if rest else "") in subs:
+            words.append(tok)
+            continue
+        opt, eq, value = ("--help" if tok == "-h" else tok).partition("=")
+        hits = [opt] if opt in flags else [f for f in flags if len(opt) > 2 and f.startswith(opt)]
+        if len(hits) != 1:
+            raise ConfigurationError(f"{prog}: " + (
+                f"ambiguous option: {opt} could match {', '.join(hits)}" if hits
+                else f"unrecognized argument: {tok}" if tok[:1] == "-" or not subs
+                else f"expected a command: {', '.join(subs)}"))
+        flag, kind = hits[0], flags[hits[0]][0]
+        if kind is None:
+            print(__version__ if flag == "--version" else _help(prog, flags, subs))
+            raise SystemExit(0)
+        # The next argument is the value unless it is a flag ("-" and -1.5 are values).
+        if not eq and (not rest or rest[0][:1] == "-" and rest[0][1:2] not in "0123456789."):
+            raise ConfigurationError(f"{prog}: argument {flag}: expected one argument")
+        value = value if eq else rest.pop(0)
+        try:
+            values[flag[2:]] = kind(value)
+        except ValueError:
+            raise ConfigurationError(
+                f"{prog}: argument {flag}: invalid {kind.__name__} value: {value!r}") from None
+    return _COMMANDS[name][0], SimpleNamespace(command=words[0], **values)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        return args.handler(args)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        return handler(args)
     except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 1)

@@ -4,9 +4,11 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -464,6 +466,20 @@ class TestLimitsCommand:
         )
         assert run(["limits", "--config", cfg]) == 2
         assert "z_grid_m" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_lambda_times_z_points_are_capped(self, tmp_path, capsys):
+        # 10^6 x 10^6 points would run about 22 hours; the cap stops the run
+        # before any range is computed.
+        grid = {"start": 1e-7, "stop": 1e-6, "points": 1_000_000}
+        command, doc = _limits(tmp_path, {"constant_n": 2e-14},
+                               lambda_grid_m=grid, z_grid_m=grid)
+        start = time.perf_counter()
+        assert run([command, "--config", write_json(tmp_path / "limits.json", doc)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "error: lambda_grid_m x z_grid_m: 1000000 x 1000000 points, "
+            "over the cap of 100000000\n")
         assert not (tmp_path / "x.csv").exists()
 
     def test_bound_spec_exclusive(self, tmp_path):
@@ -1088,17 +1104,110 @@ def test_non_utf8_file_is_named(tmp_path, capsys, make, bad):
     assert err.startswith(f"error: line 2: {tmp_path / bad}: not UTF-8")
 
 
-def test_parser_is_built_once(tmp_path):
+# Each command's flags, as README states them: help must list exactly these
+# and each must parse.
+_FLAGS = {
+    "force": ["--config", "--out", "--tol"],
+    "pressure": ["--config", "--out", "--tol"],
+    "calibrate": ["--config", "--out"],
+    "sweep": ["--config", "--out", "--seed", "--tol"],
+    "limits": ["--config", "--out"],
+    "materials validate": ["--config"],
+}
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["sweep", "--config=c.json", "--seed=7", "--tol=1e-7"],
+     {"command": "sweep", "config": "c.json", "seed": 7, "tol": 1e-7}),
+    (["force", "--conf", "c.json", "--t", "1e-7", "--o=f.csv"],
+     {"command": "force", "config": "c.json", "tol": 1e-7, "out": "f.csv"}),
+    (["sweep", "--seed", "1", "--tol", "1e-6", "--seed=2", "--tol", "1e-8"],
+     {"seed": 2, "tol": 1e-8}),
+    (["pressure", "--tol", "-1e-6", "--out", "-"], {"tol": -1e-6, "out": "-"}),
+    (["materials", "validate", "--config", "reg.json"],
+     {"command": "materials", "config": "reg.json", "out": None, "seed": None, "tol": None}),
+    (["materials", "validate"], {"command": "materials", "config": None}),
+    (["force", "--cfg", "c.json"], "unrecognized argument: --cfg"),
+    (["force", "-c", "c.json"], "unrecognized argument: -c"),
+    (["force", "--config"], "argument --config: expected one argument"),
+    (["force", "--config", "--out", "f.csv"], "argument --config: expected one argument"),
+    (["calibrate", "--out=", "x"], "unrecognized argument: x"),
+    (["force", "--config", "c.json", "extra"], "unrecognized argument: extra"),
+    (["limits", "--out", "x", "--"], "unrecognized argument: --"),
+    (["materials"], "materials: expected a command: validate"),
+    (["materials", "--config", "reg.json"], "materials: unrecognized argument: --config"),
+    (["--config", "c.json", "force"], "casimir-mto: unrecognized argument: --config"),
+    (["sweep", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
+    (["force", "--tol=abc"], "argument --tol: invalid float value: 'abc'"),
+], ids=["equals", "prefix", "repeated_last_wins", "dash_values", "materials_validate",
+        "materials_validate_bare", "unknown_flag", "unknown_short_flag", "no_value_at_end",
+        "no_value_before_flag", "empty_value_then_stray", "stray_positional", "double_dash",
+        "materials_no_subcommand", "materials_flag_no_subcommand", "flag_before_command",
+        "bad_int", "bad_float"])
+def test_command_line_forms(capsys, argv, expected):
     from casimir_mto import cli
 
-    command, doc = _force(tmp_path)
-    cfg = write_json(tmp_path / "f.json", doc)
-    cli._build_parser()
-    before = cli._build_parser.cache_info()
-    assert run([command, "--config", cfg]) == 0
-    assert run([command, "--config", cfg]) == 0
-    after = cli._build_parser.cache_info()
-    assert after.misses == before.misses and after.hits == before.hits + 2
+    if isinstance(expected, str):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(f"{expected}\n") and len(err.splitlines()) == 1
+        return
+    handler, args = cli._parse(argv)
+    assert handler is cli._COMMANDS[" ".join(w for w in argv[:2] if w[:1] != "-")][0]
+    assert {key: getattr(args, key) for key in expected} == expected
+
+
+def test_ambiguous_prefix_is_a_usage_error(monkeypatch, capsys):
+    # No two flags of today's commands share a prefix; a table that had them
+    # must not pick one.
+    from casimir_mto import cli
+
+    handler, flags = cli._COMMANDS["force"]
+    monkeypatch.setitem(cli._COMMANDS, "force", (handler, {**flags, "--count": (int, "n")}))
+    assert main(["force", "--co", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "error: casimir-mto force: ambiguous option: --co could match --config, --count\n")
+    assert vars(cli._parse(["force", "--cou", "3"])[1])["count"] == 3
+
+
+@pytest.mark.parametrize("command", list(_FLAGS))
+def test_help_lists_the_flags_that_parse(capsys, command):
+    # -h after other flags still prints the command's help; the usage line
+    # and the option lines both list exactly the command's flags, and each
+    # listed flag parses with a value of its type.
+    from casimir_mto import cli
+
+    words = command.split()
+    assert list(cli._COMMANDS[command][1]) == _FLAGS[command]
+    with pytest.raises(SystemExit) as exc_info:
+        main([*words, "--config", "c.json", "-h"])
+    assert exc_info.value.code == 0
+    usage, *lines = capsys.readouterr().out.splitlines()
+    assert usage.startswith(f"usage: casimir-mto {command} [-h] ")
+    assert re.findall(r"\[(--[a-z]+) [A-Z]+\]", usage) == _FLAGS[command]
+    assert re.findall(r"^  (?:-h, )?(--[a-z]+)", "\n".join(lines), re.M) == [
+        "--help", *_FLAGS[command]]
+    for flag in _FLAGS[command]:
+        handler, args = cli._parse([*words, flag, "7"])
+        assert handler is cli._COMMANDS[command][0]
+        assert getattr(args, flag[2:]) in ("7", 7, 7.0)
+
+
+@pytest.mark.parametrize("argv,usage", [
+    (["-h"], "casimir-mto [-h] [--version] {force,pressure,calibrate,sweep,limits,materials} ..."),
+    (["materials", "--he"], "casimir-mto materials [-h] {validate} ..."),
+], ids=["top", "materials"])
+def test_help_lists_the_commands(capsys, argv, usage):
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"usage: {usage}"
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["casimir-mto", "materials", "validate"])
+    assert main() == 0
+    assert "material(s) valid" in capsys.readouterr().out
 
 
 def _fresh_python(script: str, cwd, *flags: str, env: dict | None = None) -> str:
@@ -1193,6 +1302,31 @@ def test_force_run_loads_no_package_resources(tmp_path):
         "from casimir_mto.cli import main\n"
         f"assert main(['force', '--config', {str(cfg)!r}]) == 0\n"
         "print(sorted({'importlib.resources', 'tempfile'} & set(sys.modules)))\n"
+    )
+    assert _fresh_python(script, tmp_path, "-S") == "[]"
+
+
+def test_runs_load_no_argparse(tmp_path):
+    # The command table parses argv: a force and a calibrate run load neither
+    # argparse nor gettext, nor the locale module gettext's first lookup
+    # imports. As above, the child skips ``site`` (-S) and finds NumPy on an
+    # explicit sys.path.
+    force_cfg = write_json(tmp_path / "f.json", {
+        "materials": {"pair": ["gold", "copper"]},
+        "radius_m": R_SPHERE,
+        "z_grid_m": [5e-7],
+        "out": str(tmp_path / "f.csv"),
+    })
+    cal_cfg = write_json(tmp_path / "cal.json", {
+        "data": str(data_dir() / "calibration_demo.csv"),
+    })
+    script = (
+        "import sys\n"
+        f"sys.path.append({str(Path(np.__file__).resolve().parents[1])!r})\n"
+        "from casimir_mto.cli import main\n"
+        f"assert main(['force', '--config', {str(force_cfg)!r}]) == 0\n"
+        f"assert main(['calibrate', '--config', {str(cal_cfg)!r}]) == 0\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
     )
     assert _fresh_python(script, tmp_path, "-S") == "[]"
 
