@@ -23,7 +23,7 @@ byte-identical files.
 A command loads only the layers it runs: ``force`` and ``pressure``, for
 instance, never import the calibration, sweep or Yukawa modules.
 
-Exit codes: 0 success, 1 I/O failure, else the ``exit_code`` of the
+Exit codes: 0 success, 1 I/O failure or out of memory, else the ``exit_code`` of the
 package error raised (see ``casimir_mto.errors``): 1 parse (a file that is
 not UTF-8 included), 2 domain/validation/configuration/identifiability,
 3 convergence or fit failure. Every failure prints one ``error:`` line.
@@ -478,8 +478,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         handler, args = _parse(sys.argv[1:] if argv is None else argv)
         return handler(args)
-    except (ToolkitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ToolkitError, OSError, MemoryError) as exc:
+        # A bare MemoryError() has no message; name it then.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return getattr(exc, "exit_code", 1)
 
 

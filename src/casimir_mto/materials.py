@@ -290,9 +290,11 @@ class Tabulated(DielectricModel):
         return kk_to_imaginary_axis(self.table, self.drude, xi_ev, self.splice_ev)
 
     def sampled(self) -> "SampledDielectric":
-        """Cached fast interpolant of eps(i xi) (built on first use)."""
+        """Cached fast interpolant of eps(i xi): on first use, the state
+        shipped in the package data when one was built from exactly this
+        model (a bundled table), else a fresh build."""
         if self._sampler is None:
-            self._sampler = SampledDielectric.from_model(self)
+            self._sampler = _shipped_sampler(self) or SampledDielectric.from_model(self)
         return self._sampler
 
 
@@ -304,6 +306,8 @@ _SAMPLED_HI_EV = 1e4
 _CHEB_DEGREE = 192
 _CELLS = 1024
 _TAYLOR_TERMS = 7
+_STATE_SCALARS = 9         # leading scalars of SampledDielectric's state
+_STATE_SIZE = _STATE_SCALARS + _CELLS * _TAYLOR_TERMS
 
 
 class SampledDielectric(DielectricModel):
@@ -325,55 +329,58 @@ class SampledDielectric(DielectricModel):
     force integrals converging double-exponentially (a C^1 interpolant
     stalls the level-to-level error estimate). Power-law extrapolation
     beyond the sampled range, with the end slopes of the polynomial, keeps
-    eps >= 1 everywhere. Built by ``from_model``.
+    eps >= 1 everywhere. Built by ``from_model``; a bundled table's
+    state ships in the package data (``Tabulated.sampled``).
     """
 
-    def __init__(self, lx: np.ndarray, eps: np.ndarray):
-        """``eps`` sampled at the Chebyshev-Lobatto points ``lx`` of log xi,
-        ascending, that ``from_model`` makes; every sample must exceed 1."""
-        # Imported here, so a process without a tabulated material never loads it.
-        from numpy.fft import irfft, rfft
-
-        e = np.asarray(eps, dtype=float)
-        if not np.all(e > 1.0):
-            raise ValidationError("sampled eps must exceed 1")
-        degree = lx.size - 1
-        self._mid = float(0.5 * (lx[-1] + lx[0]))
-        self._half = float(0.5 * (lx[-1] - lx[0]))
-        f = np.log(e - 1.0)[::-1]               # theta_j = pi j / degree
-        c = rfft(np.concatenate([f, f[-2:0:-1]])).real / degree
-        c[[0, -1]] *= 0.5
-        # Column m of the table holds d^m f / d theta^m / m! at the cell
-        # centres: the m-th derivative of cos(k theta) is Re((ik)^m e^{ik theta}),
-        # and irfft sums those real parts (doubling every bin but k = 0).
-        self._h = math.pi / _CELLS
-        k = np.arange(degree + 1)
-        m = np.arange(_TAYLOR_TERMS)[:, None]
-        spectrum = np.zeros((_TAYLOR_TERMS, _CELLS + 1), dtype=complex)
-        spectrum[:, :degree + 1] = _CELLS * c * (1j * k) ** m * np.exp(0.5j * self._h * k)
-        spectrum[:, 0] *= 2
-        derivs = irfft(spectrum, n=2 * _CELLS, axis=1)[:, :_CELLS]
-        factorials = np.cumprod(np.maximum(m, 1), axis=0)
-        self._table = np.ascontiguousarray((derivs / factorials).T)
-        self._lx = (float(lx[0]), float(lx[-1]))
-        self._ly = (float(f[-1]), float(f[0]))
-        # d f / d log xi at t = -1 and t = +1.
-        k2 = k * k * c
-        self._slope = (float(np.sum(k2 * (-1.0) ** (k + 1))) / self._half,
-                       float(np.sum(k2)) / self._half)
+    def __init__(self, state: np.ndarray):
+        """``state`` is the float64 vector ``from_model`` makes: the scalars
+        _mid, _half, _h, _lx (2), _ly (2) and _slope (2), then the
+        (_CELLS, _TAYLOR_TERMS) Taylor table row by row."""
+        self.state = state
+        self._mid, self._half, self._h = state[:3].tolist()
+        lx0, lx1, ly0, ly1, s0, s1 = state[3:_STATE_SCALARS].tolist()
+        self._lx, self._ly, self._slope = (lx0, lx1), (ly0, ly1), (s0, s1)
+        self._table = state[_STATE_SCALARS:].reshape(_CELLS, _TAYLOR_TERMS)
 
     @classmethod
     def from_model(cls, model: DielectricModel) -> "SampledDielectric":
         """Sample ``model`` at the _CHEB_DEGREE + 1 Chebyshev-Lobatto points
         of log xi over [_SAMPLED_LO_EV, _SAMPLED_HI_EV], with one array call
-        to ``model.eps``. Raises ValidationError unless every sample
-        exceeds 1."""
+        to ``model.eps``, and compute the state from the samples. Raises
+        ValidationError unless every sample exceeds 1."""
+        # Imported here, so a process that builds no sampler never loads it.
+        from numpy.fft import irfft, rfft
+
         a, b = math.log(_SAMPLED_LO_EV), math.log(_SAMPLED_HI_EV)
         t = -np.cos(np.pi * np.arange(_CHEB_DEGREE + 1) / _CHEB_DEGREE)
         lx = 0.5 * (a + b) + 0.5 * (b - a) * t
         xi = np.exp(lx)
         xi[[0, -1]] = _SAMPLED_LO_EV, _SAMPLED_HI_EV
-        return cls(lx, model.eps(xi))
+        e = np.asarray(model.eps(xi), dtype=float)
+        if not np.all(e > 1.0):
+            raise ValidationError("sampled eps must exceed 1")
+        mid = float(0.5 * (lx[-1] + lx[0]))
+        half = float(0.5 * (lx[-1] - lx[0]))
+        f = np.log(e - 1.0)[::-1]               # theta_j = pi j / degree
+        c = rfft(np.concatenate([f, f[-2:0:-1]])).real / _CHEB_DEGREE
+        c[[0, -1]] *= 0.5
+        # Column m of the table holds d^m f / d theta^m / m! at the cell
+        # centres: the m-th derivative of cos(k theta) is Re((ik)^m e^{ik theta}),
+        # and irfft sums those real parts (doubling every bin but k = 0).
+        h = math.pi / _CELLS
+        k = np.arange(_CHEB_DEGREE + 1)
+        m = np.arange(_TAYLOR_TERMS)[:, None]
+        spectrum = np.zeros((_TAYLOR_TERMS, _CELLS + 1), dtype=complex)
+        spectrum[:, :_CHEB_DEGREE + 1] = _CELLS * c * (1j * k) ** m * np.exp(0.5j * h * k)
+        spectrum[:, 0] *= 2
+        derivs = irfft(spectrum, n=2 * _CELLS, axis=1)[:, :_CELLS]
+        factorials = np.cumprod(np.maximum(m, 1), axis=0)
+        # d f / d log xi at t = -1 and t = +1.
+        k2 = k * k * c
+        slope = (float(np.sum(k2 * (-1.0) ** (k + 1))) / half, float(np.sum(k2)) / half)
+        return cls(np.concatenate([[mid, half, h, lx[0], lx[-1], f[-1], f[0], *slope],
+                                   (derivs / factorials).T.ravel()]))
 
     def eps(self, xi_ev):
         """eps(i xi) at a scalar or array ``xi_ev`` (eV), all entries > 0."""
@@ -399,6 +406,46 @@ class SampledDielectric(DielectricModel):
 def data_dir() -> Path:
     """Directory holding the bundled registry and tables."""
     return Path(__file__).parent / "data"
+
+
+def _sampler_key(model: Tabulated) -> np.ndarray:
+    """Everything ``SampledDielectric.from_model(model)`` depends on besides
+    the code: the sampler constants, the Drude parameters, the splice and
+    the table's rows, as one float64 vector."""
+    return np.concatenate([
+        [_SAMPLED_LO_EV, _SAMPLED_HI_EV, _CHEB_DEGREE, _CELLS, _TAYLOR_TERMS,
+         model.drude.plasma_ev, model.drude.relaxation_ev, model.splice_ev],
+        model.table.energy_ev, model.table.eps2,
+    ])
+
+
+def save_sampler(model: Tabulated, path) -> None:
+    """Build ``model``'s sampler and write its key and state to ``path``,
+    little-endian float64: the file ``Tabulated.sampled`` finds when it is
+    named ``*_sampler.f8`` in the package data."""
+    state = SampledDielectric.from_model(model).state
+    np.concatenate([_sampler_key(model), state]).astype("<f8").tofile(path)
+
+
+def _shipped_sampler(model: Tabulated) -> SampledDielectric | None:
+    """The sampler state shipped in the package data for ``model``, or None.
+
+    A state file is used only when the key it stores equals ``model``'s
+    exactly, so an edited table, Drude parameter or splice, or changed
+    sampler constants, build afresh. The build is the source of truth: a
+    shipped file holds what ``save_sampler`` wrote from it.
+    """
+    key = _sampler_key(model)
+    for name in os.listdir(data_dir()):
+        if not name.endswith("_sampler.f8"):
+            continue
+        with open(data_dir() / name, "rb") as fh:
+            # The key first: a file of another model costs only its key's read.
+            if np.array_equal(np.fromfile(fh, "<f8", key.size), key):
+                state = np.fromfile(fh, "<f8")
+                if state.size == _STATE_SIZE:
+                    return SampledDielectric(state)
+    return None
 
 
 def default_registry_path() -> Path:

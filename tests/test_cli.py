@@ -789,6 +789,23 @@ def test_main_returns_1_on_os_error(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: [Errno 13] Permission denied: 'run.json'\n"
 
 
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError(), "error: MemoryError"),
+    (MemoryError("Unable to allocate 7.28 TiB"), "error: Unable to allocate 7.28 TiB"),
+])
+def test_main_returns_1_on_memory_error(monkeypatch, capsys, exc, line):
+    # An allocation failure is one error line with exit 1, not a traceback;
+    # a bare MemoryError, which has no message, is named.
+    from casimir_mto import cli
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "limits", (fail, cli._COMMANDS["limits"][1]))
+    assert main(["limits", "--config", "run.json"]) == 1
+    assert capsys.readouterr().err == line + "\n"
+
+
 # Registry fuzzing: numbers of every JSON kind, each table-file failure,
 # and one name the registry lacks.
 _TABLES = {
@@ -1223,8 +1240,8 @@ def _fresh_python(script: str, cwd, *flags: str, env: dict | None = None) -> str
 
 
 # Layers and NumPy parts that only some commands run: calibrate, sweep and
-# limits import their own layer, and only a tabulated material's eps sampler
-# uses numpy.fft.
+# limits import their own layer, and only the build of a tabulated material's
+# eps sampler (a table without a shipped state) uses numpy.fft.
 _COMMAND_ONLY = ("casimir_mto.electrostatics", "casimir_mto.oscillator",
                  "casimir_mto.yukawa", "numpy.fft")
 
@@ -1327,6 +1344,28 @@ def test_runs_load_no_argparse(tmp_path):
         f"assert main(['force', '--config', {str(force_cfg)!r}]) == 0\n"
         f"assert main(['calibrate', '--config', {str(cal_cfg)!r}]) == 0\n"
         "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    assert _fresh_python(script, tmp_path, "-S") == "[]"
+
+
+def test_bundled_pair_runs_load_no_fft_or_hashlib(tmp_path):
+    # The bundled Au/Cu samplers ship prebuilt and are found by an exact
+    # compare, not a hash: a force and a sweep on the pair build no sampler,
+    # so they load neither numpy.fft nor hashlib. As above, the child skips
+    # ``site`` (-S) and finds NumPy on an explicit sys.path.
+    force_cfg = write_json(tmp_path / "f.json", {
+        "materials": {"pair": ["gold", "copper"]},
+        "radius_m": R_SPHERE,
+        "z_grid_m": [5e-7],
+        "out": str(tmp_path / "f.csv"),
+    })
+    script = (
+        "import sys\n"
+        f"sys.path.append({str(Path(np.__file__).resolve().parents[1])!r})\n"
+        "from casimir_mto.cli import main\n"
+        f"assert main(['force', '--config', {str(force_cfg)!r}]) == 0\n"
+        f"assert main(['sweep', '--config', {_noisy_sweep(tmp_path)!r}]) == 0\n"
+        "print(sorted({'numpy.fft', 'hashlib'} & set(sys.modules)))\n"
     )
     assert _fresh_python(script, tmp_path, "-S") == "[]"
 

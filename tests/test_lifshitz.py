@@ -365,7 +365,7 @@ class TestTrimmedRule:
                         assert np.all(true <= res.est_rel_error + ref_est), (name, kind, z, tol)
 
     @pytest.mark.xfail(strict=True, reason="known under-report: the estimate takes 5.0e-9 "
-                       "for a true error of 6.7e-9 (ROADMAP, smaller items)")
+                       "for a true error of 6.7e-9 (ROADMAP, direction 1)")
     def test_estimate_bounds_gold_on_an_ideal_plane_at_tol_1e_8(self, ideal):
         # Tabulated Au against a perfect conductor: the reference is the rule
         # on the full t range at the finest level.

@@ -266,6 +266,72 @@ class TestModels:
                 model.eps(np.array([1.0, 0.0]))
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """The models ``SampledDielectric.from_model`` builds a sampler for."""
+    calls = []
+    build = SampledDielectric.from_model.__func__
+
+    def counted(cls, model):
+        calls.append(model)
+        return build(cls, model)
+
+    monkeypatch.setattr(SampledDielectric, "from_model", classmethod(counted))
+    return calls
+
+
+def _gold(table=None, drude=AU, splice_ev=None):
+    return Tabulated(table or load_optical_data_from_default("au_eps2.csv"), drude, splice_ev)
+
+
+class TestShippedSampler:
+    @pytest.mark.parametrize("name", ["gold", "copper"])
+    def test_shipped_state_is_a_fresh_build_bit_for_bit(self, builds, name):
+        model = load_registry()[name]
+        shipped = model.sampled()
+        assert builds == []
+        built = SampledDielectric.from_model(model)
+        assert shipped.state.tobytes() == built.state.tobytes()
+        assert shipped._table.tobytes() == built._table.tobytes()
+        assert ((shipped._mid, shipped._half, shipped._h, shipped._lx, shipped._ly, shipped._slope)
+                == (built._mid, built._half, built._h, built._lx, built._ly, built._slope))
+        xi = np.geomspace(1e-8, 1e6, 5_000)
+        assert shipped.eps(xi).tobytes() == built.eps(xi).tobytes()
+
+    @pytest.mark.parametrize("change", ["relaxation_ev", "splice_ev", "eps2 row"])
+    def test_one_ulp_off_builds_afresh(self, builds, change):
+        table = load_optical_data_from_default("au_eps2.csv")
+        if change == "relaxation_ev":
+            model = _gold(drude=DrudeParams(9.0, float(np.nextafter(0.035, 1.0))))
+        elif change == "splice_ev":
+            model = _gold(splice_ev=float(np.nextafter(table.energy_ev[0], 1.0)))
+        else:
+            eps2 = table.eps2.copy()
+            eps2[200] = np.nextafter(eps2[200], 1.0)
+            model = _gold(table=OpticalTable(table.energy_ev, eps2))
+        sampler = model.sampled()
+        assert builds == [model]
+        # What the build gives, which a one-ulp splice may leave at the
+        # shipped bits: the key is the inputs, not the result.
+        assert sampler.state.tobytes() == SampledDielectric.from_model(model).state.tobytes()
+
+    def test_custom_registry_with_copied_tables_finds_the_shipped_state(self, tmp_path, builds):
+        from casimir_mto.materials import data_dir
+
+        doc = json.loads((data_dir() / "materials.json").read_text(encoding="utf-8"))
+        for name in ("gold", "copper"):
+            copy = tmp_path / f"copy_of_{doc[name]['table']}"
+            copy.write_bytes((data_dir() / doc[name]["table"]).read_bytes())
+            doc[name]["table"] = copy.name
+        (tmp_path / "custom.json").write_text(json.dumps(doc), encoding="utf-8")
+        custom = load_registry(tmp_path / "custom.json", ["gold", "copper"])
+        bundled = load_registry(names=["gold", "copper"])
+        for name in ("gold", "copper"):
+            assert custom[name].sampled().state.tobytes() == \
+                bundled[name].sampled().state.tobytes()
+        assert builds == []
+
+
 class TestRegistry:
     def test_default_registry_loads(self):
         registry = load_registry()

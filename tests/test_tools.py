@@ -1,3 +1,4 @@
+import fnmatch
 import importlib.util
 import json
 import os
@@ -7,16 +8,33 @@ from pathlib import Path
 
 import pytest
 
+from casimir_mto.materials import _STATE_SIZE
+
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "src" / "casimir_mto" / "data"
 
 
+def _stale(tool: str, name: str, fresh: bytes, shipped: bytes) -> str:
+    """Why a bundled file differs from its fresh regeneration, and the fix."""
+    rerun = f"rerun `python tools/{tool}` and commit the files it writes"
+    if name.endswith("_sampler.f8") and len(fresh) == len(shipped):
+        # The state file is the key (the inputs of the build), then the state.
+        key = 8 * (len(fresh) // 8 - _STATE_SIZE)
+        if fresh[:key] == shipped[:key]:
+            return (f"{name}: same inputs, but the built state differs; if only its last "
+                    "bits differ, this NumPy's FFT rounds differently from the one that "
+                    f"wrote the file (README, sampler paragraph): {rerun}")
+    return f"{name} is stale: {rerun}"
+
+
 @pytest.mark.parametrize("tool, files", [
-    ("make_optical_tables.py", ["au_eps2.csv", "cu_eps2.csv", "materials.json"]),
+    ("make_optical_tables.py", ["au_eps2.csv", "copper_sampler.f8", "cu_eps2.csv",
+                                "gold_sampler.f8", "materials.json"]),
     ("make_demo_calibration.py", ["calibration_demo.csv"]),
 ])
 def test_tool_regenerates_the_bundled_data(tmp_path, tool, files):
-    # The bundled data is exactly what its tool writes; --out leaves it alone.
+    # The bundled data, the eps samplers' shipped states included, is
+    # exactly what its tool writes; --out leaves it alone.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / tool), "--out", str(tmp_path)],
@@ -24,7 +42,18 @@ def test_tool_regenerates_the_bundled_data(tmp_path, tool, files):
     assert proc.returncode == 0, proc.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == files
     for name in files:
-        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+        fresh, shipped = (tmp_path / name).read_bytes(), (DATA / name).read_bytes()
+        assert fresh == shipped, _stale(tool, name, fresh, shipped)
+
+
+def test_package_data_covers_every_bundled_file():
+    # A data file that no package-data pattern matches is left out of a wheel.
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        patterns = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["casimir_mto"]
+    unmatched = [p.name for p in sorted(DATA.iterdir())
+                 if not any(fnmatch.fnmatch(f"data/{p.name}", pat) for pat in patterns)]
+    assert unmatched == []
 
 
 def test_compare_outputs_finds_this_checkout_identical_to_itself():

@@ -6,17 +6,26 @@ pipeline has a self-consistent tabulated-material path out of the box.
 The Drude part matches the registry defaults exactly, which keeps the
 low-energy splice continuous.
 
+Each tabulated registry entry also gets its eps sampler's state,
+``<name>_sampler.f8``, built from the files just written by this
+checkout's ``casimir_mto`` (``materials.save_sampler``).
+
 Run from the repository root:  python tools/make_optical_tables.py
 ``--out DIR`` writes the files there instead of the package's data directory.
 """
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 
-OUT = Path(__file__).resolve().parents[1] / "src" / "casimir_mto" / "data"
+ROOT = Path(__file__).resolve().parents[1]
+OUT = ROOT / "src" / "casimir_mto" / "data"
+sys.path.insert(0, str(ROOT / "src"))
+
+from casimir_mto.materials import load_registry, save_sampler  # noqa: E402
 
 GRID_EV = np.geomspace(0.15, 100.0, 400)
 
@@ -76,6 +85,12 @@ def main(argv=None):
         json.dump(registry, fh, indent=2)
         fh.write("\n")
     print(f"wrote {reg_path}")
+
+    tabulated = [name for name, entry in registry.items() if entry["variant"] == "tabulated"]
+    for name, model in load_registry(reg_path, tabulated).items():
+        path = out / f"{name}_sampler.f8"
+        save_sampler(model, path)
+        print(f"wrote {path}")
 
 
 if __name__ == "__main__":
