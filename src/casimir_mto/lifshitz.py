@@ -29,6 +29,9 @@ s -> c s keeps xi and p, so only the tail exp(-(u+s)) and the measure see c.
 Perfect conductors take the ideal limit (reflection products = 1), which
 reproduces the closed forms -pi^2 hbar c / 240 z^4 and
 -pi^3 hbar c R / 360 z^3 exactly; those serve as the quadrature oracle.
+A stack integrates each distinct run of entries once: repeated separations
+share one integral, and between two perfect conductors, where eps is never
+looked up, so do rows with equal scales z/z0 (every entry of a 1-D array).
 
 Sign convention (used package-wide): attractive forces and pressures are
 negative; the force gradient d|F|/... is reported positive for an
@@ -117,9 +120,11 @@ class LifshitzResult(Record):
     z0): an entry at z = c z0 takes z0's eps and reflection factors, its v
     scaled by c and its sum by c^2, and a truncation bound for nodes scaled
     by c. A run stops at the first level from 2 on at which all its entries
-    meet tol; they are bit for bit those of their row alone, and
-    ``evaluations`` counts their nodes at that level, the (u, s) pairs at
-    which the integrand is evaluated.
+    meet tol; they are bit for bit those of their row alone. A run that
+    repeats another, with equal separations or, for two perfect conductors,
+    equal scales z/z0, takes its values and estimates, so ``evaluations``
+    counts the nodes of each distinct run's entries at that level, the
+    (u, s) pairs at which the integrand is evaluated.
     """
 
     value: float | np.ndarray
@@ -237,10 +242,19 @@ def _reflection_factors(e, u, v, v2):
     (k - v)(k + v) = a and (e v - k)(e v + k) = b v^2 - a, where
     k = u sqrt(e - 1 + p^2) and the row values a = (e-1) u^2 and
     b = (e-1)(e+1) (e^2 - 1 would lose e - 1 as e -> 1). Both are free of
-    cancellation and finite as u -> 0: (e+1) v^2 >= 2 u^2, so b v^2 - a >= b v^2/2."""
+    cancellation and finite as u -> 0: (e+1) v^2 >= 2 u^2, so b v^2 - a >= b v^2/2.
+    Three temporaries of v's shape: k (then TM), TE and e v + k."""
     a = (e - 1.0) * (u * u)
-    k = np.sqrt(a + v2)
-    return a / (k + v) ** 2, ((e - 1.0) * (e + 1.0) * v2 - a) / (e * v + k) ** 2
+    k = np.add(a, v2)
+    np.sqrt(k, out=k)
+    te = np.add(k, v)
+    np.divide(a, np.square(te, out=te), out=te)
+    d = np.multiply(e, v)
+    d += k
+    tm = np.multiply((e - 1.0) * (e + 1.0), v2, out=k)
+    tm -= a
+    tm /= np.square(d, out=d)
+    return te, tm
 
 
 def _tail(kind: str, v, lq):
@@ -249,12 +263,30 @@ def _tail(kind: str, v, lq):
     for two perfect conductors, whose polarizations are equal and summed as
     one doubled). Q w/(1 - Q w) = 1/expm1(v - log Q), 0 where expm1
     overflows, and the force takes one log of the product of the two
-    1 - Q w = -expm1(log Q - v)."""
+    1 - Q w = -expm1(log Q - v). At most two temporaries of v's shape;
+    ``lq`` is read only, since every scale of a block takes it."""
     if kind == "pressure":
-        g = [1.0 / np.expm1(v - x) for x in lq or [0.0]]
-        return (v * v) * (g[0] + g[1] if lq else 2.0 * g[0])
-    m = [np.expm1(x - v) for x in lq or [0.0]]
-    return v * (np.log(m[0] * m[1]) if lq else 2.0 * np.log(-m[0]))
+        g = [np.subtract(v, x) for x in lq or [0.0]]
+        for x in g:
+            np.divide(1.0, np.expm1(x, out=x), out=x)
+        if lq:
+            g[0] += g[1]
+            g[0] *= np.multiply(v, v, out=g[1])
+        else:
+            g[0] *= 2.0
+            g[0] *= v * v
+        return g[0]
+    m = [np.subtract(x, v) for x in lq or [0.0]]
+    for x in m:
+        np.expm1(x, out=x)
+    if lq:
+        m[0] *= m[1]
+        np.log(m[0], out=m[0])
+    else:
+        np.log(np.negative(m[0], out=m[0]), out=m[0])
+        m[0] *= 2.0
+    m[0] *= v
+    return m[0]
 
 
 def _row_dot(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -290,8 +322,8 @@ def _rule_sum(kind: str, u, e1, e2, s, ws, scales) -> np.ndarray:
         with np.errstate(divide="ignore", over="ignore"):
             for x in q:  # log Q in place, capped at 0 where huge eps rounds Q above 1
                 np.minimum(np.log(x, out=x), 0.0, out=x)
-            for k, c in enumerate(scales):
-                tail = _tail(kind, v if c is None else c[b, None] * v, q)
+            for k, c in enumerate(scales):  # v2 is free once Q is formed
+                tail = _tail(kind, v if c is None else np.multiply(c[b, None], v, out=v2), q)
                 sums[..., k, b] = _row_dot(tail, ws.T).T
     return sums
 
@@ -411,26 +443,36 @@ def _runs(z: np.ndarray) -> list[np.ndarray]:
 def _lifshitz(kind: str, z, coeff: float, m1, m2, tol: float) -> LifshitzResult:
     """coeff / z_i^p times the integral of the Lifshitz integrand at each
     separation z_i, with p = 4 for pressure and 3 for force, on the t range
-    that ``tol`` allows, run by run (see _runs, LifshitzResult). _stops
-    takes whole runs of one width, about _STACK entries at a time, so an
-    entry does not depend on the other runs. Raises ConvergenceError with
-    the result attached (the finest level for the runs that did not get
-    there) when some entry does not meet ``tol`` by _MAX_LEVEL.
+    that ``tol`` allows, run by run (see _runs, LifshitzResult). Each
+    distinct run is integrated once and its sums and estimates copied to
+    the runs that repeat it: runs with equal separations, or, between two
+    perfect conductors, where eps is never looked up, equal scales z/z0.
+    _stops takes whole distinct runs of one width, about _STACK entries at
+    a time, so an entry does not depend on the other runs. Raises
+    ConvergenceError with the result attached (the finest level for the
+    runs that did not get there) when some entry does not meet ``tol`` by
+    _MAX_LEVEL.
     """
     z = np.asarray(z, dtype=float)
     zp = _power(z, 4 if kind == "pressure" else 3)
     if not TOL_MIN <= tol <= TOL_MAX:
         raise DomainError(f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}]")
     t_lo, t_hi = _t_range(kind, tol)
+    ideal = isinstance(m1, PerfectConductor) and isinstance(m2, PerfectConductor)
     flat = z.reshape(-1)
     total, rel = np.empty(flat.size), np.empty(flat.size)
     evals = 0
     for runs in _runs(z):
+        key = flat[runs] / flat[runs[:, :1]] if ideal else flat[runs]
+        first = {}  # key -> its first run, in order
+        source = runs[[first.setdefault(tuple(row), i) for i, row in enumerate(key.tolist())]]
+        distinct = runs[list(first.values())]
         step = max(1, _STACK // runs.shape[1])
-        for i in range(0, len(runs), step):
-            index = runs[i:i + step]
+        for i in range(0, len(distinct), step):
+            index = distinct[i:i + step]
             total[index], rel[index], nodes = _stops(kind, flat[index], m1, m2, tol, t_lo, t_hi)
             evals += nodes
+        total[runs], rel[runs] = total[source], rel[source]
     value, rel = coeff / zp * total.reshape(z.shape), rel.reshape(z.shape)
     result = LifshitzResult(value, rel, evals) if z.ndim else LifshitzResult(
         float(value), float(rel), evals)

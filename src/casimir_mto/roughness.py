@@ -14,10 +14,11 @@ Averages are one stacked Lifshitz call over all their separations' entries
 (``average``). The call takes a (separation, entry) array, whose
 rows share nodes: each entry is integrated on the nodes of its row's
 smallest shifted separation, with its own estimate, and a row stops at
-one level (see ``lifshitz.LifshitzResult``), so ``evaluations`` sums
-each entry's nodes at its row's level. A separation's plain value is a
-call of its own: as an entry of a row it would sit on the nodes of the
-row's smallest separation, not its own.
+one level (see ``lifshitz.LifshitzResult``). A row that repeats another
+(a separation given twice) is integrated once, so ``evaluations`` sums the
+nodes of each distinct row's entries at its level. A separation's plain
+value is a call of its own: as an entry of a row it would sit on the nodes
+of the row's smallest separation, not its own.
 """
 
 from __future__ import annotations

@@ -16,7 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from casimir_mto.lifshitz import _T_HI, _T_LO, _exp_sinh, _rule_sum
+from casimir_mto.lifshitz import (
+    _T_HI,
+    _T_LO,
+    _exp_sinh,
+    _reflection_factors,
+    _row_dot,
+    _rule_sum,
+    _tail,
+)
 
 LEVEL = 4
 
@@ -190,3 +198,61 @@ def test_integrand_nodes_vs_textbook(kind, pair):
                 want, ideal = _textbook_node(kind, u, v, e1, e2, c)
                 bound = 1e-14 * ideal + 8 * 2.0**-52 * max(1.0, c * v)
                 assert abs(node - want) <= bound, (c, u, s, e1, e2, node, want)
+
+
+# The kernels write into their block's own temporaries; these are the same
+# operations in the same order as plain expressions, which must give the
+# same bits.
+def _plain_reflection_factors(e, u, v, v2):
+    a = (e - 1.0) * (u * u)
+    k = np.sqrt(a + v2)
+    return a / (k + v) ** 2, ((e - 1.0) * (e + 1.0) * v2 - a) / (e * v + k) ** 2
+
+
+def _plain_tail(kind, v, lq):
+    if kind == "pressure":
+        g = [1.0 / np.expm1(v - x) for x in lq or [0.0]]
+        return (v * v) * (g[0] + g[1] if lq else 2.0 * g[0])
+    m = [np.expm1(x - v) for x in lq or [0.0]]
+    return v * (np.log(m[0] * m[1]) if lq else 2.0 * np.log(-m[0]))
+
+
+def _plain_log_q(e1, e2, u, v):
+    q = [_plain_reflection_factors(e, u, v, v * v) for e in (e1, e2) if e is not None]
+    q = q[0] if len(q) == 1 else [x * y for x, y in zip(*q)]
+    with np.errstate(divide="ignore"):
+        return [np.minimum(np.log(x), 0.0) for x in q]
+
+
+def _blocks(rng):
+    """(e1, e2, u) columns and an s row: random ones, and the node oracle's
+    extremes (eps 1 to 1e150, u and s from 1e-12, v past 37)."""
+    n = 48
+    e1, e2 = (1.0 + 10.0 ** rng.uniform(-16, 150, (n, 1)) for _ in range(2))
+    u, s = 10.0 ** rng.uniform(-12, 2.6, (n, 1)), 10.0 ** rng.uniform(-12, 2.6, 96)
+    yield e1, e2, u, s
+    grid = np.array(list(itertools.product(NODE_EPS, NODE_EPS, NODE_US)))
+    yield grid[:, :1], grid[:, 1:2], grid[:, 2:], np.array([*NODE_US, 20.0, 37.5, 60.0])
+
+
+@pytest.mark.parametrize("kind", ["pressure", "force"])
+@pytest.mark.parametrize("pair", ["real/real", "real/ideal", "ideal/ideal"])
+def test_in_place_kernels_keep_the_plain_bits(kind, pair, rng):
+    for e1, e2, u, s in _blocks(rng):
+        e1, e2 = {"real/real": (e1, e2), "real/ideal": (e1, None),
+                  "ideal/ideal": (None, None)}[pair]
+        v = u + s
+        for e in (e1, e2):
+            if e is not None:
+                got = _reflection_factors(e, u, v, v * v)
+                assert all(np.array_equal(a, b) for a, b in zip(got, _plain_reflection_factors(
+                    e, u, v, v * v)))
+        lq = _plain_log_q(e1, e2, u, v)
+        with np.errstate(divide="ignore", over="ignore"):
+            for c in (1.0, 1.35, 3.0):
+                want = _plain_tail(kind, c * v, lq)
+                assert np.array_equal(_tail(kind, c * v, lq), want)
+                scales = [None if c == 1.0 else np.full(u.size, c)]
+                rows = [None if e is None else e[:, 0] for e in (e1, e2)]
+                got = _rule_sum(kind, u[:, 0], *rows, s, np.ones(s.size), scales)[0]
+                assert np.array_equal(got, _row_dot(want, np.ones(s.size)))

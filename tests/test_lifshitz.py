@@ -468,6 +468,7 @@ class TestTrimmedRule:
     def test_a_stacked_entry_is_its_lone_call(self, monkeypatch):
         # Alone, the 1.1 um Au/Cu force stops a level before its neighbours;
         # stacked, it must still stop there, also across a chunk boundary.
+        # The grid repeats 1.1 um, whose nodes count once.
         registry = load_registry()
         au, cu = registry["gold"], registry["copper"]
         zs = np.array([5e-7, 1.1e-6, 1.5e-6, 1.1e-6, 2e-7])
@@ -478,7 +479,7 @@ class TestTrimmedRule:
             res = force_sphere_plane(zs, R_SPHERE, au, cu, tol=1e-6)
             assert res.value.tolist() == [r.value for r in lone]
             assert res.est_rel_error.tolist() == [r.est_rel_error for r in lone]
-            assert res.evaluations == sum(r.evaluations for r in lone)
+            assert res.evaluations == sum(r.evaluations for r in lone[:3] + lone[4:])
 
     def test_trimmed_levels_nest_inside_the_full_rule(self):
         # Levels 1 to 5 (level 1 is the even sub-grid of the first pass):
@@ -699,6 +700,101 @@ class TestSharedRows:
         for level in range(lifshitz._MAX_LEVEL + 1):
             first = 0.5 ** (level + 1) * 0.5 * math.pi * math.cosh(t_range[1]) * a
             assert bounds[level, 0] == 8.0 * lifshitz._ZETA3 * x_lo + 2.0 * (beyond + first * at)
+
+
+def _result(kind, z, m1, m2, tol):
+    """The result of a call, or the partial result of its ConvergenceError."""
+    try:
+        return _integral(kind, z, m1, m2, tol)
+    except ConvergenceError as exc:
+        return exc.partial
+
+
+class TestDistinctRuns:
+    """Each distinct run of a stack is integrated once and copied to the runs
+    that repeat it: runs with equal separations or, between two perfect
+    conductors, equal scales z/z0. ``evaluations`` counts the distinct runs'
+    nodes."""
+
+    @staticmethod
+    def _rows(monkeypatch):
+        stops, rows = lifshitz._stops, []
+
+        def counting(kind, z, *args):
+            rows.append(len(z))
+            return stops(kind, z, *args)
+
+        monkeypatch.setattr(lifshitz, "_stops", counting)
+        return rows
+
+    @pytest.mark.parametrize("kind", ["pressure", "force"])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
+    def test_an_ideal_grid_is_one_integral(self, kind, tol, ideal, monkeypatch):
+        # Eps is never looked up, so every entry of a 1-D grid is one
+        # integral, and so is every row with the same scales (powers of two
+        # keep z/z0 exact).
+        zs = np.geomspace(1e-7, 3e-6, 20)
+        lone = [_integral(kind, z, ideal, ideal, tol) for z in zs]
+        scaled = zs[:, None] * np.array([1.0, 2.0, 4.0])
+        lone_rows = [_integral(kind, row[None, :], ideal, ideal, tol) for row in scaled]
+        rows = self._rows(monkeypatch)
+        res = _integral(kind, zs, ideal, ideal, tol)
+        assert rows == [1]
+        assert res.value.tolist() == [r.value for r in lone]
+        assert res.est_rel_error.tolist() == [r.est_rel_error for r in lone]
+        assert res.evaluations == lone[0].evaluations
+        rows.clear()
+        res = _integral(kind, scaled, ideal, ideal, tol)
+        assert rows == [1]
+        assert np.array_equal(res.value, np.vstack([r.value for r in lone_rows]))
+        assert np.array_equal(res.est_rel_error, np.vstack([r.est_rel_error for r in lone_rows]))
+        assert res.evaluations == lone_rows[0].evaluations
+
+    def test_repeated_separations_are_integrated_once(self, monkeypatch):
+        # Au/Cu repeats as a 1-D grid and as repeated rows of a 2-D stack,
+        # at every chunk size: each entry is its lone call (or its row's),
+        # and each distinct entry goes through _stops and counts its nodes
+        # once.
+        registry = load_registry()
+        au, cu = registry["gold"], registry["copper"]
+        grid = np.array([3e-7, 1.1e-6, 3e-7, 7e-7, 1.1e-6, 3e-7])
+        row = np.array([2e-7, 2.1e-7, 2.5e-7])
+        stack = np.vstack([row, row + 1e-7, row, row])
+        for kind in ("pressure", "force"):
+            lone = {z: _integral(kind, z, au, cu, 1e-6) for z in grid.tolist()}
+            first, second = (_integral(kind, r[None, :], au, cu, 1e-6) for r in stack[:2])
+            rows = self._rows(monkeypatch)
+            for size in (lifshitz._STACK, 8, 1):
+                monkeypatch.setattr(lifshitz, "_STACK", size)
+                rows.clear()
+                res = _integral(kind, grid, au, cu, 1e-6)
+                assert sum(rows) == len(lone), (kind, size)
+                assert res.value.tolist() == [lone[z].value for z in grid.tolist()]
+                assert res.est_rel_error.tolist() == [lone[z].est_rel_error for z in grid.tolist()]
+                assert res.evaluations == sum(r.evaluations for r in lone.values())
+                rows.clear()
+                res = _integral(kind, stack, au, cu, 1e-6)
+                assert sum(rows) == 2, (kind, size)
+                want = [first, second, first, first]
+                assert np.array_equal(res.value, np.vstack([r.value for r in want]))
+                assert np.array_equal(res.est_rel_error, np.vstack([r.est_rel_error for r in want]))
+                assert res.evaluations == first.evaluations + second.evaluations
+            monkeypatch.undo()
+
+    def test_a_partial_result_fills_every_repeated_entry(self, ideal, monkeypatch):
+        # Stopped at the first pass, tol 1e-8 is out of reach: the partial
+        # result still holds every entry's lone sum and estimate.
+        registry = load_registry()
+        monkeypatch.setattr(lifshitz, "_MAX_LEVEL", 2)
+        grid = np.array([3e-7, 1.1e-6, 3e-7, 1.1e-6, 3e-7])
+        for m1, m2 in ((registry["gold"], registry["copper"]), (ideal, ideal)):
+            lone = [_result("force", z, m1, m2, 1e-8) for z in grid]
+            with pytest.raises(ConvergenceError) as exc_info:
+                _integral("force", grid, m1, m2, 1e-8)
+            partial = exc_info.value.partial
+            assert partial.value.tolist() == [r.value for r in lone]
+            assert partial.est_rel_error.tolist() == [r.est_rel_error for r in lone]
+            assert np.all(partial.est_rel_error > 1e-8)
 
 
 class TestBlockBudget:
