@@ -7,7 +7,7 @@ strings) and paths are strings.
 Optical tables, calibration samples and residual-bound files are headed
 CSV tables, read through ``read_table`` under one set of rules:
 
-- the file is UTF-8;
+- the file is UTF-8, and a leading byte-order mark is ignored;
 - blank lines and ``#`` comment lines are skipped anywhere;
 - the first other line is the header, matched column by column, stripped
   and case-insensitively;
@@ -15,7 +15,8 @@ CSV tables, read through ``read_table`` under one set of rules:
 
 A file that breaks a rule raises ``ParseError`` with its path and file
 line (exit 1 in the CLI); so does any input file that is not UTF-8,
-height maps included (``open_text``). Values are not range-checked here:
+height maps included (``open_text``, which also drops one leading
+byte-order mark from every input file). Values are not range-checked here:
 each caller validates what its numbers mean.
 """
 
@@ -89,7 +90,8 @@ class Cfg:
 
 
 def open_text(path) -> io.StringIO:
-    """The UTF-8 file ``path`` as a text stream with universal newlines.
+    """The UTF-8 file ``path`` as a text stream with universal newlines,
+    without a leading byte-order mark (U+FEFF).
 
     A byte sequence that is not UTF-8 raises ParseError with its line.
     """
@@ -99,7 +101,7 @@ def open_text(path) -> io.StringIO:
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})",
                          line=data.count(b"\n", 0, exc.start) + 1) from None
-    return io.StringIO(text, newline=None)
+    return io.StringIO(text.removeprefix("\ufeff"), newline=None)
 
 
 def read_json_object(path) -> dict:

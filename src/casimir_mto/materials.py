@@ -23,7 +23,9 @@ pipeline runs out of the box: replace them with measured optical
 constants for quantitative work. The default Drude parameters
 (Au: 9.0/0.035 eV, Cu: 8.9/0.030 eV) are conventional literature values,
 shipped as editable registry entries. The registry (a JSON object) and
-the tables (headed CSV) are read through ``casimir_mto.inputs``.
+the tables (headed CSV) are read through ``casimir_mto.inputs``; a table
+file whose bytes a shipped sampler file stores (a bundled table) is not
+parsed, but built from the rows and state stored with them.
 """
 
 from __future__ import annotations
@@ -290,9 +292,10 @@ class Tabulated(DielectricModel):
         return kk_to_imaginary_axis(self.table, self.drude, xi_ev, self.splice_ev)
 
     def sampled(self) -> "SampledDielectric":
-        """Cached fast interpolant of eps(i xi): on first use, the state
-        shipped in the package data when one was built from exactly this
-        model (a bundled table), else a fresh build."""
+        """Cached fast interpolant of eps(i xi): the state shipped in the
+        package data when one was built from exactly this model, else a
+        fresh build on first use. A registry entry on a bundled table file
+        comes with its state attached; other models look it up by rows."""
         if self._sampler is None:
             self._sampler = _shipped_sampler(self) or SampledDielectric.from_model(self)
         return self._sampler
@@ -408,27 +411,63 @@ def data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
+_KEY_SCALARS = 9           # leading scalars of a sampler key
+
+
 def _sampler_key(model: Tabulated) -> np.ndarray:
     """Everything ``SampledDielectric.from_model(model)`` depends on besides
-    the code: the sampler constants, the Drude parameters, the splice and
-    the table's rows, as one float64 vector."""
+    the code, as one float64 vector: the sampler constants, the Drude
+    parameters, the splice, the table's row count, then its energy_ev and
+    eps2 rows. The row count tells where the key ends when it is read
+    without the model (``_tabulated``)."""
     return np.concatenate([
         [_SAMPLED_LO_EV, _SAMPLED_HI_EV, _CHEB_DEGREE, _CELLS, _TAYLOR_TERMS,
-         model.drude.plasma_ev, model.drude.relaxation_ev, model.splice_ev],
+         model.drude.plasma_ev, model.drude.relaxation_ev, model.splice_ev,
+         model.table.energy_ev.size],
         model.table.energy_ev, model.table.eps2,
     ])
 
 
-def save_sampler(model: Tabulated, path) -> None:
-    """Build ``model``'s sampler and write its key and state to ``path``,
-    little-endian float64: the file ``Tabulated.sampled`` finds when it is
-    named ``*_sampler.f8`` in the package data."""
+def save_sampler(model: Tabulated, path, table_path) -> None:
+    """Build ``model``'s sampler and write it to ``path`` with what it was
+    built from, as the package data's ``*_sampler.f8`` files are written.
+
+    The file holds the byte length of the table CSV ``table_path``
+    (little-endian uint64), its bytes, zero-padded to a multiple of 8, then,
+    as little-endian float64, the key (``_sampler_key``) and the state, which
+    comes last. Raises ValidationError unless ``table_path`` parses to
+    ``model``'s rows bit for bit: a registry entry on a file of those bytes
+    takes the stored rows for its parse (``_tabulated``).
+    """
+    data = Path(table_path).read_bytes()
+    parsed = load_optical_data(table_path)
+    if (parsed.energy_ev.tobytes(), parsed.eps2.tobytes()) != \
+            (model.table.energy_ev.tobytes(), model.table.eps2.tobytes()):
+        raise ValidationError(f"{table_path}: rows differ from the model's table")
     state = SampledDielectric.from_model(model).state
-    np.concatenate([_sampler_key(model), state]).astype("<f8").tofile(path)
+    with open(path, "wb") as fh:
+        fh.write(len(data).to_bytes(8, "little") + data + bytes(-len(data) % 8))
+        np.concatenate([_sampler_key(model), state]).astype("<f8").tofile(fh)
+
+
+def _state_files():
+    """The table bytes and the float64 key and state of each
+    ``*_sampler.f8`` in the package data (``save_sampler``'s layout); a
+    file of another layout or cut short yields bytes and floats that match
+    no table or key."""
+    root = data_dir()
+    for name in os.listdir(root):
+        if name.endswith("_sampler.f8"):
+            raw = (root / name).read_bytes()
+            n = int.from_bytes(raw[:8], "little")
+            start = min(8 + n + -n % 8, len(raw))
+            yield raw[8:8 + n], np.frombuffer(raw, "<f8", (len(raw) - start) // 8, start)
 
 
 def _shipped_sampler(model: Tabulated) -> SampledDielectric | None:
-    """The sampler state shipped in the package data for ``model``, or None.
+    """The sampler state shipped in the package data for ``model``, or None:
+    the lookup by rows, for models that ``_tabulated`` did not build from
+    a state file (a table file of other bytes, or a model made in code).
 
     A state file is used only when the key it stores equals ``model``'s
     exactly, so an edited table, Drude parameter or splice, or changed
@@ -436,16 +475,34 @@ def _shipped_sampler(model: Tabulated) -> SampledDielectric | None:
     shipped file holds what ``save_sampler`` wrote from it.
     """
     key = _sampler_key(model)
-    for name in os.listdir(data_dir()):
-        if not name.endswith("_sampler.f8"):
-            continue
-        with open(data_dir() / name, "rb") as fh:
-            # The key first: a file of another model costs only its key's read.
-            if np.array_equal(np.fromfile(fh, "<f8", key.size), key):
-                state = np.fromfile(fh, "<f8")
-                if state.size == _STATE_SIZE:
-                    return SampledDielectric(state)
+    for _, floats in _state_files():
+        if floats.size == key.size + _STATE_SIZE and np.array_equal(floats[:key.size], key):
+            return SampledDielectric(floats[key.size:])
     return None
+
+
+def _tabulated(path: Path, drude: DrudeParams, splice_ev: float | None) -> Tabulated:
+    """The model of a tabulated registry entry whose table is the file ``path``.
+
+    When the file's bytes equal those a shipped state file stores, the
+    rows come from that file's key instead of a parse (``save_sampler``
+    checked that they are the parse of those bytes), and the model carries
+    the stored state as its sampler if the whole key, Drude parameters and
+    splice included, equals its own. Any other file is parsed, and
+    ``Tabulated.sampled`` looks its state up by rows. Both paths run the
+    same constructors and their checks.
+    """
+    data = path.read_bytes()
+    for table, floats in _state_files():
+        key = floats[:-_STATE_SIZE]
+        n = (key.size - _KEY_SCALARS) // 2
+        # The stored row count must fit the key's size, or the file was cut.
+        if table == data and n > 0 and key.size == _KEY_SCALARS + 2 * key[_KEY_SCALARS - 1]:
+            model = Tabulated(OpticalTable(key[_KEY_SCALARS:-n], key[-n:]), drude, splice_ev)
+            if np.array_equal(_sampler_key(model), key):
+                model._sampler = SampledDielectric(floats[-_STATE_SIZE:])
+            return model
+    return Tabulated(load_optical_data(path), drude, splice_ev)
 
 
 def default_registry_path() -> Path:
@@ -482,7 +539,7 @@ def _registry_entry(name: str, entry, root: Path):
         return lambda: DrudeOnly(drude)
     if not isinstance(table_path, str):
         raise ConfigurationError(f"material {name!r}: 'table' must be a path")
-    return lambda: Tabulated(load_optical_data(root / table_path), drude, splice_ev=splice)
+    return lambda: _tabulated(root / table_path, drude, splice)
 
 
 def load_registry(

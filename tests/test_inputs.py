@@ -124,6 +124,27 @@ def test_empty_table_is_a_parse_error(tmp_path):
         read_table(path, ("a", "b"))
 
 
+def test_a_leading_byte_order_mark_is_ignored(table):
+    # Editors on some systems start a UTF-8 file with U+FEFF; without it
+    # being dropped, the header would not match.
+    read, header, rows = table
+    assert read(["\ufeff" + header, *rows]) == read([header, *rows])
+
+
+def test_a_json_config_with_a_byte_order_mark_reads(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_bytes(b'\xef\xbb\xbf{"a": 1, "b": [2.5]}\n')
+    assert read_json_object(path) == {"a": 1, "b": [2.5]}
+
+
+def test_a_bad_byte_after_a_byte_order_mark_names_its_line(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n3,\xff\n")
+    with pytest.raises(ParseError, match="not UTF-8") as exc_info:
+        read_table(path, ("a", "b"))
+    assert exc_info.value.line == 3
+
+
 def test_json_decode_error_carries_line(tmp_path):
     path = tmp_path / "c.json"
     path.write_text('{\n  "a": 1,\n  oops\n}\n', encoding="utf-8")

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -19,12 +20,15 @@ from casimir_mto.materials import (
     PerfectConductor,
     SampledDielectric,
     Tabulated,
+    _STATE_SIZE,
     _dispersion_drude_segment,
+    data_dir,
     drude_eps,
     drude_eps2,
     kk_to_imaginary_axis,
     load_optical_data,
     load_registry,
+    save_sampler,
 )
 
 AU = DrudeParams(9.0, 0.035)
@@ -332,6 +336,152 @@ class TestShippedSampler:
         assert builds == []
 
 
+@pytest.fixture
+def parses(monkeypatch):
+    """The names of the files ``materials`` parses with ``read_table``."""
+    import casimir_mto.materials as materials
+
+    calls = []
+    parse = materials.read_table
+
+    def recorded(path, header):
+        calls.append(path.name)
+        return parse(path, header)
+
+    monkeypatch.setattr(materials, "read_table", recorded)
+    return calls
+
+
+def _bundled_doc():
+    return json.loads((data_dir() / "materials.json").read_text(encoding="utf-8"))
+
+
+def _drude_table(path):
+    """Write a 30-row table of the Drude loss of AU, which splices onto AU exactly."""
+    e = np.geomspace(0.2, 50.0, 30)
+    rows = "".join(f"{x!r},{y!r}\n" for x, y in zip(e.tolist(), drude_eps2(e, AU).tolist()))
+    path.write_text("energy_ev,eps2\n" + rows, encoding="utf-8")
+
+
+def _stored_parts(raw: bytes):
+    """A state file's table bytes, its padding and its float64 key and state."""
+    n = int.from_bytes(raw[:8], "little")
+    start = 8 + n + -n % 8
+    floats = np.frombuffer(raw, "<f8", offset=start)
+    return raw[8:8 + n], raw[8 + n:start], floats[:-_STATE_SIZE], floats[-_STATE_SIZE:]
+
+
+class TestBundledTables:
+    def test_the_bundled_pair_is_built_without_a_parse(self, monkeypatch, parses, builds):
+        import casimir_mto.materials as materials
+
+        def second_lookup(model):
+            raise AssertionError("looked up by rows")
+
+        monkeypatch.setattr(materials, "_shipped_sampler", second_lookup)
+        models = load_registry(names=["gold", "copper"])
+        assert parses == []
+        for name, csv in (("gold", "au_eps2.csv"), ("copper", "cu_eps2.csv")):
+            parsed = load_optical_data(data_dir() / csv)
+            assert models[name].table.energy_ev.tobytes() == parsed.energy_ev.tobytes()
+            assert models[name].table.eps2.tobytes() == parsed.eps2.tobytes()
+            state = _stored_parts((data_dir() / f"{name}_sampler.f8").read_bytes())[3]
+            assert models[name].sampled().state.tobytes() == state.tobytes()
+        assert builds == []
+
+    @pytest.mark.parametrize("name, csv", [("gold", "au_eps2.csv"), ("copper", "cu_eps2.csv")])
+    def test_a_state_file_stores_its_table_and_the_rows_it_parses_to(self, tmp_path, name, csv):
+        # What lets the bundled tables go unparsed: the stored rows are the
+        # parse of the stored bytes, bit for bit.
+        from casimir_mto.inputs import read_table
+
+        table, pad, key, _ = _stored_parts((data_dir() / f"{name}_sampler.f8").read_bytes())
+        assert table == (data_dir() / csv).read_bytes()
+        assert pad == bytes(len(pad)) and (8 + len(table) + len(pad)) % 8 == 0
+        n = int(key[8])
+        assert key.size == 9 + 2 * n
+        (tmp_path / csv).write_bytes(table)
+        rows, _ = read_table(tmp_path / csv, ("energy_ev", "eps2"))
+        assert key[9:9 + n].tobytes() == rows[:, 0].tobytes()
+        assert key[9 + n:].tobytes() == rows[:, 1].tobytes()
+
+    @pytest.mark.parametrize("edit", ["comment line", "CRLF"])
+    def test_other_bytes_of_the_same_rows_are_parsed_and_find_the_state(self, tmp_path, parses,
+                                                                         builds, edit):
+        data = (data_dir() / "au_eps2.csv").read_bytes()
+        data = b"# copied\n" + data if edit == "comment line" else data.replace(b"\n", b"\r\n")
+        (tmp_path / "copy.csv").write_bytes(data)
+        doc = _bundled_doc()
+        doc["gold"]["table"] = "copy.csv"
+        (tmp_path / "custom.json").write_text(json.dumps(doc), encoding="utf-8")
+        model = load_registry(tmp_path / "custom.json", ["gold"])["gold"]
+        assert parses == ["copy.csv"]
+        shipped = _stored_parts((data_dir() / "gold_sampler.f8").read_bytes())[3]
+        assert model.sampled().state.tobytes() == shipped.tobytes()
+        assert builds == []
+
+    def test_a_drude_parameter_off_the_table_fails_as_on_the_parse_path(self, tmp_path, parses):
+        shutil.copy(data_dir() / "au_eps2.csv", tmp_path)
+        doc = _bundled_doc()
+        doc["gold"]["plasma_ev"] = 5.0
+        (tmp_path / "custom.json").write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValidationError) as bundled:
+            load_registry(tmp_path / "custom.json", ["gold"])
+        assert parses == []
+        with pytest.raises(ValidationError) as parsed:
+            Tabulated(load_optical_data(tmp_path / "au_eps2.csv"), DrudeParams(5.0, 0.035))
+        assert "at the splice" in str(bundled.value)
+        assert str(bundled.value) == str(parsed.value)
+
+    @pytest.mark.parametrize("damage", ["cut in the state", "cut in the key", "cut in the table",
+                                        "no table bytes", "another table's file"])
+    def test_a_damaged_or_foreign_state_file_is_parsed_and_built(self, tmp_path, monkeypatch,
+                                                                  parses, builds, damage):
+        import casimir_mto.materials as materials
+
+        shipped = load_registry(names=["gold"])["gold"].sampled().state
+        raw = (data_dir() / "gold_sampler.f8").read_bytes()
+        table, pad, key, _ = _stored_parts(raw)
+        start = 8 + len(table) + len(pad)
+        stored = {
+            "cut in the state": raw[:-16],
+            "cut in the key": raw[:start + 8 * (key.size - 2)],
+            "cut in the table": raw[:start // 2],
+            "no table bytes": raw[start:],
+            "another table's file": (data_dir() / "copper_sampler.f8").read_bytes(),
+        }[damage]
+        for name in ("au_eps2.csv", "materials.json"):
+            shutil.copy(data_dir() / name, tmp_path)
+        (tmp_path / "gold_sampler.f8").write_bytes(stored)
+        monkeypatch.setattr(materials, "data_dir", lambda: tmp_path)
+        model = load_registry(tmp_path / "materials.json", ["gold"])["gold"]
+        assert parses == ["au_eps2.csv"]
+        assert model.sampled().state.tobytes() == shipped.tobytes()
+        assert builds == [model]
+
+    def test_save_sampler_writes_what_the_registry_reads(self, tmp_path, monkeypatch, parses,
+                                                        builds):
+        import casimir_mto.materials as materials
+
+        _drude_table(tmp_path / "mine.csv")
+        doc = {"mine": {"variant": "tabulated", "plasma_ev": AU.plasma_ev,
+                        "relaxation_ev": AU.relaxation_ev, "table": "mine.csv"}}
+        (tmp_path / "mine.json").write_text(json.dumps(doc), encoding="utf-8")
+        parsed = load_registry(tmp_path / "mine.json")["mine"]
+        monkeypatch.setattr(materials, "data_dir", lambda: tmp_path)
+        save_sampler(parsed, tmp_path / "mine_sampler.f8", tmp_path / "mine.csv")
+        with pytest.raises(ValidationError, match="rows differ"):
+            save_sampler(parsed, tmp_path / "other_sampler.f8", data_dir() / "au_eps2.csv")
+        assert not (tmp_path / "other_sampler.f8").exists()
+        assert parses == ["mine.csv", "mine.csv", "au_eps2.csv"] and len(builds) == 1
+        model = load_registry(tmp_path / "mine.json")["mine"]
+        state = model.sampled().state
+        assert parses == ["mine.csv", "mine.csv", "au_eps2.csv"] and len(builds) == 1
+        assert model.table.energy_ev.tobytes() == parsed.table.energy_ev.tobytes()
+        assert model.table.eps2.tobytes() == parsed.table.eps2.tobytes()
+        assert state.tobytes() == SampledDielectric.from_model(parsed).state.tobytes()
+
+
 class TestRegistry:
     def test_default_registry_loads(self):
         registry = load_registry()
@@ -366,29 +516,25 @@ class TestRegistry:
         model = load_registry(path)["x"]
         assert isinstance(model, PerfectConductor)
 
-    def test_named_models_read_only_their_tables(self, monkeypatch):
-        import casimir_mto.materials as materials
-
-        real = materials.read_table
-
-        def no_table(path, header):
-            raise AssertionError(f"read {path}")
-
-        monkeypatch.setattr(materials, "read_table", no_table)
+    def test_named_models_read_only_their_tables(self, tmp_path, parses):
         registry = load_registry(names=["ideal", "gold_drude"])
         assert list(registry) == ["ideal", "gold_drude"]
         assert isinstance(registry["ideal"], PerfectConductor)
         assert isinstance(registry["gold_drude"], DrudeOnly)
-
-        read = []
-
-        def recorded(path, header):
-            read.append(path.name)
-            return real(path, header)
-
-        monkeypatch.setattr(materials, "read_table", recorded)
+        # The bundled tables are built from their shipped state files, unparsed.
         assert len(load_registry()) == 5
-        assert sorted(read) == ["au_eps2.csv", "cu_eps2.csv"]
+        assert parses == []
+        # Of the tables a custom registry names, only the non-bundled one is
+        # parsed; the missing table of an entry it does not name is not read.
+        _drude_table(tmp_path / "mine.csv")
+        doc = _bundled_doc()
+        for name in ("gold", "copper"):
+            doc[name]["table"] = str(data_dir() / doc[name]["table"])
+        doc["mine"] = dict(doc["gold"], table="mine.csv")
+        doc["broken"] = dict(doc["gold"], table="missing.csv")
+        (tmp_path / "custom.json").write_text(json.dumps(doc), encoding="utf-8")
+        assert len(load_registry(tmp_path / "custom.json", ["gold", "copper", "mine"])) == 3
+        assert parses == ["mine.csv"]
 
     def test_env_var_root(self, tmp_path, monkeypatch):
         path = tmp_path / "materials.json"

@@ -18,7 +18,8 @@ def _stale(tool: str, name: str, fresh: bytes, shipped: bytes) -> str:
     """Why a bundled file differs from its fresh regeneration, and the fix."""
     rerun = f"rerun `python tools/{tool}` and commit the files it writes"
     if name.endswith("_sampler.f8") and len(fresh) == len(shipped):
-        # The state file is the key (the inputs of the build), then the state.
+        # The state file is the inputs of the build (the table's bytes, padded
+        # to a multiple of 8, and the key), then the state.
         key = 8 * (len(fresh) // 8 - _STATE_SIZE)
         if fresh[:key] == shipped[:key]:
             return (f"{name}: same inputs, but the built state differs; if only its last "

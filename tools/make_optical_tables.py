@@ -8,7 +8,8 @@ low-energy splice continuous.
 
 Each tabulated registry entry also gets its eps sampler's state,
 ``<name>_sampler.f8``, built from the files just written by this
-checkout's ``casimir_mto`` (``materials.save_sampler``).
+checkout's ``casimir_mto`` and stored with the exact bytes of the table
+CSV it was built from (``materials.save_sampler``).
 
 Run from the repository root:  python tools/make_optical_tables.py
 ``--out DIR`` writes the files there instead of the package's data directory.
@@ -89,7 +90,7 @@ def main(argv=None):
     tabulated = [name for name, entry in registry.items() if entry["variant"] == "tabulated"]
     for name, model in load_registry(reg_path, tabulated).items():
         path = out / f"{name}_sampler.f8"
-        save_sampler(model, path)
+        save_sampler(model, path, out / registry[name]["table"])
         print(f"wrote {path}")
 
 
